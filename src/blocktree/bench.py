@@ -231,11 +231,10 @@ def main(argv=None):
     p.add_argument("--out", default=None)
 
     args = ap.parse_args(argv)
-    enc = "delta" if getattr(args, "encoding", None) == "diff" else getattr(args, "encoding", None)
 
     if args.cmd == "micro":
         cfg = BenchConfig(op=args.op, n=args.n, m=args.m or args.n,
-                          block_size=args.B, encoding=enc,
+                          block_size=args.B, encoding=args.encoding,
                           threads=args.threads, seed=args.seed,
                           trials=args.trials)
         try:
@@ -245,7 +244,7 @@ def main(argv=None):
         _emit(HEADER, rows, args.out)
     elif args.cmd == "sweep-B":
         rows = sweep_blocksize(args.op, args.n, _int_list(args.Bs),
-                               encoding=enc, m=args.m or None,
+                               encoding=args.encoding, m=args.m or None,
                                seed=args.seed, trials=args.trials,
                                threads=args.threads)
         _emit(HEADER, rows, args.out)

@@ -34,6 +34,7 @@ public wrappers run ``_settle`` so returned roots are always valid trees.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .counters import counters
@@ -112,6 +113,25 @@ def _claim(t):
 def _decode(ctx, t):
     counters.decodes += 1
     return ctx.codec.decode(t.payload, t.count)
+
+
+def _entry_key(e):
+    return e[0]
+
+
+def _search(ctx, t, k, right=False):
+    """(pos, entries) for key k in block t: pos is bisect_left of k among
+    the block's keys (bisect_right when ``right``), entries is indexable.
+
+    Codecs that search their payload in place decode nothing; the others
+    pay one counted decode and a bisect over its result.
+    """
+    found = ctx.codec.search(t.payload, t.count, k, right)
+    if found is not None:
+        return found
+    entries = _decode(ctx, t)
+    pos = (bisect_right if right else bisect_left)(entries, k, key=_entry_key)
+    return pos, entries
 
 
 def flatten(ctx, t, out=None):

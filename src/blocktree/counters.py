@@ -8,7 +8,7 @@ the benchmark harness:
   live         currently live node count (gauge)
   unfolds      conversions of a flat node into expanded regular-node form
   folds        flat-node constructions
-  decodes      block payload decodes
+  decodes      full block payload decodes (a codec search in place is not one)
   reused       node shells recycled from the reuse-mode free list
 
 Counts are exact for single-threaded operation.  When an internal worker pool

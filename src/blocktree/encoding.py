@@ -1,15 +1,35 @@
 """Block codecs.
 
-Every leaf block stores its entries through a codec with three methods:
-``encoded_size`` (bytes the encoding will occupy), ``encode`` (entries to
-payload) and ``decode`` (payload back to entries).  Codecs are stateless and
-safe to share between threads.
+Every leaf block stores its entries through a codec.  Three methods are
+required: ``encoded_size`` (bytes the encoding will occupy), ``encode``
+(entries to payload) and ``decode`` (payload back to entries).  Two are
+optional, with defaults on ``EncodingScheme``:
+
+``check_entry(key, value)``
+    Raise ``CodecError`` for an entry no block could hold.
+    ``ordmap.insert`` calls it before it takes any handle, so a bad entry
+    consumes nothing.  The default accepts everything.
+
+``search(payload, count, key, right=False)``
+    ``(pos, entries)``: the ``bisect_left`` position of ``key`` among the
+    block's keys (``bisect_right`` when ``right``), and the block's entries
+    as an indexable sequence; or ``None`` when the codec cannot search its
+    payload in place.  Point reads use it through ``core._search``, which
+    falls back to a full (counted) ``decode`` and a bisect on ``None``.  The
+    default returns ``None``.
+
+Codecs are stateless and safe to share between threads.
 
 Two byte-oriented codecs ship with the library:
 
 ``IdentityCodec``
     Fixed-width little-endian concatenation, one ``[key][value]`` pair per
-    entry.  Size is ``count * (key_width + value_width)``.
+    entry.  Size is ``count * (key_width + value_width)``.  When both widths
+    are one struct size (1, 2, 4 or 8 bytes; ``value_width`` equal to
+    ``key_width`` or 0), a block is packed and unpacked by one ``struct``
+    call, and ``search`` bisects the keys inside the payload, so a point
+    read decodes no block.  Other widths use a per-entry loop that writes
+    the same bytes, and searches fall back to decode.
 
 ``DeltaCodec``
     For nonnegative integer keys, strictly increasing within a block::
@@ -29,6 +49,9 @@ reported size is a nominal pointer-model estimate.
 """
 
 import struct
+import sys
+from bisect import bisect_left, bisect_right
+from itertools import chain, repeat
 
 from .errors import CodecError, CorruptionError
 
@@ -76,14 +99,13 @@ def _check_uint(x, width, what):
 
 
 class EncodingScheme:
-    """Codec interface; subclasses implement the three methods below."""
+    """Codec interface; subclasses implement the three required methods and
+    may override the two optional ones (see the module docstring)."""
 
     name = "abstract"
     # True when the codec cannot read its first/last key in O(1) from the
     # payload, so the block header carries cached key bounds.
     caches_bounds = False
-    # False when keys are not byte-packed integers (object payloads).
-    byte_oriented = True
 
     def encoded_size(self, entries):
         raise NotImplementedError
@@ -94,6 +116,32 @@ class EncodingScheme:
     def decode(self, payload, count):
         raise NotImplementedError
 
+    def check_entry(self, key, value):
+        """Raise CodecError if no block could hold (key, value)."""
+
+    def search(self, payload, count, key, right=False):
+        """(position, indexable entries), or None: not searchable in place."""
+        return None
+
+
+# struct codes for the widths the identity codec packs in one call
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class _PackedEntries:
+    """The entries of an identity payload, each unpacked when indexed."""
+
+    __slots__ = ("_payload", "_entry", "_keys_only")
+
+    def __init__(self, payload, entry, keys_only):
+        self._payload = payload
+        self._entry = entry
+        self._keys_only = keys_only
+
+    def __getitem__(self, i):
+        e = self._entry.unpack_from(self._payload, i * self._entry.size)
+        return (e[0], None) if self._keys_only else e
+
 
 class IdentityCodec(EncodingScheme):
     name = "identity"
@@ -101,12 +149,42 @@ class IdentityCodec(EncodingScheme):
     def __init__(self, key_width=8, value_width=8):
         self.key_width = key_width
         self.value_width = value_width
-        self._key = struct.Struct("<Q" if key_width == 8 else f"<{key_width}B")
+        self._step = key_width + value_width
+        code = _STRUCT_CODES.get(key_width)
+        if value_width not in (0, key_width):
+            code = None
+        # one struct code for every field, or None for the per-entry loop
+        self._code = code
+        self._entry = (struct.Struct("<" + code * (2 if value_width else 1))
+                       if code else None)
+        # memoryview casts read native byte order: the payload is searched
+        # in place only where that order is the wire format's
+        self._view = code if sys.byteorder == "little" else None
 
     def encoded_size(self, entries):
-        return len(entries) * (self.key_width + self.value_width)
+        return len(entries) * self._step
+
+    def check_entry(self, key, value):
+        _check_uint(key, self.key_width, "key")
+        if self.value_width:
+            _check_uint(value, self.value_width, "value")
 
     def encode(self, entries):
+        if self._code is not None:
+            if self.value_width:
+                flat = list(chain.from_iterable(entries))
+            else:
+                flat = [k for k, _ in entries]
+            # bool and other int subclasses, and out-of-range integers, go
+            # through the checked loop, which raises the CodecError
+            if set(map(type, flat)) == {int}:
+                try:
+                    return struct.pack(f"<{len(flat)}{self._code}", *flat)
+                except struct.error:
+                    pass
+        return self._encode_loop(entries)
+
+    def _encode_loop(self, entries):
         kw, vw = self.key_width, self.value_width
         out = bytearray()
         for k, v in entries:
@@ -117,11 +195,21 @@ class IdentityCodec(EncodingScheme):
                 out += v.to_bytes(vw, "little")
         return bytes(out)
 
-    def decode(self, payload, count):
-        kw, vw = self.key_width, self.value_width
-        step = kw + vw
-        if len(payload) != count * step:
+    def _check_length(self, payload, count):
+        if len(payload) != count * self._step:
             raise CorruptionError("identity payload length mismatch")
+
+    def decode(self, payload, count):
+        self._check_length(payload, count)
+        if self._entry is None:
+            return self._decode_loop(payload, count)
+        if self.value_width:
+            return list(self._entry.iter_unpack(payload))
+        return list(zip(struct.unpack(f"<{count}{self._code}", payload),
+                        repeat(None)))
+
+    def _decode_loop(self, payload, count):
+        kw, vw, step = self.key_width, self.value_width, self._step
         entries = []
         pos = 0
         for _ in range(count):
@@ -130,6 +218,16 @@ class IdentityCodec(EncodingScheme):
             entries.append((k, v))
             pos += step
         return entries
+
+    def search(self, payload, count, key, right=False):
+        if self._view is None:
+            return None
+        self._check_length(payload, count)
+        keys = memoryview(payload).cast(self._view)
+        if self.value_width:
+            keys = keys[0::2]
+        pos = (bisect_right if right else bisect_left)(keys, key)
+        return pos, _PackedEntries(payload, self._entry, not self.value_width)
 
 
 class DeltaCodec(EncodingScheme):
@@ -150,6 +248,11 @@ class DeltaCodec(EncodingScheme):
             if k <= prev:
                 raise CodecError("delta codec requires strictly increasing keys")
             prev = k
+
+    def check_entry(self, key, value):
+        self._check_keys([(key, value)])
+        if self.value_width:
+            _check_uint(value, self.value_width, "value")
 
     def encoded_size(self, entries):
         self._check_keys(entries)
@@ -212,7 +315,6 @@ class ObjectCodec(EncodingScheme):
     """Stores entries as a tuple; for payloads that are not byte-packable."""
 
     name = "object"
-    byte_oriented = False
     # Pointer-model estimate: one key word plus one value word per entry.
     NOMINAL_ENTRY_BYTES = 16
 

@@ -13,11 +13,11 @@ touched, the whole recursion runs in expanded mode (joins never fold), and
 one final refold repairs the expanded regions.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 from .core import (_claim, _decode, _destructure, _expose, _join, _join2,
                    _make_flat, _make_regular, _node, _rebuild, _refold,
-                   _settle, _split, _unfold, flatten)
+                   _search, _settle, _split, _unfold, flatten)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
 from .parallel import fork2
@@ -64,10 +64,11 @@ def get_entry(ctx, t, k):
         if is_flat(t):
             if k < t.first_key or k > t.last_key:
                 return None
-            entries = _decode(ctx, t)
-            pos = bisect_left(entries, k, key=lambda e: e[0])
-            if pos < len(entries) and entries[pos][0] == k:
-                return entries[pos]
+            pos, entries = _search(ctx, t, k)
+            if pos < t.count:
+                e = entries[pos]
+                if e[0] == k:
+                    return e
             return None
         if k == t.key:
             return (t.key, t.value)
@@ -93,8 +94,7 @@ def rank(ctx, t, k):
                 return n
             if k > t.last_key:
                 return n + t.count
-            entries = _decode(ctx, t)
-            return n + bisect_left(entries, k, key=lambda e: e[0])
+            return n + _search(ctx, t, k)[0]
         if k <= t.key:
             t = t.left
         else:
@@ -109,9 +109,8 @@ def next_entry(ctx, t, k):
     while t is not None:
         if is_flat(t):
             if t.last_key > k:
-                entries = _decode(ctx, t)
-                pos = bisect_right(entries, k, key=lambda e: e[0])
-                if pos < len(entries):
+                pos, entries = _search(ctx, t, k, right=True)
+                if pos < t.count:
                     best = entries[pos]
             return best
         if t.key > k:
@@ -128,8 +127,7 @@ def previous_entry(ctx, t, k):
     while t is not None:
         if is_flat(t):
             if t.first_key < k:
-                entries = _decode(ctx, t)
-                pos = bisect_left(entries, k, key=lambda e: e[0])
+                pos, entries = _search(ctx, t, k)
                 if pos > 0:
                     best = entries[pos - 1]
             return best
@@ -166,6 +164,7 @@ def _insert(ctx, t, k, v, combine):
 
 
 def insert(ctx, t, k, v, combine=_RIGHT):
+    ctx.codec.check_entry(k, v)
     return _settle(ctx, _insert(ctx, _claim(t), k, v, combine))
 
 
@@ -175,10 +174,11 @@ def _remove(ctx, t, k):
     if is_flat(t):
         if k < t.first_key or k > t.last_key:
             return t
-        entries = _decode(ctx, t)
-        pos = bisect_left(entries, k, key=lambda e: e[0])
-        if pos == len(entries) or entries[pos][0] != k:
+        pos, entries = _search(ctx, t, k)
+        if pos == t.count or entries[pos][0] != k:
             return t
+        if not isinstance(entries, list):   # searched in place
+            entries = _decode(ctx, t)
         release(t)
         del entries[pos]
         if not entries:

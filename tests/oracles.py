@@ -48,6 +48,16 @@ def delta_block_bytes(keys, key_width=8, value_width=8):
     return n + value_width * len(keys)
 
 
+def identity_block_bytes(entries, key_width=8, value_width=8):
+    """One identity block, written out entry by entry."""
+    out = b""
+    for k, v in entries:
+        out += k.to_bytes(key_width, "little")
+        if value_width:
+            out += v.to_bytes(value_width, "little")
+    return out
+
+
 # --- sorted-array model of the map ops
 
 class MapModel:

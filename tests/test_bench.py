@@ -71,15 +71,25 @@ def test_sweep_row_count_and_size_direction():
         f"size not monotone over B sweep: {sizes}"
 
 
+def _median_ms(op, block_size, encoding):
+    return float(row_fields(run_micro(
+        BenchConfig(op=op, n=10 ** 5, m=2000, block_size=block_size,
+                    encoding=encoding, seed=2, trials=1))[0])["median_ms"])
+
+
 def test_find_slows_down_at_large_blocks():
-    # point lookups decode one block; 32x larger blocks must cost more
-    t16 = float(row_fields(run_micro(
-        BenchConfig(op="find", n=10 ** 5, m=2000, block_size=16,
-                    encoding="identity", seed=2, trials=3))[0])["median_ms"])
-    t512 = float(row_fields(run_micro(
-        BenchConfig(op="find", n=10 ** 5, m=2000, block_size=512,
-                    encoding="identity", seed=2, trials=3))[0])["median_ms"])
-    assert t512 > t16, f"find at B=512 ({t512}ms) not slower than B=16 ({t16}ms)"
+    # a delta block is read by one sequential gap decode, so its point
+    # lookups grow with the block (identity blocks are searched in place)
+    t16 = _median_ms("find", 16, "delta")
+    t512 = _median_ms("find", 512, "delta")
+    assert t512 > t16, f"delta find at B=512 ({t512}ms) not slower than B=16 ({t16}ms)"
+
+
+def test_insert_slows_down_at_large_blocks():
+    # every insert re-encodes the leaf block it lands in
+    t16 = _median_ms("insert", 16, "identity")
+    t512 = _median_ms("insert", 512, "identity")
+    assert t512 > t16, f"insert at B=512 ({t512}ms) not slower than B=16 ({t16}ms)"
 
 
 def test_graph_bench_rows_and_throughput_direction(tmp_path):

@@ -6,8 +6,9 @@ import blocktree as bt
 from blocktree import ordmap
 from blocktree.core import make_context
 from blocktree.counters import counters
-from blocktree.errors import ContractError
+from blocktree.errors import CodecError, ContractError
 from blocktree.inspect import check_tree, count_blocks, structure_digest
+from blocktree.nodes import is_flat
 
 from oracles import MapModel
 
@@ -295,6 +296,48 @@ def test_point_queries_random_vs_model():
                 assert ordmap.rank(ctx, t, q) == m.rank(q)
                 assert ordmap.next_entry(ctx, t, q) == m.next_entry(q)
                 assert ordmap.previous_entry(ctx, t, q) == m.previous_entry(q)
+
+
+def test_identity_point_reads_decode_no_block():
+    ctx = make_context(block_size=32, encoding="identity")
+    t = ordmap.build(ctx, KV(range(0, 4000, 3)))
+    before = counters.decodes
+    for q in range(0, 4000, 7):
+        ordmap.find(ctx, t, q)
+        ordmap.rank(ctx, t, q)
+        ordmap.next_entry(ctx, t, q)
+        ordmap.previous_entry(ctx, t, q)
+    assert counters.decodes == before
+    block = ordmap.build(ctx, KV(range(0, 120, 3)))
+    assert is_flat(block)
+    before = counters.decodes
+    assert ordmap.remove(ctx, block, 4) is block    # absent key: no decode
+    assert counters.decodes == before
+    bt.release(block)
+    bt.release(block)
+    # the delta codec has no in-place search: each block read decodes
+    dctx = make_context(block_size=32, encoding="delta")
+    d = ordmap.build(dctx, KV(range(0, 4000, 3)))
+    before = counters.decodes
+    for q in range(0, 4000, 7):
+        ordmap.find(dctx, d, q)
+    assert counters.decodes > before
+    bt.release(t)
+    bt.release(d)
+
+
+def test_insert_codec_error_consumes_nothing():
+    ctx = make_context(block_size=8, encoding="identity")
+    baseline = counters.live
+    t = ordmap.build(ctx, KV(range(200)))
+    digest = structure_digest(ctx, t)
+    for _ in range(3):
+        with pytest.raises(CodecError):
+            ordmap.insert(ctx, t, 101, None)
+    assert structure_digest(ctx, t) == digest
+    check_tree(ctx, t)
+    bt.release(t)
+    assert counters.live == baseline
 
 
 def test_persistence_snapshots_after_bulk_ops():
