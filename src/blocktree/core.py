@@ -25,8 +25,8 @@ instrumented cost properties sharp:
   (one unfold event); the middle node shell is never materialized.
 * ``_join_right``/``_join_left`` handle an unbalanced block, or any
   rebalance of at most ``4B`` entries, by flattening and rebuilding through
-  the node rules.  Joins therefore never unfold a block in pure mode, and a
-  split performs at most the single unfold from its expose chain.
+  the node rules.  Joins of valid trees therefore never unfold a block, and
+  a split performs at most the single unfold from its expose chain.
 
 Fragments smaller than ``B`` produced by slicing travel as transient
 undersized blocks or marked expanded subtrees; every join absorbs them, and
@@ -35,7 +35,7 @@ public wrappers run ``_settle`` so returned roots are always valid trees.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .counters import counters
 from .encoding import EncodingScheme, make_codec
@@ -60,27 +60,30 @@ class Config:
     """Tree shape parameters.
 
     alpha: weight-balance factor; B (block_size): block capacity lower
-    bound; kappa: entry count below which set algorithms switch to the
-    flatten-merge base case (default 8B); grain: smallest subtree size whose
-    recursive branches may run on separate workers (default 4B).
+    bound; grain: smallest subtree size whose recursive branches may run on
+    separate workers (default 4B).
+
+    kappa is derived, not a parameter: it is fixed at 8B, the entry count
+    below which the set algorithms and the batch updates switch to the
+    flatten-merge base case.  Both AC4 bounds of union (unfolds at most the
+    block count of the inputs, decodes at most four times it) rest on this
+    value: at 4B, random unions at B=1..128 reach 1.3x the block count in
+    unfolds and 4.4x in decodes.
     """
 
     alpha: float = 0.29
     block_size: int = 128
-    kappa: int = 0
     grain: int = 0
+    kappa: int = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= ALPHA_MAX + 1e-12:
             raise ValueError(f"alpha must be in (0, 1 - 1/sqrt(2)]; got {self.alpha}")
         if self.block_size < 1:
             raise ValueError("block size must be at least 1")
-        if self.kappa == 0:
-            object.__setattr__(self, "kappa", 8 * self.block_size)
+        object.__setattr__(self, "kappa", 8 * self.block_size)
         if self.grain == 0:
             object.__setattr__(self, "grain", 4 * self.block_size)
-        if self.kappa < 2 * self.block_size:
-            raise ValueError("kappa must be at least 2B")
         if self.grain < 1:
             raise ValueError("grain must be positive")
 
@@ -96,8 +99,8 @@ class Context:
 
 
 def make_context(block_size=128, alpha=0.29, encoding=None, aug=None,
-                 ordered=True, kappa=0, grain=0, value_width=8):
-    cfg = Config(alpha=alpha, block_size=block_size, kappa=kappa, grain=grain)
+                 ordered=True, grain=0, value_width=8):
+    cfg = Config(alpha=alpha, block_size=block_size, grain=grain)
     return Context(config=cfg, codec=make_codec(encoding, value_width),
                    aug=aug, ordered=ordered)
 
@@ -294,12 +297,10 @@ def _check_node_pre(ctx, l, e, r):
             raise ContractError(f"key order violated on the right of {e[0]!r}")
 
 
-def _node(ctx, l, e, r, expanded=False):
+def _node(ctx, l, e, r):
     """Smart constructor; consumes l and r and restores the leaf rules."""
     if _debug:
         _check_node_pre(ctx, l, e, r)
-    if expanded:
-        return _make_regular(ctx, l, e, r, marked=True)
     B = ctx.config.block_size
     s = size(l) + size(r) + 1
     if s > 4 * B:
@@ -398,75 +399,70 @@ def _balanced_pair(cfg, wl, wr):
     return cfg.alpha * w <= wl <= (1.0 - cfg.alpha) * w
 
 
-def _join(ctx, l, e, r, expanded=False):
+def _join(ctx, l, e, r):
     cfg = ctx.config
     wl, wr = weight(l), weight(r)
     if _balanced_pair(cfg, wl, wr):
-        return _node(ctx, l, e, r, expanded)
+        return _node(ctx, l, e, r)
     if wl > wr:
-        return _join_right(ctx, l, e, r, expanded)
-    return _join_left(ctx, l, e, r, expanded)
+        return _join_right(ctx, l, e, r)
+    return _join_left(ctx, l, e, r)
 
 
-def _join_right(ctx, tl, k, tr, expanded):
+def _join_right(ctx, tl, k, tr):
     cfg = ctx.config
     if _balanced_pair(cfg, weight(tl), weight(tr)):
-        return _node(ctx, tl, k, tr, expanded)
+        return _node(ctx, tl, k, tr)
     if is_flat(tl):
-        if expanded:
-            tl = _unfold(ctx, tl)
-        else:
-            # lone block heavier than tr: merge contents, no unfold
-            entries = _decode(ctx, tl)
-            entries.append(k)
-            flatten(ctx, tr, entries)
-            release(tl)
-            release(tr)
-            return _rebuild(ctx, entries)
+        # lone block heavier than tr: merge contents, no unfold
+        entries = _decode(ctx, tl)
+        entries.append(k)
+        flatten(ctx, tr, entries)
+        release(tl)
+        release(tr)
+        return _rebuild(ctx, entries)
     l, e0, c = _destructure(ctx, tl)
-    t2 = _join_right(ctx, c, k, tr, expanded)
+    t2 = _join_right(ctx, c, k, tr)
     if _balanced_pair(cfg, weight(l), weight(t2)):
-        return _node(ctx, l, e0, t2, expanded)
-    if not expanded and size(l) + size(t2) + 1 <= 4 * cfg.block_size:
+        return _node(ctx, l, e0, t2)
+    if size(l) + size(t2) + 1 <= 4 * cfg.block_size:
         entries = flatten(ctx, l)
         entries.append(e0)
         flatten(ctx, t2, entries)
         release(l)
         release(t2)
         return _rebuild(ctx, entries)
-    # rotations; in pure mode the pieces taken apart are always regular
+    # rotations; the pieces taken apart are regular nodes, except at tiny B
+    # (seen at B=1), where a block can sit in the double-rotation slot
     if is_flat(t2):
         t2 = _unfold(ctx, t2)
     l1, e1, r1 = _destructure(ctx, t2)
     if (_balanced_pair(cfg, weight(l), weight(l1))
             and _balanced_pair(cfg, weight(l) + weight(l1), weight(r1))):
-        return _node(ctx, _node(ctx, l, e0, l1, expanded), e1, r1, expanded)
+        return _node(ctx, _node(ctx, l, e0, l1), e1, r1)
     if is_flat(l1):
         l1 = _unfold(ctx, l1)
     l2, e2, r2 = _destructure(ctx, l1)
-    return _node(ctx, _node(ctx, l, e0, l2, expanded), e2,
-                 _node(ctx, r2, e1, r1, expanded), expanded)
+    return _node(ctx, _node(ctx, l, e0, l2), e2,
+                 _node(ctx, r2, e1, r1))
 
 
-def _join_left(ctx, tl, k, tr, expanded):
+def _join_left(ctx, tl, k, tr):
     cfg = ctx.config
     if _balanced_pair(cfg, weight(tl), weight(tr)):
-        return _node(ctx, tl, k, tr, expanded)
+        return _node(ctx, tl, k, tr)
     if is_flat(tr):
-        if expanded:
-            tr = _unfold(ctx, tr)
-        else:
-            entries = flatten(ctx, tl)
-            entries.append(k)
-            entries.extend(_decode(ctx, tr))
-            release(tl)
-            release(tr)
-            return _rebuild(ctx, entries)
+        entries = flatten(ctx, tl)
+        entries.append(k)
+        entries.extend(_decode(ctx, tr))
+        release(tl)
+        release(tr)
+        return _rebuild(ctx, entries)
     c, e0, r = _destructure(ctx, tr)
-    t2 = _join_left(ctx, tl, k, c, expanded)
+    t2 = _join_left(ctx, tl, k, c)
     if _balanced_pair(cfg, weight(t2), weight(r)):
-        return _node(ctx, t2, e0, r, expanded)
-    if not expanded and size(t2) + size(r) + 1 <= 4 * cfg.block_size:
+        return _node(ctx, t2, e0, r)
+    if size(t2) + size(r) + 1 <= 4 * cfg.block_size:
         entries = flatten(ctx, t2)
         entries.append(e0)
         flatten(ctx, r, entries)
@@ -478,12 +474,12 @@ def _join_left(ctx, tl, k, tr, expanded):
     l1, e1, r1 = _destructure(ctx, t2)
     if (_balanced_pair(cfg, weight(r1), weight(r))
             and _balanced_pair(cfg, weight(r1) + weight(r), weight(l1))):
-        return _node(ctx, l1, e1, _node(ctx, r1, e0, r, expanded), expanded)
+        return _node(ctx, l1, e1, _node(ctx, r1, e0, r))
     if is_flat(r1):
         r1 = _unfold(ctx, r1)
     l2, e2, r2 = _destructure(ctx, r1)
-    return _node(ctx, _node(ctx, l1, e1, l2, expanded), e2,
-                 _node(ctx, r2, e0, r, expanded), expanded)
+    return _node(ctx, _node(ctx, l1, e1, l2), e2,
+                 _node(ctx, r2, e0, r))
 
 
 def _split(ctx, t, k):

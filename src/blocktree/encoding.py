@@ -7,8 +7,9 @@ optional, with defaults on ``EncodingScheme``:
 
 ``check_entry(key, value)``
     Raise ``CodecError`` for an entry no block could hold.
-    ``ordmap.insert`` calls it before it takes any handle, so a bad entry
-    consumes nothing.  The default accepts everything.
+    ``ordmap.insert`` and ``ordmap.multi_insert`` call it before they take
+    any handle, so a bad entry consumes nothing.  The default accepts
+    everything.
 
 ``search(payload, count, key, right=False)``
     ``(pos, entries)``: the ``bisect_left`` position of ``key`` among the

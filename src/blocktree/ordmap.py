@@ -7,17 +7,20 @@ default keeps the incoming value.
 
 The set algebra follows the split/recurse/join scheme driven by the second
 tree's root, with a flatten-merge-rebuild base case once the two sides
-together fall under ``kappa`` entries.  ``union_efficient`` is the variant
-with the tighter unfold bound: blocks are expanded the first time they are
-touched, the whole recursion runs in expanded mode (joins never fold), and
-one final refold repairs the expanded regions.
+together fall under ``kappa`` (8B) entries.  The base case decodes blocks
+but never unfolds them, so a union unfolds at most the block count of its
+two inputs, and decodes at most four times it.  ``union_efficient`` is the
+same function as ``union``; the name is kept for callers.
+
+``insert`` and ``multi_insert`` check every incoming entry against the codec
+before they take any handle, so an entry the codec rejects consumes nothing.
 """
 
 from bisect import bisect_left
 
 from .core import (_claim, _decode, _destructure, _expose, _join, _join2,
-                   _make_flat, _make_regular, _node, _rebuild, _refold,
-                   _search, _settle, _split, _unfold, flatten)
+                   _make_flat, _make_regular, _node, _rebuild, _search,
+                   _settle, _split, flatten)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
 from .parallel import fork2
@@ -322,44 +325,9 @@ def difference(ctx, t1, t2):
     return _settle(ctx, _difference(ctx, _claim(t1), _claim(t2)))
 
 
-def _split_expanded(ctx, t, k):
-    if t is None:
-        return None, None, None
-    if is_flat(t):
-        t = _unfold(ctx, t)
-    l, e, r = _destructure(ctx, t)
-    if k == e[0]:
-        return l, e, r
-    if k < e[0]:
-        ll, b, lr = _split_expanded(ctx, l, k)
-        return ll, b, _join(ctx, lr, e, r, expanded=True)
-    rl, b, rr = _split_expanded(ctx, r, k)
-    return _join(ctx, l, e, rl, expanded=True), b, rr
-
-
-def _union_base(ctx, t1, t2, combine):
-    if t1 is None:
-        return t2
-    if t2 is None:
-        return t1
-    if is_flat(t1):
-        t1 = _unfold(ctx, t1)
-    if is_flat(t2):
-        t2 = _unfold(ctx, t2)
-    l2, e2, r2 = _destructure(ctx, t2)
-    l1, b, r1 = _split_expanded(ctx, t1, e2[0])
-    e = (e2[0], combine(b[1], e2[1])) if b is not None else e2
-    tl, tr = fork2(ctx, size(l1) + size(l2) + size(r1) + size(r2),
-                   lambda: _union_base(ctx, l1, l2, combine),
-                   lambda: _union_base(ctx, r1, r2, combine))
-    return _join(ctx, tl, e, tr, expanded=True)
-
-
-def union_efficient(ctx, t1, t2, combine=_RIGHT):
-    """Union with the tighter unfold bound: expand on first touch, join in
-    expanded mode, repair once with refold."""
-    out = _refold(ctx, _union_base(ctx, _claim(t1), _claim(t2), combine))
-    return _settle(ctx, out)
+# a second public name for union, which meets the tighter unfold bound:
+# unfolds <= blocks(t1) + blocks(t2)
+union_efficient = union
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +355,9 @@ def _mins(ctx, t, arr, lo, hi, combine):
 
 def multi_insert(ctx, t, batch, combine=_RIGHT):
     arr = _normalize(batch, combine)
+    check = ctx.codec.check_entry
+    for k, v in arr:
+        check(k, v)
     return _settle(ctx, _mins(ctx, _claim(t), arr, 0, len(arr), combine))
 
 

@@ -12,15 +12,15 @@ from .core import (_claim, _decode, _destructure, _join, _join2, _make_flat,
 from .encoding import ObjectCodec
 from .errors import ContractError
 from .nodes import is_flat, release, size
-from .ordmap import _filter_tree
+from .ordmap import _filter_tree, map_values as seq_map, reduce as seq_reduce
 from .parallel import fork2
 
 _ABSENT = object()
 
 
-def seq_context(block_size=128, alpha=0.29, aug=None, kappa=0, grain=0):
+def seq_context(block_size=128, alpha=0.29, aug=None, grain=0):
     return make_context(block_size=block_size, alpha=alpha, encoding="object",
-                        aug=aug, ordered=False, kappa=kappa, grain=grain)
+                        aug=aug, ordered=False, grain=grain)
 
 
 def check_seq_context(ctx):
@@ -119,33 +119,8 @@ def reverse(ctx, s):
     return _make_regular(ctx, fl, (None, s.value), fr)
 
 
-def seq_map(ctx, s, f):
-    if s is None:
-        return None
-    if is_flat(s):
-        return _make_flat(ctx, [(None, f(v)) for _, v in _decode(ctx, s)])
-    fl, fr = fork2(ctx, s.size,
-                   lambda: seq_map(ctx, s.left, f),
-                   lambda: seq_map(ctx, s.right, f))
-    return _make_regular(ctx, fl, (None, f(s.value)), fr)
-
-
 def seq_filter(ctx, s, pred):
     return _settle(ctx, _filter_tree(ctx, s, lambda e: pred(e[1])))
-
-
-def seq_reduce(ctx, s, f, identity):
-    if s is None:
-        return identity
-    if is_flat(s):
-        acc = identity
-        for _, v in _decode(ctx, s):
-            acc = f(acc, v)
-        return acc
-    xl, xr = fork2(ctx, s.size,
-                   lambda: seq_reduce(ctx, s.left, f, identity),
-                   lambda: seq_reduce(ctx, s.right, f, identity))
-    return f(f(xl, s.value), xr)
 
 
 def _find_first(ctx, t, pred):

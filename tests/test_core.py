@@ -45,10 +45,16 @@ def test_config_validation():
         Config(alpha=0.0)
     with pytest.raises(ValueError):
         Config(block_size=0)
-    with pytest.raises(ValueError):
-        Config(kappa=100, block_size=128)
     cfg = Config(block_size=16)
     assert cfg.kappa == 128 and cfg.grain == 64
+
+
+def test_kappa_is_fixed_at_8b():
+    with pytest.raises(TypeError):
+        Config(kappa=256, block_size=16)
+    with pytest.raises(TypeError):
+        make_context(block_size=16, kappa=256)
+    assert make_context(block_size=3).config.kappa == 24
 
 
 def test_balanced_pair_bounds():
@@ -249,8 +255,9 @@ def test_refold_random_expanded_inputs_pass_invariants():
                     return bt.unfold(ctx, bt.retain(node))
                 le = explode(node.left)
                 ri = explode(node.right)
-                from blocktree.core import _node
-                return _node(ctx, le, (node.key, node.value), ri, expanded=True)
+                from blocktree.core import _make_regular
+                return _make_regular(ctx, le, (node.key, node.value), ri,
+                                     marked=True)
 
             ex = explode(t)
             r = bt.refold(ctx, ex)

@@ -174,9 +174,13 @@ def test_union_efficient_matches_union_200_pairs():
     assert counters.live == 0
 
 
+def test_union_efficient_is_union():
+    assert ordmap.union_efficient is ordmap.union
+
+
 def test_union_efficient_unfold_bound():
     rng = random.Random(4)
-    for B in (8, 128):
+    for B in (2, 8, 128):
         ctx = make_context(block_size=B, encoding="identity")
         for _ in range(25):
             a = ordmap.build(ctx, KV(rng.sample(range(10 ** 6), rng.randrange(2 * B + 1, 60 * B))))
@@ -334,6 +338,21 @@ def test_insert_codec_error_consumes_nothing():
     for _ in range(3):
         with pytest.raises(CodecError):
             ordmap.insert(ctx, t, 101, None)
+    assert structure_digest(ctx, t) == digest
+    check_tree(ctx, t)
+    bt.release(t)
+    assert counters.live == baseline
+
+
+@pytest.mark.parametrize("encoding", ["identity", "delta"])
+def test_multi_insert_codec_error_consumes_nothing(encoding):
+    ctx = make_context(block_size=8, encoding=encoding)
+    baseline = counters.live
+    t = ordmap.build(ctx, KV(range(200)))
+    digest = structure_digest(ctx, t)
+    for _ in range(3):
+        with pytest.raises(CodecError):
+            ordmap.multi_insert(ctx, t, [(5, 1), (101, None), (300, 2)])
     assert structure_digest(ctx, t) == digest
     check_tree(ctx, t)
     bt.release(t)
