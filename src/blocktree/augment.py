@@ -49,62 +49,36 @@ def aug_range(ctx, t, lo, hi):
 def _block_part(ctx, spec, t, lo, hi):
     entries = _decode(ctx, t)
     keys = [e[0] for e in entries]
+    start = 0 if lo is None else bisect_left(keys, lo)
+    stop = len(keys) if hi is None else bisect_right(keys, hi)
     acc = spec.identity
-    for i in range(bisect_left(keys, lo), bisect_right(keys, hi)):
-        acc = spec.combine(acc, spec.lift(entries[i]))
+    for e in entries[start:stop]:
+        acc = spec.combine(acc, spec.lift(e))
     return acc
 
 
 def _rng(ctx, spec, t, lo, hi):
+    """Aggregate over entries with lo <= key <= hi; a None bound is open."""
     if t is None:
         return spec.identity
+    if lo is None and hi is None:
+        return t.aug
     if is_flat(t):
-        if lo <= t.first_key and t.last_key <= hi:
+        if ((lo is None or lo <= t.first_key)
+                and (hi is None or t.last_key <= hi)):
             return t.aug
-        if t.last_key < lo or hi < t.first_key:
+        if ((lo is not None and t.last_key < lo)
+                or (hi is not None and hi < t.first_key)):
             return spec.identity
         return _block_part(ctx, spec, t, lo, hi)
     k = t.key
-    if k < lo:
+    if lo is not None and k < lo:
         return _rng(ctx, spec, t.right, lo, hi)
-    if k > hi:
+    if hi is not None and k > hi:
         return _rng(ctx, spec, t.left, lo, hi)
-    mid = spec.combine(spec.lift((k, t.value)), _below(ctx, spec, t.right, hi))
-    return spec.combine(_above(ctx, spec, t.left, lo), mid)
-
-
-def _above(ctx, spec, t, lo):
-    """Aggregate over entries with key >= lo."""
-    if t is None:
-        return spec.identity
-    if is_flat(t):
-        if lo <= t.first_key:
-            return t.aug
-        if t.last_key < lo:
-            return spec.identity
-        return _block_part(ctx, spec, t, lo, t.last_key)
-    if t.key < lo:
-        return _above(ctx, spec, t.right, lo)
-    rest = spec.combine(spec.lift((t.key, t.value)),
-                        t.right.aug if t.right is not None else spec.identity)
-    return spec.combine(_above(ctx, spec, t.left, lo), rest)
-
-
-def _below(ctx, spec, t, hi):
-    """Aggregate over entries with key <= hi."""
-    if t is None:
-        return spec.identity
-    if is_flat(t):
-        if t.last_key <= hi:
-            return t.aug
-        if hi < t.first_key:
-            return spec.identity
-        return _block_part(ctx, spec, t, t.first_key, hi)
-    if t.key > hi:
-        return _below(ctx, spec, t.left, hi)
-    rest = spec.combine(t.left.aug if t.left is not None else spec.identity,
-                        spec.lift((t.key, t.value)))
-    return spec.combine(rest, _below(ctx, spec, t.right, hi))
+    mid = spec.combine(spec.lift((k, t.value)),
+                       _rng(ctx, spec, t.right, None, hi))
+    return spec.combine(_rng(ctx, spec, t.left, lo, None), mid)
 
 
 def aug_filter(ctx, t, h):

@@ -297,6 +297,23 @@ def _check_node_pre(ctx, l, e, r):
             raise ContractError(f"key order violated on the right of {e[0]!r}")
 
 
+def _flatten_consume(ctx, t):
+    """In-order entries of t; consumes t."""
+    entries = flatten(ctx, t)
+    release(t)
+    return entries
+
+
+def _entries(ctx, l, e, r):
+    """In-order entries of l, e and r; consumes l and r."""
+    entries = flatten(ctx, l)
+    entries.append(e)
+    flatten(ctx, r, entries)
+    release(l)
+    release(r)
+    return entries
+
+
 def _node(ctx, l, e, r):
     """Smart constructor; consumes l and r and restores the leaf rules."""
     if _debug:
@@ -313,11 +330,7 @@ def _node(ctx, l, e, r):
             r = _fold(ctx, r)
         return _make_regular(ctx, l, e, r)
     if s >= B:
-        entries = flatten(ctx, l)
-        entries.append(e)
-        flatten(ctx, r, entries)
-        release(l)
-        release(r)
+        entries = _entries(ctx, l, e, r)
         if s <= 2 * B:
             return _make_flat(ctx, entries)
         mid = s // 2
@@ -326,11 +339,7 @@ def _node(ctx, l, e, r):
         return _make_regular(ctx, lf, entries[mid], rf)
     # s < B: simplex regime; absorb any transient fragments
     if is_flat(l) or is_flat(r):
-        entries = flatten(ctx, l)
-        entries.append(e)
-        flatten(ctx, r, entries)
-        release(l)
-        release(r)
+        entries = _entries(ctx, l, e, r)
         return _build_expanded(ctx, entries, 0, len(entries), False)
     return _make_regular(ctx, l, e, r)
 
@@ -345,9 +354,7 @@ def _fold(ctx, t):
     B = ctx.config.block_size
     if not B <= t.size <= 2 * B:
         return t
-    entries = flatten(ctx, t)
-    release(t)
-    return _make_flat(ctx, entries)
+    return _make_flat(ctx, _flatten_consume(ctx, t))
 
 
 def _unfold(ctx, t):
@@ -364,9 +371,7 @@ def _refold(ctx, t):
         return t
     B = ctx.config.block_size
     if B <= t.size <= 2 * B:
-        entries = flatten(ctx, t)
-        release(t)
-        return _make_flat(ctx, entries)
+        return _make_flat(ctx, _flatten_consume(ctx, t))
     s = t.size
     l, e, r = _destructure(ctx, t)
     tl, tr = fork2(ctx, s,
@@ -415,23 +420,13 @@ def _join_right(ctx, tl, k, tr):
         return _node(ctx, tl, k, tr)
     if is_flat(tl):
         # lone block heavier than tr: merge contents, no unfold
-        entries = _decode(ctx, tl)
-        entries.append(k)
-        flatten(ctx, tr, entries)
-        release(tl)
-        release(tr)
-        return _rebuild(ctx, entries)
+        return _rebuild(ctx, _entries(ctx, tl, k, tr))
     l, e0, c = _destructure(ctx, tl)
     t2 = _join_right(ctx, c, k, tr)
     if _balanced_pair(cfg, weight(l), weight(t2)):
         return _node(ctx, l, e0, t2)
     if size(l) + size(t2) + 1 <= 4 * cfg.block_size:
-        entries = flatten(ctx, l)
-        entries.append(e0)
-        flatten(ctx, t2, entries)
-        release(l)
-        release(t2)
-        return _rebuild(ctx, entries)
+        return _rebuild(ctx, _entries(ctx, l, e0, t2))
     # rotations; the pieces taken apart are regular nodes, except at tiny B
     # (seen at B=1), where a block can sit in the double-rotation slot
     if is_flat(t2):
@@ -452,23 +447,13 @@ def _join_left(ctx, tl, k, tr):
     if _balanced_pair(cfg, weight(tl), weight(tr)):
         return _node(ctx, tl, k, tr)
     if is_flat(tr):
-        entries = flatten(ctx, tl)
-        entries.append(k)
-        entries.extend(_decode(ctx, tr))
-        release(tl)
-        release(tr)
-        return _rebuild(ctx, entries)
+        return _rebuild(ctx, _entries(ctx, tl, k, tr))
     c, e0, r = _destructure(ctx, tr)
     t2 = _join_left(ctx, tl, k, c)
     if _balanced_pair(cfg, weight(t2), weight(r)):
         return _node(ctx, t2, e0, r)
     if size(t2) + size(r) + 1 <= 4 * cfg.block_size:
-        entries = flatten(ctx, t2)
-        entries.append(e0)
-        flatten(ctx, r, entries)
-        release(t2)
-        release(r)
-        return _rebuild(ctx, entries)
+        return _rebuild(ctx, _entries(ctx, t2, e0, r))
     if is_flat(t2):
         t2 = _unfold(ctx, t2)
     l1, e1, r1 = _destructure(ctx, t2)

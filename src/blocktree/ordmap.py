@@ -2,15 +2,20 @@
 
 All operations are persistent: callers keep their input handles, results are
 freshly owned trees sharing structure with the inputs.  Key collisions are
-resolved by a ``combine(existing_value, incoming_value)`` callback; the
-default keeps the incoming value.
+resolved by a ``combine`` callback, called as ``combine(t1 value, t2 value)``
+by ``union`` and ``intersection`` and as ``combine(existing, incoming)`` by
+``insert`` and ``multi_insert``; the default keeps the second value.
 
-The set algebra follows the split/recurse/join scheme driven by the second
-tree's root, with a flatten-merge-rebuild base case once the two sides
-together fall under ``kappa`` (8B) entries.  The base case decodes blocks
-but never unfolds them, so a union unfolds at most the block count of its
-two inputs, and decodes at most four times it.  ``union_efficient`` is the
-same function as ``union``; the name is kept for callers.
+All five bulk operations run one split/recurse/join skeleton, and an op
+triple (``_UNION``, ``_INTERSECTION``, ``_DIFFERENCE``) says which entries
+to keep: those only in the first operand, those only in the second, and keys
+in both (through ``combine``).  ``_setop`` splits the first tree at the
+second tree's root; ``_batch`` takes a sorted batch as the second operand
+(``multi_insert`` is a union with it, ``multi_delete`` a difference).  Under
+``kappa`` (8B) entries both flatten, run the three-way ``_merge`` and
+rebuild.  That base case decodes blocks but never unfolds them, so a union
+unfolds at most the block count of its two inputs, and decodes at most four
+times it.  ``union_efficient`` is the same function as ``union``.
 
 ``insert`` and ``multi_insert`` check every incoming entry against the codec
 before they take any handle, so an entry the codec rejects consumes nothing.
@@ -18,9 +23,9 @@ before they take any handle, so an entry the codec rejects consumes nothing.
 
 from bisect import bisect_left
 
-from .core import (_claim, _decode, _destructure, _expose, _join, _join2,
-                   _make_flat, _make_regular, _node, _rebuild, _search,
-                   _settle, _split, flatten)
+from .core import (_claim, _decode, _destructure, _expose, _flatten_consume,
+                   _join, _join2, _make_flat, _make_regular, _node, _rebuild,
+                   _search, _settle, _split)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
 from .parallel import fork2
@@ -203,126 +208,79 @@ def remove(ctx, t, k):
 # set algebra
 
 
-def _merge_union(a, b, combine):
+# Which entries a set operation keeps: (only in the first operand, only in
+# the second, in both -- through combine).
+_UNION = (True, True, True)
+_INTERSECTION = (False, False, True)
+_DIFFERENCE = (True, False, False)
+
+
+def _merge(a, b, op, combine):
+    """Three-way merge of sorted entry lists a and b under op."""
+    only_a, only_b, both = op
     out = []
     i = j = 0
     na, nb = len(a), len(b)
     while i < na and j < nb:
         ka, kb = a[i][0], b[j][0]
         if ka < kb:
-            out.append(a[i]); i += 1
-        elif kb < ka:
-            out.append(b[j]); j += 1
-        else:
-            out.append((ka, combine(a[i][1], b[j][1]))); i += 1; j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
-
-
-def _merge_intersect(a, b, combine):
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ka, kb = a[i][0], b[j][0]
-        if ka < kb:
+            if only_a:
+                out.append(a[i])
             i += 1
         elif kb < ka:
+            if only_b:
+                out.append(b[j])
             j += 1
         else:
-            out.append((ka, combine(a[i][1], b[j][1]))); i += 1; j += 1
-    return out
-
-
-def _merge_difference(a, b):
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ka, kb = a[i][0], b[j][0]
-        if ka < kb:
-            out.append(a[i]); i += 1
-        elif kb < ka:
-            j += 1
-        else:
+            if both:
+                out.append((ka, combine(a[i][1], b[j][1])))
             i += 1; j += 1
-    out.extend(a[i:])
+    if only_a:
+        out.extend(a[i:])
+    if only_b:
+        out.extend(b[j:])
     return out
 
 
-def _flatten_consume(ctx, t):
-    entries = flatten(ctx, t)
-    release(t)
-    return entries
-
-
-def _union(ctx, t1, t2, combine):
-    if t1 is None:
-        return t2
-    if t2 is None:
-        return t1
+def _setop(ctx, t1, t2, op, combine):
+    only1, only2, both = op
+    if t1 is None or t2 is None:
+        t, keep = (t2, only2) if t1 is None else (t1, only1)
+        if keep:
+            return t
+        release(t)
+        return None
     if size(t1) + size(t2) < ctx.config.kappa:
-        merged = _merge_union(_flatten_consume(ctx, t1),
-                              _flatten_consume(ctx, t2), combine)
+        merged = _merge(_flatten_consume(ctx, t1), _flatten_consume(ctx, t2),
+                        op, combine)
         return _rebuild(ctx, merged)
     l2, e2, r2 = _expose(ctx, t2)
     l1, b, r1 = _split(ctx, t1, e2[0])
-    e = (e2[0], combine(b[1], e2[1])) if b is not None else e2
+    if b is not None:
+        e = (e2[0], combine(b[1], e2[1])) if both else None
+    else:
+        e = e2 if only2 else None
     tl, tr = fork2(ctx, size(l1) + size(l2) + size(r1) + size(r2),
-                   lambda: _union(ctx, l1, l2, combine),
-                   lambda: _union(ctx, r1, r2, combine))
+                   lambda: _setop(ctx, l1, l2, op, combine),
+                   lambda: _setop(ctx, r1, r2, op, combine))
+    if e is None:
+        return _join2(ctx, tl, tr)
     return _join(ctx, tl, e, tr)
 
 
 def union(ctx, t1, t2, combine=_RIGHT):
-    return _settle(ctx, _union(ctx, _claim(t1), _claim(t2), combine))
-
-
-def _intersection(ctx, t1, t2, combine):
-    if t1 is None or t2 is None:
-        release(t1)
-        release(t2)
-        return None
-    if size(t1) + size(t2) < ctx.config.kappa:
-        merged = _merge_intersect(_flatten_consume(ctx, t1),
-                                  _flatten_consume(ctx, t2), combine)
-        return _rebuild(ctx, merged)
-    l2, e2, r2 = _expose(ctx, t2)
-    l1, b, r1 = _split(ctx, t1, e2[0])
-    tl, tr = fork2(ctx, size(l1) + size(l2) + size(r1) + size(r2),
-                   lambda: _intersection(ctx, l1, l2, combine),
-                   lambda: _intersection(ctx, r1, r2, combine))
-    if b is not None:
-        return _join(ctx, tl, (e2[0], combine(b[1], e2[1])), tr)
-    return _join2(ctx, tl, tr)
+    return _settle(ctx, _setop(ctx, _claim(t1), _claim(t2), _UNION, combine))
 
 
 def intersection(ctx, t1, t2, combine=_RIGHT):
-    return _settle(ctx, _intersection(ctx, _claim(t1), _claim(t2), combine))
-
-
-def _difference(ctx, t1, t2):
-    if t1 is None:
-        release(t2)
-        return None
-    if t2 is None:
-        return t1
-    if size(t1) + size(t2) < ctx.config.kappa:
-        merged = _merge_difference(_flatten_consume(ctx, t1),
-                                   _flatten_consume(ctx, t2))
-        return _rebuild(ctx, merged)
-    l2, e2, r2 = _expose(ctx, t2)
-    l1, b, r1 = _split(ctx, t1, e2[0])
-    tl, tr = fork2(ctx, size(l1) + size(l2) + size(r1) + size(r2),
-                   lambda: _difference(ctx, l1, l2),
-                   lambda: _difference(ctx, r1, r2))
-    return _join2(ctx, tl, tr)
+    return _settle(ctx, _setop(ctx, _claim(t1), _claim(t2), _INTERSECTION,
+                               combine))
 
 
 def difference(ctx, t1, t2):
     """Entries of t1 whose keys are absent from t2 (t1 keeps its values)."""
-    return _settle(ctx, _difference(ctx, _claim(t1), _claim(t2)))
+    return _settle(ctx, _setop(ctx, _claim(t1), _claim(t2), _DIFFERENCE,
+                               None))
 
 
 # a second public name for union, which meets the tighter unfold bound:
@@ -334,22 +292,30 @@ union_efficient = union
 # batch updates
 
 
-def _mins(ctx, t, arr, lo, hi, combine):
-    if t is None:
-        return _rebuild(ctx, arr, lo, hi)
+def _batch(ctx, t, arr, lo, hi, op, combine):
+    """t under op with the sorted entry run arr[lo:hi] as second operand.
+
+    op keeps the entries found only in t, as union and difference do.
+    """
+    _, only2, both = op
     if lo >= hi:
         return t
+    if t is None:
+        return _rebuild(ctx, arr, lo, hi) if only2 else None
     if size(t) + (hi - lo) < ctx.config.kappa:
-        merged = _merge_union(_flatten_consume(ctx, t), arr[lo:hi], combine)
+        merged = _merge(_flatten_consume(ctx, t), arr[lo:hi], op, combine)
         return _rebuild(ctx, merged)
     l, e, r = _expose(ctx, t)
     pos = bisect_left(arr, e[0], lo, hi, key=lambda x: x[0])
     hit = pos < hi and arr[pos][0] == e[0]
     if hit:
-        e = (e[0], combine(e[1], arr[pos][1]))
+        e = (e[0], combine(e[1], arr[pos][1])) if both else None
     tl, tr = fork2(ctx, size(l) + size(r) + (hi - lo),
-                   lambda: _mins(ctx, l, arr, lo, pos, combine),
-                   lambda: _mins(ctx, r, arr, pos + (1 if hit else 0), hi, combine))
+                   lambda: _batch(ctx, l, arr, lo, pos, op, combine),
+                   lambda: _batch(ctx, r, arr, pos + (1 if hit else 0), hi, op,
+                                  combine))
+    if e is None:
+        return _join2(ctx, tl, tr)
     return _join(ctx, tl, e, tr)
 
 
@@ -358,31 +324,14 @@ def multi_insert(ctx, t, batch, combine=_RIGHT):
     check = ctx.codec.check_entry
     for k, v in arr:
         check(k, v)
-    return _settle(ctx, _mins(ctx, _claim(t), arr, 0, len(arr), combine))
-
-
-def _mdel(ctx, t, keys, lo, hi):
-    if t is None or lo >= hi:
-        return t
-    if size(t) + (hi - lo) < ctx.config.kappa:
-        entries = _flatten_consume(ctx, t)
-        drop = keys[lo:hi]
-        kept = _merge_difference(entries, [(k, None) for k in drop])
-        return _rebuild(ctx, kept)
-    l, e, r = _expose(ctx, t)
-    pos = bisect_left(keys, e[0], lo, hi)
-    hit = pos < hi and keys[pos] == e[0]
-    tl, tr = fork2(ctx, size(l) + size(r) + (hi - lo),
-                   lambda: _mdel(ctx, l, keys, lo, pos),
-                   lambda: _mdel(ctx, r, keys, pos + (1 if hit else 0), hi))
-    if hit:
-        return _join2(ctx, tl, tr)
-    return _join(ctx, tl, e, tr)
+    return _settle(ctx, _batch(ctx, _claim(t), arr, 0, len(arr), _UNION,
+                               combine))
 
 
 def multi_delete(ctx, t, keys):
-    arr = sorted(set(keys))
-    return _settle(ctx, _mdel(ctx, _claim(t), arr, 0, len(arr)))
+    arr = [(k, None) for k in sorted(set(keys))]
+    return _settle(ctx, _batch(ctx, _claim(t), arr, 0, len(arr), _DIFFERENCE,
+                               None))
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ def test_join_redistribution_oracle():
 
 def test_join_complex_complex_never_unfolds():
     rng = random.Random(2)
-    for B in (2, 8, 128):
+    for B in (1, 2, 8, 128):
         ctx = make_context(block_size=B, encoding="identity")
         for _ in range(40):
             t1 = rand_complex(ctx, rng, 0, 10 ** 6)
@@ -346,7 +346,7 @@ def test_split_found_and_absent():
 
 def test_split_at_most_one_unfold():
     rng = random.Random(4)
-    for B in (2, 8, 128):
+    for B in (1, 2, 8, 128):
         ctx = make_context(block_size=B, encoding="identity")
         for _ in range(60):
             t = rand_complex(ctx, rng, 0, 10 ** 6)

@@ -180,7 +180,7 @@ def test_union_efficient_is_union():
 
 def test_union_efficient_unfold_bound():
     rng = random.Random(4)
-    for B in (2, 8, 128):
+    for B in (1, 2, 8, 128):
         ctx = make_context(block_size=B, encoding="identity")
         for _ in range(25):
             a = ordmap.build(ctx, KV(rng.sample(range(10 ** 6), rng.randrange(2 * B + 1, 60 * B))))
@@ -238,6 +238,58 @@ def test_multi_insert_equals_fold_of_inserts():
                 ref = ordmap.insert(ctx, ref, k, v)
             assert bt.to_list(ctx, got) == bt.to_list(ctx, ref)
             check_tree(ctx, got)
+
+
+def test_combine_argument_order_matches_model():
+    # pairing is neither commutative nor associative, so the result shows
+    # which value went where: combine(t1 value, t2 value) for union and
+    # intersection, combine(existing, incoming) for multi_insert, and batch
+    # duplicates folded in batch order before they meet the tree
+    pair = lambda a, b: (a, b)
+    rng = random.Random(10)
+    for B in (1, 2, 8, 128):
+        ctx = make_context(block_size=B, encoding="object")
+        for _ in range(6):
+            span = 30 * B + 300
+            pa = [(k, ("a", k)) for k in rng.sample(range(span), rng.randrange(0, 20 * B + 200))]
+            pb = [(k, ("b", k)) for k in rng.sample(range(span), rng.randrange(0, 20 * B + 200))]
+            batch = [(rng.randrange(span), rng.randrange(100))
+                     for _ in range(rng.randrange(0, 20 * B + 200))]
+            a, b = ordmap.build(ctx, pa), ordmap.build(ctx, pb)
+            ma, mb = MapModel(pa), MapModel(pb)
+            incoming = MapModel()
+            for k, v in batch:
+                incoming = incoming.insert(k, v, pair)
+            u = ordmap.union(ctx, a, b, pair)
+            i = ordmap.intersection(ctx, a, b, pair)
+            m = ordmap.multi_insert(ctx, a, batch, pair)
+            assert bt.to_list(ctx, u) == ma.union(mb, pair).items()
+            assert bt.to_list(ctx, i) == ma.intersection(mb, pair).items()
+            assert bt.to_list(ctx, m) == ma.union(incoming, pair).items()
+            for t in (u, i, m):
+                check_tree(ctx, t)
+
+
+def test_multi_delete_random_vs_model():
+    rng = random.Random(11)
+    baseline = counters.live
+    for B in (1, 2, 8, 128):
+        ctx = make_context(block_size=B, encoding="identity")
+        for _ in range(10):
+            span = 30 * B + 300
+            base = KV(rng.sample(range(span), rng.randrange(0, 20 * B + 200)))
+            keys = [rng.randrange(span + 10) for _ in range(rng.randrange(0, 20 * B + 200))]
+            t = ordmap.build(ctx, base)
+            d = ordmap.multi_delete(ctx, t, keys)
+            model = MapModel(base)
+            for k in keys:
+                model = model.remove(k)
+            assert bt.to_list(ctx, d) == model.items()
+            assert bt.to_list(ctx, t) == sorted(base)
+            check_tree(ctx, d)
+            bt.release(d)
+            bt.release(t)
+    assert counters.live == baseline
 
 
 def test_filter_examples_and_sharing():
