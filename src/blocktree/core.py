@@ -28,6 +28,11 @@ instrumented cost properties sharp:
   the node rules.  Joins of valid trees therefore never unfold a block, and
   a split performs at most the single unfold from its expose chain.
 
+``_node`` passes children that are already valid through untouched (two
+blocks of ``B..2B`` entries, or any pair above ``4B`` entries) and flattens
+only fragments.  A point update therefore re-encodes just the one block it
+changes: its untouched sibling block is shared, not rebuilt.
+
 Fragments smaller than ``B`` produced by slicing travel as transient
 undersized blocks or marked expanded subtrees; every join absorbs them, and
 public wrappers run ``_settle`` so returned roots are always valid trees.
@@ -36,6 +41,7 @@ public wrappers run ``_settle`` so returned roots are always valid trees.
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .counters import counters
 from .encoding import EncodingScheme, make_codec
@@ -118,8 +124,9 @@ def _decode(ctx, t):
     return ctx.codec.decode(t.payload, t.count)
 
 
-def _entry_key(e):
-    return e[0]
+# the sort and bisect key of an entry; a C callable, cheaper per call than
+# a Python function
+_entry_key = itemgetter(0)
 
 
 def _search(ctx, t, k, right=False):
@@ -314,21 +321,30 @@ def _entries(ctx, l, e, r):
     return entries
 
 
+def _is_block(B, t):
+    """True for a block a blocked tree may hold as a leaf (B..2B entries)."""
+    return t is not None and is_flat(t) and B <= t.count <= 2 * B
+
+
 def _node(ctx, l, e, r):
-    """Smart constructor; consumes l and r and restores the leaf rules."""
+    """Smart constructor; consumes l and r and restores the leaf rules.
+
+    Children that are already valid pass through untouched: any pair above
+    4B entries, and two blocks of B..2B entries.  Only fragments are
+    flattened and rebuilt: blocks under B or over 2B, expanded parts and
+    simplex pieces.
+    """
     if _debug:
         _check_node_pre(ctx, l, e, r)
     B = ctx.config.block_size
     s = size(l) + size(r) + 1
-    if s > 4 * B:
-        # A valid subtree of B..2B entries is a single block; an expanded
-        # fragment of that size must fold before sitting under a node this
-        # large (reachable for B <= 4, where balance permits it).
-        if l is not None and not is_flat(l) and l.size <= 2 * B:
-            l = _fold(ctx, l)
-        if r is not None and not is_flat(r) and r.size <= 2 * B:
-            r = _fold(ctx, r)
-        return _make_regular(ctx, l, e, r)
+    if s > 4 * B or (_is_block(B, l) and _is_block(B, r)):
+        # Two such blocks need no balance check: their weight ratio is at
+        # least (B+1)/(3B+2) > 1/3 > ALPHA_MAX.  Above 4B, an expanded
+        # fragment of B..2B entries folds into its block first (reachable
+        # for B <= 4, where balance permits it); _fold leaves blocks and
+        # every other size alone.
+        return _make_regular(ctx, _fold(ctx, l), e, _fold(ctx, r))
     if s >= B:
         entries = _entries(ctx, l, e, r)
         if s <= 2 * B:

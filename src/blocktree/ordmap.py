@@ -19,13 +19,16 @@ times it.  ``union_efficient`` is the same function as ``union``.
 
 ``insert`` and ``multi_insert`` check every incoming entry against the codec
 before they take any handle, so an entry the codec rejects consumes nothing.
+``insert`` runs a custom ``combine`` before that check and checks its result;
+``union``, ``intersection`` and ``multi_insert`` store ``combine`` results
+unchecked.
 """
 
 from bisect import bisect_left
 
-from .core import (_claim, _decode, _destructure, _expose, _flatten_consume,
-                   _join, _join2, _make_flat, _make_regular, _node, _rebuild,
-                   _search, _settle, _split)
+from .core import (_claim, _decode, _destructure, _entry_key, _expose,
+                   _flatten_consume, _join, _join2, _make_flat, _make_regular,
+                   _node, _rebuild, _search, _settle, _split)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
 from .parallel import fork2
@@ -35,7 +38,7 @@ _RIGHT = lambda a, b: b
 
 def _normalize(batch, combine):
     """Stable-sort a batch by key and fold duplicates through combine."""
-    arr = sorted(batch, key=lambda e: e[0])
+    arr = sorted(batch, key=_entry_key)
     out = []
     for k, v in arr:
         if out and out[-1][0] == k:
@@ -151,29 +154,40 @@ def previous_entry(ctx, t, k):
 # point updates
 
 
-def _insert(ctx, t, k, v, combine):
+def _insert(ctx, t, k, v):
+    """t with the entry (k, v); an entry at k is overwritten."""
     if t is None:
         return _node(ctx, None, (k, v), None)
     if is_flat(t):
         entries = _decode(ctx, t)
         release(t)
-        pos = bisect_left(entries, k, key=lambda e: e[0])
+        pos = bisect_left(entries, k, key=_entry_key)
         if pos < len(entries) and entries[pos][0] == k:
-            entries[pos] = (k, combine(entries[pos][1], v))
+            entries[pos] = (k, v)
         else:
             entries.insert(pos, (k, v))
         return _rebuild(ctx, entries)
     l, e, r = _destructure(ctx, t)
     if k == e[0]:
-        return _join(ctx, l, (k, combine(e[1], v)), r)
+        return _join(ctx, l, (k, v), r)
     if k < e[0]:
-        return _join(ctx, _insert(ctx, l, k, v, combine), e, r)
-    return _join(ctx, l, e, _insert(ctx, r, k, v, combine))
+        return _join(ctx, _insert(ctx, l, k, v), e, r)
+    return _join(ctx, l, e, _insert(ctx, r, k, v))
 
 
 def insert(ctx, t, k, v, combine=_RIGHT):
+    """t with (k, v) added; an existing value at k becomes combine(old, v).
+
+    combine runs once, and its result passes the codec check, before any
+    handle is taken: a combine that raises, or whose result the codec
+    rejects, consumes nothing.
+    """
+    if combine is not _RIGHT:
+        old = get_entry(ctx, t, k)
+        if old is not None:
+            v = combine(old[1], v)
     ctx.codec.check_entry(k, v)
-    return _settle(ctx, _insert(ctx, _claim(t), k, v, combine))
+    return _settle(ctx, _insert(ctx, _claim(t), k, v))
 
 
 def _remove(ctx, t, k):
@@ -306,7 +320,7 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
         merged = _merge(_flatten_consume(ctx, t), arr[lo:hi], op, combine)
         return _rebuild(ctx, merged)
     l, e, r = _expose(ctx, t)
-    pos = bisect_left(arr, e[0], lo, hi, key=lambda x: x[0])
+    pos = bisect_left(arr, e[0], lo, hi, key=_entry_key)
     hit = pos < hi and arr[pos][0] == e[0]
     if hit:
         e = (e[0], combine(e[1], arr[pos][1])) if both else None

@@ -117,7 +117,8 @@ def test_node_folds_midsize_to_flat():
 
 
 def test_node_redistributes_two_blocks():
-    # B=3, nine entries -> regular root at the median with 4+4 blocks
+    # B=3, nine entries: the 4+4 blocks are already valid (B..2B), so they
+    # pass through untouched under a regular root
     ctx = make_context(block_size=3, encoding="identity")
     l = build(ctx, [1, 2, 3, 4])
     r = build(ctx, [6, 7, 8, 9])
@@ -126,6 +127,7 @@ def test_node_redistributes_two_blocks():
     assert t.key == 5
     assert is_flat(t.left) and t.left.count == 4
     assert is_flat(t.right) and t.right.count == 4
+    assert t.left is l and t.right is r
     check_tree(ctx, t)
 
 

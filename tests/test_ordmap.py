@@ -396,6 +396,154 @@ def test_insert_codec_error_consumes_nothing():
     assert counters.live == baseline
 
 
+def test_insert_combine_result_checked_by_codec():
+    # key 24 sits in a regular node: the value combine returns must still
+    # pass the codec check, and combine runs once, as (existing, incoming)
+    ctx = make_context(block_size=8, encoding="identity")
+    baseline = counters.live
+    t = ordmap.build(ctx, KV(range(0, 400, 2)))
+    digest = structure_digest(ctx, t)
+    calls = []
+
+    def negative(a, b):
+        calls.append((a, b))
+        return -1
+
+    with pytest.raises(CodecError):
+        ordmap.insert(ctx, t, 24, 1, combine=negative)
+    assert calls == [(241, 1)]
+    assert ordmap.find(ctx, t, 24) == 241
+    assert structure_digest(ctx, t) == digest
+    summed = ordmap.insert(ctx, t, 24, 5, combine=lambda a, b: a + b)
+    assert ordmap.find(ctx, summed, 24) == 246
+    check_tree(ctx, summed)
+    bt.release(summed)
+    bt.release(t)
+    assert counters.live == baseline
+
+
+def test_insert_combine_failure_consumes_nothing():
+    # key 0 sits in a block: a combine that raises, or one whose result
+    # the codec rejects, leaves the input intact and takes no handle
+    ctx = make_context(block_size=8, encoding="identity")
+    baseline = counters.live
+    t = ordmap.build(ctx, KV(range(0, 400, 2)))
+    digest = structure_digest(ctx, t)
+    calls = []
+
+    def divide(a, b):
+        calls.append((a, b))
+        return a // 0
+
+    def negative(a, b):
+        calls.append((a, b))
+        return -1
+
+    with pytest.raises(ZeroDivisionError):
+        ordmap.insert(ctx, t, 0, 7, combine=divide)
+    with pytest.raises(CodecError):
+        ordmap.insert(ctx, t, 0, 7, combine=negative)
+    assert calls == [(1, 7), (1, 7)]
+    assert structure_digest(ctx, t) == digest
+    check_tree(ctx, t)
+    bt.release(t)
+    assert counters.live == baseline
+
+
+def _codec_cost(fn):
+    d0, f0 = counters.decodes, counters.folds
+    out = fn()
+    return out, counters.decodes - d0, counters.folds - f0
+
+
+def test_point_update_codec_budget():
+    # a point update that stays inside its block decodes and encodes only
+    # that block; its sibling block is shared by the old and new versions
+    ctx = make_context(block_size=128, encoding="identity")
+    t = ordmap.build(ctx, KV(range(0, 2000, 2)))   # four blocks of ~250
+    leaf_parent = t.left
+    assert is_flat(leaf_parent.left) and is_flat(leaf_parent.right)
+    sibling = leaf_parent.right
+    for update in (lambda: ordmap.insert(ctx, t, 11, 0),      # new key
+                   lambda: ordmap.insert(ctx, t, 12, 0),      # overwrite
+                   lambda: ordmap.remove(ctx, t, 14)):        # present key
+        t2, decodes, folds = _codec_cost(update)
+        assert (decodes, folds) == (1, 1)
+        assert t2.left.right is sibling
+        check_tree(ctx, t2)
+        bt.release(t2)
+    t2, decodes, folds = _codec_cost(lambda: ordmap.remove(ctx, t, 13))
+    assert (decodes, folds) == (0, 0)
+    bt.release(t2)
+    bt.release(t)
+
+    rng = random.Random(12)
+    span = 10 ** 5
+    t = ordmap.build(ctx, KV(rng.sample(range(span), 20000)))
+    decodes = folds = 0
+    n = 2000
+    for _ in range(n):
+        k = rng.randrange(span)
+        if rng.random() < 0.5:
+            t2, d, f = _codec_cost(lambda: ordmap.insert(ctx, t, k, 0))
+        else:
+            t2, d, f = _codec_cost(lambda: ordmap.remove(ctx, t, k))
+        decodes += d
+        folds += f
+        bt.release(t)
+        t = t2
+    check_tree(ctx, t)
+    bt.release(t)
+    assert decodes / n <= 1.1 and folds / n <= 1.1, (decodes / n, folds / n)
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["pure", "reuse"])
+@pytest.mark.parametrize("encoding", ["identity", "delta", "object"])
+def test_point_updates_random_vs_model(encoding, reuse):
+    # passed-through sibling blocks are shared between versions: every
+    # kept snapshot must stay intact, in pure mode and in reuse mode (where
+    # a snapshot is a second owner)
+    rng = random.Random(13)
+    add = lambda a, b: a + b
+    bt.reuse_mode(reuse)
+    baseline = counters.live
+    for B in (1, 2, 3, 8, 128):
+        ctx = make_context(block_size=B, encoding=encoding)
+        span = 12 * B + 400
+        base = KV(rng.sample(range(span), 4 * B + 60))
+        t = ordmap.build(ctx, base)
+        model = MapModel(base)
+        snapshots = []
+        for step in range(200):
+            if step % 15 == 0:
+                snapshots.append((bt.retain(t), structure_digest(ctx, t),
+                                  model.items()))
+            k = rng.randrange(span)
+            r = rng.random()
+            if r < 0.45:
+                v = rng.randrange(1000)
+                combine = add if r < 0.15 else ordmap._RIGHT
+                t2 = ordmap.insert(ctx, t, k, v, combine)
+                model = model.insert(k, v, combine)
+            else:
+                if r < 0.9 and model.d:
+                    k = rng.choice(list(model.d))
+                t2 = ordmap.remove(ctx, t, k)
+                model = model.remove(k)
+            if not reuse:           # reuse mode consumed t
+                bt.release(t)
+            t = t2
+            check_tree(ctx, t)
+            assert bt.to_list(ctx, t) == model.items()
+        for snap, digest, snap_items in snapshots:
+            assert structure_digest(ctx, snap) == digest
+            assert bt.to_list(ctx, snap) == snap_items
+            bt.release(snap)
+        bt.release(t)
+    assert counters.live == baseline
+    assert (counters.reused > 0) == reuse
+
+
 @pytest.mark.parametrize("encoding", ["identity", "delta"])
 def test_multi_insert_codec_error_consumes_nothing(encoding):
     ctx = make_context(block_size=8, encoding=encoding)
