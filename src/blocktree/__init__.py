@@ -3,8 +3,9 @@
 Trees are immutable values: operations return new handles sharing structure
 with their inputs, so snapshots are free and any handle can be read from any
 thread.  Leaves hold B..2B entries in one encoded buffer (optionally
-gap-compressed for integer keys), which brings the space of a map close to a
-packed array while keeping logarithmic updates.
+gap-compressed for integer keys), and a tree below B entries is one such
+buffer, which brings the space of a map close to a packed array while
+keeping logarithmic updates.
 
 Quick start::
 

@@ -6,8 +6,8 @@ A tree is ``None``, a ``Regular`` node (one entry, two children), or a
 * weight balance: ``alpha <= w(child)/w(node) <= 1 - alpha`` at every
   regular node, with ``w = size + 1``;
 * blocked leaves: once a tree holds at least ``B`` entries, every leaf is a
-  block of ``B..2B`` entries; trees below ``B`` entries contain regular
-  nodes only.
+  block of ``B..2B`` entries; a tree below ``B`` entries is empty or one
+  block of ``1..B-1`` entries.
 
 Everything else in the library is built from the primitives here: expose,
 node, fold, unfold, refold, join, join2, split and split_last.
@@ -34,8 +34,10 @@ only fragments.  A point update therefore re-encodes just the one block it
 changes: its untouched sibling block is shared, not rebuilt.
 
 Fragments smaller than ``B`` produced by slicing travel as transient
-undersized blocks or marked expanded subtrees; every join absorbs them, and
-public wrappers run ``_settle`` so returned roots are always valid trees.
+undersized blocks, marked expanded subtrees or small all-regular trees
+(``_node``'s simplex regime); every join absorbs them, and public wrappers
+run ``_settle`` so returned roots are always valid trees.  Only expose and
+unfold hand out fragments, by design.
 """
 
 import math
@@ -242,16 +244,14 @@ def _build_expanded(ctx, entries, lo, hi, marked):
 
 
 def _rebuild(ctx, entries, lo=0, hi=None):
-    """Owned tree over sorted entries[lo:hi], blocks formed per node rules."""
+    """Owned tree over sorted entries[lo:hi]: one block up to 2B entries,
+    else blocks of B..2B under balanced regular nodes."""
     if hi is None:
         hi = len(entries)
     n = hi - lo
     if n == 0:
         return None
-    B = ctx.config.block_size
-    if n < B:
-        return _build_expanded(ctx, entries, lo, hi, False)
-    if n <= 2 * B:
+    if n <= 2 * ctx.config.block_size:
         return _make_flat(ctx, entries[lo:hi])
     mid = lo + n // 2
     l, r = fork2(ctx, n,
@@ -397,15 +397,13 @@ def _refold(ctx, t):
 
 
 def _settle(ctx, t):
-    """Repair a transient root (undersized block or expanded remnant)."""
-    if t is None:
-        return None
-    if is_flat(t):
-        if t.count < ctx.config.block_size:
-            entries = _decode(ctx, t)
-            release(t)
-            return _build_expanded(ctx, entries, 0, len(entries), False)
+    """Repair a transient root: a tree below B entries folds into one block
+    (an undersized block stays as it is), a marked root of B or more
+    entries refolds."""
+    if t is None or is_flat(t):
         return t
+    if t.size < ctx.config.block_size:
+        return _make_flat(ctx, _flatten_consume(ctx, t))
     if t.marked:
         return _refold(ctx, t)
     return t
@@ -533,12 +531,13 @@ def expose(ctx, t):
 
 def node(ctx, l, e, r):
     """Combine two trees around a middle entry per the size rules."""
-    return _node(ctx, _claim(l), e, _claim(r))
+    return _settle(ctx, _node(ctx, _claim(l), e, _claim(r)))
 
 
 def fold(ctx, t):
-    """Pack a tree of B..2B entries into one block; out of range passes through."""
-    return _fold(ctx, _claim(t))
+    """Pack a tree of at most 2B entries into one block; larger trees pass
+    through (a marked one is refolded)."""
+    return _settle(ctx, _fold(ctx, _claim(t)))
 
 
 def unfold(ctx, t):
@@ -548,19 +547,19 @@ def unfold(ctx, t):
 
 def refold(ctx, t):
     """Repair marked expanded regions back into blocks; shares unmarked parts."""
-    return _refold(ctx, _claim(t))
+    return _settle(ctx, _refold(ctx, _claim(t)))
 
 
 def join(ctx, l, e, r):
     """Concatenate l, e, r into a balanced tree; keys(l) < key(e) < keys(r)."""
     if _debug:
         _check_node_pre(ctx, l, e, r)
-    return _join(ctx, _claim(l), e, _claim(r))
+    return _settle(ctx, _join(ctx, _claim(l), e, _claim(r)))
 
 
 def join2(ctx, l, r):
     """Concatenate two trees with no middle entry."""
-    return _join2(ctx, _claim(l), _claim(r))
+    return _settle(ctx, _join2(ctx, _claim(l), _claim(r)))
 
 
 def split(ctx, t, k):

@@ -3,7 +3,9 @@
 The vertex tree maps vertex id to an edge tree and is augmented with the
 total edge count, so ``edge_count`` is an O(1) root read.  Edge trees are
 sets of neighbor ids with gap-compressed blocks.  Both levels default to
-64-entry blocks.
+64-entry blocks; a neighbor set below 64 ids is a single gap-coded block
+(the raw first id, then one varint per gap), so the many small sets of a
+skewed graph pay one block header each rather than a node per edge.
 
 Graphs are immutable snapshots: batch updates return a new ``Graph`` sharing
 almost all structure with the old one, so readers on earlier snapshots are

@@ -1,7 +1,8 @@
 """Structural validation and measurement utilities.
 
 ``check_tree`` recomputes every stored field bottom-up and verifies the
-weight-balance and blocked-leaf rules; tests run it after operations.
+weight-balance and blocked-leaf rules (a tree below ``B`` entries is empty
+or one block); tests run it after operations.
 
 ``tree_bytes`` applies the byte model used for space accounting.  The model
 prices a C-layout node, not the Python objects that stand in for it:
@@ -34,8 +35,9 @@ def _fail(msg):
 def check_tree(ctx, t):
     """Validate every invariant; raises InvariantViolation on the first break."""
     cfg = ctx.config
-    total = size(t)
-    blocked = total >= cfg.block_size
+    blocked = size(t) >= cfg.block_size
+    if not blocked and t is not None and not is_flat(t):
+        _fail("regular node in a tree smaller than B")
 
     def walk(node):
         # returns (size, first_key, last_key, aug)
@@ -47,8 +49,6 @@ def check_tree(ctx, t):
             if blocked and not cfg.block_size <= node.count <= 2 * cfg.block_size:
                 _fail(f"block of {node.count} entries outside "
                       f"[{cfg.block_size}, {2 * cfg.block_size}]")
-            if not blocked:
-                _fail("block present in a tree smaller than B")
             entries = ctx.codec.decode(node.payload, node.count)
             if len(entries) != node.count:
                 _fail("block count does not match its payload")

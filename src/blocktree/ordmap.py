@@ -28,7 +28,7 @@ from bisect import bisect_left
 
 from .core import (_claim, _decode, _destructure, _entry_key, _expose,
                    _flatten_consume, _join, _join2, _make_flat, _make_regular,
-                   _node, _rebuild, _search, _settle, _split)
+                   _rebuild, _search, _settle, _split)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
 from .parallel import fork2
@@ -70,21 +70,26 @@ def tree_size(t):
 # point queries (read-only)
 
 
-def get_entry(ctx, t, k):
+def _seek(ctx, t, k):
+    """(pos, entries) with entries[pos] the entry at k, or None if k is
+    absent.  When k sits in a block, this is that block's search result."""
     while t is not None:
         if is_flat(t):
             if k < t.first_key or k > t.last_key:
                 return None
             pos, entries = _search(ctx, t, k)
-            if pos < t.count:
-                e = entries[pos]
-                if e[0] == k:
-                    return e
+            if pos < t.count and entries[pos][0] == k:
+                return pos, entries
             return None
         if k == t.key:
-            return (t.key, t.value)
+            return 0, ((t.key, t.value),)
         t = t.left if k < t.key else t.right
     return None
+
+
+def get_entry(ctx, t, k):
+    found = _seek(ctx, t, k)
+    return None if found is None else found[1][found[0]]
 
 
 def find(ctx, t, k):
@@ -157,7 +162,7 @@ def previous_entry(ctx, t, k):
 def _insert(ctx, t, k, v):
     """t with the entry (k, v); an entry at k is overwritten."""
     if t is None:
-        return _node(ctx, None, (k, v), None)
+        return _rebuild(ctx, [(k, v)])
     if is_flat(t):
         entries = _decode(ctx, t)
         release(t)
@@ -190,32 +195,31 @@ def insert(ctx, t, k, v, combine=_RIGHT):
     return _settle(ctx, _insert(ctx, _claim(t), k, v))
 
 
-def _remove(ctx, t, k):
-    if t is None:
-        return None
+def _remove(ctx, t, k, found):
+    """t without the entry at k, which is present; consumes t.  ``found``
+    is _seek's result for k: the search of the block that holds it."""
     if is_flat(t):
-        if k < t.first_key or k > t.last_key:
-            return t
-        pos, entries = _search(ctx, t, k)
-        if pos == t.count or entries[pos][0] != k:
-            return t
+        pos, entries = found
         if not isinstance(entries, list):   # searched in place
             entries = _decode(ctx, t)
         release(t)
         del entries[pos]
-        if not entries:
-            return None
-        return _make_flat(ctx, entries)
+        return _rebuild(ctx, entries)
     l, e, r = _destructure(ctx, t)
     if k == e[0]:
         return _join2(ctx, l, r)
     if k < e[0]:
-        return _join(ctx, _remove(ctx, l, k), e, r)
-    return _join(ctx, l, e, _remove(ctx, r, k))
+        return _join(ctx, _remove(ctx, l, k, found), e, r)
+    return _join(ctx, l, e, _remove(ctx, r, k, found))
 
 
 def remove(ctx, t, k):
-    return _settle(ctx, _remove(ctx, _claim(t), k))
+    """t without the entry at k; an absent key copies nothing and returns
+    t itself."""
+    found = _seek(ctx, t, k)
+    if found is None:
+        return _claim(t)
+    return _settle(ctx, _remove(ctx, _claim(t), k, found))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 import blocktree as bt
 from blocktree import ordmap
-from blocktree.core import Config, _balanced_pair, make_context
+from blocktree.core import (Config, _balanced_pair, _make_flat, _make_regular,
+                            make_context)
 from blocktree.counters import counters
 from blocktree.errors import ContractError, InvariantViolation
 from blocktree.inspect import (check_tree, count_blocks, count_nodes,
@@ -521,12 +522,23 @@ def test_depth_bound_random_trees():
 
 def test_leaf_blocking_threshold():
     ctx = make_context(block_size=8, encoding="identity")
-    small = build(ctx, range(7))       # below B: all regular
-    assert count_blocks(small) == 0
+    small = build(ctx, range(7))       # below B: one undersized block
+    assert is_flat(small) and small.count == 7
     check_tree(ctx, small)
-    big = build(ctx, range(8))         # at B: one block
-    assert count_blocks(big) == 1
+    big = build(ctx, range(8))         # at B: still one block
+    assert is_flat(big) and big.count == 8
     check_tree(ctx, big)
+    # built by hand: a tree below B may hold no regular node, so neither a
+    # lone regular node nor two blocks joined under one passes
+    lone = _make_regular(ctx, None, (1, 1), None)
+    with pytest.raises(InvariantViolation):
+        check_tree(ctx, lone)
+    pair = _make_regular(ctx, _make_flat(ctx, KV([1, 2])), (3, 3),
+                         _make_flat(ctx, KV([4, 5])))
+    with pytest.raises(InvariantViolation):
+        check_tree(ctx, pair)
+    for t in (small, big, lone, pair):
+        bt.release(t)
 
 
 def test_checker_rejects_corrupt_size():

@@ -6,7 +6,9 @@ import pytest
 import blocktree as bt
 from blocktree import graphstore as gs
 from blocktree.errors import GraphParseError
-from blocktree.inspect import check_tree, count_blocks, tree_bytes
+from blocktree.inspect import (BOUNDS_BYTES, FLAT_HEADER_BYTES, check_tree,
+                               count_blocks, tree_bytes)
+from blocktree.nodes import is_flat
 
 from oracles import bfs_reference
 
@@ -179,6 +181,36 @@ def test_edge_blocks_are_gap_encoded():
     total, meta = tree_bytes(g.ectx, et)
     # 200 near-consecutive neighbors: one raw key plus one byte per gap
     assert total - meta < 200 * 3
+
+
+def _skewed_local_edges(rng, n):
+    """Pareto out-degrees; a vertex's neighbors lie in a window of at least
+    128 ids above it, so every neighbor set below 64 has one-byte gaps."""
+    edges = []
+    for u in range(n):
+        d = min(int(rng.paretovariate(1.1)), 400)
+        edges += [(u, v) for v in rng.sample(range(u, u + max(128, 2 * d)), d)]
+    return edges
+
+
+def test_small_neighbor_sets_are_one_gap_coded_block():
+    g = gs.from_edge_list(_skewed_local_edges(random.Random(11), 2000),
+                          block_size=64)
+    header = FLAT_HEADER_BYTES + BOUNDS_BYTES          # 32 B
+    total = tree_bytes(g.vctx, g.vertices)[0]
+    small = 0
+    for _, et in bt.items(g.vctx, g.vertices):
+        total += tree_bytes(g.ectx, et)[0]
+        d = bt.tree_size(et)
+        if 0 < d < 64:
+            small += 1
+            assert is_flat(et) and et.count == d
+            # the first key raw (8 B), then one byte per gap
+            assert tree_bytes(g.ectx, et) == (header + 8 + (d - 1), header)
+        check_tree(g.ectx, et)
+    assert small > 1900
+    # 12.2 B per edge; all-regular small sets (40 B a node) cost 29.8 here
+    assert total / gs.edge_count(g) < 14
 
 
 def test_load_edge_list(tmp_path):

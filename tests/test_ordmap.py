@@ -499,6 +499,34 @@ def test_point_update_codec_budget():
 
 @pytest.mark.parametrize("reuse", [False, True], ids=["pure", "reuse"])
 @pytest.mark.parametrize("encoding", ["identity", "delta", "object"])
+def test_absent_remove_returns_its_input(encoding, reuse):
+    # a miss copies no path: no node is allocated or reused, nothing encoded
+    ctx = make_context(block_size=128, encoding=encoding)
+    t = ordmap.build(ctx, KV(range(0, 20000, 2)))
+    node = t
+    while not is_flat(node.left):
+        node = node.left
+    between = node.left.last_key + 1          # past its block, below node
+    assert between < node.key
+    bt.reuse_mode(reuse)
+    baseline = counters.live
+    digest = structure_digest(ctx, t)
+    for k in (5001, between, 20001):          # in a block's range, outside
+        a0, r0, f0 = counters.allocations, counters.reused, counters.folds
+        t2 = ordmap.remove(ctx, t, k)
+        assert t2 is t
+        assert (counters.allocations - a0, counters.reused - r0,
+                counters.folds - f0) == (0, 0, 0)
+        if not reuse:                         # pure mode retained t
+            bt.release(t2)
+    assert counters.live == baseline
+    assert structure_digest(ctx, t) == digest
+    check_tree(ctx, t)
+    bt.release(t)
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["pure", "reuse"])
+@pytest.mark.parametrize("encoding", ["identity", "delta", "object"])
 def test_point_updates_random_vs_model(encoding, reuse):
     # passed-through sibling blocks are shared between versions: every
     # kept snapshot must stay intact, in pure mode and in reuse mode (where
