@@ -28,7 +28,7 @@ from .encoding import (DeltaCodec, EncodingScheme, IdentityCodec, ObjectCodec,
 from .errors import (BlocktreeError, CodecError, ContractError,
                      CorruptionError, GraphParseError, InvariantViolation)
 from .inspect import check_tree, count_blocks, tree_bytes, tree_depth
-from .nodes import release, retain, reuse_mode, size as tree_size
+from .nodes import release, retain, size as tree_size
 from .parallel import get_threads, set_threads
 from .sequence import seq_build, seq_context
 
@@ -40,7 +40,7 @@ __all__ = [
     "count_blocks", "counters", "debug_checks", "expose", "fold",
     "graphstore", "inspect", "items", "join", "join2", "make_codec",
     "make_context", "node", "ordmap", "refold", "release", "reset_counters",
-    "retain", "reuse_mode", "seq_build", "seq_context", "sequence",
-    "set_threads", "get_threads", "split", "split_last", "to_list",
-    "tree_bytes", "tree_depth", "tree_size", "unfold",
+    "retain", "seq_build", "seq_context", "sequence", "set_threads",
+    "get_threads", "split", "split_last", "to_list", "tree_bytes",
+    "tree_depth", "tree_size", "unfold",
 ]

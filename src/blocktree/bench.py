@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from . import graphstore, ordmap, parallel
 from .core import make_context
 from .inspect import tree_bytes
+from .nodes import size
 
 HEADER = "op,n,m,B,encoding,threads,median_ms,bytes_total,bytes_metadata"
 GRAPH_HEADER = "batch,n_edges,insert_eps,delete_eps"
@@ -126,7 +127,7 @@ def run_micro(cfg):
         def do_ranges():
             acc = 0
             for s in starts:
-                acc += ordmap.tree_size(ordmap.key_range(ctx, tree, s, s + span))
+                acc += size(ordmap.key_range(ctx, tree, s, s + span))
             return acc
         ms, _ = _time(do_ranges, cfg.trials)
     elif op == "filter":

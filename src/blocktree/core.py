@@ -14,9 +14,9 @@ node, fold, unfold, refold, join, join2, split and split_last.
 
 Ownership: functions prefixed with an underscore *consume* the handles they
 are given (the caller's reference transfers), and return owned results.  The
-un-prefixed public wrappers borrow their inputs, so callers keep their trees
-(persistence); in reuse mode the wrappers consume instead, which is the
-single-logical-owner contract.
+un-prefixed public wrappers borrow their inputs: they ``retain`` each input
+before handing it to the consuming internals, so callers keep their trees
+(persistence).
 
 Two deliberate deviations from the expose-everywhere formulation keep the
 instrumented cost properties sharp:
@@ -48,8 +48,8 @@ from operator import itemgetter
 from .counters import counters
 from .encoding import EncodingScheme, make_codec
 from .errors import ContractError
-from .nodes import (is_flat, new_flat, new_regular, release, retain,
-                    reuse_enabled, size, weight)
+from .nodes import (is_flat, new_flat, new_regular, release, retain, size,
+                    weight)
 from .parallel import fork2
 
 ALPHA_MAX = 1.0 - 1.0 / math.sqrt(2.0)
@@ -111,10 +111,6 @@ def make_context(block_size=128, alpha=0.29, encoding=None, aug=None,
     cfg = Config(alpha=alpha, block_size=block_size, grain=grain)
     return Context(config=cfg, codec=make_codec(encoding, value_width),
                    aug=aug, ordered=ordered)
-
-
-def _claim(t):
-    return t if reuse_enabled() else retain(t)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +262,6 @@ def _rebuild(ctx, entries, lo=0, hi=None):
 
 def _destructure(ctx, t):
     """Split a regular node into owned (left, entry, right); consumes t."""
-    if reuse_enabled() and (t.owners > 1 or t.visible):
-        # children are observable through the surviving parent: they must
-        # never be rewritten or recycled, copying starts here
-        if t.left is not None:
-            t.left.visible = True
-        if t.right is not None:
-            t.right.visible = True
     l, r = t.left, t.right
     e = (t.key, t.value)
     retain(l)
@@ -521,54 +510,54 @@ def _join2(ctx, l, r):
 
 
 # ---------------------------------------------------------------------------
-# public wrappers: borrow inputs (or consume them in reuse mode)
+# public wrappers: borrow inputs
 
 
 def expose(ctx, t):
     """(left, entry, right) of the root; blocks open into expanded halves."""
-    return _expose(ctx, _claim(t))
+    return _expose(ctx, retain(t))
 
 
 def node(ctx, l, e, r):
     """Combine two trees around a middle entry per the size rules."""
-    return _settle(ctx, _node(ctx, _claim(l), e, _claim(r)))
+    return _settle(ctx, _node(ctx, retain(l), e, retain(r)))
 
 
 def fold(ctx, t):
     """Pack a tree of at most 2B entries into one block; larger trees pass
     through (a marked one is refolded)."""
-    return _settle(ctx, _fold(ctx, _claim(t)))
+    return _settle(ctx, _fold(ctx, retain(t)))
 
 
 def unfold(ctx, t):
     """Expand a block into a perfectly balanced all-regular (marked) tree."""
-    return _unfold(ctx, _claim(t))
+    return _unfold(ctx, retain(t))
 
 
 def refold(ctx, t):
     """Repair marked expanded regions back into blocks; shares unmarked parts."""
-    return _settle(ctx, _refold(ctx, _claim(t)))
+    return _settle(ctx, _refold(ctx, retain(t)))
 
 
 def join(ctx, l, e, r):
     """Concatenate l, e, r into a balanced tree; keys(l) < key(e) < keys(r)."""
     if _debug:
         _check_node_pre(ctx, l, e, r)
-    return _settle(ctx, _join(ctx, _claim(l), e, _claim(r)))
+    return _settle(ctx, _join(ctx, retain(l), e, retain(r)))
 
 
 def join2(ctx, l, r):
     """Concatenate two trees with no middle entry."""
-    return _settle(ctx, _join2(ctx, _claim(l), _claim(r)))
+    return _settle(ctx, _join2(ctx, retain(l), retain(r)))
 
 
 def split(ctx, t, k):
     """(tree of keys < k, entry at k or None, tree of keys > k)."""
-    l, b, r = _split(ctx, _claim(t), k)
+    l, b, r = _split(ctx, retain(t), k)
     return _settle(ctx, l), b, _settle(ctx, r)
 
 
 def split_last(ctx, t):
     """(tree minus its maximum entry, that entry)."""
-    t2, e = _split_last(ctx, _claim(t))
+    t2, e = _split_last(ctx, retain(t))
     return _settle(ctx, t2), e

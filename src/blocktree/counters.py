@@ -9,7 +9,10 @@ the benchmark harness:
   unfolds      conversions of a flat node into expanded regular-node form
   folds        flat-node constructions
   decodes      full block payload decodes (a codec search in place is not one)
-  reused       node shells recycled from the reuse-mode free list
+  reused       always 0: node shells are never recycled, every node is a
+               fresh allocation.  Kept so that counter snapshots keep their
+               keys for the readers that compare them (the benchmark
+               reports it as ``nodes.reused_per_op``).
 
 Counts are exact for single-threaded operation.  When an internal worker pool
 is active, instrumentation increments may lose the occasional update (they are

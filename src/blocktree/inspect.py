@@ -2,7 +2,8 @@
 
 ``check_tree`` recomputes every stored field bottom-up and verifies the
 weight-balance and blocked-leaf rules (a tree below ``B`` entries is empty
-or one block); tests run it after operations.
+or one block), and that the codec accepts every regular node's entry;
+tests run it after operations.
 
 ``tree_bytes`` applies the byte model used for space accounting.  The model
 prices a C-layout node, not the Python objects that stand in for it:
@@ -18,7 +19,7 @@ prices a C-layout node, not the Python objects that stand in for it:
 Metadata = regular nodes + block headers; total = metadata + payloads.
 """
 
-from .errors import InvariantViolation
+from .errors import CodecError, InvariantViolation
 from .nodes import is_flat, size, weight
 
 PTR_BYTES = 8
@@ -67,6 +68,10 @@ def check_tree(ctx, t):
             fk = entries[0][0] if ctx.ordered else None
             lk = entries[-1][0] if ctx.ordered else None
             return node.count, fk, lk, node.aug
+        try:
+            ctx.codec.check_entry(node.key, node.value)
+        except CodecError as exc:
+            _fail(f"regular node entry rejected by the codec: {exc}")
         sl, fl, ll, al = walk(node.left)
         sr, fr, lr, ar = walk(node.right)
         s = sl + sr + 1

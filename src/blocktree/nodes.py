@@ -3,7 +3,7 @@
 A tree handle is ``None`` (the empty tree), a ``Regular`` node holding one
 entry and two children, or a ``Flat`` node holding a run of entries in one
 encoded payload.  Nodes are immutable once published; the only mutable state
-is the owner count (``owners``) and the visibility bit.
+is the owner count (``owners``).
 
 Ownership protocol (used by the core algebra; see core.py):
 
@@ -38,7 +38,7 @@ def set_locked_refcounts(enabled):
 
 class Regular:
     __slots__ = ("key", "value", "left", "right", "size", "aug",
-                 "owners", "visible", "marked")
+                 "owners", "marked")
 
     def __repr__(self):
         return f"<Regular key={self.key!r} size={self.size} owners={self.owners}>"
@@ -46,7 +46,7 @@ class Regular:
 
 class Flat:
     __slots__ = ("count", "payload", "first_key", "last_key", "aug",
-                 "owners", "visible")
+                 "owners")
 
     def __repr__(self):
         return f"<Flat count={self.count} owners={self.owners}>"
@@ -68,38 +68,14 @@ def weight(t):
     return size(t) + 1
 
 
-# Reuse-mode free lists. Only populated while reuse mode is on; alloc pulls
-# from them instead of creating fresh shells.
-_free_regular = []
-_free_flat = []
-_reuse_enabled = False
-
-
-def reuse_mode(enabled):
-    """Toggle single-owner reuse mode; clears the shell free lists on change."""
-    global _reuse_enabled
-    _reuse_enabled = bool(enabled)
-    _free_regular.clear()
-    _free_flat.clear()
-
-
-def reuse_enabled():
-    return _reuse_enabled
-
-
-def _fresh(cls, freelist):
-    if _reuse_enabled and freelist:
-        node = freelist.pop()
-        counters.reused += 1
-    else:
-        node = cls.__new__(cls)
-        counters.allocations += 1
+def _fresh(cls):
+    counters.allocations += 1
     counters.live += 1
-    return node
+    return cls.__new__(cls)
 
 
 def new_regular(key, value, left, right, subtree_size, aug, marked=False):
-    node = _fresh(Regular, _free_regular)
+    node = _fresh(Regular)
     node.key = key
     node.value = value
     node.left = left
@@ -107,20 +83,18 @@ def new_regular(key, value, left, right, subtree_size, aug, marked=False):
     node.size = subtree_size
     node.aug = aug
     node.owners = 1
-    node.visible = False
     node.marked = marked
     return node
 
 
 def new_flat(count, payload, first_key, last_key, aug):
-    node = _fresh(Flat, _free_flat)
+    node = _fresh(Flat)
     node.count = count
     node.payload = payload
     node.first_key = first_key
     node.last_key = last_key
     node.aug = aug
     node.owners = 1
-    node.visible = False
     return node
 
 
@@ -152,16 +126,9 @@ def release(t):
         counters.reclaims += 1
         counters.live -= 1
         if type(t) is Flat:
-            if _reuse_enabled and not t.visible:
-                t.payload = None
-                _free_flat.append(t)
             return
-        left, right = t.left, t.right
-        if _reuse_enabled and not t.visible:
-            t.left = t.right = t.value = None
-            _free_regular.append(t)
         # recurse on one child, iterate on the other: depth stays bounded
         # by the tree height
-        if left is not None:
-            release(left)
-        t = right
+        if t.left is not None:
+            release(t.left)
+        t = t.right

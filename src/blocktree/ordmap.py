@@ -19,14 +19,16 @@ times it.  ``union_efficient`` is the same function as ``union``.
 
 ``insert`` and ``multi_insert`` check every incoming entry against the codec
 before they take any handle, so an entry the codec rejects consumes nothing.
-``insert`` runs a custom ``combine`` before that check and checks its result;
-``union``, ``intersection`` and ``multi_insert`` store ``combine`` results
-unchecked.
+``insert`` runs a custom ``combine`` before that check and checks its result.
+``union``, ``intersection`` and ``multi_insert`` check each ``combine``
+result where it is stored: the merge base case encodes it into a block, and
+the recursion checks the one it keeps in a regular node.  A rejected result
+raises ``CodecError`` and leaves the inputs intact.
 """
 
 from bisect import bisect_left
 
-from .core import (_claim, _decode, _destructure, _entry_key, _expose,
+from .core import (_decode, _destructure, _entry_key, _expose,
                    _flatten_consume, _join, _join2, _make_flat, _make_regular,
                    _rebuild, _search, _settle, _split)
 from .errors import ContractError
@@ -60,10 +62,6 @@ def from_sorted(ctx, entries):
         if not entries[i - 1][0] < entries[i][0]:
             raise ContractError("from_sorted requires strictly increasing keys")
     return _rebuild(ctx, entries)
-
-
-def tree_size(t):
-    return size(t)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +190,7 @@ def insert(ctx, t, k, v, combine=_RIGHT):
         if old is not None:
             v = combine(old[1], v)
     ctx.codec.check_entry(k, v)
-    return _settle(ctx, _insert(ctx, _claim(t), k, v))
+    return _settle(ctx, _insert(ctx, retain(t), k, v))
 
 
 def _remove(ctx, t, k, found):
@@ -218,8 +216,8 @@ def remove(ctx, t, k):
     t itself."""
     found = _seek(ctx, t, k)
     if found is None:
-        return _claim(t)
-    return _settle(ctx, _remove(ctx, _claim(t), k, found))
+        return retain(t)
+    return _settle(ctx, _remove(ctx, retain(t), k, found))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +258,14 @@ def _merge(a, b, op, combine):
     return out
 
 
+def _combined(ctx, k, a, b, combine):
+    """The entry (k, combine(a, b)), checked against the codec: it is stored
+    in a regular node, which no encode checks."""
+    e = (k, combine(a, b))
+    ctx.codec.check_entry(*e)
+    return e
+
+
 def _setop(ctx, t1, t2, op, combine):
     only1, only2, both = op
     if t1 is None or t2 is None:
@@ -275,7 +281,7 @@ def _setop(ctx, t1, t2, op, combine):
     l2, e2, r2 = _expose(ctx, t2)
     l1, b, r1 = _split(ctx, t1, e2[0])
     if b is not None:
-        e = (e2[0], combine(b[1], e2[1])) if both else None
+        e = _combined(ctx, e2[0], b[1], e2[1], combine) if both else None
     else:
         e = e2 if only2 else None
     tl, tr = fork2(ctx, size(l1) + size(l2) + size(r1) + size(r2),
@@ -287,17 +293,17 @@ def _setop(ctx, t1, t2, op, combine):
 
 
 def union(ctx, t1, t2, combine=_RIGHT):
-    return _settle(ctx, _setop(ctx, _claim(t1), _claim(t2), _UNION, combine))
+    return _settle(ctx, _setop(ctx, retain(t1), retain(t2), _UNION, combine))
 
 
 def intersection(ctx, t1, t2, combine=_RIGHT):
-    return _settle(ctx, _setop(ctx, _claim(t1), _claim(t2), _INTERSECTION,
+    return _settle(ctx, _setop(ctx, retain(t1), retain(t2), _INTERSECTION,
                                combine))
 
 
 def difference(ctx, t1, t2):
     """Entries of t1 whose keys are absent from t2 (t1 keeps its values)."""
-    return _settle(ctx, _setop(ctx, _claim(t1), _claim(t2), _DIFFERENCE,
+    return _settle(ctx, _setop(ctx, retain(t1), retain(t2), _DIFFERENCE,
                                None))
 
 
@@ -327,7 +333,7 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
     pos = bisect_left(arr, e[0], lo, hi, key=_entry_key)
     hit = pos < hi and arr[pos][0] == e[0]
     if hit:
-        e = (e[0], combine(e[1], arr[pos][1])) if both else None
+        e = _combined(ctx, e[0], e[1], arr[pos][1], combine) if both else None
     tl, tr = fork2(ctx, size(l) + size(r) + (hi - lo),
                    lambda: _batch(ctx, l, arr, lo, pos, op, combine),
                    lambda: _batch(ctx, r, arr, pos + (1 if hit else 0), hi, op,
@@ -342,13 +348,13 @@ def multi_insert(ctx, t, batch, combine=_RIGHT):
     check = ctx.codec.check_entry
     for k, v in arr:
         check(k, v)
-    return _settle(ctx, _batch(ctx, _claim(t), arr, 0, len(arr), _UNION,
+    return _settle(ctx, _batch(ctx, retain(t), arr, 0, len(arr), _UNION,
                                combine))
 
 
 def multi_delete(ctx, t, keys):
     arr = [(k, None) for k in sorted(set(keys))]
-    return _settle(ctx, _batch(ctx, _claim(t), arr, 0, len(arr), _DIFFERENCE,
+    return _settle(ctx, _batch(ctx, retain(t), arr, 0, len(arr), _DIFFERENCE,
                                None))
 
 
@@ -424,7 +430,7 @@ def key_range(ctx, t, lo, hi):
     """Entries with lo <= key <= hi, as a fresh tree."""
     if lo > hi:
         raise ContractError("key_range requires lo <= hi")
-    left, b_lo, rest = _split(ctx, _claim(t), lo)
+    left, b_lo, rest = _split(ctx, retain(t), lo)
     release(left)
     mid, b_hi, right = _split(ctx, rest, hi)
     release(right)

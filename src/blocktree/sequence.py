@@ -7,11 +7,11 @@ byte codecs are rejected here).  Balance and blocked-leaf invariants are the
 same as for maps; positions are implicit in each node's stored sizes.
 """
 
-from .core import (_claim, _decode, _destructure, _join, _join2, _make_flat,
+from .core import (_decode, _destructure, _join, _join2, _make_flat,
                    _make_regular, _rebuild, _settle, make_context)
 from .encoding import ObjectCodec
 from .errors import ContractError
-from .nodes import is_flat, release, size
+from .nodes import is_flat, release, retain, size
 from .ordmap import _filter_tree, map_values as seq_map, reduce as seq_reduce
 from .parallel import fork2
 
@@ -79,7 +79,7 @@ def _split_at(ctx, t, i):
 def take(ctx, s, i):
     if not 0 <= i <= size(s):
         raise IndexError(f"take({i}) out of range for sequence of {size(s)}")
-    a, b = _split_at(ctx, _claim(s), i)
+    a, b = _split_at(ctx, retain(s), i)
     release(b)
     return _settle(ctx, a)
 
@@ -87,7 +87,7 @@ def take(ctx, s, i):
 def drop(ctx, s, i):
     if not 0 <= i <= size(s):
         raise IndexError(f"drop({i}) out of range for sequence of {size(s)}")
-    a, b = _split_at(ctx, _claim(s), i)
+    a, b = _split_at(ctx, retain(s), i)
     release(a)
     return _settle(ctx, b)
 
@@ -96,7 +96,7 @@ def subseq(ctx, s, i, j):
     """Elements at positions [i, j)."""
     if not (0 <= i <= j <= size(s)):
         raise IndexError(f"subseq({i},{j}) out of range for sequence of {size(s)}")
-    a, b = _split_at(ctx, _claim(s), j)
+    a, b = _split_at(ctx, retain(s), j)
     release(b)
     c, d = _split_at(ctx, a, i)
     release(c)
@@ -104,7 +104,7 @@ def subseq(ctx, s, i, j):
 
 
 def append(ctx, s1, s2):
-    return _settle(ctx, _join2(ctx, _claim(s1), _claim(s2)))
+    return _settle(ctx, _join2(ctx, retain(s1), retain(s2)))
 
 
 def reverse(ctx, s):

@@ -6,14 +6,11 @@ sys.path.insert(0, os.path.dirname(__file__))
 import pytest
 
 from blocktree import reset_counters
-from blocktree.nodes import reuse_mode
 from blocktree.parallel import set_threads
 
 
 @pytest.fixture(autouse=True)
 def _clean_state():
     reset_counters()
-    reuse_mode(False)
     yield
-    reuse_mode(False)
     set_threads(1)

@@ -458,54 +458,6 @@ def test_release_below_zero_raises():
 
 
 # ---------------------------------------------------------------------------
-# reuse mode
-
-
-def test_reuse_mode_equivalent_results():
-    rng = random.Random(6)
-    ctx = make_context(block_size=8, encoding="identity")
-    pairs = KV(rng.sample(range(10 ** 5), 3000))
-    pure = ordmap.insert(ctx, ordmap.build(ctx, pairs), 7 * 10 ** 5, 9)
-    fresh = ordmap.build(ctx, pairs)
-    bt.reuse_mode(True)
-    reused = ordmap.insert(ctx, fresh, 7 * 10 ** 5, 9)  # consumes fresh
-    bt.reuse_mode(False)
-    assert bt.to_list(ctx, reused) == bt.to_list(ctx, pure)
-    check_tree(ctx, reused)
-
-
-def test_reuse_mode_never_touches_shared_trees():
-    ctx = make_context(block_size=8, encoding="identity")
-    t = ordmap.build(ctx, KV(range(3000)))
-    holder = bt.retain(t)
-    before = structure_digest(ctx, holder)
-    bt.reuse_mode(True)
-    t2 = ordmap.insert(ctx, t, 10 ** 6, 1)
-    bt.reuse_mode(False)
-    assert structure_digest(ctx, holder) == before
-    assert ordmap.find(ctx, t2, 10 ** 6) == 1
-
-
-def test_reuse_mode_allocates_no_more_than_pure():
-    ctx = make_context(block_size=8, encoding="identity")
-    pairs = KV(range(3000))
-    t = ordmap.build(ctx, pairs)
-    a0 = counters.allocations
-    t2 = ordmap.insert(ctx, t, 10 ** 6, 1)
-    pure_allocs = counters.allocations - a0
-    bt.release(t2)
-
-    fresh = ordmap.build(ctx, pairs)
-    bt.reuse_mode(True)
-    a0 = counters.allocations
-    ordmap.insert(ctx, fresh, 10 ** 6, 1)
-    reuse_allocs = counters.allocations - a0
-    bt.reuse_mode(False)
-    assert reuse_allocs <= pure_allocs
-    assert counters.reused > 0
-
-
-# ---------------------------------------------------------------------------
 # global structural properties
 
 
@@ -539,6 +491,20 @@ def test_leaf_blocking_threshold():
         check_tree(ctx, pair)
     for t in (small, big, lone, pair):
         bt.release(t)
+
+
+def test_checker_rejects_entry_the_codec_rejects():
+    # built by hand: a balanced blocked tree whose regular node holds a
+    # value out of range for the identity codec
+    ctx = make_context(block_size=8, encoding="identity")
+    tree = lambda v: _make_regular(ctx, _make_flat(ctx, KV(range(8))), (8, v),
+                                   _make_flat(ctx, KV(range(9, 17))))
+    good, bad = tree(8), tree(-1)
+    check_tree(ctx, good)
+    with pytest.raises(InvariantViolation):
+        check_tree(ctx, bad)
+    bt.release(good)
+    bt.release(bad)
 
 
 def test_checker_rejects_corrupt_size():

@@ -450,6 +450,29 @@ def test_insert_combine_failure_consumes_nothing():
     assert counters.live == baseline
 
 
+def test_set_combine_result_is_checked_where_stored():
+    # at B=8, the root key of 200 entries sits in a regular node, and the
+    # recursion keeps its combined entry in one: a result the codec
+    # rejects must raise there, not wait for a later fold to meet it
+    ctx = make_context(block_size=8, encoding="identity")
+    t = ordmap.build(ctx, KV(range(0, 400, 2)))
+    assert not is_flat(t)
+    root = KV([t.key])
+    other = ordmap.build(ctx, root)
+    digests = structure_digest(ctx, t), structure_digest(ctx, other)
+    negative = lambda a, b: -1
+    for op in (lambda: ordmap.union(ctx, t, other, negative),
+               lambda: ordmap.intersection(ctx, t, other, negative),
+               lambda: ordmap.multi_insert(ctx, t, root, negative)):
+        with pytest.raises(CodecError):
+            op()
+        assert (structure_digest(ctx, t),
+                structure_digest(ctx, other)) == digests
+    check_tree(ctx, t)
+    bt.release(t)
+    bt.release(other)
+
+
 def _codec_cost(fn):
     d0, f0 = counters.decodes, counters.folds
     out = fn()
@@ -497,9 +520,15 @@ def test_point_update_codec_budget():
     assert decodes / n <= 1.1 and folds / n <= 1.1, (decodes / n, folds / n)
 
 
-@pytest.mark.parametrize("reuse", [False, True], ids=["pure", "reuse"])
-@pytest.mark.parametrize("encoding", ["identity", "delta", "object"])
-def test_absent_remove_returns_its_input(encoding, reuse):
+# the ids keep the "-pure" suffix of the ownership mode they once named
+# (public operations borrow their inputs), so case ids stay comparable
+# across versions
+_PURE_IDS = lambda e: f"{e}-pure"
+
+
+@pytest.mark.parametrize("encoding", ["identity", "delta", "object"],
+                         ids=_PURE_IDS)
+def test_absent_remove_returns_its_input(encoding):
     # a miss copies no path: no node is allocated or reused, nothing encoded
     ctx = make_context(block_size=128, encoding=encoding)
     t = ordmap.build(ctx, KV(range(0, 20000, 2)))
@@ -508,7 +537,6 @@ def test_absent_remove_returns_its_input(encoding, reuse):
         node = node.left
     between = node.left.last_key + 1          # past its block, below node
     assert between < node.key
-    bt.reuse_mode(reuse)
     baseline = counters.live
     digest = structure_digest(ctx, t)
     for k in (5001, between, 20001):          # in a block's range, outside
@@ -517,23 +545,20 @@ def test_absent_remove_returns_its_input(encoding, reuse):
         assert t2 is t
         assert (counters.allocations - a0, counters.reused - r0,
                 counters.folds - f0) == (0, 0, 0)
-        if not reuse:                         # pure mode retained t
-            bt.release(t2)
+        bt.release(t2)                        # remove retained t
     assert counters.live == baseline
     assert structure_digest(ctx, t) == digest
     check_tree(ctx, t)
     bt.release(t)
 
 
-@pytest.mark.parametrize("reuse", [False, True], ids=["pure", "reuse"])
-@pytest.mark.parametrize("encoding", ["identity", "delta", "object"])
-def test_point_updates_random_vs_model(encoding, reuse):
+@pytest.mark.parametrize("encoding", ["identity", "delta", "object"],
+                         ids=_PURE_IDS)
+def test_point_updates_random_vs_model(encoding):
     # passed-through sibling blocks are shared between versions: every
-    # kept snapshot must stay intact, in pure mode and in reuse mode (where
-    # a snapshot is a second owner)
+    # kept snapshot must stay intact
     rng = random.Random(13)
     add = lambda a, b: a + b
-    bt.reuse_mode(reuse)
     baseline = counters.live
     for B in (1, 2, 3, 8, 128):
         ctx = make_context(block_size=B, encoding=encoding)
@@ -558,8 +583,7 @@ def test_point_updates_random_vs_model(encoding, reuse):
                     k = rng.choice(list(model.d))
                 t2 = ordmap.remove(ctx, t, k)
                 model = model.remove(k)
-            if not reuse:           # reuse mode consumed t
-                bt.release(t)
+            bt.release(t)
             t = t2
             check_tree(ctx, t)
             assert bt.to_list(ctx, t) == model.items()
@@ -569,7 +593,7 @@ def test_point_updates_random_vs_model(encoding, reuse):
             bt.release(snap)
         bt.release(t)
     assert counters.live == baseline
-    assert (counters.reused > 0) == reuse
+    assert counters.reused == 0
 
 
 @pytest.mark.parametrize("encoding", ["identity", "delta"])

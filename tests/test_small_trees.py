@@ -16,7 +16,7 @@ from blocktree.augment import AugSpec
 from blocktree.core import make_context
 from blocktree.counters import counters
 from blocktree.inspect import check_tree, structure_digest
-from blocktree.nodes import is_flat, reuse_enabled, size
+from blocktree.nodes import is_flat, size
 
 KV = lambda ks: [(k, k * 10 + 1) for k in ks]
 
@@ -29,8 +29,8 @@ def _targets(B):
 
 
 class _Run:
-    """Inputs are handed to consuming operations as a second reference in
-    reuse mode, so the caller still owns them afterwards in both modes."""
+    """The inputs of one case: operations borrow them, so each must keep its
+    structure_digest, and the case releases them at the end."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -39,9 +39,6 @@ class _Run:
     def tree(self, t):
         self.inputs.append((t, structure_digest(self.ctx, t)))
         return t
-
-    def hand(self, t):
-        return bt.retain(t) if reuse_enabled() else t
 
     def finish(self, results):
         B = self.ctx.config.block_size
@@ -80,56 +77,51 @@ def _map_cases(ctx, n):
             return None
         block = build(ks)
         frag = bt.unfold(ctx, block)
-        if not reuse_enabled():
-            bt.release(block)
+        bt.release(block)
         return r.tree(frag)
 
     cases = {
         "remove": lambda r: [ordmap.remove(
-            ctx, r.hand(small(r, keys[:n + 1])), keys[n])],
+            ctx, small(r, keys[:n + 1]), keys[n])],
         "remove_absent": lambda r: [ordmap.remove(
-            ctx, r.hand(small(r, keys[:n])), 1)],
+            ctx, small(r, keys[:n]), 1)],
         "union": lambda r: [ordmap.union(
-            ctx, r.hand(small(r, keys[:n // 2])),
-            r.hand(small(r, keys[n // 2:n])))],
+            ctx, small(r, keys[:n // 2]), small(r, keys[n // 2:n]))],
         "intersection": lambda r: [ordmap.intersection(
-            ctx, r.hand(big(r)),
-            r.hand(small(r, sorted(keys[:n] + [k + 1 for k in keys]))))],
+            ctx, big(r), small(r, sorted(keys[:n] + [k + 1 for k in keys])))],
         "difference": lambda r: [ordmap.difference(
-            ctx, r.hand(big(r)), r.hand(small(r, keys[n:])))],
+            ctx, big(r), small(r, keys[n:]))],
         "multi_insert": lambda r: [ordmap.multi_insert(
-            ctx, r.hand(small(r, keys[:n // 2])),
+            ctx, small(r, keys[:n // 2]),
             KV(keys[n // 2:n] + keys[n // 2:n]))],
         "multi_delete": lambda r: [ordmap.multi_delete(
-            ctx, r.hand(big(r)), keys[n:] + [1, 2, 4])],
+            ctx, big(r), keys[n:] + [1, 2, 4])],
         "filter": lambda r: [ordmap.filter(
             ctx, big(r), lambda e: e[0] < 3 * n)],
         "aug_filter": lambda r: [bt.aug_filter(
             ctx, big(r), lambda x: x >= 3 * (m - n))],
         "key_range": lambda r: [ordmap.key_range(
-            ctx, r.hand(big(r)), keys[m // 2] + 1, keys[m // 2 + n] + 1)],
+            ctx, big(r), keys[m // 2] + 1, keys[m // 2 + n] + 1)],
         "split_left": lambda r: list(bt.split(
-            ctx, r.hand(big(r)), keys[n]))[::2],
+            ctx, big(r), keys[n]))[::2],
         "split_right": lambda r: list(bt.split(
-            ctx, r.hand(big(r)), keys[m - 1 - n]))[2::-2],
+            ctx, big(r), keys[m - 1 - n]))[2::-2],
         "split_last": lambda r: [bt.split_last(
-            ctx, r.hand(small(r, keys[:n + 1])))[0]],
+            ctx, small(r, keys[:n + 1]))[0]],
         "join2": lambda r: [bt.join2(
-            ctx, r.hand(small(r, keys[:a])), r.hand(small(r, keys[a:n])))],
-        "fold": lambda r: [bt.fold(ctx, r.hand(expanded(r, keys[:n])))],
-        "refold": lambda r: [bt.refold(ctx, r.hand(expanded(r, keys[:n])))],
+            ctx, small(r, keys[:a]), small(r, keys[a:n]))],
+        "fold": lambda r: [bt.fold(ctx, expanded(r, keys[:n]))],
+        "refold": lambda r: [bt.refold(ctx, expanded(r, keys[:n]))],
     }
     if n:
         e = KV([keys[a]])[0]
         cases.update({
             "insert": lambda r: [ordmap.insert(
-                ctx, r.hand(small(r, keys[:n - 1])), keys[n - 1], 7)],
+                ctx, small(r, keys[:n - 1]), keys[n - 1], 7)],
             "join": lambda r: [bt.join(
-                ctx, r.hand(small(r, keys[:a])), e,
-                r.hand(small(r, keys[a + 1:n])))],
+                ctx, small(r, keys[:a]), e, small(r, keys[a + 1:n]))],
             "node": lambda r: [bt.node(
-                ctx, r.hand(small(r, keys[:a])), e,
-                r.hand(small(r, keys[a + 1:n])))],
+                ctx, small(r, keys[:a]), e, small(r, keys[a + 1:n]))],
         })
     return sorted(cases.items())
 
@@ -142,20 +134,18 @@ def _seq_cases(ctx, n):
         return r.tree(sq.seq_build(ctx, xs))
 
     return [
-        ("take", lambda r: [sq.take(ctx, r.hand(seq(r, range(m))), n)]),
-        ("drop", lambda r: [sq.drop(ctx, r.hand(seq(r, range(m))), m - n)]),
+        ("take", lambda r: [sq.take(ctx, seq(r, range(m)), n)]),
+        ("drop", lambda r: [sq.drop(ctx, seq(r, range(m)), m - n)]),
         ("subseq", lambda r: [sq.subseq(
-            ctx, r.hand(seq(r, range(m))), m // 3, m // 3 + n)]),
+            ctx, seq(r, range(m)), m // 3, m // 3 + n)]),
         ("append", lambda r: [sq.append(
-            ctx, r.hand(seq(r, range(n // 2))),
-            r.hand(seq(r, range(n // 2, n))))]),
+            ctx, seq(r, range(n // 2)), seq(r, range(n // 2, n)))]),
         ("seq_filter", lambda r: [sq.seq_filter(
             ctx, seq(r, range(m)), lambda x: x % 7 == 3 and x < 7 * n)]),
     ]
 
 
-def _drive(ctx, cases_of, reuse):
-    bt.reuse_mode(reuse)
+def _drive(ctx, cases_of):
     baseline = counters.live
     B = ctx.config.block_size
     seen = set()
@@ -170,18 +160,20 @@ def _drive(ctx, cases_of, reuse):
     return seen
 
 
-@pytest.mark.parametrize("reuse", [False, True], ids=["pure", "reuse"])
-@pytest.mark.parametrize("encoding", ["identity", "delta", "object"])
+# the ids keep the "-pure" suffix of the ownership mode they once named
+# (public operations borrow their inputs), so case ids stay comparable
+# across versions
+@pytest.mark.parametrize("encoding", ["identity", "delta", "object"],
+                         ids=lambda e: f"{e}-pure")
 @pytest.mark.parametrize("B", [1, 2, 8])
-def test_small_map_results_are_one_block(B, encoding, reuse):
+def test_small_map_results_are_one_block(B, encoding):
     ctx = make_context(block_size=B, encoding=encoding, aug=_MAX_KEY)
-    seen = _drive(ctx, _map_cases, reuse)
+    seen = _drive(ctx, _map_cases)
     assert len(seen) == (16 if B == 1 else 19)
 
 
-@pytest.mark.parametrize("reuse", [False, True], ids=["pure", "reuse"])
-@pytest.mark.parametrize("B", [1, 2, 8])
-def test_small_sequence_results_are_one_block(B, reuse):
+@pytest.mark.parametrize("B", [1, 2, 8], ids=lambda B: f"{B}-pure")
+def test_small_sequence_results_are_one_block(B):
     ctx = sq.seq_context(block_size=B)
-    assert _drive(ctx, _seq_cases, reuse) == {"take", "drop", "subseq",
-                                               "append", "seq_filter"}
+    assert _drive(ctx, _seq_cases) == {"take", "drop", "subseq", "append",
+                                       "seq_filter"}
