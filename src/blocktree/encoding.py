@@ -40,9 +40,16 @@ Two byte-oriented codecs ship with the library:
         [values: value_width bytes LE x count]
 
     Gaps are classic little-endian base-128 varints: low seven bits per
-    byte, high bit set on every byte except the last.  Decoding is strictly
-    sequential within a block; no parallel-decode claim is made.  Values are
-    stored raw; ``value_width=0`` drops them entirely (sets).
+    byte, high bit set on every byte except the last.  Values are stored
+    raw; ``value_width=0`` drops them entirely (sets).  When every gap is
+    below 128 (dense keys), the gaps are one byte each.  Encode checks the
+    keys of a block whose mean gap is below 128 with a few C-level calls
+    and, when every gap is one byte, writes them with one ``bytes`` call;
+    every other block is checked and written by one per-key loop.  Decode
+    sums ``count - 1`` gap bytes that are all below 0x80 with
+    ``accumulate``, and reads any other block with one sequential varint
+    loop; no parallel-decode claim is made.  Values of width 1, 2, 4 or 8
+    are packed and unpacked by one ``struct`` call.
 
 ``ObjectCodec`` keeps entries as a plain tuple for payloads that are not
 byte-packable (sequences of arbitrary elements, nested tree handles).  Its
@@ -52,7 +59,8 @@ reported size is a nominal pointer-model estimate.
 import struct
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
+from operator import sub
 
 from .errors import CodecError, CorruptionError
 
@@ -74,22 +82,60 @@ def write_varint(value, out):
     out.append(value)
 
 
-def read_varint(buf, pos):
-    """Decode one varint at ``pos``; returns (value, next_pos)."""
-    result = 0
-    shift = 0
-    n = len(buf)
-    while True:
+def _gap_varints(entries):
+    """The gap varints of a delta block; raises CodecError unless the keys
+    are nonnegative, strictly increasing integers."""
+    out = bytearray()
+    append = out.append
+    prev = None
+    for k, _ in entries:
+        if type(k) is not int and (not isinstance(k, int) or isinstance(k, bool)):
+            raise CodecError("delta codec requires integer keys")
+        if k < 0:
+            raise CodecError("delta codec requires nonnegative keys")
+        if prev is not None:
+            gap = k - prev
+            if gap <= 0:
+                raise CodecError("delta codec requires strictly increasing keys")
+            while gap >= 0x80:
+                append((gap & 0x7F) | 0x80)
+                gap >>= 7
+            append(gap)
+        prev = k
+    return out
+
+
+def _varint_keys(payload, pos, count, first):
+    """The ``count`` keys of a delta block whose gap varints start at
+    ``pos``, and the position after the last gap."""
+    keys = [first]
+    append = keys.append
+    key = first
+    n = len(payload)
+    for _ in range(count - 1):
         if pos >= n:
             raise CorruptionError("truncated varint")
-        b = buf[pos]
+        gap = payload[pos]
         pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 70:
-            raise CorruptionError("malformed varint (too many continuation bytes)")
+        if gap >= 0x80:
+            gap &= 0x7F
+            shift = 7
+            while True:
+                if pos >= n:
+                    raise CorruptionError("truncated varint")
+                b = payload[pos]
+                pos += 1
+                gap |= (b & 0x7F) << shift
+                if b < 0x80:
+                    break
+                shift += 7
+                if shift > 70:
+                    raise CorruptionError("malformed varint (too many continuation bytes)")
+        if gap == 0:
+            raise CorruptionError("zero gap in delta block")
+        key += gap
+        append(key)
+    return keys, pos
 
 
 def _check_uint(x, width, what):
@@ -238,51 +284,60 @@ class DeltaCodec(EncodingScheme):
     def __init__(self, key_width=8, value_width=8):
         self.key_width = key_width
         self.value_width = value_width
-
-    def _check_keys(self, entries):
-        prev = -1
-        for k, _ in entries:
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise CodecError("delta codec requires integer keys")
-            if k < 0:
-                raise CodecError("delta codec requires nonnegative keys")
-            if k <= prev:
-                raise CodecError("delta codec requires strictly increasing keys")
-            prev = k
+        # struct code packing every value in one call, or None for the loop
+        self._value_code = _STRUCT_CODES.get(value_width)
 
     def check_entry(self, key, value):
-        self._check_keys([(key, value)])
+        _gap_varints([(key, value)])
         if self.value_width:
             _check_uint(value, self.value_width, "value")
 
     def encoded_size(self, entries):
-        self._check_keys(entries)
         if not entries:
             return 0
-        size = self.key_width
-        prev = entries[0][0]
-        for k, _ in entries[1:]:
-            size += varint_len(k - prev)
-            prev = k
-        return size + self.value_width * len(entries)
+        return (self.key_width + len(_gap_varints(entries))
+                + self.value_width * len(entries))
 
     def encode(self, entries):
-        self._check_keys(entries)
         if not entries:
             return b""
+        first, last = entries[0][0], entries[-1][0]
+        gaps = None
+        # Only a block whose mean gap is below 128 can have every gap one
+        # byte; its keys are checked by C-level calls and its gaps written
+        # by one.  Every other block, and any block failing a check, goes
+        # through the checked loop, which raises the CodecError.
+        if (type(first) is int and type(last) is int
+                and last - first < 0x80 * (len(entries) - 1)):
+            keys = [k for k, _ in entries]
+            if set(map(type, keys)) == {int} and first >= 0:
+                diffs = list(map(sub, keys[1:], keys))
+                if min(diffs) > 0 and max(diffs) < 0x80:
+                    gaps = bytes(diffs)
+        if gaps is None:
+            gaps = _gap_varints(entries)
         kw, vw = self.key_width, self.value_width
-        first = entries[0][0]
         _check_uint(first, kw, "first key")
         out = bytearray(first.to_bytes(kw, "little"))
-        prev = first
-        for k, _ in entries[1:]:
-            write_varint(k - prev, out)
-            prev = k
+        out += gaps
         if vw:
-            for _, v in entries:
-                _check_uint(v, vw, "value")
-                out += v.to_bytes(vw, "little")
+            out += self._encode_values([v for _, v in entries])
         return bytes(out)
+
+    def _encode_values(self, values):
+        code, vw = self._value_code, self.value_width
+        # bool and other int subclasses, and out-of-range integers, go
+        # through the checked loop, which raises the CodecError
+        if code is not None and set(map(type, values)) == {int}:
+            try:
+                return struct.pack(f"<{len(values)}{code}", *values)
+            except struct.error:
+                pass
+        out = bytearray()
+        for v in values:
+            _check_uint(v, vw, "value")
+            out += v.to_bytes(vw, "little")
+        return out
 
     def decode(self, payload, count):
         if count == 0:
@@ -292,24 +347,28 @@ class DeltaCodec(EncodingScheme):
         kw, vw = self.key_width, self.value_width
         if len(payload) < kw:
             raise CorruptionError("truncated first key")
-        keys = [int.from_bytes(payload[:kw], "little")]
-        pos = kw
-        for _ in range(count - 1):
-            gap, pos = read_varint(payload, pos)
-            if gap == 0:
+        first = int.from_bytes(payload[:kw], "little")
+        pos = kw + count - 1
+        gaps = payload[kw:pos]
+        if len(gaps) == count - 1 and gaps.isascii():
+            # every gap is one byte below 0x80, a varint equal to its value
+            if 0 in gaps:
                 raise CorruptionError("zero gap in delta block")
-            keys.append(keys[-1] + gap)
-        if vw:
-            need = pos + vw * count
-            if len(payload) != need:
-                raise CorruptionError("delta payload length mismatch")
-            values = [int.from_bytes(payload[pos + i * vw:pos + (i + 1) * vw], "little")
-                      for i in range(count)]
+            keys = list(accumulate(gaps, initial=first))
         else:
-            if len(payload) != pos:
+            keys, pos = _varint_keys(payload, kw, count, first)
+        if vw:
+            if len(payload) != pos + vw * count:
                 raise CorruptionError("delta payload length mismatch")
-            values = [None] * count
-        return list(zip(keys, values))
+            if self._value_code is not None:
+                values = struct.unpack_from(f"<{count}{self._value_code}", payload, pos)
+            else:
+                values = [int.from_bytes(payload[p:p + vw], "little")
+                          for p in range(pos, pos + vw * count, vw)]
+            return list(zip(keys, values))
+        if len(payload) != pos:
+            raise CorruptionError("delta payload length mismatch")
+        return list(zip(keys, repeat(None)))
 
 
 class ObjectCodec(EncodingScheme):

@@ -48,6 +48,58 @@ def delta_block_bytes(keys, key_width=8, value_width=8):
     return n + value_width * len(keys)
 
 
+def delta_block_payload(entries, key_width=8, value_width=8):
+    """One delta block, written out gap by gap and value by value."""
+    keys = [k for k, _ in entries]
+    out = keys[0].to_bytes(key_width, "little")
+    for a, b in zip(keys, keys[1:]):
+        out += varint_encode(b - a)
+    for _, v in entries:
+        if value_width:
+            out += v.to_bytes(value_width, "little")
+    return out
+
+
+def delta_block_decode(payload, count, key_width=8, value_width=8):
+    """Entries of a delta block, read byte by byte; a malformed payload
+    raises ValueError carrying the codec's CorruptionError message."""
+    if count == 0:
+        if payload:
+            raise ValueError("nonempty payload for empty block")
+        return []
+    if len(payload) < key_width:
+        raise ValueError("truncated first key")
+    keys = [int.from_bytes(payload[:key_width], "little")]
+    pos = key_width
+    while len(keys) < count:
+        gap = 0
+        shift = 0
+        while True:
+            if pos >= len(payload):
+                raise ValueError("truncated varint")
+            b = payload[pos]
+            pos += 1
+            gap += (b & 0x7F) << shift
+            if b < 0x80:
+                break
+            shift += 7
+            if shift > 70:
+                raise ValueError("malformed varint (too many continuation bytes)")
+        if gap == 0:
+            raise ValueError("zero gap in delta block")
+        keys.append(keys[-1] + gap)
+    if len(payload) != pos + value_width * count:
+        raise ValueError("delta payload length mismatch")
+    values = []
+    for k in keys:
+        if value_width:
+            values.append(int.from_bytes(payload[pos:pos + value_width], "little"))
+            pos += value_width
+        else:
+            values.append(None)
+    return list(zip(keys, values))
+
+
 def identity_block_bytes(entries, key_width=8, value_width=8):
     """One identity block, written out entry by entry."""
     out = b""

@@ -1,5 +1,8 @@
+import hashlib
 import random
+import re
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +11,10 @@ from blocktree.counters import counters
 from blocktree.encoding import (DeltaCodec, IdentityCodec, ObjectCodec,
                                 varint_len, write_varint)
 from blocktree.errors import CodecError, CorruptionError
+from blocktree.nodes import is_flat
 
-from oracles import (delta_block_bytes, identity_block_bytes,
-                     varint_decode_stream, varint_encode)
+from oracles import (delta_block_bytes, delta_block_decode, delta_block_payload,
+                     identity_block_bytes, varint_decode_stream, varint_encode)
 
 
 def test_varint_single_bytes():
@@ -228,6 +232,169 @@ def test_delta_check_entry_messages():
         codec.check_entry(1, None)
     DeltaCodec(value_width=0).check_entry(1, None)
     ObjectCodec().check_entry(object(), object())
+
+
+def _delta_gap_cases():
+    rng = random.Random(7)
+    return {
+        # name: (first key, gaps)
+        "count1": (2 ** 64 - 1, []),
+        "count2": (0, [1]),
+        "varint_boundaries": (3, [1, 127, 128, 16383, 16384, 2 ** 63]),
+        "widest_gap_128": (9, [127, 128, 1]),
+        "one_byte_256": (2 ** 40, [1, 127] + [rng.randrange(1, 128) for _ in range(253)]),
+        "mixed_256": (rng.randrange(2 ** 32),
+                      [rng.choice((rng.randrange(1, 128), rng.randrange(128, 2 ** 22)))
+                       for _ in range(255)]),
+    }
+
+
+DELTA_GAP_CASES = _delta_gap_cases()
+
+
+@pytest.mark.parametrize("vw", [0, 1, 2, 3, 4, 8])
+@pytest.mark.parametrize("case", sorted(DELTA_GAP_CASES))
+def test_delta_wire_format_matches_varint_oracle(case, vw):
+    first, gaps = DELTA_GAP_CASES[case]
+    rng = random.Random(vw)
+    top = 2 ** (8 * vw) - 1
+    entries = [(k, rng.choice((0, top, rng.randrange(top + 1))) if vw else None)
+               for k in accumulate(gaps, initial=first)]
+    codec = DeltaCodec(value_width=vw)
+    # widths 0 and 3 have no struct code: 3 takes the per-value loop
+    assert (codec._value_code is None) == (vw in (0, 3))
+    payload = codec.encode(entries)
+    assert payload == delta_block_payload(entries, 8, vw)
+    assert len(payload) == codec.encoded_size(entries)
+    decoded = codec.decode(payload, len(entries))
+    assert decoded == entries
+    assert all(type(e) is tuple for e in decoded)
+
+
+@pytest.mark.parametrize("vw", [0, 3, 8])
+def test_delta_decode_error_messages(vw):
+    codec = DeltaCodec(value_width=vw)
+    v = 6 if vw else None
+    short = codec.encode([(1, v), (5, v), (9, v)])       # one-byte gaps
+    long = codec.encode([(1, v), (5, v), (300, v)])      # a two-byte gap
+    cut_last = "delta payload length mismatch" if vw else "truncated varint"
+    cases = [
+        (short[:8] + b"\x00" + short[9:], 3, "zero gap in delta block"),
+        (short[:9] + b"\x00" + short[10:], 3, "zero gap in delta block"),
+        (long[:9] + b"\x80\x00" + long[11:], 3, "zero gap in delta block"),
+        (short[:9], 3, "truncated varint"),
+        (long[:10], 3, "truncated varint"),
+        (short[:8] + b"\x80\x80", 2, "truncated varint"),
+        (short[:4], 3, "truncated first key"),
+        (short[:8] + b"\xff" * 11 + b"\x01", 2,
+         "malformed varint (too many continuation bytes)"),
+        (short[:-1], 3, cut_last),
+        (long[:-1], 3, cut_last),
+        (short + b"\x00", 3, "delta payload length mismatch"),
+        (long + b"\x00", 3, "delta payload length mismatch"),
+        (b"\x00", 0, "nonempty payload for empty block"),
+    ]
+    for payload, count, msg in cases:
+        with pytest.raises(CorruptionError, match=f"^{re.escape(msg)}$"):
+            codec.decode(payload, count)
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            delta_block_decode(payload, count, 8, vw)
+
+
+@settings(max_examples=300)
+@given(st.booleans(), st.lists(st.integers(1, 2 ** 20), max_size=40),
+       st.sampled_from([0, 3, 8]), st.data())
+def test_delta_decode_matches_oracle_on_damaged_payloads(small, gaps, vw, data):
+    if small:
+        gaps = [g % 127 + 1 for g in gaps]
+    codec = DeltaCodec(value_width=vw)
+    entries = [(k, k % 251 if vw else None) for k in accumulate(gaps, initial=7)]
+    payload = bytearray(codec.encode(entries))
+    for _ in range(data.draw(st.integers(0, 2))):
+        what = data.draw(st.sampled_from(["set", "cut", "extend"]))
+        if what == "set" and payload:
+            payload[data.draw(st.integers(0, len(payload) - 1))] = data.draw(
+                st.sampled_from([0, 1, 0x7F, 0x80, 0xFF]))
+        elif what == "cut":
+            del payload[data.draw(st.integers(0, len(payload))):]
+        else:
+            payload += data.draw(st.binary(min_size=1, max_size=3))
+    payload = bytes(payload)
+    count = max(0, len(entries) + data.draw(st.integers(-2, 2)))
+    try:
+        want = delta_block_decode(payload, count, 8, vw)
+    except ValueError as e:
+        with pytest.raises(CorruptionError, match=f"^{re.escape(str(e))}$"):
+            codec.decode(payload, count)
+    else:
+        assert codec.decode(payload, count) == want
+
+
+@pytest.mark.parametrize("vw", [1, 3, 8])
+def test_delta_encode_error_messages(vw):
+    codec = DeltaCodec(value_width=vw)
+    good = [(1, 2), (5, 3)]
+    top = 2 ** (8 * vw)
+    cases = [
+        (good + [(True, 1)], "delta codec requires integer keys"),
+        ([(True, 1)] + good[1:], "delta codec requires integer keys"),
+        (good + [("a", 1)], "delta codec requires integer keys"),
+        ([(-1, 1)] + good, "delta codec requires nonnegative keys"),
+        (good + [(5, 1)], "delta codec requires strictly increasing keys"),
+        ([(5, 1), (2, 2), ("a", 3)], "delta codec requires strictly increasing keys"),
+        # dense blocks, whose keys are checked by C-level calls first
+        ([(1, 2), ("a", 1), (5, 3)], "delta codec requires integer keys"),
+        ([(1, 2), (False, 1), (5, 3)], "delta codec requires integer keys"),
+        ([(-3, 2), (1, 3)], "delta codec requires nonnegative keys"),
+        ([(1, 2), (3, 3), (3, 4), (5, 5)], "delta codec requires strictly increasing keys"),
+        ([(1, 2), (4, 3), (3, 4), (5, 5)], "delta codec requires strictly increasing keys"),
+        ([(2 ** 64, 1), (2 ** 64 + 1, 1)],
+         "first key 18446744073709551616 out of range for 8 bytes"),
+        ([(2 ** 64, 1)], "first key 18446744073709551616 out of range for 8 bytes"),
+        (good + [(9, True)], "value must be an integer, got bool"),
+        (good + [(9, None)], "value must be an integer, got NoneType"),
+        (good + [(9, top)], f"value {top} out of range for {vw} bytes"),
+        (good + [(9, -1)], f"value -1 out of range for {vw} bytes"),
+        ([(9, -1), (10, True)], f"value -1 out of range for {vw} bytes"),
+    ]
+    for entries, msg in cases:
+        with pytest.raises(CodecError, match=f"^{re.escape(msg)}$"):
+            codec.encode(entries)
+
+
+def test_delta_int_subclass_takes_loop_with_same_bytes():
+    codec = DeltaCodec()
+    entries = [(_Int(3), 4), (5, _Int(6)), (_Int(300), 7)]
+    assert codec.encode(entries) == delta_block_payload([(3, 4), (5, 6), (300, 7)])
+
+
+def _block_payloads(t, out):
+    if t is None:
+        return out
+    if is_flat(t):
+        out.append(t.payload)
+        return out
+    _block_payloads(t.left, out)
+    return _block_payloads(t.right, out)
+
+
+def test_delta_map_golden_digest():
+    """A seeded 10^5-entry delta map at B=128, keys dense in 8x the size as
+    the benchmark draws them: any change to the wire format moves the
+    digest of its block payloads."""
+    import blocktree as bt
+    from blocktree import ordmap
+
+    n = 10 ** 5
+    rng = random.Random(1)
+    keys = rng.sample(range(8 * n), n)
+    ctx = bt.make_context(block_size=128, encoding="delta")
+    t = ordmap.build(ctx, [(k, rng.getrandbits(63)) for k in keys])
+    payloads = _block_payloads(t, [])
+    bt.release(t)
+    assert (len(payloads), sum(map(len, payloads))) == (512, 898985)
+    assert (hashlib.sha1(b"".join(payloads)).hexdigest()
+            == "3ea70201925552a4aa068f0c5022b225e415632e")
 
 
 SEARCH_CODECS = {"identity": lambda: IdentityCodec(),
