@@ -21,23 +21,28 @@ before handing it to the consuming internals, so callers keep their trees
 Two deliberate deviations from the expose-everywhere formulation keep the
 instrumented cost properties sharp:
 
-* ``_expose`` on a block slices it into its two expanded halves directly
-  (one unfold event); the middle node shell is never materialized.
+* ``_split`` works by position and slices the one block it ends in (one
+  decode, two blocks); subtrees wholly on one side pass through untouched.
+  A keyed split first finds its position with the read-only ``_locate``.
 * ``_join_right``/``_join_left`` handle an unbalanced block, or any
   rebalance of at most ``4B`` entries, by flattening and rebuilding through
-  the node rules.  Joins of valid trees therefore never unfold a block, and
-  a split performs at most the single unfold from its expose chain.
+  the node rules; a rotation that meets a block (seen at B=1) slices
+  it at its middle entry.
+
+No internal path unfolds a block: only the public ``expose`` and ``unfold``
+do, and they are the only source of marked (expanded) trees.
 
 ``_node`` passes children that are already valid through untouched (two
 blocks of ``B..2B`` entries, or any pair above ``4B`` entries) and flattens
 only fragments.  A point update therefore re-encodes just the one block it
 changes: its untouched sibling block is shared, not rebuilt.
 
-Fragments smaller than ``B`` produced by slicing travel as transient
-undersized blocks, marked expanded subtrees or small all-regular trees
-(``_node``'s simplex regime); every join absorbs them, and public wrappers
-run ``_settle`` so returned roots are always valid trees.  Only expose and
-unfold hand out fragments, by design.
+Fragments smaller than ``B`` travel as transient undersized blocks (the
+slices of a split) or small all-regular trees (``_node``'s simplex regime);
+every join absorbs them, and public wrappers run ``_settle`` so returned
+roots are always valid trees.  Only expose and unfold hand out fragments,
+by design; ``_refold``, ``_settle`` and ``_node``'s ``_fold`` repair the
+marked trees callers pass back in.
 """
 
 import math
@@ -73,10 +78,13 @@ class Config:
 
     kappa is derived, not a parameter: it is fixed at 8B, the entry count
     below which the set algorithms and the batch updates switch to the
-    flatten-merge base case.  Both AC4 bounds of union (unfolds at most the
-    block count of the inputs, decodes at most four times it) rest on this
-    value: at 4B, random unions at B=1..128 reach 1.3x the block count in
-    unfolds and 4.4x in decodes.
+    flatten-merge base case.  Union unfolds no block at any kappa, so of
+    AC4's two bounds only the decode bound (at most four times the block
+    count of the inputs) depends on it, and its margin is widest here: over
+    132 seeded random unions per setting (B=1..128, AC4's sizes), decodes
+    reach 2.5x the block count at 8B, 3.2x at 4B and 3.3x at 2B with the
+    identity codec, and 2.8x, 3.8x and 3.9x with the delta codec, whose
+    keyed split decodes its block twice (to locate, then to slice).
     """
 
     alpha: float = 0.29
@@ -270,21 +278,6 @@ def _destructure(ctx, t):
     return l, e, r
 
 
-def _expose(ctx, t):
-    if t is None:
-        raise ContractError("expose of an empty tree")
-    if is_flat(t):
-        entries = _decode(ctx, t)
-        counters.unfolds += 1
-        mid = len(entries) // 2
-        l = _build_expanded(ctx, entries, 0, mid, True)
-        r = _build_expanded(ctx, entries, mid + 1, len(entries), True)
-        e = entries[mid]
-        release(t)
-        return l, e, r
-    return _destructure(ctx, t)
-
-
 def _check_node_pre(ctx, l, e, r):
     if ctx.ordered:
         if l is not None and not last_key(ctx, l) < e[0]:
@@ -362,15 +355,6 @@ def _fold(ctx, t):
     return _make_flat(ctx, _flatten_consume(ctx, t))
 
 
-def _unfold(ctx, t):
-    if t is None or not is_flat(t):
-        raise ContractError("unfold expects a flat node")
-    entries = _decode(ctx, t)
-    counters.unfolds += 1
-    release(t)
-    return _build_expanded(ctx, entries, 0, len(entries), True)
-
-
 def _refold(ctx, t):
     if t is None or is_flat(t) or not t.marked:
         return t
@@ -431,16 +415,12 @@ def _join_right(ctx, tl, k, tr):
     if size(l) + size(t2) + 1 <= 4 * cfg.block_size:
         return _rebuild(ctx, _entries(ctx, l, e0, t2))
     # rotations; the pieces taken apart are regular nodes, except at tiny B
-    # (seen at B=1), where a block can sit in the double-rotation slot
-    if is_flat(t2):
-        t2 = _unfold(ctx, t2)
-    l1, e1, r1 = _destructure(ctx, t2)
+    # (seen at B=1), where a block can sit in a rotation slot
+    l1, e1, r1 = _open(ctx, t2)
     if (_balanced_pair(cfg, weight(l), weight(l1))
             and _balanced_pair(cfg, weight(l) + weight(l1), weight(r1))):
         return _node(ctx, _node(ctx, l, e0, l1), e1, r1)
-    if is_flat(l1):
-        l1 = _unfold(ctx, l1)
-    l2, e2, r2 = _destructure(ctx, l1)
+    l2, e2, r2 = _open(ctx, l1)
     return _node(ctx, _node(ctx, l, e0, l2), e2,
                  _node(ctx, r2, e1, r1))
 
@@ -457,47 +437,74 @@ def _join_left(ctx, tl, k, tr):
         return _node(ctx, t2, e0, r)
     if size(t2) + size(r) + 1 <= 4 * cfg.block_size:
         return _rebuild(ctx, _entries(ctx, t2, e0, r))
-    if is_flat(t2):
-        t2 = _unfold(ctx, t2)
-    l1, e1, r1 = _destructure(ctx, t2)
+    l1, e1, r1 = _open(ctx, t2)
     if (_balanced_pair(cfg, weight(r1), weight(r))
             and _balanced_pair(cfg, weight(r1) + weight(r), weight(l1))):
         return _node(ctx, l1, e1, _node(ctx, r1, e0, r))
-    if is_flat(r1):
-        r1 = _unfold(ctx, r1)
-    l2, e2, r2 = _destructure(ctx, r1)
+    l2, e2, r2 = _open(ctx, r1)
     return _node(ctx, _node(ctx, l1, e1, l2), e2,
                  _node(ctx, r2, e0, r))
 
 
-def _split(ctx, t, k):
-    if t is None:
-        return None, None, None
-    l, e, r = _expose(ctx, t)
-    if k == e[0]:
-        return l, e, r
-    if k < e[0]:
-        ll, b, lr = _split(ctx, l, k)
-        return ll, b, _join(ctx, lr, e, r)
-    rl, b, rr = _split(ctx, r, k)
-    return _join(ctx, l, e, rl), b, rr
+def _flat_or_none(ctx, entries):
+    return _make_flat(ctx, entries) if entries else None
 
 
-def _split_last(ctx, t):
-    if t is None:
-        raise ContractError("split_last of an empty tree")
+def _split(ctx, t, i, mid=False):
+    """(entries before position i, the entry at i or None, the entries
+    after); consumes t.  With ``mid`` the entry at i is taken out as the
+    middle; without it the entry opens the right side.  A block is sliced
+    into two blocks (one decode) and never unfolded; a subtree wholly on
+    one side passes through untouched."""
+    if i >= size(t):
+        return t, None, None
+    if i <= 0 and not mid:
+        return None, None, t
     if is_flat(t):
         entries = _decode(ctx, t)
         release(t)
-        e = entries[-1]
-        if len(entries) == 1:
-            return None, e
-        return _make_flat(ctx, entries[:-1]), e
+        j = i + 1 if mid else i
+        return (_flat_or_none(ctx, entries[:i]), entries[i] if mid else None,
+                _flat_or_none(ctx, entries[j:]))
     l, e, r = _destructure(ctx, t)
-    if r is None:
-        return l, e
-    r2, last = _split_last(ctx, r)
-    return _join(ctx, l, e, r2), last
+    sl = size(l)
+    if i == sl and mid:
+        return l, e, r
+    if i <= sl:
+        ll, m, lr = _split(ctx, l, i, mid)
+        return ll, m, _join(ctx, lr, e, r)
+    rl, m, rr = _split(ctx, r, i - sl - 1, mid)
+    return _join(ctx, l, e, rl), m, rr
+
+
+def _locate(ctx, t, k):
+    """(number of keys below k, whether k is present); read-only.  The
+    position a keyed split hands to ``_split``."""
+    n = 0
+    while t is not None:
+        if is_flat(t):
+            if k <= t.first_key:
+                return n, k == t.first_key
+            if k > t.last_key:
+                return n + t.count, False
+            pos, entries = _search(ctx, t, k)
+            return n + pos, entries[pos][0] == k
+        if k == t.key:
+            return n + size(t.left), True
+        if k < t.key:
+            t = t.left
+        else:
+            n += size(t.left) + 1
+            t = t.right
+    return n, False
+
+
+def _open(ctx, t):
+    """(left, entry, right) of a nonempty tree; consumes t.  A block is
+    sliced at its middle entry."""
+    if is_flat(t):
+        return _split(ctx, t, t.count // 2, True)
+    return _destructure(ctx, t)
 
 
 def _join2(ctx, l, r):
@@ -505,7 +512,7 @@ def _join2(ctx, l, r):
         return r
     if r is None:
         return l
-    l2, m = _split_last(ctx, l)
+    l2, m, _ = _split(ctx, l, size(l) - 1, True)
     return _join(ctx, l2, m, r)
 
 
@@ -514,8 +521,17 @@ def _join2(ctx, l, r):
 
 
 def expose(ctx, t):
-    """(left, entry, right) of the root; blocks open into expanded halves."""
-    return _expose(ctx, retain(t))
+    """(left, entry, right) of the root; a block opens into two marked
+    expanded halves around its middle entry (one unfold)."""
+    if t is None:
+        raise ContractError("expose of an empty tree")
+    if not is_flat(t):
+        return _destructure(ctx, retain(t))
+    entries = _decode(ctx, t)
+    counters.unfolds += 1
+    mid = len(entries) // 2
+    return (_build_expanded(ctx, entries, 0, mid, True), entries[mid],
+            _build_expanded(ctx, entries, mid + 1, len(entries), True))
 
 
 def node(ctx, l, e, r):
@@ -531,7 +547,11 @@ def fold(ctx, t):
 
 def unfold(ctx, t):
     """Expand a block into a perfectly balanced all-regular (marked) tree."""
-    return _unfold(ctx, retain(t))
+    if t is None or not is_flat(t):
+        raise ContractError("unfold expects a flat node")
+    entries = _decode(ctx, t)
+    counters.unfolds += 1
+    return _build_expanded(ctx, entries, 0, len(entries), True)
 
 
 def refold(ctx, t):
@@ -553,11 +573,13 @@ def join2(ctx, l, r):
 
 def split(ctx, t, k):
     """(tree of keys < k, entry at k or None, tree of keys > k)."""
-    l, b, r = _split(ctx, retain(t), k)
+    l, b, r = _split(ctx, retain(t), *_locate(ctx, t, k))
     return _settle(ctx, l), b, _settle(ctx, r)
 
 
 def split_last(ctx, t):
     """(tree minus its maximum entry, that entry)."""
-    t2, e = _split_last(ctx, retain(t))
+    if t is None:
+        raise ContractError("split_last of an empty tree")
+    t2, e, _ = _split(ctx, retain(t), size(t) - 1, True)
     return _settle(ctx, t2), e

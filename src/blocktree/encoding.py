@@ -65,23 +65,6 @@ from operator import sub
 from .errors import CodecError, CorruptionError
 
 
-def varint_len(value):
-    if value < 0:
-        raise CodecError("varints encode nonnegative integers only")
-    n = 1
-    while value >= 0x80:
-        value >>= 7
-        n += 1
-    return n
-
-
-def write_varint(value, out):
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
 def _gap_varints(entries):
     """The gap varints of a delta block; raises CodecError unless the keys
     are nonnegative, strictly increasing integers."""

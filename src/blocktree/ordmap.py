@@ -10,12 +10,18 @@ All five bulk operations run one split/recurse/join skeleton, and an op
 triple (``_UNION``, ``_INTERSECTION``, ``_DIFFERENCE``) says which entries
 to keep: those only in the first operand, those only in the second, and keys
 in both (through ``combine``).  ``_setop`` splits the first tree at the
-second tree's root; ``_batch`` takes a sorted batch as the second operand
-(``multi_insert`` is a union with it, ``multi_delete`` a difference).  Under
-``kappa`` (8B) entries both flatten, run the three-way ``_merge`` and
-rebuild.  That base case decodes blocks but never unfolds them, so a union
-unfolds at most the block count of its two inputs, and decodes at most four
-times it.  ``union_efficient`` is the same function as ``union``.
+second tree's root; ``_batch`` takes a sorted run as the second operand
+(``multi_insert`` is a union with its batch, ``multi_delete`` a difference,
+and ``_setop`` hands it a second operand that is one block).  Under
+``kappa`` (8B) entries, or when the tree is one block, both flatten, run
+the three-way ``_merge`` and rebuild.  Splits slice blocks, so no bulk
+operation unfolds a block; a union decodes at most four times the block
+count of its two inputs.  ``union_efficient`` is the same function as
+``union``.
+
+``rank`` is the position search of a keyed split (``core._locate``), and
+``key_range`` is the slice of positions ``[rank(lo), rank(hi) + (hi
+present))`` through the same positional split.
 
 ``insert`` and ``multi_insert`` check every incoming entry against the codec
 before they take any handle, so an entry the codec rejects consumes nothing.
@@ -28,8 +34,8 @@ raises ``CodecError`` and leaves the inputs intact.
 
 from bisect import bisect_left
 
-from .core import (_decode, _destructure, _entry_key, _expose,
-                   _flatten_consume, _join, _join2, _make_flat, _make_regular,
+from .core import (_decode, _destructure, _entry_key, _flatten_consume,
+                   _join, _join2, _locate, _make_flat, _make_regular,
                    _rebuild, _search, _settle, _split)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
@@ -101,20 +107,7 @@ def contains(ctx, t, k):
 
 def rank(ctx, t, k):
     """Number of keys strictly below k."""
-    n = 0
-    while t is not None:
-        if is_flat(t):
-            if k <= t.first_key:
-                return n
-            if k > t.last_key:
-                return n + t.count
-            return n + _search(ctx, t, k)[0]
-        if k <= t.key:
-            t = t.left
-        else:
-            n += size(t.left) + 1
-            t = t.right
-    return n
+    return _locate(ctx, t, k)[0]
 
 
 def next_entry(ctx, t, k):
@@ -278,8 +271,13 @@ def _setop(ctx, t1, t2, op, combine):
         merged = _merge(_flatten_consume(ctx, t1), _flatten_consume(ctx, t2),
                         op, combine)
         return _rebuild(ctx, merged)
-    l2, e2, r2 = _expose(ctx, t2)
-    l1, b, r1 = _split(ctx, t1, e2[0])
+    if is_flat(t2):
+        # a one-block operand is a sorted run: bisecting it re-encodes none
+        # of it, where splitting t1 at its keys would slice it level by level
+        arr = _flatten_consume(ctx, t2)
+        return _batch(ctx, t1, arr, 0, len(arr), op, combine)
+    l2, e2, r2 = _destructure(ctx, t2)
+    l1, b, r1 = _split(ctx, t1, *_locate(ctx, t1, e2[0]))
     if b is not None:
         e = _combined(ctx, e2[0], b[1], e2[1], combine) if both else None
     else:
@@ -307,8 +305,7 @@ def difference(ctx, t1, t2):
                                None))
 
 
-# a second public name for union, which meets the tighter unfold bound:
-# unfolds <= blocks(t1) + blocks(t2)
+# a second public name for union, kept for callers
 union_efficient = union
 
 
@@ -317,23 +314,26 @@ union_efficient = union
 
 
 def _batch(ctx, t, arr, lo, hi, op, combine):
-    """t under op with the sorted entry run arr[lo:hi] as second operand.
-
-    op keeps the entries found only in t, as union and difference do.
-    """
-    _, only2, both = op
+    """t under op with the sorted entry run arr[lo:hi] as second operand;
+    consumes t.  A block, like any small operand pair, goes to the merge."""
+    only1, only2, both = op
     if lo >= hi:
-        return t
+        if only1:
+            return t
+        release(t)
+        return None
     if t is None:
         return _rebuild(ctx, arr, lo, hi) if only2 else None
-    if size(t) + (hi - lo) < ctx.config.kappa:
+    if is_flat(t) or size(t) + (hi - lo) < ctx.config.kappa:
         merged = _merge(_flatten_consume(ctx, t), arr[lo:hi], op, combine)
         return _rebuild(ctx, merged)
-    l, e, r = _expose(ctx, t)
+    l, e, r = _destructure(ctx, t)
     pos = bisect_left(arr, e[0], lo, hi, key=_entry_key)
     hit = pos < hi and arr[pos][0] == e[0]
     if hit:
         e = _combined(ctx, e[0], e[1], arr[pos][1], combine) if both else None
+    elif not only1:
+        e = None
     tl, tr = fork2(ctx, size(l) + size(r) + (hi - lo),
                    lambda: _batch(ctx, l, arr, lo, pos, op, combine),
                    lambda: _batch(ctx, r, arr, pos + (1 if hit else 0), hi, op,
@@ -426,16 +426,19 @@ def reduce(ctx, t, f, identity):
     return f(f(xl, t.value), xr)
 
 
+def _slice(ctx, t, i, j):
+    """Entries at positions [i, j) of t; consumes t."""
+    t, _, right = _split(ctx, t, j)
+    release(right)
+    left, _, t = _split(ctx, t, i)
+    release(left)
+    return t
+
+
 def key_range(ctx, t, lo, hi):
     """Entries with lo <= key <= hi, as a fresh tree."""
     if lo > hi:
         raise ContractError("key_range requires lo <= hi")
-    left, b_lo, rest = _split(ctx, retain(t), lo)
-    release(left)
-    mid, b_hi, right = _split(ctx, rest, hi)
-    release(right)
-    if b_hi is not None:
-        mid = _join(ctx, mid, b_hi, None)
-    if b_lo is not None:
-        mid = _join(ctx, None, b_lo, mid)
-    return _settle(ctx, mid)
+    j, hi_present = _locate(ctx, t, hi)
+    return _settle(ctx, _slice(ctx, retain(t), _locate(ctx, t, lo)[0],
+                               j + hi_present))

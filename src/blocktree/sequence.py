@@ -5,14 +5,17 @@ value slot with an unused key, the context is unordered (no key checks), and
 blocks use the object codec (gap compression needs sorted integer keys, so
 byte codecs are rejected here).  Balance and blocked-leaf invariants are the
 same as for maps; positions are implicit in each node's stored sizes.
+``take``, ``drop`` and ``subseq`` are slices through the positional split
+that ordered maps use for ``split`` and ``key_range``.
 """
 
-from .core import (_decode, _destructure, _join, _join2, _make_flat,
-                   _make_regular, _rebuild, _settle, make_context)
+from .core import (_decode, _join2, _make_flat, _make_regular, _rebuild,
+                   _settle, make_context)
 from .encoding import ObjectCodec
 from .errors import ContractError
-from .nodes import is_flat, release, retain, size
-from .ordmap import _filter_tree, map_values as seq_map, reduce as seq_reduce
+from .nodes import is_flat, retain, size
+from .ordmap import (_filter_tree, _slice, map_values as seq_map,
+                     reduce as seq_reduce)
 from .parallel import fork2
 
 _ABSENT = object()
@@ -55,52 +58,23 @@ def nth(ctx, s, i):
             t = t.right
 
 
-def _split_at(ctx, t, i):
-    """(first i elements, the rest); consumes t."""
-    if t is None:
-        return None, None
-    if i <= 0:
-        return None, t
-    if i >= size(t):
-        return t, None
-    if is_flat(t):
-        entries = _decode(ctx, t)
-        release(t)
-        return _make_flat(ctx, entries[:i]), _make_flat(ctx, entries[i:])
-    l, e, r = _destructure(ctx, t)
-    sl = size(l)
-    if i <= sl:
-        a, b = _split_at(ctx, l, i)
-        return a, _join(ctx, b, e, r)
-    a, b = _split_at(ctx, r, i - sl - 1)
-    return _join(ctx, l, e, a), b
-
-
 def take(ctx, s, i):
     if not 0 <= i <= size(s):
         raise IndexError(f"take({i}) out of range for sequence of {size(s)}")
-    a, b = _split_at(ctx, retain(s), i)
-    release(b)
-    return _settle(ctx, a)
+    return _settle(ctx, _slice(ctx, retain(s), 0, i))
 
 
 def drop(ctx, s, i):
     if not 0 <= i <= size(s):
         raise IndexError(f"drop({i}) out of range for sequence of {size(s)}")
-    a, b = _split_at(ctx, retain(s), i)
-    release(a)
-    return _settle(ctx, b)
+    return _settle(ctx, _slice(ctx, retain(s), i, size(s)))
 
 
 def subseq(ctx, s, i, j):
     """Elements at positions [i, j)."""
     if not (0 <= i <= j <= size(s)):
         raise IndexError(f"subseq({i},{j}) out of range for sequence of {size(s)}")
-    a, b = _split_at(ctx, retain(s), j)
-    release(b)
-    c, d = _split_at(ctx, a, i)
-    release(c)
-    return _settle(ctx, d)
+    return _settle(ctx, _slice(ctx, retain(s), i, j))
 
 
 def append(ctx, s1, s2):

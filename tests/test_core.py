@@ -5,6 +5,7 @@ import pytest
 
 import blocktree as bt
 from blocktree import ordmap
+from blocktree import sequence as sq
 from blocktree.core import (Config, _balanced_pair, _make_flat, _make_regular,
                             make_context)
 from blocktree.counters import counters
@@ -361,6 +362,52 @@ def test_split_at_most_one_unfold():
             bt.release(l)
             bt.release(r)
             bt.release(t)
+
+
+@pytest.mark.parametrize("encoding", ["identity", "delta", "object"])
+@pytest.mark.parametrize("B", [1, 2, 8, 128])
+def test_no_internal_path_unfolds(B, encoding):
+    # only the public expose and unfold make marked regular nodes; splits
+    # slice blocks, and joins (rotations included, which run at B=1), set
+    # algebra and batch updates never unfold one
+    rng = random.Random(B)
+    ctx = make_context(block_size=B, encoding=encoding)
+    sctx = sq.seq_context(block_size=B)
+    span = 40 * B + 400
+    sizes = [0, 1, B, 2 * B, 9 * B, 40 * B + 300]
+    trees = [ordmap.build(ctx, KV(rng.sample(range(span), n))) for n in sizes]
+    n = 6 * B + 20
+    seq = sq.seq_build(sctx, range(n))
+    u0 = counters.unfolds
+    results = []
+    for t in trees:
+        for k in rng.sample(range(-1, span + 1), 6):
+            l, _, r = bt.split(ctx, t, k)
+            results += [l, r]
+            lo = rng.randrange(-1, span + 1)
+            results.append(ordmap.key_range(ctx, t, min(k, lo), max(k, lo)))
+        batch = KV(rng.sample(range(span), rng.randrange(1, 4 * B + 20)))
+        results.append(ordmap.multi_insert(ctx, t, batch))
+        results.append(ordmap.multi_delete(ctx, t, [k for k, _ in batch]))
+        for t2 in trees:
+            results.append(ordmap.union(ctx, t, t2))
+            results.append(ordmap.intersection(ctx, t, t2))
+            results.append(ordmap.difference(ctx, t, t2))
+    for _ in range(40):
+        a = sorted(rng.sample(range(10 ** 5), rng.randrange(0, 30 * B + 60)))
+        b = sorted(rng.sample(range(2 * 10 ** 5, 3 * 10 ** 5),
+                              rng.randrange(0, 30 * B + 60)))
+        ta, tb = ordmap.from_sorted(ctx, KV(a)), ordmap.from_sorted(ctx, KV(b))
+        results.append(bt.join(ctx, ta, (150000, 0), tb))
+        results.append(bt.join2(ctx, ta, tb))
+        results += [ta, tb]
+    for i in range(0, n + 1, max(1, n // 25)):
+        results.append(sq.take(sctx, seq, i))
+        results.append(sq.drop(sctx, seq, i))
+        results.append(sq.subseq(sctx, seq, i // 2, i))
+    assert counters.unfolds == u0
+    for t in results + trees + [seq]:
+        bt.release(t)
 
 
 def test_split_persistence():

@@ -5,11 +5,10 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blocktree.counters import counters
-from blocktree.encoding import (DeltaCodec, IdentityCodec, ObjectCodec,
-                                varint_len, write_varint)
+from blocktree.encoding import DeltaCodec, IdentityCodec, ObjectCodec
 from blocktree.errors import CodecError, CorruptionError
 from blocktree.nodes import is_flat
 
@@ -17,28 +16,39 @@ from oracles import (delta_block_bytes, delta_block_decode, delta_block_payload,
                      identity_block_bytes, varint_decode_stream, varint_encode)
 
 
+def _gap_bytes(gap):
+    """The varint a keys-only delta block writes for one gap: the payload
+    of keys (0, gap) after its 8-byte first key."""
+    codec = DeltaCodec(value_width=0)
+    entries = [(0, None), (gap, None)]
+    payload = codec.encode(entries)
+    assert codec.encoded_size(entries) == len(payload)
+    assert codec.decode(payload, 2) == entries
+    return payload[8:]
+
+
 def test_varint_single_bytes():
-    for v in (0, 1, 19, 127):
-        out = bytearray()
-        write_varint(v, out)
-        assert bytes(out) == bytes([v]) == varint_encode(v)
+    assert varint_encode(0) == bytes([0])     # a gap is never 0
+    for v in (1, 19, 127):
+        assert _gap_bytes(v) == bytes([v]) == varint_encode(v)
 
 
 def test_varint_300_is_ac_02():
     # 300 = 0b100101100 -> low seven bits 0x2C with continuation, then 0x02
-    out = bytearray()
-    write_varint(300, out)
-    assert bytes(out) == b"\xac\x02"
+    assert _gap_bytes(300) == b"\xac\x02"
     assert varint_encode(300) == b"\xac\x02"
 
 
 @given(st.integers(min_value=0, max_value=2 ** 70))
+@example(1)
+@example(128)
+@example(2 ** 64 - 1)
 def test_varint_matches_oracle(v):
-    out = bytearray()
-    write_varint(v, out)
-    assert bytes(out) == varint_encode(v)
-    assert varint_len(v) == len(out)
-    assert varint_decode_stream(bytes(out)) == [v]
+    out = varint_encode(v)
+    assert len(out) == max(1, -(-v.bit_length() // 7))
+    assert varint_decode_stream(out) == [v]
+    if 0 < v < 2 ** 64:          # a gap between two 8-byte keys
+        assert _gap_bytes(v) == out
 
 
 def test_delta_wire_format_pinned():

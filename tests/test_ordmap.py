@@ -270,6 +270,39 @@ def test_combine_argument_order_matches_model():
                 check_tree(ctx, t)
 
 
+def test_one_block_operands_match_model():
+    # a one-block operand meets a tree of at least 8B entries, so the set
+    # algorithms recurse rather than merge: as the second operand the block
+    # is a sorted run, as the first it is sliced at the other tree's keys
+    pair = lambda a, b: (a, b)
+    rng = random.Random(12)
+    baseline = counters.live
+    for B in (1, 2, 8, 128):
+        ctx = make_context(block_size=B, encoding="object")
+        span = 30 * B + 300
+        for n_small in sorted({1, max(1, B // 2), 2 * B}):
+            pa = [(k, ("a", k)) for k in rng.sample(range(span), rng.randrange(8 * B, 20 * B + 200))]
+            pb = [(k, ("b", k)) for k in rng.sample(range(span), n_small)]
+            big, block = ordmap.build(ctx, pa), ordmap.build(ctx, pb)
+            assert is_flat(block)
+            digests = [structure_digest(ctx, t) for t in (big, block)]
+            mbig, mblock = MapModel(pa), MapModel(pb)
+            for (t1, m1), (t2, m2) in (((big, mbig), (block, mblock)),
+                                       ((block, mblock), (big, mbig))):
+                results = [(ordmap.union(ctx, t1, t2, pair), m1.union(m2, pair)),
+                           (ordmap.intersection(ctx, t1, t2, pair),
+                            m1.intersection(m2, pair)),
+                           (ordmap.difference(ctx, t1, t2), m1.difference(m2))]
+                for t, m in results:
+                    assert bt.to_list(ctx, t) == m.items()
+                    check_tree(ctx, t)
+                    bt.release(t)
+            assert [structure_digest(ctx, t) for t in (big, block)] == digests
+            bt.release(big)
+            bt.release(block)
+            assert counters.live == baseline
+
+
 def test_multi_delete_random_vs_model():
     rng = random.Random(11)
     baseline = counters.live
@@ -336,6 +369,22 @@ def test_range_rank_next_previous():
     r = ordmap.key_range(ctx, ordmap.build(ctx, KV(range(20))), 5, 11)
     assert [k for k, _ in bt.to_list(ctx, r)] == list(range(5, 12))
     check_tree(ctx, r)
+    # bounds on a key, between keys, beyond both ends, lo == hi, and the
+    # empty map, over a tree of several blocks
+    assert ordmap.key_range(ctx, None, 4, 4) is None
+    for enc in ("identity", "delta", "object"):
+        ctx = make_context(block_size=3, encoding=enc)
+        ks = list(range(0, 60, 2))
+        t = ordmap.build(ctx, KV(ks))
+        m = MapModel(KV(ks))
+        bounds = [-5, 0, 1, 2, 7, 8, 29, 30, 31, 57, 58, 59, 100]
+        for lo in bounds:
+            for hi in bounds:
+                if lo <= hi:
+                    r = ordmap.key_range(ctx, t, lo, hi)
+                    assert bt.to_list(ctx, r) == m.key_range(lo, hi).items()
+                    check_tree(ctx, r)
+                    bt.release(r)
 
 
 def test_point_queries_random_vs_model():

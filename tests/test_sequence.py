@@ -60,6 +60,18 @@ def test_subseq_equals_take_drop_random():
             via = sq.take(ctx, sq.drop(ctx, s, i), j - i)
             assert sq.to_elements(ctx, sub) == xs[i:j] == sq.to_elements(ctx, via)
             check_tree(ctx, sub)
+    # every i <= j over a few blocks, so each slice starts and ends on both
+    # sides of every block boundary
+    ctx = sq.seq_context(block_size=4)
+    xs = list(range(30))
+    s = sq.seq_build(ctx, xs)
+    for i in range(len(xs) + 1):
+        assert sq.to_elements(ctx, sq.take(ctx, s, i)) == xs[:i]
+        assert sq.to_elements(ctx, sq.drop(ctx, s, i)) == xs[i:]
+        for j in range(i, len(xs) + 1):
+            sub = sq.subseq(ctx, s, i, j)
+            assert sq.to_elements(ctx, sub) == xs[i:j]
+            check_tree(ctx, sub)
 
 
 def test_nth_decodes_at_most_one_block():
