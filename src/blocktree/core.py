@@ -77,14 +77,13 @@ class Config:
     separate workers (default 4B).
 
     kappa is derived, not a parameter: it is fixed at 8B, the entry count
-    below which the set algorithms and the batch updates switch to the
+    below which the one bulk recursion (``ordmap._batch``) switches to the
     flatten-merge base case.  Union unfolds no block at any kappa, so of
     AC4's two bounds only the decode bound (at most four times the block
     count of the inputs) depends on it, and its margin is widest here: over
-    132 seeded random unions per setting (B=1..128, AC4's sizes), decodes
-    reach 2.5x the block count at 8B, 3.2x at 4B and 3.3x at 2B with the
-    identity codec, and 2.8x, 3.8x and 3.9x with the delta codec, whose
-    keyed split decodes its block twice (to locate, then to slice).
+    132 seeded AC4-shaped unions per setting (33 each at B = 1, 2, 8, 128),
+    decodes reach 1.00x the block count at 8B, 1.10x at 4B and 1.25x at 2B,
+    with the identity and the delta codec alike.
     """
 
     alpha: float = 0.29

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import ordmap
 from .augment import AugSpec
-from .core import items, make_context
+from .core import _rebuild, items, make_context
 from .encoding import DeltaCodec
 from .errors import GraphParseError
 from .nodes import size
@@ -80,7 +80,7 @@ def from_edge_list(pairs, block_size=64, symmetric=False):
     entries = []
     for v in vids:
         dsts = groups.get(v)
-        etree = ordmap.from_sorted(ectx, [(d, None) for d in dsts]) if dsts else None
+        etree = _rebuild(ectx, [(d, None) for d in dsts]) if dsts else None
         entries.append((v, etree))
     return Graph(ordmap.from_sorted(vctx, entries), vctx, ectx)
 
@@ -100,7 +100,7 @@ def insert_edges(g, batch):
     edges = _normalize_batch(batch)
     if not edges:
         return g
-    additions = {src: ordmap.from_sorted(g.ectx, [(d, None) for d in dsts])
+    additions = {src: _rebuild(g.ectx, [(d, None) for d in dsts])
                  for src, dsts in _group_by_src(edges)}
     for _, d in edges:
         additions.setdefault(d, None)
@@ -117,7 +117,7 @@ def delete_edges(g, batch):
     for src, dsts in _group_by_src(edges):
         if not ordmap.contains(g.vctx, g.vertices, src):
             continue
-        removals.append((src, sorted(dsts)))
+        removals.append((src, dsts))
     if not removals:
         return g
     ectx = g.ectx

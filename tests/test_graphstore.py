@@ -5,7 +5,7 @@ import pytest
 
 import blocktree as bt
 from blocktree import graphstore as gs
-from blocktree.errors import GraphParseError
+from blocktree.errors import CodecError, GraphParseError
 from blocktree.inspect import (BOUNDS_BYTES, FLAT_HEADER_BYTES, check_tree,
                                count_blocks, tree_bytes)
 from blocktree.nodes import is_flat
@@ -211,6 +211,22 @@ def test_small_neighbor_sets_are_one_gap_coded_block():
     assert small > 1900
     # 12.2 B per edge; all-regular small sets (40 B a node) cost 29.8 here
     assert total / gs.edge_count(g) < 14
+
+
+@pytest.mark.parametrize("n_ids", [1, 200])
+def test_negative_neighbor_id_raises_codec_error(n_ids):
+    # neighbor sets are built from ids that are sorted and deduplicated but
+    # not otherwise checked before the delta codec encodes them: a negative
+    # id must still raise, in a one-block set and in a set of several blocks
+    bad = [(7, d) for d in range(-1, n_ids - 1)]
+    with pytest.raises(CodecError):
+        gs.from_edge_list(bad)
+    g = gs.from_edge_list([(0, 1), (1, 2), (7, 3)])
+    before = gs.adjacency(g), gs.edge_count(g)
+    with pytest.raises(CodecError):
+        gs.insert_edges(g, bad + [(0, 5)])
+    assert (gs.adjacency(g), gs.edge_count(g)) == before
+    check_tree(g.vctx, g.vertices)
 
 
 def test_load_edge_list(tmp_path):

@@ -192,14 +192,15 @@ def test_union_efficient_unfold_bound():
 
 
 def test_union_base_case_decode_bound():
-    # kappa base-case union: decodes <= 4 * (blocks(t1) + blocks(t2))
+    # the smaller operand is flattened once and the larger one decodes each
+    # block it merges once: decodes <= 2 * (blocks(t1) + blocks(t2))
     rng = random.Random(5)
     for B in (8, 128):
         ctx = make_context(block_size=B, encoding="identity")
         for _ in range(25):
             a = ordmap.build(ctx, KV(rng.sample(range(10 ** 6), rng.randrange(2 * B + 1, 60 * B))))
             b = ordmap.build(ctx, KV(rng.sample(range(10 ** 6), rng.randrange(2 * B + 1, 60 * B))))
-            budget = 4 * (count_blocks(a) + count_blocks(b))
+            budget = 2 * (count_blocks(a) + count_blocks(b))
             d0 = counters.decodes
             ordmap.union(ctx, a, b)
             assert counters.decodes - d0 <= budget
@@ -244,36 +245,55 @@ def test_combine_argument_order_matches_model():
     # pairing is neither commutative nor associative, so the result shows
     # which value went where: combine(t1 value, t2 value) for union and
     # intersection, combine(existing, incoming) for multi_insert, and batch
-    # duplicates folded in batch order before they meet the tree
+    # duplicates folded in batch order before they meet the tree.  Each set
+    # operation runs in both operand orders, so whichever operand is the
+    # smaller one is read as the sorted run; one pair per B has disjoint
+    # key ranges.
     pair = lambda a, b: (a, b)
     rng = random.Random(10)
+    baseline = counters.live
     for B in (1, 2, 8, 128):
         ctx = make_context(block_size=B, encoding="object")
-        for _ in range(6):
-            span = 30 * B + 300
-            pa = [(k, ("a", k)) for k in rng.sample(range(span), rng.randrange(0, 20 * B + 200))]
-            pb = [(k, ("b", k)) for k in rng.sample(range(span), rng.randrange(0, 20 * B + 200))]
+        span = 30 * B + 300
+        for trial in range(7):
+            disjoint = trial == 0
+            na = rng.randrange(0, 20 * B + 200)
+            nb = rng.randrange(0, 20 * B + 200)
+            if disjoint:
+                na, nb = 20 * B + 200, rng.randrange(1, 10 * B + 100)
+            pa = [(k, ("a", k)) for k in rng.sample(range(span), na)]
+            pb = [(k + (span if disjoint else 0), ("b", k))
+                  for k in rng.sample(range(span), nb)]
             batch = [(rng.randrange(span), rng.randrange(100))
                      for _ in range(rng.randrange(0, 20 * B + 200))]
             a, b = ordmap.build(ctx, pa), ordmap.build(ctx, pb)
+            digests = [structure_digest(ctx, t) for t in (a, b)]
             ma, mb = MapModel(pa), MapModel(pb)
             incoming = MapModel()
             for k, v in batch:
                 incoming = incoming.insert(k, v, pair)
-            u = ordmap.union(ctx, a, b, pair)
-            i = ordmap.intersection(ctx, a, b, pair)
-            m = ordmap.multi_insert(ctx, a, batch, pair)
-            assert bt.to_list(ctx, u) == ma.union(mb, pair).items()
-            assert bt.to_list(ctx, i) == ma.intersection(mb, pair).items()
-            assert bt.to_list(ctx, m) == ma.union(incoming, pair).items()
-            for t in (u, i, m):
+            results = [(ordmap.multi_insert(ctx, a, batch, pair),
+                        ma.union(incoming, pair))]
+            for (t1, m1), (t2, m2) in (((a, ma), (b, mb)), ((b, mb), (a, ma))):
+                results += [(ordmap.union(ctx, t1, t2, pair), m1.union(m2, pair)),
+                            (ordmap.intersection(ctx, t1, t2, pair),
+                             m1.intersection(m2, pair)),
+                            (ordmap.difference(ctx, t1, t2), m1.difference(m2))]
+            for t, m in results:
+                assert bt.to_list(ctx, t) == m.items()
                 check_tree(ctx, t)
+                bt.release(t)
+            assert [structure_digest(ctx, t) for t in (a, b)] == digests
+            bt.release(a)
+            bt.release(b)
+            assert counters.live == baseline
 
 
 def test_one_block_operands_match_model():
     # a one-block operand meets a tree of at least 8B entries, so the set
-    # algorithms recurse rather than merge: as the second operand the block
-    # is a sorted run, as the first it is sliced at the other tree's keys
+    # algorithms recurse rather than merge: in either operand position the
+    # block is the smaller operand, read as a sorted run that the tree
+    # bisects
     pair = lambda a, b: (a, b)
     rng = random.Random(12)
     baseline = counters.live
