@@ -47,7 +47,7 @@ marked trees callers pass back in.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .counters import counters
@@ -75,28 +75,17 @@ class Config:
     alpha: weight-balance factor; B (block_size): block capacity lower
     bound; grain: smallest subtree size whose recursive branches may run on
     separate workers (default 4B).
-
-    kappa is derived, not a parameter: it is fixed at 8B, the entry count
-    below which the one bulk recursion (``ordmap._batch``) switches to the
-    flatten-merge base case.  Union unfolds no block at any kappa, so of
-    AC4's two bounds only the decode bound (at most four times the block
-    count of the inputs) depends on it, and its margin is widest here: over
-    132 seeded AC4-shaped unions per setting (33 each at B = 1, 2, 8, 128),
-    decodes reach 1.00x the block count at 8B, 1.10x at 4B and 1.25x at 2B,
-    with the identity and the delta codec alike.
     """
 
     alpha: float = 0.29
     block_size: int = 128
     grain: int = 0
-    kappa: int = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= ALPHA_MAX + 1e-12:
             raise ValueError(f"alpha must be in (0, 1 - 1/sqrt(2)]; got {self.alpha}")
         if self.block_size < 1:
             raise ValueError("block size must be at least 1")
-        object.__setattr__(self, "kappa", 8 * self.block_size)
         if self.grain == 0:
             object.__setattr__(self, "grain", 4 * self.block_size)
         if self.grain < 1:

@@ -96,14 +96,20 @@ def _merge_edge_trees(ectx):
 
 
 def insert_edges(g, batch):
-    """New snapshot with the batch's edges added; input graph unchanged."""
+    """New snapshot with the batch's edges added; input graph unchanged.
+
+    The vertex run holds each source with its new edges, and only those
+    destinations that are not vertices yet: a vertex-tree block that holds
+    no source and gains no vertex is shared, not re-encoded.
+    """
     edges = _normalize_batch(batch)
     if not edges:
         return g
     additions = {src: _rebuild(g.ectx, [(d, None) for d in dsts])
                  for src, dsts in _group_by_src(edges)}
     for _, d in edges:
-        additions.setdefault(d, None)
+        if d not in additions and not ordmap.contains(g.vctx, g.vertices, d):
+            additions[d] = None
     entries = sorted(additions.items())
     vertices = ordmap.multi_insert(g.vctx, g.vertices, entries,
                                    combine=_merge_edge_trees(g.ectx))

@@ -14,12 +14,20 @@ to keep: those only in the tree, those only in the run, and keys in both
 ``multi_delete`` a difference.  A set operation reads its smaller operand
 as the run (flattened once) and recurses on the larger; when the smaller
 one is ``t1``, ``_setop`` mirrors the op triple and flips ``combine``, so it
-is still called as ``combine(t1 value, t2 value)``.  Under ``kappa`` (8B)
-entries, or when the tree is one block, the recursion flattens the tree,
-runs the three-way ``_merge`` and rebuilds.  No bulk operation unfolds a
-block, and each decodes every input block about once: over 300 seeded
-AC4-shaped unions (B in {1, 2, 8, 128}, all three codecs) the worst count
-is 1.0 times the block count of the two inputs.  The cost of reading the
+is still called as ``combine(t1 value, t2 value)``.  The base case is the
+block: where the run reaches a block, the recursion decodes it, runs the
+three-way ``_merge`` and rebuilds, and every block the run does not reach
+stays shared, so a batch of k keys re-encodes about k blocks.  A merge
+that keeps fewer than B entries returns them as an entry run (a plain
+sorted list) instead of a tree.  A regular node concatenates two runs and
+its kept entry, and encodes them once they reach B, as one block; a run
+that meets a tree becomes one block that the join absorbs.  So a sparse
+intersection encodes its result about once instead of joining one
+undersized fragment per block.  No bulk operation unfolds a block, and
+each decodes every input block about once, plus the few blocks its joins
+rebalance: over 300 seeded AC4-shaped unions (B in {1, 2, 8, 128}, all
+three codecs) the worst count is 1.375 times the block count of the two
+inputs (B=128, delta codec).  The cost of reading the
 smaller operand entry by entry shows when the key ranges are disjoint: no
 subtree of the run is shared, so a union of 10^5 and 10^4 entries with
 disjoint ranges re-encodes the 10^4, still O(m): 9 ms at B=128 with the
@@ -275,8 +283,7 @@ def _setop(ctx, t1, t2, op, combine):
         t1, t2 = t2, t1
         op = (op[1], op[0], op[2])
         combine = lambda a, b, f=combine: f(b, a)
-    run = _flatten_consume(ctx, t2)
-    return _batch(ctx, t1, run, 0, len(run), op, combine)
+    return _bulk(ctx, t1, _flatten_consume(ctx, t2), op, combine)
 
 
 def union(ctx, t1, t2, combine=_RIGHT):
@@ -302,9 +309,29 @@ union_efficient = union
 # batch updates
 
 
+def _run_or_tree(ctx, entries):
+    """A base case's result: the entries themselves, as an entry run, while
+    there are fewer than B of them; else their tree."""
+    if len(entries) < ctx.config.block_size:
+        return entries
+    return _rebuild(ctx, entries)
+
+
+def _is_run(x):
+    """True for an entry run or nothing: what ``_batch`` concatenates."""
+    return x is None or type(x) is list
+
+
+def _as_tree(ctx, x):
+    """The tree of a ``_batch`` result: an entry run becomes one block."""
+    return _rebuild(ctx, x) if type(x) is list else x
+
+
 def _batch(ctx, t, arr, lo, hi, op, combine):
     """t under op with the sorted entry run arr[lo:hi] as second operand;
-    consumes t.  A block, like any small operand pair, goes to the merge."""
+    consumes t.  A block goes to the merge.  Returns a tree, or a plain
+    sorted entry list of fewer than B entries that the caller concatenates
+    with its neighbors' lists, or encodes once when it meets a tree."""
     only1, only2, both = op
     if lo >= hi:
         if only1:
@@ -312,10 +339,11 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
         release(t)
         return None
     if t is None:
-        return _rebuild(ctx, arr, lo, hi) if only2 else None
-    if is_flat(t) or size(t) + (hi - lo) < ctx.config.kappa:
-        merged = _merge(_flatten_consume(ctx, t), arr[lo:hi], op, combine)
-        return _rebuild(ctx, merged)
+        return _run_or_tree(ctx, arr[lo:hi]) if only2 else None
+    if is_flat(t):
+        entries = _decode(ctx, t)
+        release(t)
+        return _run_or_tree(ctx, _merge(entries, arr[lo:hi], op, combine))
     l, e, r = _destructure(ctx, t)
     pos = bisect_left(arr, e[0], lo, hi, key=_entry_key)
     hit = pos < hi and arr[pos][0] == e[0]
@@ -327,9 +355,18 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
                    lambda: _batch(ctx, l, arr, lo, pos, op, combine),
                    lambda: _batch(ctx, r, arr, pos + (1 if hit else 0), hi, op,
                                   combine))
+    if _is_run(tl) and _is_run(tr):
+        return _run_or_tree(ctx, (tl or []) + ([] if e is None else [e])
+                            + (tr or []))
+    tl, tr = _as_tree(ctx, tl), _as_tree(ctx, tr)
     if e is None:
         return _join2(ctx, tl, tr)
     return _join(ctx, tl, e, tr)
+
+
+def _bulk(ctx, t, arr, op, combine):
+    """_batch over the whole run arr; consumes t and returns a tree."""
+    return _as_tree(ctx, _batch(ctx, t, arr, 0, len(arr), op, combine))
 
 
 def multi_insert(ctx, t, batch, combine=_RIGHT):
@@ -337,14 +374,12 @@ def multi_insert(ctx, t, batch, combine=_RIGHT):
     check = ctx.codec.check_entry
     for k, v in arr:
         check(k, v)
-    return _settle(ctx, _batch(ctx, retain(t), arr, 0, len(arr), _UNION,
-                               combine))
+    return _settle(ctx, _bulk(ctx, retain(t), arr, _UNION, combine))
 
 
 def multi_delete(ctx, t, keys):
     arr = [(k, None) for k in sorted(set(keys))]
-    return _settle(ctx, _batch(ctx, retain(t), arr, 0, len(arr), _DIFFERENCE,
-                               None))
+    return _settle(ctx, _bulk(ctx, retain(t), arr, _DIFFERENCE, None))
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,17 @@ def test_config_validation():
     with pytest.raises(ValueError):
         Config(block_size=0)
     cfg = Config(block_size=16)
-    assert cfg.kappa == 128 and cfg.grain == 64
+    assert cfg.grain == 64
 
 
-def test_kappa_is_fixed_at_8b():
+def test_config_has_no_kappa():
+    # the bulk recursion merges only at a block: no size threshold remains
+    assert not hasattr(Config(), "kappa")
+    assert not hasattr(make_context(block_size=3).config, "kappa")
     with pytest.raises(TypeError):
         Config(kappa=256, block_size=16)
     with pytest.raises(TypeError):
         make_context(block_size=16, kappa=256)
-    assert make_context(block_size=3).config.kappa == 24
 
 
 def test_balanced_pair_bounds():

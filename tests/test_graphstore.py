@@ -104,6 +104,45 @@ def test_random_update_interleavings_vs_oracle():
     assert gs.edge_count(g) == sum(len(vs) for vs in model.values())
 
 
+def _vertex_blocks(t):
+    if t is None:
+        return []
+    if is_flat(t):
+        return [t]
+    return _vertex_blocks(t.left) + _vertex_blocks(t.right)
+
+
+def test_insert_edges_between_existing_vertices_shares_blocks():
+    # only new destinations enter the vertex run, so a batch among existing
+    # vertices re-encodes just the vertex blocks that hold its sources
+    rng = random.Random(16)
+    edges = rand_edges(rng, 4000, 2000)
+    g = gs.from_edge_list(edges, block_size=16)
+    vids = gs.vertex_ids(g)
+    blocks = _vertex_blocks(g.vertices)
+    assert len(blocks) >= 20
+    for trial in range(5):
+        batch = [(rng.choice(vids), rng.choice(vids)) for _ in range(10)]
+        g2 = gs.insert_edges(g, batch)
+        assert gs.vertex_ids(g2) == vids
+        assert gs.adjacency(g2) == {v: sorted(n) for v, n in
+                                    adj_of(edges + batch).items()}
+        check_tree(g2.vctx, g2.vertices)
+        shared = {id(b) for b in _vertex_blocks(g2.vertices)}
+        sources = {s for s, _ in batch}
+        for b in blocks:
+            if not any(b.first_key <= s <= b.last_key for s in sources):
+                assert id(b) in shared, (trial, b.first_key)
+        bt.release(g2.vertices)
+    new = max(vids) + 1
+    batch = [(vids[0], vids[1]), (vids[2], new)]
+    g2 = gs.insert_edges(g, batch)
+    assert gs.vertex_ids(g2) == vids + [new]
+    assert gs.adjacency(g2) == {v: sorted(n) for v, n in
+                                adj_of(edges + batch).items()}
+    assert gs.vertex_ids(g) == vids
+
+
 def test_degree_grows_with_fresh_edges():
     g = gs.from_edge_list([(5, 1)])
     before = gs.degree(g, 5)

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -7,7 +8,8 @@ from blocktree import ordmap
 from blocktree.core import make_context
 from blocktree.counters import counters
 from blocktree.errors import CodecError, ContractError
-from blocktree.inspect import check_tree, count_blocks, structure_digest
+from blocktree.inspect import (check_tree, count_blocks, structure_digest,
+                               tree_depth)
 from blocktree.nodes import is_flat
 
 from oracles import MapModel
@@ -290,7 +292,7 @@ def test_combine_argument_order_matches_model():
 
 
 def test_one_block_operands_match_model():
-    # a one-block operand meets a tree of at least 8B entries, so the set
+    # a one-block operand meets a tree of many blocks, so the set
     # algorithms recurse rather than merge: in either operand position the
     # block is the smaller operand, read as a sorted run that the tree
     # bisects
@@ -342,6 +344,97 @@ def test_multi_delete_random_vs_model():
             check_tree(ctx, d)
             bt.release(d)
             bt.release(t)
+    assert counters.live == baseline
+
+
+def _touched_blocks(blocks, keys):
+    """Indices of the in-order blocks a batch may re-encode: each block
+    whose key range holds a batch key (both blocks around a key that falls
+    between blocks), and the neighbor on either side, which a fragment is
+    joined to."""
+    firsts = [b.first_key for b in blocks]
+    hit = set()
+    for k in keys:
+        i = bisect_right(firsts, k) - 1
+        hit.update((i,) if i >= 0 and k <= blocks[i].last_key else (i, i + 1))
+    return {j for i in hit for j in (i - 1, i, i + 1) if 0 <= j < len(blocks)}
+
+
+@pytest.mark.parametrize("encoding", ["identity", "delta", "object"])
+def test_small_batches_share_untouched_blocks(encoding):
+    # a batch of k keys merges only at the blocks it reaches: every other
+    # block of the input is shared, not re-encoded
+    rng = random.Random(14)
+    baseline = counters.live
+    for B in (2, 8, 128):
+        ctx = make_context(block_size=B, encoding=encoding)
+        n = 40 * B + 40
+        base = KV(range(0, 2 * n, 2))
+        t = ordmap.from_sorted(ctx, base)
+        blocks = list(_blocks(t))
+        assert len(blocks) >= 20
+        depth = tree_depth(t)
+        digest = structure_digest(ctx, t)
+        model = MapModel(base)
+        for trial in range(12):
+            k = rng.randrange(1, 6)
+            if trial % 2 == 0:
+                batch = [(rng.randrange(2 * n + 3), trial)
+                         for _ in range(k)]
+                keys = [key for key, _ in batch]
+                f0 = counters.folds
+                got = ordmap.multi_insert(ctx, t, batch)
+                want = model
+                for key, v in batch:
+                    want = want.insert(key, v)
+            else:
+                keys = rng.sample(range(0, 2 * n, 2), k)
+                f0 = counters.folds
+                got = ordmap.multi_delete(ctx, t, keys)
+                want = model
+                for key in keys:
+                    want = want.remove(key)
+            assert counters.folds - f0 <= k * (depth + 2)
+            assert bt.to_list(ctx, got) == want.items()
+            check_tree(ctx, got)
+            shared = {id(b) for b in _blocks(got)}
+            touched = _touched_blocks(blocks, keys)
+            for i, b in enumerate(blocks):
+                assert i in touched or id(b) in shared, (B, trial, i)
+            bt.release(got)
+        assert structure_digest(ctx, t) == digest
+        bt.release(t)
+    assert counters.live == baseline
+
+
+@pytest.mark.parametrize("encoding", ["identity", "delta"])
+def test_sparse_intersection_codec_budget(encoding):
+    # each block of the larger operand keeps a few entries; they travel up
+    # as entry runs and are encoded once, about B at a time, so the joins
+    # never flatten the undersized pieces again
+    rng = random.Random(15)
+    baseline = counters.live
+    for B in (8, 128):
+        ctx = make_context(block_size=B, encoding=encoding)
+        for _ in range(4):
+            big_keys = rng.sample(range(0, 400 * B, 2), rng.randrange(50 * B, 100 * B))
+            n_small = rng.randrange(5 * B, 10 * B)
+            hits = rng.sample(big_keys, n_small // 10)
+            small_keys = hits + rng.sample(range(1, 400 * B, 2), n_small - len(hits))
+            pa, pb = KV(big_keys), [(k, 3 * k) for k in small_keys]
+            t1, t2 = ordmap.build(ctx, pa), ordmap.build(ctx, pb)
+            d0, f0 = counters.decodes, counters.folds
+            got = ordmap.intersection(ctx, t1, t2)
+            decodes, folds = counters.decodes - d0, counters.folds - f0
+            want = MapModel(pa).intersection(MapModel(pb))
+            assert len(want.items()) < n_small / 8
+            assert bt.to_list(ctx, got) == want.items()
+            check_tree(ctx, got)
+            assert decodes <= count_blocks(t1) + count_blocks(t2) + count_blocks(got)
+            assert folds <= 2 * -(-len(want.items()) // B) + tree_depth(t1), \
+                (B, folds)
+            for t in (got, t1, t2):
+                bt.release(t)
     assert counters.live == baseline
 
 
