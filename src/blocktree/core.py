@@ -10,7 +10,8 @@ A tree is ``None``, a ``Regular`` node (one entry, two children), or a
   block of ``1..B-1`` entries.
 
 Everything else in the library is built from the primitives here: expose,
-node, fold, unfold, refold, join, join2, split and split_last.
+node, fold, unfold, join, join2, split and split_last (``refold`` is a
+second name for ``fold``).
 
 Ownership: functions prefixed with an underscore *consume* the handles they
 are given (the caller's reference transfers), and return owned results.  The
@@ -24,25 +25,28 @@ instrumented cost properties sharp:
 * ``_split`` works by position and slices the one block it ends in (one
   decode, two blocks); subtrees wholly on one side pass through untouched.
   A keyed split first finds its position with the read-only ``_locate``.
-* ``_join_right``/``_join_left`` handle an unbalanced block, or any
-  rebalance of at most ``4B`` entries, by flattening and rebuilding through
-  the node rules; a rotation that meets a block (seen at B=1) slices
-  it at its middle entry.
+* ``_join_right``/``_join_left`` hand an unbalanced block, or any
+  rebalance of at most ``4B`` entries, to ``_node``, which rebuilds it;
+  a rotation that meets a block (seen at B=1) slices it at its middle
+  entry.
 
-No internal path unfolds a block: only the public ``expose`` and ``unfold``
-do, and they are the only source of marked (expanded) trees.
+Every fragment is a block.  The slices of a split, the merges of a batch
+and the pieces of a rebalance are blocks, undersized ones included, and
+``_node`` is the one place that decides between linking and flattening:
+it links children that are already valid (two blocks of ``B..2B``
+entries, or any pair of at least ``4B`` entries) and rebuilds any smaller
+pair from its entries.  A point update therefore re-encodes just the one
+block it changes: its untouched sibling block is shared, not rebuilt.
 
-``_node`` passes children that are already valid through untouched (two
-blocks of ``B..2B`` entries, or any pair above ``4B`` entries) and flattens
-only fragments.  A point update therefore re-encodes just the one block it
-changes: its untouched sibling block is shared, not rebuilt.
-
-Fragments smaller than ``B`` travel as transient undersized blocks (the
-slices of a split) or small all-regular trees (``_node``'s simplex regime);
-every join absorbs them, and public wrappers run ``_settle`` so returned
-roots are always valid trees.  Only expose and unfold hand out fragments,
-by design; ``_refold``, ``_settle`` and ``_node``'s ``_fold`` repair the
-marked trees callers pass back in.
+No path but the public ``unfold`` expands a block into regular nodes; the
+public ``expose`` slices a block into two blocks like ``_open`` does.  An
+unfolded block is the one regular tree of at most ``2B`` entries a caller
+can hold, and ``_settle`` (public ``fold``) packs it back into one block:
+no valid tree has a regular subtree that small.  ``_node`` settles the
+children it links, and the public wrappers that can hand back an input or
+a piece of one (``join2``, ``split``, the bulk operations) settle their
+results, so every public operation accepts an unfolded block and returns
+a valid tree.
 """
 
 import math
@@ -214,7 +218,7 @@ def _make_flat(ctx, entries):
     return new_flat(len(entries), payload, fk, lk, aug)
 
 
-def _make_regular(ctx, l, e, r, marked=False):
+def _make_regular(ctx, l, e, r):
     s = size(l) + size(r) + 1
     if ctx.aug:
         spec = ctx.aug
@@ -222,17 +226,17 @@ def _make_regular(ctx, l, e, r, marked=False):
                            spec.combine(spec.lift(e), aug_of(ctx, r)))
     else:
         aug = None
-    return new_regular(e[0], e[1], l, r, s, aug, marked)
+    return new_regular(e[0], e[1], l, r, s, aug)
 
 
-def _build_expanded(ctx, entries, lo, hi, marked):
+def _build_expanded(ctx, entries, lo, hi):
     """Perfectly balanced all-regular tree over entries[lo:hi]."""
     if lo >= hi:
         return None
     mid = lo + (hi - lo) // 2
-    l = _build_expanded(ctx, entries, lo, mid, marked)
-    r = _build_expanded(ctx, entries, mid + 1, hi, marked)
-    return _make_regular(ctx, l, entries[mid], r, marked)
+    l = _build_expanded(ctx, entries, lo, mid)
+    r = _build_expanded(ctx, entries, mid + 1, hi)
+    return _make_regular(ctx, l, entries[mid], r)
 
 
 def _rebuild(ctx, entries, lo=0, hi=None):
@@ -299,75 +303,33 @@ def _is_block(B, t):
 def _node(ctx, l, e, r):
     """Smart constructor; consumes l and r and restores the leaf rules.
 
-    Children that are already valid pass through untouched: any pair above
-    4B entries, and two blocks of B..2B entries.  Only fragments are
-    flattened and rebuilt: blocks under B or over 2B, expanded parts and
-    simplex pieces.
+    The one place that decides between linking and flattening.  Children
+    that are already valid are linked untouched: any pair of at least 4B
+    entries, and two blocks of B..2B entries.  Any smaller pair is a
+    fragment and is rebuilt from its entries: one block up to 2B, else two
+    blocks under a regular node.
     """
     if _debug:
         _check_node_pre(ctx, l, e, r)
     B = ctx.config.block_size
-    s = size(l) + size(r) + 1
-    if s > 4 * B or (_is_block(B, l) and _is_block(B, r)):
+    if size(l) + size(r) >= 4 * B or (_is_block(B, l) and _is_block(B, r)):
         # Two such blocks need no balance check: their weight ratio is at
-        # least (B+1)/(3B+2) > 1/3 > ALPHA_MAX.  Above 4B, an expanded
-        # fragment of B..2B entries folds into its block first (reachable
-        # for B <= 4, where balance permits it); _fold leaves blocks and
-        # every other size alone.
-        return _make_regular(ctx, _fold(ctx, l), e, _fold(ctx, r))
-    if s >= B:
-        entries = _entries(ctx, l, e, r)
-        if s <= 2 * B:
-            return _make_flat(ctx, entries)
-        mid = s // 2
-        lf = _make_flat(ctx, entries[:mid])
-        rf = _make_flat(ctx, entries[mid + 1:])
-        return _make_regular(ctx, lf, entries[mid], rf)
-    # s < B: simplex regime; absorb any transient fragments
-    if is_flat(l) or is_flat(r):
-        entries = _entries(ctx, l, e, r)
-        return _build_expanded(ctx, entries, 0, len(entries), False)
-    return _make_regular(ctx, l, e, r)
-
-
-# ---------------------------------------------------------------------------
-# fold / unfold / refold
-
-
-def _fold(ctx, t):
-    if t is None or is_flat(t):
-        return t
-    B = ctx.config.block_size
-    if not B <= t.size <= 2 * B:
-        return t
-    return _make_flat(ctx, _flatten_consume(ctx, t))
-
-
-def _refold(ctx, t):
-    if t is None or is_flat(t) or not t.marked:
-        return t
-    B = ctx.config.block_size
-    if B <= t.size <= 2 * B:
-        return _make_flat(ctx, _flatten_consume(ctx, t))
-    s = t.size
-    l, e, r = _destructure(ctx, t)
-    tl, tr = fork2(ctx, s,
-                   lambda: _refold(ctx, l),
-                   lambda: _refold(ctx, r))
-    return _join(ctx, tl, e, tr)
+        # least (B+1)/(3B+2) > 1/3 > ALPHA_MAX.  An unfolded block a caller
+        # passes back in is the one child _settle changes (reachable for
+        # B <= 4, where balance lets it sit beside 4B entries); it leaves
+        # valid children alone at O(1).
+        return _make_regular(ctx, _settle(ctx, l), e, _settle(ctx, r))
+    return _rebuild(ctx, _entries(ctx, l, e, r))
 
 
 def _settle(ctx, t):
-    """Repair a transient root: a tree below B entries folds into one block
-    (an undersized block stays as it is), a marked root of B or more
-    entries refolds."""
-    if t is None or is_flat(t):
+    """Fold a regular tree of at most 2B entries into one block; any other
+    tree passes through.  No valid blocked tree has a regular subtree that
+    small (the smallest holds 2B+1 entries), so this repairs exactly the
+    all-regular fragments ``unfold`` hands out."""
+    if t is None or is_flat(t) or t.size > 2 * ctx.config.block_size:
         return t
-    if t.size < ctx.config.block_size:
-        return _make_flat(ctx, _flatten_consume(ctx, t))
-    if t.marked:
-        return _refold(ctx, t)
-    return t
+    return _make_flat(ctx, _flatten_consume(ctx, t))
 
 
 # ---------------------------------------------------------------------------
@@ -380,28 +342,22 @@ def _balanced_pair(cfg, wl, wr):
 
 
 def _join(ctx, l, e, r):
-    cfg = ctx.config
-    wl, wr = weight(l), weight(r)
-    if _balanced_pair(cfg, wl, wr):
-        return _node(ctx, l, e, r)
-    if wl > wr:
+    if weight(l) > weight(r):
         return _join_right(ctx, l, e, r)
     return _join_left(ctx, l, e, r)
 
 
 def _join_right(ctx, tl, k, tr):
     cfg = ctx.config
-    if _balanced_pair(cfg, weight(tl), weight(tr)):
+    # a balanced pair, or a lone block heavier than tr, which _node merges
+    if is_flat(tl) or _balanced_pair(cfg, weight(tl), weight(tr)):
         return _node(ctx, tl, k, tr)
-    if is_flat(tl):
-        # lone block heavier than tr: merge contents, no unfold
-        return _rebuild(ctx, _entries(ctx, tl, k, tr))
     l, e0, c = _destructure(ctx, tl)
     t2 = _join_right(ctx, c, k, tr)
     if _balanced_pair(cfg, weight(l), weight(t2)):
         return _node(ctx, l, e0, t2)
     if size(l) + size(t2) + 1 <= 4 * cfg.block_size:
-        return _rebuild(ctx, _entries(ctx, l, e0, t2))
+        return _node(ctx, l, e0, t2)
     # rotations; the pieces taken apart are regular nodes, except at tiny B
     # (seen at B=1), where a block can sit in a rotation slot
     l1, e1, r1 = _open(ctx, t2)
@@ -415,16 +371,14 @@ def _join_right(ctx, tl, k, tr):
 
 def _join_left(ctx, tl, k, tr):
     cfg = ctx.config
-    if _balanced_pair(cfg, weight(tl), weight(tr)):
+    if is_flat(tr) or _balanced_pair(cfg, weight(tl), weight(tr)):
         return _node(ctx, tl, k, tr)
-    if is_flat(tr):
-        return _rebuild(ctx, _entries(ctx, tl, k, tr))
     c, e0, r = _destructure(ctx, tr)
     t2 = _join_left(ctx, tl, k, c)
     if _balanced_pair(cfg, weight(t2), weight(r)):
         return _node(ctx, t2, e0, r)
     if size(t2) + size(r) + 1 <= 4 * cfg.block_size:
-        return _rebuild(ctx, _entries(ctx, t2, e0, r))
+        return _node(ctx, t2, e0, r)
     l1, e1, r1 = _open(ctx, t2)
     if (_balanced_pair(cfg, weight(r1), weight(r))
             and _balanced_pair(cfg, weight(r1) + weight(r), weight(l1))):
@@ -509,53 +463,48 @@ def _join2(ctx, l, r):
 
 
 def expose(ctx, t):
-    """(left, entry, right) of the root; a block opens into two marked
-    expanded halves around its middle entry (one unfold)."""
+    """(left, entry, right) of the root; a block is sliced at its middle
+    entry into two blocks (one decode, no unfold)."""
     if t is None:
         raise ContractError("expose of an empty tree")
-    if not is_flat(t):
-        return _destructure(ctx, retain(t))
-    entries = _decode(ctx, t)
-    counters.unfolds += 1
-    mid = len(entries) // 2
-    return (_build_expanded(ctx, entries, 0, mid, True), entries[mid],
-            _build_expanded(ctx, entries, mid + 1, len(entries), True))
-
-
-def node(ctx, l, e, r):
-    """Combine two trees around a middle entry per the size rules."""
-    return _settle(ctx, _node(ctx, retain(l), e, retain(r)))
+    return _open(ctx, retain(t))
 
 
 def fold(ctx, t):
-    """Pack a tree of at most 2B entries into one block; larger trees pass
-    through (a marked one is refolded)."""
-    return _settle(ctx, _fold(ctx, retain(t)))
+    """Pack a regular tree of at most 2B entries (such as an unfolded
+    block) into one block; any other tree passes through.  Borrows t."""
+    return _settle(ctx, retain(t))
+
+
+# a second public name for fold, kept for callers
+refold = fold
 
 
 def unfold(ctx, t):
-    """Expand a block into a perfectly balanced all-regular (marked) tree."""
+    """Expand a block into a perfectly balanced all-regular tree (one
+    unfold); ``fold`` packs it back."""
     if t is None or not is_flat(t):
         raise ContractError("unfold expects a flat node")
     entries = _decode(ctx, t)
     counters.unfolds += 1
-    return _build_expanded(ctx, entries, 0, len(entries), True)
+    return _build_expanded(ctx, entries, 0, len(entries))
 
 
-def refold(ctx, t):
-    """Repair marked expanded regions back into blocks; shares unmarked parts."""
-    return _settle(ctx, _refold(ctx, retain(t)))
+def node(ctx, l, e, r):
+    """Combine two trees around a middle entry per the size rules."""
+    return _node(ctx, retain(l), e, retain(r))
 
 
 def join(ctx, l, e, r):
     """Concatenate l, e, r into a balanced tree; keys(l) < key(e) < keys(r)."""
     if _debug:
         _check_node_pre(ctx, l, e, r)
-    return _settle(ctx, _join(ctx, retain(l), e, retain(r)))
+    return _join(ctx, retain(l), e, retain(r))
 
 
 def join2(ctx, l, r):
     """Concatenate two trees with no middle entry."""
+    # with one side empty, _join2 hands back the other as it is
     return _settle(ctx, _join2(ctx, retain(l), retain(r)))
 
 

@@ -7,7 +7,7 @@ the benchmark harness:
   reclaims     nodes whose owner count dropped to zero and were reclaimed
   live         currently live node count (gauge)
   unfolds      conversions of a flat node into expanded regular-node form;
-               only the public ``expose`` and ``unfold`` make them
+               only the public ``unfold`` makes them
   folds        flat-node constructions
   decodes      full block payload decodes (a codec search in place is not one)
   reused       always 0: node shells are never recycled, every node is a

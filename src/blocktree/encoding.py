@@ -53,14 +53,15 @@ Two byte-oriented codecs ship with the library:
 
 ``ObjectCodec`` keeps entries as a plain tuple for payloads that are not
 byte-packable (sequences of arbitrary elements, nested tree handles).  Its
-reported size is a nominal pointer-model estimate.
+reported size is a nominal pointer-model estimate, and ``search`` bisects
+the tuple in place.
 """
 
 import struct
 import sys
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, repeat
-from operator import sub
+from operator import itemgetter, sub
 
 from .errors import CodecError, CorruptionError
 
@@ -354,6 +355,9 @@ class DeltaCodec(EncodingScheme):
         return list(zip(keys, repeat(None)))
 
 
+_first = itemgetter(0)
+
+
 class ObjectCodec(EncodingScheme):
     """Stores entries as a tuple; for payloads that are not byte-packable."""
 
@@ -367,10 +371,17 @@ class ObjectCodec(EncodingScheme):
     def encode(self, entries):
         return tuple(entries)
 
-    def decode(self, payload, count):
+    def _checked(self, payload, count):
         if len(payload) != count:
             raise CorruptionError("object payload count mismatch")
-        return list(payload)
+        return payload
+
+    def decode(self, payload, count):
+        return list(self._checked(payload, count))
+
+    def search(self, payload, count, key, right=False):
+        bisect = bisect_right if right else bisect_left
+        return bisect(self._checked(payload, count), key, key=_first), payload
 
 
 def make_codec(spec, value_width=8):

@@ -38,7 +38,7 @@ def set_locked_refcounts(enabled):
 
 class Regular:
     __slots__ = ("key", "value", "left", "right", "size", "aug",
-                 "owners", "marked")
+                 "owners")
 
     def __repr__(self):
         return f"<Regular key={self.key!r} size={self.size} owners={self.owners}>"
@@ -74,7 +74,7 @@ def _fresh(cls):
     return cls.__new__(cls)
 
 
-def new_regular(key, value, left, right, subtree_size, aug, marked=False):
+def new_regular(key, value, left, right, subtree_size, aug):
     node = _fresh(Regular)
     node.key = key
     node.value = value
@@ -83,7 +83,6 @@ def new_regular(key, value, left, right, subtree_size, aug, marked=False):
     node.size = subtree_size
     node.aug = aug
     node.owners = 1
-    node.marked = marked
     return node
 
 

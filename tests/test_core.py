@@ -80,17 +80,22 @@ def test_expose_regular_reads_fields():
 
 
 def test_expose_flat_median_split():
-    # median of five entries per the divide-at-n//2 rule: ([1,2], 3, [4,5])
+    # median of five entries per the divide-at-n//2 rule: ([1,2], 3, [4,5]);
+    # the block is sliced into two blocks, both valid trees, and not unfolded
     ctx = make_context(block_size=3, encoding="identity")
     t = build(ctx, [1, 2, 3, 4, 5])
     assert is_flat(t)
     shape = from_sorted_shape(KV([1, 2, 3, 4, 5]))
     assert shape[1][0] == 3  # oracle picks the middle entry
+    u0 = counters.unfolds
     l, e, r = bt.expose(ctx, t)
+    assert counters.unfolds == u0
     assert e[0] == 3
+    assert is_flat(l) and is_flat(r)
     assert keys_of(ctx, l) == [1, 2]
     assert keys_of(ctx, r) == [4, 5]
-    assert counters.unfolds == 1
+    check_tree(ctx, l)
+    check_tree(ctx, r)
 
 
 def test_expose_singleton():
@@ -160,8 +165,8 @@ def test_node_folds_at_block_threshold():
 
 
 def test_fold_of_simplex_tree():
-    # a three-entry all-regular tree at B=3 only exists transiently; unfold
-    # a block to get one, then fold it back
+    # only unfold makes a three-entry all-regular tree at B=3; fold packs
+    # it back into the block
     ctx = make_context(block_size=3, encoding="identity")
     u = bt.unfold(ctx, build(ctx, [1, 2, 3]))
     assert not is_flat(u)
@@ -199,7 +204,6 @@ def test_unfold_small_block():
     assert not is_flat(u)
     assert u.key == 2
     assert u.left.key == 1 and u.right.key == 3
-    assert u.marked
 
 
 def test_unfold_singleton_block():
@@ -239,36 +243,125 @@ def test_refold_unmarked_returns_same_handle():
 def test_refold_expanded_tree():
     ctx = make_context(block_size=3, encoding="identity")
     b = build(ctx, [1, 2, 3, 4, 5])
-    u = bt.unfold(ctx, b)  # fully expanded, marked
+    u = bt.unfold(ctx, b)  # fully expanded
     r = bt.refold(ctx, u)
     assert is_flat(r) and r.count == 5
     check_tree(ctx, r)
 
 
+def _blocks(t, out):
+    if t is not None:
+        if is_flat(t):
+            out.append(t)
+        else:
+            _blocks(t.left, out)
+            _blocks(t.right, out)
+    return out
+
+
 def test_refold_random_expanded_inputs_pass_invariants():
+    # the fragments a caller can hold: the unfold of a block, and the
+    # expose and split pieces of an unfolded one.  fold (and its alias
+    # refold) packs each into a valid tree, and node, join and join2 with
+    # valid trees absorb each; every result is checked against the model
     rng = random.Random(1)
-    for B in (2, 3, 8):
+    lo, hi = 10 ** 6, 2 * 10 ** 6
+    for B in (1, 2, 3, 8):
         ctx = make_context(block_size=B, encoding="identity")
-        for _ in range(60):
-            n = rng.randrange(1, 30 * B)
-            t = ordmap.build(ctx, KV(rng.sample(range(10 ** 6), n)))
-            blocks = []
+        baseline = counters.live
+        for _ in range(25):
+            ks = sorted(rng.sample(range(lo, hi), rng.randrange(1, 30 * B)))
+            t = ordmap.from_sorted(ctx, KV(ks))
+            blocks = _blocks(t, [])
+            for b in rng.sample(blocks, min(2, len(blocks))):
+                kb = keys_of(ctx, b)
+                u0 = counters.unfolds
+                u = bt.unfold(ctx, b)
+                assert counters.unfolds == u0 + 1
+                l, e, r = bt.expose(ctx, u)
+                s1, m, s2 = bt.split(ctx, u, rng.choice(kb))
+                frags = [(u, kb), (l, [k for k in kb if k < e[0]]),
+                         (r, [k for k in kb if k > e[0]]),
+                         (s1, [k for k in kb if k < m[0]]),
+                         (s2, [k for k in kb if k > m[0]])]
+                below = build(ctx, range(lo - rng.randrange(20 * B) - 1, lo - 1))
+                above = build(ctx, range(hi + 1, hi + rng.randrange(20 * B) + 2))
+                kl, ka = keys_of(ctx, below), keys_of(ctx, above)
+                results = [(bt.node(ctx, l, e, r), kb),
+                           (bt.node(ctx, s1, m, s2), kb)]
+                for f, kf in frags:
+                    results += [
+                        (bt.fold(ctx, f), kf), (bt.refold(ctx, f), kf),
+                        (bt.join(ctx, below, (lo - 1, lo - 1), f),
+                         kl + [lo - 1] + kf),
+                        (bt.join(ctx, f, (hi, hi), above), kf + [hi] + ka),
+                        (bt.join2(ctx, below, f), kl + kf),
+                        (bt.join2(ctx, f, above), kf + ka)]
+                assert counters.unfolds == u0 + 1
+                for x, want in results:
+                    check_tree(ctx, x)
+                    assert bt.to_list(ctx, x) == KV(want)
+                for x in [x for x, _ in results + frags] + [below, above]:
+                    bt.release(x)
+            bt.release(t)
+        assert counters.live == baseline
 
-            def explode(node):
-                if node is None:
-                    return None
-                if is_flat(node):
-                    return bt.unfold(ctx, bt.retain(node))
-                le = explode(node.left)
-                ri = explode(node.right)
-                from blocktree.core import _make_regular
-                return _make_regular(ctx, le, (node.key, node.value), ri,
-                                     marked=True)
 
-            ex = explode(t)
-            r = bt.refold(ctx, ex)
-            assert bt.to_list(ctx, r) == bt.to_list(ctx, t)
-            check_tree(ctx, r)
+@pytest.mark.parametrize("B", [1, 2, 3, 4])
+def test_public_ops_accept_unfolded_block(B):
+    # an unfolded block passed to any public operation beside a larger
+    # operand comes out inside a valid tree (at B <= 4 balance lets it sit
+    # beside 4B entries, where _node links rather than rebuilds)
+    ctx = make_context(block_size=B, encoding="identity")
+    sctx = sq.seq_context(block_size=B)
+    baseline = counters.live
+    for nb in range(1, 2 * B + 1):
+        ub = list(range(500, 500 + nb))
+        b = build(ctx, ub)
+        u = bt.unfold(ctx, b)
+        sb = sq.seq_build(sctx, ub)
+        su = bt.unfold(sctx, sb)
+        for n in range(12 * B):
+            big = list(range(1000, 1000 + n))
+            small = list(range(1, n + 1))
+            t, ts = build(ctx, big), build(ctx, small)
+            s = sq.seq_build(sctx, big)
+            results = [
+                (ordmap.multi_insert(ctx, u, KV(big)), ub + big),
+                (ordmap.multi_insert(ctx, u, KV(small)), small + ub),
+                (ordmap.multi_insert(ctx, t, KV(ub)), ub + big),
+                (ordmap.union(ctx, u, t), ub + big),
+                (ordmap.union(ctx, t, u), ub + big),
+                (ordmap.union(ctx, ts, u), small + ub),
+                (ordmap.intersection(ctx, u, t), []),
+                (ordmap.difference(ctx, u, t), ub),
+                (ordmap.multi_delete(ctx, u, big), ub),
+                (ordmap.insert(ctx, u, 900, 900), ub + [900]),
+                (ordmap.insert(ctx, u, 400, 400), [400] + ub),
+                (ordmap.remove(ctx, u, 500), ub[1:]),
+                (ordmap.filter(ctx, u, lambda e: e[0] != ub[-1]), ub[:-1]),
+                (ordmap.key_range(ctx, u, 501, 999), ub[1:]),
+                (bt.join(ctx, u, (900, 900), t), ub + [900] + big),
+                (bt.join(ctx, ts, (400, 400), u), small + [400] + ub),
+                (bt.join2(ctx, u, t), ub + big),
+                (bt.join2(ctx, ts, u), small + ub),
+            ]
+            for x, want in results:
+                check_tree(ctx, x)
+                assert bt.to_list(ctx, x) == KV(want)
+            seqs = [(sq.append(sctx, su, s), ub + big),
+                    (sq.append(sctx, s, su), big + ub),
+                    (sq.take(sctx, su, nb - 1), ub[:-1]),
+                    (sq.drop(sctx, su, 1), ub[1:]),
+                    (sq.seq_filter(sctx, su, lambda x: x != 500), ub[1:])]
+            for x, want in seqs:
+                check_tree(sctx, x)
+                assert sq.to_elements(sctx, x) == want
+            for x in [x for x, _ in results + seqs] + [t, ts, s]:
+                bt.release(x)
+        for x in (b, u, sb, su):
+            bt.release(x)
+    assert counters.live == baseline
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +462,9 @@ def test_split_at_most_one_unfold():
 @pytest.mark.parametrize("encoding", ["identity", "delta", "object"])
 @pytest.mark.parametrize("B", [1, 2, 8, 128])
 def test_no_internal_path_unfolds(B, encoding):
-    # only the public expose and unfold make marked regular nodes; splits
-    # slice blocks, and joins (rotations included, which run at B=1), set
-    # algebra and batch updates never unfold one
+    # only the public unfold expands a block; expose and splits slice
+    # blocks, and joins (rotations included, which run at B=1), set algebra
+    # and batch updates never unfold one
     rng = random.Random(B)
     ctx = make_context(block_size=B, encoding=encoding)
     sctx = sq.seq_context(block_size=B)
@@ -403,6 +496,10 @@ def test_no_internal_path_unfolds(B, encoding):
         results.append(bt.join(ctx, ta, (150000, 0), tb))
         results.append(bt.join2(ctx, ta, tb))
         results += [ta, tb]
+    for c, t in [(ctx, t) for t in trees] + [(sctx, seq)]:
+        for b in _blocks(t, []):
+            l, _, r = bt.expose(c, b)
+            results += [l, r]
     for i in range(0, n + 1, max(1, n // 25)):
         results.append(sq.take(sctx, seq, i))
         results.append(sq.drop(sctx, seq, i))

@@ -232,6 +232,19 @@ def test_identity_truncated_payload_is_corruption(kw, vw):
                 codec.search(bad, 3, 5)
 
 
+def test_object_count_mismatch_is_corruption():
+    # search checks the count as decode does
+    codec = ObjectCodec()
+    payload = codec.encode([(1, "a"), (5, "b"), (9, "c")])
+    assert codec.search(payload, 3, 5) == (1, payload)
+    assert codec.search(payload, 3, 5, right=True) == (2, payload)
+    for count in (2, 4):
+        for read in (lambda: codec.decode(payload, count),
+                     lambda: codec.search(payload, count, 5)):
+            with pytest.raises(CorruptionError, match="^object payload count mismatch$"):
+                read()
+
+
 def test_delta_check_entry_messages():
     codec = DeltaCodec()
     for bad, msg in ((True, "delta codec requires integer keys"),
@@ -428,7 +441,7 @@ def test_search_agrees_with_decode_and_bisect(kind, keys, probes):
     entries = [(k, (k * 7 + 1) if vw else None) for k in keys]
     ctx = bt.make_context(block_size=len(entries), encoding=codec)
     t = _make_flat(ctx, entries)
-    searched_in_place = kind in ("identity", "identity0")
+    searched_in_place = kind in ("identity", "identity0", "object")
     for k in probes + keys[:3] + keys[-3:]:
         for right in (False, True):
             before = counters.decodes

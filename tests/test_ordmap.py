@@ -8,8 +8,8 @@ from blocktree import ordmap
 from blocktree.core import make_context
 from blocktree.counters import counters
 from blocktree.errors import CodecError, ContractError
-from blocktree.inspect import (check_tree, count_blocks, structure_digest,
-                               tree_depth)
+from blocktree.inspect import (check_tree, count_blocks, count_nodes,
+                               structure_digest, tree_depth)
 from blocktree.nodes import is_flat
 
 from oracles import MapModel
@@ -461,6 +461,29 @@ def test_filter_drop_one_copies_depth_nodes():
     assert copied <= bound, f"filter copied {copied} nodes, bound {bound}"
 
 
+def test_sparse_filter_allocates_no_discarded_node():
+    # every fragment is a block: the few entries a filter keeps of each
+    # block are joined into blocks, with no regular node built and dropped.
+    # The one allowance: when the root's entry is dropped, join2 of the two
+    # regular halves copies one node of their seam
+    ctx = make_context(block_size=128, encoding="identity")
+    n = 40 * 128
+    t = ordmap.build(ctx, KV(range(n)))
+    for r in range(7):
+        keep = lambda e: e[0] % 7 == r
+        a0, f0 = counters.allocations, counters.folds
+        f = ordmap.filter(ctx, t, keep)
+        allocations, folds = counters.allocations - a0, counters.folds - f0
+        assert bt.to_list(ctx, f) == KV(range(r, n, 7))
+        check_tree(ctx, f)
+        regular = count_nodes(f) - count_blocks(f)
+        seam = 0 if keep((t.key, t.value)) else 1
+        assert allocations <= folds + regular + seam, \
+            (r, allocations, folds, regular)
+        bt.release(f)
+    bt.release(t)
+
+
 def test_map_reduce():
     ctx = make_context(block_size=3, encoding="identity")
     assert ordmap.reduce(ctx, None, lambda a, b: a + b, 0) == 0
@@ -643,25 +666,32 @@ def _codec_cost(fn):
 
 def test_point_update_codec_budget():
     # a point update that stays inside its block decodes and encodes only
-    # that block; its sibling block is shared by the old and new versions
-    ctx = make_context(block_size=128, encoding="identity")
-    t = ordmap.build(ctx, KV(range(0, 2000, 2)))   # four blocks of ~250
-    leaf_parent = t.left
-    assert is_flat(leaf_parent.left) and is_flat(leaf_parent.right)
-    sibling = leaf_parent.right
-    for update in (lambda: ordmap.insert(ctx, t, 11, 0),      # new key
-                   lambda: ordmap.insert(ctx, t, 12, 0),      # overwrite
-                   lambda: ordmap.remove(ctx, t, 14)):        # present key
-        t2, decodes, folds = _codec_cost(update)
-        assert (decodes, folds) == (1, 1)
-        assert t2.left.right is sibling
-        check_tree(ctx, t2)
+    # that block; its sibling block is shared by the old and new versions.
+    # Both codecs search a block in place, so a read decodes nothing, and a
+    # present-key remove decodes its block once, into a list it can edit
+    for encoding in ("identity", "object"):
+        ctx = make_context(block_size=128, encoding=encoding)
+        t = ordmap.build(ctx, KV(range(0, 2000, 2)))   # four blocks of ~250
+        leaf_parent = t.left
+        assert is_flat(leaf_parent.left) and is_flat(leaf_parent.right)
+        sibling = leaf_parent.right
+        found, decodes, folds = _codec_cost(
+            lambda: (ordmap.find(ctx, t, 14), ordmap.contains(ctx, t, 15)))
+        assert (found, decodes, folds) == ((141, False), 0, 0)
+        for update in (lambda: ordmap.insert(ctx, t, 11, 0),      # new key
+                       lambda: ordmap.insert(ctx, t, 12, 0),      # overwrite
+                       lambda: ordmap.remove(ctx, t, 14)):        # present key
+            t2, decodes, folds = _codec_cost(update)
+            assert (decodes, folds) == (1, 1)
+            assert t2.left.right is sibling
+            check_tree(ctx, t2)
+            bt.release(t2)
+        t2, decodes, folds = _codec_cost(lambda: ordmap.remove(ctx, t, 13))
+        assert (decodes, folds) == (0, 0)
         bt.release(t2)
-    t2, decodes, folds = _codec_cost(lambda: ordmap.remove(ctx, t, 13))
-    assert (decodes, folds) == (0, 0)
-    bt.release(t2)
-    bt.release(t)
+        bt.release(t)
 
+    ctx = make_context(block_size=128, encoding="identity")
     rng = random.Random(12)
     span = 10 ** 5
     t = ordmap.build(ctx, KV(rng.sample(range(span), 20000)))

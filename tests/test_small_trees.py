@@ -1,10 +1,11 @@
 """Every public operation publishes a tree below B entries as one block.
 
 Each operation is driven to results of 0..B-1 entries from inputs both
-small and large (large enough that the set algorithms split and join
-rather than merge flat), so the settled roots come from every kind of
-transient fragment: undersized blocks, marked halves of an exposed block
-and small all-regular trees.
+small and large (large enough that the bulk algorithms split and join
+rather than merge one block), so the roots come from every kind of
+transient fragment: undersized blocks (the slices of a split, the merges
+of a batch, the pieces a join rebuilds) and the all-regular trees that
+``unfold`` hands out, which ``fold`` packs back into one block.
 """
 
 import pytest
@@ -72,7 +73,7 @@ def _map_cases(ctx, n):
         return r.tree(build(ks))
 
     def expanded(r, ks):
-        # a marked fragment, the shape unfold and expose hand out
+        # an unfolded block: the one all-regular fragment a caller can hold
         if not ks:
             return None
         block = build(ks)
