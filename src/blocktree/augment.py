@@ -8,9 +8,9 @@ subtrees without decoding them.
 """
 
 from dataclasses import dataclass
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
-from .core import _decode, _settle
+from .core import _entry_key, _search, _settle
 from .errors import ContractError
 from .nodes import is_flat
 from .ordmap import _filter_tree
@@ -36,7 +36,8 @@ def aug_range(ctx, t, lo, hi):
     """Aggregate over entries with lo <= key <= hi.
 
     Fully covered subtrees contribute their cached value; at most the two
-    boundary blocks are decoded.
+    boundary blocks are read, searched in place where the codec can (the
+    identity and object codecs decode nothing).
     """
     spec = ctx.aug
     if spec is None:
@@ -47,13 +48,18 @@ def aug_range(ctx, t, lo, hi):
 
 
 def _block_part(ctx, spec, t, lo, hi):
-    entries = _decode(ctx, t)
-    keys = [e[0] for e in entries]
-    start = 0 if lo is None else bisect_left(keys, lo)
-    stop = len(keys) if hi is None else bisect_right(keys, hi)
+    """Aggregate over the entries of block t with lo <= key <= hi (a None
+    bound is open), searched in place where the codec can."""
+    if lo is None:
+        start = 0
+        stop, entries = _search(ctx, t, hi, right=True)
+    else:
+        start, entries = _search(ctx, t, lo)
+        stop = t.count if hi is None else bisect_right(
+            entries, hi, start, t.count, key=_entry_key)
     acc = spec.identity
-    for e in entries[start:stop]:
-        acc = spec.combine(acc, spec.lift(e))
+    for p in range(start, stop):
+        acc = spec.combine(acc, spec.lift(entries[p]))
     return acc
 
 

@@ -17,7 +17,9 @@ Ownership: functions prefixed with an underscore *consume* the handles they
 are given (the caller's reference transfers), and return owned results.  The
 un-prefixed public wrappers borrow their inputs: they ``retain`` each input
 before handing it to the consuming internals, so callers keep their trees
-(persistence).
+(persistence).  ``_split``, ``_node`` and the joins release every handle
+they hold when an exception (a decode that fails) unwinds through them, so
+a read that borrows its input and fails inside them leaks nothing.
 
 Two deliberate deviations from the expose-everywhere formulation keep the
 instrumented cost properties sharp:
@@ -280,19 +282,34 @@ def _check_node_pre(ctx, l, e, r):
 
 def _flatten_consume(ctx, t):
     """In-order entries of t; consumes t."""
-    entries = flatten(ctx, t)
-    release(t)
-    return entries
+    try:
+        return flatten(ctx, t)
+    finally:
+        release(t)
 
 
 def _entries(ctx, l, e, r):
     """In-order entries of l, e and r; consumes l and r."""
-    entries = flatten(ctx, l)
-    entries.append(e)
-    flatten(ctx, r, entries)
-    release(l)
-    release(r)
-    return entries
+    try:
+        entries = flatten(ctx, l)
+        entries.append(e)
+        return flatten(ctx, r, entries)
+    finally:
+        release(l)
+        release(r)
+
+
+def _guard(held, f, *args):
+    """f(*args), releasing the handles in ``held`` if it raises: the pieces
+    a consuming function still owns while f runs.  The hot recursions of
+    the joins and ``_split`` inline the same try/except, which costs
+    nothing until it raises, where a call through here costs a frame."""
+    try:
+        return f(*args)
+    except BaseException:
+        for t in held:
+            release(t)
+        raise
 
 
 def _is_block(B, t):
@@ -353,20 +370,24 @@ def _join_right(ctx, tl, k, tr):
     if is_flat(tl) or _balanced_pair(cfg, weight(tl), weight(tr)):
         return _node(ctx, tl, k, tr)
     l, e0, c = _destructure(ctx, tl)
-    t2 = _join_right(ctx, c, k, tr)
+    try:
+        t2 = _join_right(ctx, c, k, tr)
+    except BaseException:
+        release(l)
+        raise
     if _balanced_pair(cfg, weight(l), weight(t2)):
         return _node(ctx, l, e0, t2)
     if size(l) + size(t2) + 1 <= 4 * cfg.block_size:
         return _node(ctx, l, e0, t2)
     # rotations; the pieces taken apart are regular nodes, except at tiny B
     # (seen at B=1), where a block can sit in a rotation slot
-    l1, e1, r1 = _open(ctx, t2)
+    l1, e1, r1 = _guard((l,), _open, ctx, t2)
     if (_balanced_pair(cfg, weight(l), weight(l1))
             and _balanced_pair(cfg, weight(l) + weight(l1), weight(r1))):
-        return _node(ctx, _node(ctx, l, e0, l1), e1, r1)
-    l2, e2, r2 = _open(ctx, l1)
-    return _node(ctx, _node(ctx, l, e0, l2), e2,
-                 _node(ctx, r2, e1, r1))
+        return _node(ctx, _guard((r1,), _node, ctx, l, e0, l1), e1, r1)
+    l2, e2, r2 = _guard((l, r1), _open, ctx, l1)
+    left = _guard((r2, r1), _node, ctx, l, e0, l2)
+    return _node(ctx, left, e2, _guard((left,), _node, ctx, r2, e1, r1))
 
 
 def _join_left(ctx, tl, k, tr):
@@ -374,18 +395,22 @@ def _join_left(ctx, tl, k, tr):
     if is_flat(tr) or _balanced_pair(cfg, weight(tl), weight(tr)):
         return _node(ctx, tl, k, tr)
     c, e0, r = _destructure(ctx, tr)
-    t2 = _join_left(ctx, tl, k, c)
+    try:
+        t2 = _join_left(ctx, tl, k, c)
+    except BaseException:
+        release(r)
+        raise
     if _balanced_pair(cfg, weight(t2), weight(r)):
         return _node(ctx, t2, e0, r)
     if size(t2) + size(r) + 1 <= 4 * cfg.block_size:
         return _node(ctx, t2, e0, r)
-    l1, e1, r1 = _open(ctx, t2)
+    l1, e1, r1 = _guard((r,), _open, ctx, t2)
     if (_balanced_pair(cfg, weight(r1), weight(r))
             and _balanced_pair(cfg, weight(r1) + weight(r), weight(l1))):
-        return _node(ctx, l1, e1, _node(ctx, r1, e0, r))
-    l2, e2, r2 = _open(ctx, r1)
-    return _node(ctx, _node(ctx, l1, e1, l2), e2,
-                 _node(ctx, r2, e0, r))
+        return _node(ctx, l1, e1, _guard((l1,), _node, ctx, r1, e0, r))
+    l2, e2, r2 = _guard((l1, r), _open, ctx, r1)
+    left = _guard((r2, r), _node, ctx, l1, e1, l2)
+    return _node(ctx, left, e2, _guard((left,), _node, ctx, r2, e0, r))
 
 
 def _flat_or_none(ctx, entries):
@@ -403,8 +428,10 @@ def _split(ctx, t, i, mid=False):
     if i <= 0 and not mid:
         return None, None, t
     if is_flat(t):
-        entries = _decode(ctx, t)
-        release(t)
+        try:
+            entries = _decode(ctx, t)
+        finally:
+            release(t)
         j = i + 1 if mid else i
         return (_flat_or_none(ctx, entries[:i]), entries[i] if mid else None,
                 _flat_or_none(ctx, entries[j:]))
@@ -412,11 +439,25 @@ def _split(ctx, t, i, mid=False):
     sl = size(l)
     if i == sl and mid:
         return l, e, r
+    # ``held`` is the one handle this frame owns that the running call has
+    # not been given: released if that call raises
     if i <= sl:
-        ll, m, lr = _split(ctx, l, i, mid)
-        return ll, m, _join(ctx, lr, e, r)
-    rl, m, rr = _split(ctx, r, i - sl - 1, mid)
-    return _join(ctx, l, e, rl), m, rr
+        held = r
+        try:
+            ll, m, lr = _split(ctx, l, i, mid)
+            held = ll
+            return ll, m, _join(ctx, lr, e, r)
+        except BaseException:
+            release(held)
+            raise
+    held = l
+    try:
+        rl, m, rr = _split(ctx, r, i - sl - 1, mid)
+        held = rr
+        return _join(ctx, l, e, rl), m, rr
+    except BaseException:
+        release(held)
+        raise
 
 
 def _locate(ctx, t, k):
@@ -454,7 +495,11 @@ def _join2(ctx, l, r):
         return r
     if r is None:
         return l
-    l2, m, _ = _split(ctx, l, size(l) - 1, True)
+    try:
+        l2, m, _ = _split(ctx, l, size(l) - 1, True)
+    except BaseException:
+        release(r)
+        raise
     return _join(ctx, l2, m, r)
 
 
@@ -510,7 +555,8 @@ def join2(ctx, l, r):
 
 def split(ctx, t, k):
     """(tree of keys < k, entry at k or None, tree of keys > k)."""
-    l, b, r = _split(ctx, retain(t), *_locate(ctx, t, k))
+    i, present = _locate(ctx, t, k)     # may decode: before the retain
+    l, b, r = _split(ctx, retain(t), i, present)
     return _settle(ctx, l), b, _settle(ctx, r)
 
 

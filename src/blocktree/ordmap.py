@@ -35,8 +35,16 @@ delta codec (Python 3.11), where joining the shared subtrees took 0.6 ms.
 ``union_efficient`` is the same function as ``union``.
 
 ``rank`` is the position search of a keyed split (``core._locate``), and
-``key_range`` is the slice of positions ``[rank(lo), rank(hi) + (hi
-present))`` through the same positional split.
+``key_range`` reads the positions ``[rank(lo), rank(hi) + (hi present))``
+with ``_slice``, a read-only walk by position that borrows the tree (the
+sequence slices ``take``, ``drop`` and ``subseq`` are the same walk).  A
+subtree wholly inside the range is shared, one wholly outside is skipped,
+and only the two boundary blocks are decoded and sliced; pieces below B
+travel as entry runs, as in ``_batch``, and a piece that meets a tree is
+joined to it.  So the discarded sides cost nothing: a ~100-entry range at
+B=128 makes one block (one allocation, one encode), and a range that
+covers most of the map shares its covered subtrees and allocates O(depth)
+nodes.
 
 ``insert`` and ``multi_insert`` check every incoming entry against the codec
 before they take any handle, so an entry the codec rejects consumes nothing.
@@ -51,7 +59,7 @@ from bisect import bisect_left
 
 from .core import (_decode, _destructure, _entry_key, _flatten_consume,
                    _join, _join2, _locate, _make_flat, _make_regular,
-                   _rebuild, _search, _settle, _split)
+                   _rebuild, _search, _settle)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
 from .parallel import fork2
@@ -451,12 +459,38 @@ def reduce(ctx, t, f, identity):
 
 
 def _slice(ctx, t, i, j):
-    """Entries at positions [i, j) of t; consumes t."""
-    t, _, right = _split(ctx, t, j)
-    release(right)
-    left, _, t = _split(ctx, t, i)
-    release(left)
-    return t
+    """Entries at positions [i, j) of t, 0 <= i <= j <= size(t); borrows
+    t.  A read-only walk by position: a subtree wholly inside is shared,
+    one wholly outside is skipped, and only the boundary blocks are
+    decoded.  Returns a tree, or an entry run of fewer than B entries, like
+    ``_batch``."""
+    if i >= j:
+        return None
+    if i == 0 and j == size(t):
+        return retain(t)
+    if is_flat(t):
+        return _run_or_tree(ctx, _decode(ctx, t)[i:j])
+    sl = size(t.left)
+    if j <= sl:
+        return _slice(ctx, t.left, i, j)
+    if i > sl:
+        return _slice(ctx, t.right, i - sl - 1, j - sl - 1)
+    left = _slice(ctx, t.left, i, sl)
+    try:
+        right = _slice(ctx, t.right, 0, j - sl - 1)
+    except BaseException:
+        if not _is_run(left):
+            release(left)
+        raise
+    e = (t.key, t.value)
+    if _is_run(left) and _is_run(right):
+        return _run_or_tree(ctx, (left or []) + [e] + (right or []))
+    return _join(ctx, _as_tree(ctx, left), e, _as_tree(ctx, right))
+
+
+def _range(ctx, t, i, j):
+    """Entries at positions [i, j) of t, as a valid tree; borrows t."""
+    return _settle(ctx, _as_tree(ctx, _slice(ctx, t, i, j)))
 
 
 def key_range(ctx, t, lo, hi):
@@ -464,5 +498,4 @@ def key_range(ctx, t, lo, hi):
     if lo > hi:
         raise ContractError("key_range requires lo <= hi")
     j, hi_present = _locate(ctx, t, hi)
-    return _settle(ctx, _slice(ctx, retain(t), _locate(ctx, t, lo)[0],
-                               j + hi_present))
+    return _range(ctx, t, _locate(ctx, t, lo)[0], j + hi_present)

@@ -5,8 +5,9 @@ value slot with an unused key, the context is unordered (no key checks), and
 blocks use the object codec (gap compression needs sorted integer keys, so
 byte codecs are rejected here).  Balance and blocked-leaf invariants are the
 same as for maps; positions are implicit in each node's stored sizes.
-``take``, ``drop`` and ``subseq`` are slices through the positional split
-that ordered maps use for ``split`` and ``key_range``.
+``take``, ``drop`` and ``subseq`` are the read-only walk by position that
+ordered maps use for ``key_range`` (``ordmap._slice``): covered subtrees are
+shared and only the boundary blocks are decoded.
 """
 
 from .core import (_decode, _join2, _make_flat, _make_regular, _rebuild,
@@ -14,7 +15,7 @@ from .core import (_decode, _join2, _make_flat, _make_regular, _rebuild,
 from .encoding import ObjectCodec
 from .errors import ContractError
 from .nodes import is_flat, retain, size
-from .ordmap import (_filter_tree, _slice, map_values as seq_map,
+from .ordmap import (_filter_tree, _range, map_values as seq_map,
                      reduce as seq_reduce)
 from .parallel import fork2
 
@@ -61,20 +62,20 @@ def nth(ctx, s, i):
 def take(ctx, s, i):
     if not 0 <= i <= size(s):
         raise IndexError(f"take({i}) out of range for sequence of {size(s)}")
-    return _settle(ctx, _slice(ctx, retain(s), 0, i))
+    return _range(ctx, s, 0, i)
 
 
 def drop(ctx, s, i):
     if not 0 <= i <= size(s):
         raise IndexError(f"drop({i}) out of range for sequence of {size(s)}")
-    return _settle(ctx, _slice(ctx, retain(s), i, size(s)))
+    return _range(ctx, s, i, size(s))
 
 
 def subseq(ctx, s, i, j):
     """Elements at positions [i, j)."""
     if not (0 <= i <= j <= size(s)):
         raise IndexError(f"subseq({i},{j}) out of range for sequence of {size(s)}")
-    return _settle(ctx, _slice(ctx, retain(s), i, j))
+    return _range(ctx, s, i, j)
 
 
 def append(ctx, s1, s2):

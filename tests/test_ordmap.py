@@ -523,6 +523,134 @@ def test_range_rank_next_previous():
                     bt.release(r)
 
 
+def _nodes(t, out):
+    """Every node of t, by identity."""
+    if t is not None:
+        out.add(id(t))
+        if not is_flat(t):
+            _nodes(t.left, out)
+            _nodes(t.right, out)
+    return out
+
+
+def test_small_key_range_allocates_only_its_result():
+    # a ~100-entry range at B=128 is one result block: the walk decodes at
+    # most the two boundary blocks (the identity codec finds both bounds in
+    # place), and the discarded sides allocate and reclaim nothing
+    ctx = make_context(block_size=128, encoding="identity")
+    t = ordmap.build(ctx, KV(range(0, 8 * 10 ** 5, 8)))
+    rng = random.Random(13)
+    for _ in range(200):
+        lo = rng.randrange(-8, 8 * 10 ** 5)
+        c0 = counters.snapshot()
+        r = ordmap.key_range(ctx, t, lo, lo + 800)
+        c1 = counters.snapshot()
+        assert c1["allocations"] - c0["allocations"] == 1
+        assert c1["reclaims"] == c0["reclaims"]
+        assert c1["folds"] - c0["folds"] == 1
+        assert c1["decodes"] - c0["decodes"] <= 2
+        want = [k for k in range(max(lo, 0), lo + 801) if k % 8 == 0]
+        assert [k for k, _ in bt.to_list(ctx, r)] == want
+        bt.release(r)
+    bt.release(t)
+
+
+@pytest.mark.parametrize("B", [2, 8, 128])
+def test_key_range_shares_the_subtrees_it_covers(B):
+    # all but the two end blocks: the covered subtrees are the input's own
+    # nodes, and only the O(depth) spine nodes the joins rebuild are new
+    ctx = make_context(block_size=B, encoding="identity")
+    t = ordmap.build(ctx, KV(range(300 * B)))
+    depth = tree_depth(t)
+    blocks = list(_blocks(t))
+    a0, f0 = counters.allocations, counters.folds
+    r = ordmap.key_range(ctx, t, blocks[1].first_key, blocks[-2].last_key)
+    assert counters.allocations - a0 <= 3 * depth
+    assert counters.folds - f0 <= depth
+    inside = _nodes(r, set())
+    for covered in (t.left.right, t.right.left):
+        assert id(covered) in inside
+    assert len(inside - _nodes(t, set())) <= 3 * depth
+    assert [k for k, _ in bt.to_list(ctx, r)] == list(
+        range(blocks[1].first_key, blocks[-2].last_key + 1))
+    check_tree(ctx, r)
+    bt.release(r)
+    bt.release(t)
+
+
+class _DecodeFault(Exception):
+    pass
+
+
+def _failing_codec(cls):
+    """A codec of class cls whose decode raises on its ``fail_at``-th call."""
+    class Failing(cls):
+        fail_at = None
+        calls = 0
+
+        def decode(self, payload, count):
+            self.calls += 1
+            if self.calls == self.fail_at:
+                raise _DecodeFault
+            return super().decode(payload, count)
+    return Failing()
+
+
+def _handles(result):
+    """The trees of a read's result: one tree, or split's (l, entry, r)."""
+    return [result[0], result[2]] if type(result) is tuple else [result]
+
+
+@pytest.mark.parametrize("B", [1, 2, 8])
+def test_range_reads_release_on_unwind(B):
+    # a decode that fails anywhere in a key_range, a subseq or a split (the
+    # position search, the walk, the splits and joins that assemble the
+    # pieces) leaves the input intact and releases every node the read had
+    # made.  The delta codec has no in-place search, so its position
+    # searches decode too
+    from blocktree import sequence as sq
+    from blocktree.core import Config, Context
+    from blocktree.encoding import DeltaCodec, IdentityCodec, ObjectCodec
+    baseline = counters.live
+    cases, trees = [], []
+    for cls in (IdentityCodec, DeltaCodec):
+        codec = _failing_codec(cls)
+        ctx = Context(Config(block_size=B), codec)
+        t = ordmap.build(ctx, KV(range(0, 40 * B + 60, 2)))
+        trees.append(t)
+        for lo, hi in ((7, 20 * B + 41), (1, 40 * B + 40),
+                       (10 * B, 30 * B + 3)):
+            cases.append((codec, ctx, t, lambda ctx=ctx, t=t, lo=lo, hi=hi:
+                          ordmap.key_range(ctx, t, lo, hi)))
+        cases.append((codec, ctx, t, lambda ctx=ctx, t=t:
+                      bt.split(ctx, t, 20 * B + 1)))
+    scodec = _failing_codec(ObjectCodec)
+    sctx = Context(Config(block_size=B), scodec, ordered=False)
+    s = sq.seq_build(sctx, range(20 * B + 30))
+    for i, j in ((3, 15 * B + 11), (1, 20 * B + 29), (5 * B, 9 * B + 2)):
+        cases.append((scodec, sctx, s,
+                      lambda i=i, j=j: sq.subseq(sctx, s, i, j)))
+    swept = 0
+    for codec, c, x, read in cases:
+        digest = structure_digest(c, x)
+        codec.calls = 0
+        for result in _handles(read()):
+            bt.release(result)
+        live = counters.live
+        for k in range(1, codec.calls + 1):
+            codec.calls, codec.fail_at = 0, k
+            with pytest.raises(_DecodeFault):
+                read()
+            codec.fail_at = None
+            assert counters.live == live, (k, counters.live - live)
+            assert structure_digest(c, x) == digest
+            swept += 1
+    assert swept >= len(cases)
+    for x in trees + [s]:
+        bt.release(x)
+    assert counters.live == baseline
+
+
 def test_point_queries_random_vs_model():
     rng = random.Random(7)
     for B in (1, 8, 128):
