@@ -10,10 +10,10 @@ subtrees without decoding them.
 from dataclasses import dataclass
 from bisect import bisect_right
 
-from .core import _entry_key, _search, _settle
+from .core import _entry_key, _search
 from .errors import ContractError
 from .nodes import is_flat
-from .ordmap import _filter_tree
+from .ordmap import _as_tree, _filter_tree
 
 
 @dataclass(frozen=True)
@@ -100,4 +100,4 @@ def aug_filter(ctx, t, h):
         raise ContractError("tree context has no augmentation")
     keep = lambda e: h(spec.lift(e))
     prune = lambda node: h(node.aug)
-    return _settle(ctx, _filter_tree(ctx, t, keep, prune))
+    return _as_tree(ctx, _filter_tree(ctx, t, keep, prune))

@@ -19,11 +19,15 @@ block: where the run reaches a block, the recursion decodes it, runs the
 three-way ``_merge`` and rebuilds, and every block the run does not reach
 stays shared, so a batch of k keys re-encodes about k blocks.  A merge
 that keeps fewer than B entries returns them as an entry run (a plain
-sorted list) instead of a tree.  A regular node concatenates two runs and
-its kept entry, and encodes them once they reach B, as one block; a run
-that meets a tree becomes one block that the join absorbs.  So a sparse
-intersection encodes its result about once instead of joining one
-undersized fragment per block.  No bulk operation unfolds a block, and
+sorted list) instead of a tree.  A regular node glues its two results
+and its kept entry with ``_concat``: two runs are concatenated and
+encoded once they reach B, as one block; a run that meets a tree becomes
+one block that the join absorbs.  So a sparse intersection encodes its
+result about once instead of joining one undersized fragment per block.
+The two other recursions that build a result, ``_filter_tree`` and
+``_slice``, follow the same run convention and end in the same
+``_concat``, and every public operation turns the final result into a
+tree with ``_as_tree``.  No bulk operation unfolds a block, and
 each decodes every input block about once, plus the few blocks its joins
 rebalance: over 300 seeded AC4-shaped unions (B in {1, 2, 8, 128}, all
 three codecs) the worst count is 1.375 times the block count of the two
@@ -53,6 +57,12 @@ before they take any handle, so an entry the codec rejects consumes nothing.
 result where it is stored: the merge base case encodes it into a block, and
 the recursion checks the one it keeps in a regular node.  A rejected result
 raises ``CodecError`` and leaves the inputs intact.
+
+``filter`` and ``map_values`` call the user's callback on a node's own
+entry before its branches run, and ``fork2`` releases the result of one
+branch when the other raises, so a predicate, an ``f`` or a decode that
+raises leaves the input intact and no node behind.  A ``combine`` that
+raises inside ``_batch`` still leaks the pieces the recursion holds.
 """
 
 from bisect import bisect_left
@@ -295,18 +305,16 @@ def _setop(ctx, t1, t2, op, combine):
 
 
 def union(ctx, t1, t2, combine=_RIGHT):
-    return _settle(ctx, _setop(ctx, retain(t1), retain(t2), _UNION, combine))
+    return _setop(ctx, retain(t1), retain(t2), _UNION, combine)
 
 
 def intersection(ctx, t1, t2, combine=_RIGHT):
-    return _settle(ctx, _setop(ctx, retain(t1), retain(t2), _INTERSECTION,
-                               combine))
+    return _setop(ctx, retain(t1), retain(t2), _INTERSECTION, combine)
 
 
 def difference(ctx, t1, t2):
     """Entries of t1 whose keys are absent from t2 (t1 keeps its values)."""
-    return _settle(ctx, _setop(ctx, retain(t1), retain(t2), _DIFFERENCE,
-                               None))
+    return _setop(ctx, retain(t1), retain(t2), _DIFFERENCE, None)
 
 
 # a second public name for union, kept for callers
@@ -326,20 +334,35 @@ def _run_or_tree(ctx, entries):
 
 
 def _is_run(x):
-    """True for an entry run or nothing: what ``_batch`` concatenates."""
+    """True for an entry run or nothing: what ``_concat`` concatenates."""
     return x is None or type(x) is list
 
 
 def _as_tree(ctx, x):
-    """The tree of a ``_batch`` result: an entry run becomes one block."""
-    return _rebuild(ctx, x) if type(x) is list else x
+    """The tree of a recursion's result: an entry run becomes one block,
+    and a tree is settled (an unfolded block passed in is folded back)."""
+    return _rebuild(ctx, x) if type(x) is list else _settle(ctx, x)
+
+
+def _concat(ctx, left, e, right):
+    """left, then the entry e (None for none), then right, where left and
+    right are trees or entry runs; consumes both.  Two runs are
+    concatenated, and stay a run below B entries; a run that meets a tree
+    becomes one block, which the join absorbs."""
+    if _is_run(left) and _is_run(right):
+        return _run_or_tree(ctx, (left or []) + ([] if e is None else [e])
+                            + (right or []))
+    left, right = _as_tree(ctx, left), _as_tree(ctx, right)
+    if e is None:
+        return _join2(ctx, left, right)
+    return _join(ctx, left, e, right)
 
 
 def _batch(ctx, t, arr, lo, hi, op, combine):
     """t under op with the sorted entry run arr[lo:hi] as second operand;
-    consumes t.  A block goes to the merge.  Returns a tree, or a plain
-    sorted entry list of fewer than B entries that the caller concatenates
-    with its neighbors' lists, or encodes once when it meets a tree."""
+    consumes t.  A block goes to the merge.  Returns a tree, or an entry
+    run of fewer than B entries, which ``_concat`` joins with its
+    neighbors."""
     only1, only2, both = op
     if lo >= hi:
         if only1:
@@ -363,13 +386,7 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
                    lambda: _batch(ctx, l, arr, lo, pos, op, combine),
                    lambda: _batch(ctx, r, arr, pos + (1 if hit else 0), hi, op,
                                   combine))
-    if _is_run(tl) and _is_run(tr):
-        return _run_or_tree(ctx, (tl or []) + ([] if e is None else [e])
-                            + (tr or []))
-    tl, tr = _as_tree(ctx, tl), _as_tree(ctx, tr)
-    if e is None:
-        return _join2(ctx, tl, tr)
-    return _join(ctx, tl, e, tr)
+    return _concat(ctx, tl, e, tr)
 
 
 def _bulk(ctx, t, arr, op, combine):
@@ -382,12 +399,12 @@ def multi_insert(ctx, t, batch, combine=_RIGHT):
     check = ctx.codec.check_entry
     for k, v in arr:
         check(k, v)
-    return _settle(ctx, _bulk(ctx, retain(t), arr, _UNION, combine))
+    return _bulk(ctx, retain(t), arr, _UNION, combine)
 
 
 def multi_delete(ctx, t, keys):
     arr = [(k, None) for k in sorted(set(keys))]
-    return _settle(ctx, _bulk(ctx, retain(t), arr, _DIFFERENCE, None))
+    return _bulk(ctx, retain(t), arr, _DIFFERENCE, None)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +412,15 @@ def multi_delete(ctx, t, keys):
 
 
 def _filter_tree(ctx, t, keep, prune=None):
-    """Entries satisfying ``keep``; borrows t, returns an owned tree.
+    """Entries satisfying ``keep``; borrows t.  Returns a tree, or an entry
+    run of fewer than B entries, like ``_batch``.
 
     Unchanged subtrees are returned shared rather than copied, so dropping a
-    few entries touches O(depth) nodes.  ``prune`` short-circuits whole
-    subtrees (used by the augmented filter).
+    few entries touches O(depth) nodes, and the few entries kept of each
+    block travel up as runs, encoded once they reach B or meet a tree.
+    ``prune`` short-circuits whole subtrees (used by the augmented filter).
+    A node tests its own entry before its branches run, so a ``keep`` that
+    raises there holds nothing.
     """
     if t is None:
         return None
@@ -410,37 +431,39 @@ def _filter_tree(ctx, t, keep, prune=None):
         kept = [e for e in entries if keep(e)]
         if len(kept) == len(entries):
             return retain(t)
-        if not kept:
-            return None
-        return _make_flat(ctx, kept)
+        return _run_or_tree(ctx, kept)
+    e = (t.key, t.value)
+    if not keep(e):
+        e = None
     fl, fr = fork2(ctx, t.size,
                    lambda: _filter_tree(ctx, t.left, keep, prune),
                    lambda: _filter_tree(ctx, t.right, keep, prune))
-    if keep((t.key, t.value)):
-        if fl is t.left and fr is t.right:
-            release(fl)
-            release(fr)
-            return retain(t)
-        return _join(ctx, fl, (t.key, t.value), fr)
-    return _join2(ctx, fl, fr)
+    if e is not None and fl is t.left and fr is t.right:
+        release(fl)
+        release(fr)
+        return retain(t)
+    return _concat(ctx, fl, e, fr)
 
 
 def filter(ctx, t, pred):
     """Entries for which pred((key, value)) holds, as a fresh tree."""
-    return _settle(ctx, _filter_tree(ctx, t, pred))
+    return _as_tree(ctx, _filter_tree(ctx, t, pred))
 
 
 def map_values(ctx, t, f):
-    """Apply f to every value, preserving keys and shape."""
+    """Apply f to every value, preserving keys and shape.  A node maps its
+    own value before its branches run, so an f that raises there holds
+    nothing."""
     if t is None:
         return None
     if is_flat(t):
         return _make_flat(ctx, [(k, f(v)) for k, v in _decode(ctx, t)])
+    e = (t.key, f(t.value))
     fl, fr = fork2(ctx, t.size,
                    lambda: map_values(ctx, t.left, f),
                    lambda: map_values(ctx, t.right, f))
     # shape and sizes are preserved, so the node rules need not rerun
-    return _make_regular(ctx, fl, (t.key, f(t.value)), fr)
+    return _make_regular(ctx, fl, e, fr)
 
 
 def reduce(ctx, t, f, identity):
@@ -454,7 +477,7 @@ def reduce(ctx, t, f, identity):
         return acc
     xl, xr = fork2(ctx, t.size,
                    lambda: reduce(ctx, t.left, f, identity),
-                   lambda: reduce(ctx, t.right, f, identity))
+                   lambda: reduce(ctx, t.right, f, identity), owned=False)
     return f(f(xl, t.value), xr)
 
 
@@ -482,15 +505,7 @@ def _slice(ctx, t, i, j):
         if not _is_run(left):
             release(left)
         raise
-    e = (t.key, t.value)
-    if _is_run(left) and _is_run(right):
-        return _run_or_tree(ctx, (left or []) + [e] + (right or []))
-    return _join(ctx, _as_tree(ctx, left), e, _as_tree(ctx, right))
-
-
-def _range(ctx, t, i, j):
-    """Entries at positions [i, j) of t, as a valid tree; borrows t."""
-    return _settle(ctx, _as_tree(ctx, _slice(ctx, t, i, j)))
+    return _concat(ctx, left, (t.key, t.value), right)
 
 
 def key_range(ctx, t, lo, hi):
@@ -498,4 +513,5 @@ def key_range(ctx, t, lo, hi):
     if lo > hi:
         raise ContractError("key_range requires lo <= hi")
     j, hi_present = _locate(ctx, t, hi)
-    return _range(ctx, t, _locate(ctx, t, lo)[0], j + hi_present)
+    return _as_tree(ctx, _slice(ctx, t, _locate(ctx, t, lo)[0],
+                                j + hi_present))

@@ -6,7 +6,9 @@ inline.  With more, the coordinating (non-worker) thread offloads the second
 branch to a shared pool whenever ``work_size`` exceeds the context's grain;
 pool workers themselves never fork, which keeps the scheme deadlock-free
 with a bounded pool.  Results are combined only after both branches finish,
-so output trees are identical regardless of scheduling.
+so output trees are identical regardless of scheduling.  A branch that
+raises takes the other's result with it: ``fork2`` waits for both and
+releases the one that survived before the error propagates.
 
 CPython's GIL serializes the actual compute; the pool exists to honor the
 concurrency contract (deterministic parallel execution, thread-safe owner
@@ -49,11 +51,33 @@ def _run_marked(fn):
         _worker.active = False
 
 
-def fork2(ctx, work_size, fa, fb):
-    """Evaluate two thunks, possibly in parallel; returns their results."""
-    if (_pool is None or work_size <= ctx.config.grain
+def _release(x):
+    """Release a branch result: an owned tree, or an entry run (a plain
+    list), which holds no node."""
+    if type(x) is not list:
+        nodes.release(x)
+
+
+def fork2(ctx, work_size, fa, fb, owned=True):
+    """Evaluate two thunks, possibly in parallel; returns their results.
+
+    When one branch raises, the result of the other is released, once that
+    branch has finished, and the error propagates.  Pass ``owned=False``
+    for results that are user values, not owned trees (``reduce``).
+    """
+    future = None
+    if not (_pool is None or work_size <= ctx.config.grain
             or getattr(_worker, "active", False)):
-        return fa(), fb()
-    future = _pool.submit(_run_marked, fb)
-    ra = fa()
-    return ra, future.result()
+        future = _pool.submit(_run_marked, fb)
+    try:
+        ra = fa()
+    except BaseException:
+        if owned and future is not None and future.exception() is None:
+            _release(future.result())
+        raise
+    try:
+        return ra, (fb() if future is None else future.result())
+    except BaseException:
+        if owned:
+            _release(ra)
+        raise

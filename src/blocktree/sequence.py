@@ -11,11 +11,11 @@ shared and only the boundary blocks are decoded.
 """
 
 from .core import (_decode, _join2, _make_flat, _make_regular, _rebuild,
-                   _settle, make_context)
+                   _settle, flatten, make_context)
 from .encoding import ObjectCodec
 from .errors import ContractError
 from .nodes import is_flat, retain, size
-from .ordmap import (_filter_tree, _range, map_values as seq_map,
+from .ordmap import (_as_tree, _filter_tree, _slice, map_values as seq_map,
                      reduce as seq_reduce)
 from .parallel import fork2
 
@@ -38,7 +38,6 @@ def seq_build(ctx, elements):
 
 
 def to_elements(ctx, s):
-    from .core import flatten
     return [v for _, v in flatten(ctx, s)]
 
 
@@ -62,20 +61,20 @@ def nth(ctx, s, i):
 def take(ctx, s, i):
     if not 0 <= i <= size(s):
         raise IndexError(f"take({i}) out of range for sequence of {size(s)}")
-    return _range(ctx, s, 0, i)
+    return _as_tree(ctx, _slice(ctx, s, 0, i))
 
 
 def drop(ctx, s, i):
     if not 0 <= i <= size(s):
         raise IndexError(f"drop({i}) out of range for sequence of {size(s)}")
-    return _range(ctx, s, i, size(s))
+    return _as_tree(ctx, _slice(ctx, s, i, size(s)))
 
 
 def subseq(ctx, s, i, j):
     """Elements at positions [i, j)."""
     if not (0 <= i <= j <= size(s)):
         raise IndexError(f"subseq({i},{j}) out of range for sequence of {size(s)}")
-    return _range(ctx, s, i, j)
+    return _as_tree(ctx, _slice(ctx, s, i, j))
 
 
 def append(ctx, s1, s2):
@@ -95,7 +94,7 @@ def reverse(ctx, s):
 
 
 def seq_filter(ctx, s, pred):
-    return _settle(ctx, _filter_tree(ctx, s, lambda e: pred(e[1])))
+    return _as_tree(ctx, _filter_tree(ctx, s, lambda e: pred(e[1])))
 
 
 def _find_first(ctx, t, pred):

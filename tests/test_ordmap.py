@@ -1,3 +1,4 @@
+import itertools
 import random
 from bisect import bisect_right
 
@@ -462,26 +463,33 @@ def test_filter_drop_one_copies_depth_nodes():
 
 
 def test_sparse_filter_allocates_no_discarded_node():
-    # every fragment is a block: the few entries a filter keeps of each
-    # block are joined into blocks, with no regular node built and dropped.
-    # The one allowance: when the root's entry is dropped, join2 of the two
-    # regular halves copies one node of their seam
-    ctx = make_context(block_size=128, encoding="identity")
-    n = 40 * 128
-    t = ordmap.build(ctx, KV(range(n)))
-    for r in range(7):
-        keep = lambda e: e[0] % 7 == r
-        a0, f0 = counters.allocations, counters.folds
-        f = ordmap.filter(ctx, t, keep)
-        allocations, folds = counters.allocations - a0, counters.folds - f0
-        assert bt.to_list(ctx, f) == KV(range(r, n, 7))
-        check_tree(ctx, f)
-        regular = count_nodes(f) - count_blocks(f)
-        seam = 0 if keep((t.key, t.value)) else 1
-        assert allocations <= folds + regular + seam, \
-            (r, allocations, folds, regular)
-        bt.release(f)
-    bt.release(t)
+    # the few entries a filter keeps of each block travel up as entry runs
+    # and are encoded once they reach B, as in _batch: no block is built to
+    # be decoded again by the next level, and no regular node is built and
+    # dropped.  The one allowance: when the root's entry is dropped, join2
+    # of the two regular halves copies one node of their seam
+    for B in (8, 128):
+        ctx = make_context(block_size=B, encoding="identity")
+        n = 40 * B
+        t = ordmap.build(ctx, KV(range(n)))
+        for r in range(7):
+            keep = lambda e: e[0] % 7 == r
+            c0 = counters.snapshot()
+            f = ordmap.filter(ctx, t, keep)
+            c1 = counters.snapshot()
+            allocations, folds, decodes = (
+                c1[c] - c0[c] for c in ("allocations", "folds", "decodes"))
+            assert bt.to_list(ctx, f) == KV(range(r, n, 7))
+            check_tree(ctx, f)
+            regular = count_nodes(f) - count_blocks(f)
+            seam = 0 if keep((t.key, t.value)) else 1
+            assert allocations <= folds + regular + seam, \
+                (B, r, allocations, folds, regular)
+            assert folds <= 2 * count_blocks(f), (B, r, folds)
+            assert decodes <= count_blocks(t) + count_blocks(f), \
+                (B, r, decodes)
+            bt.release(f)
+        bt.release(t)
 
 
 def test_map_reduce():
@@ -603,11 +611,12 @@ def _handles(result):
 
 @pytest.mark.parametrize("B", [1, 2, 8])
 def test_range_reads_release_on_unwind(B):
-    # a decode that fails anywhere in a key_range, a subseq or a split (the
-    # position search, the walk, the splits and joins that assemble the
-    # pieces) leaves the input intact and releases every node the read had
-    # made.  The delta codec has no in-place search, so its position
-    # searches decode too
+    # a decode that fails anywhere in a key_range, a subseq, a split, a
+    # filter or a map_values (the position search, the walk, the splits and
+    # joins that assemble the pieces, the branch that fork2 ran first)
+    # leaves the input intact and releases every node the read had made.
+    # The delta codec has no in-place search, so its position searches
+    # decode too
     from blocktree import sequence as sq
     from blocktree.core import Config, Context
     from blocktree.encoding import DeltaCodec, IdentityCodec, ObjectCodec
@@ -624,6 +633,10 @@ def test_range_reads_release_on_unwind(B):
                           ordmap.key_range(ctx, t, lo, hi)))
         cases.append((codec, ctx, t, lambda ctx=ctx, t=t:
                       bt.split(ctx, t, 20 * B + 1)))
+        cases.append((codec, ctx, t, lambda ctx=ctx, t=t:
+                      ordmap.filter(ctx, t, lambda e: e[0] % 6 != 2)))
+        cases.append((codec, ctx, t, lambda ctx=ctx, t=t:
+                      ordmap.map_values(ctx, t, lambda v: v + 1)))
     scodec = _failing_codec(ObjectCodec)
     sctx = Context(Config(block_size=B), scodec, ordered=False)
     s = sq.seq_build(sctx, range(20 * B + 30))
@@ -649,6 +662,50 @@ def test_range_reads_release_on_unwind(B):
     for x in trees + [s]:
         bt.release(x)
     assert counters.live == baseline
+
+
+class _CallbackFault(Exception):
+    pass
+
+
+def _failing(f, fail_at):
+    """f, except that its ``fail_at``-th call raises."""
+    calls = itertools.count(1)
+
+    def g(*args):
+        if next(calls) == fail_at:
+            raise _CallbackFault
+        return f(*args)
+    return g
+
+
+@pytest.mark.parametrize("B", [1, 8, 128])
+def test_failed_callbacks_release_what_they_hold(B):
+    # a filter predicate or a map_values f that raises on its k-th call
+    # leaves the input intact and releases every node the traversal had
+    # made, inline and with a worker pool running one branch of each fork.
+    # reduce's branch results are user values: its error propagates as it
+    # is, and nothing tries to release them
+    ctx = make_context(block_size=B, encoding="identity")
+    n = max(40 * B, 600)
+    t = ordmap.build(ctx, KV(range(0, 2 * n, 2)))
+    digest = structure_digest(ctx, t)
+    baseline = counters.live
+    ops = [lambda f: ordmap.filter(ctx, t, f),
+           lambda f: ordmap.map_values(ctx, t, f),
+           lambda f: ordmap.reduce(ctx, t, f, 0)]
+    callbacks = [lambda e: e[0] % 6 != 2, lambda v: v + 1,
+                 lambda a, b: a + b]
+    for threads in (1, 2):
+        bt.set_threads(threads)
+        for op, callback in zip(ops, callbacks):
+            for k in range(1, n + 1, max(1, n // 24)):
+                with pytest.raises(_CallbackFault):
+                    op(_failing(callback, k))
+                assert counters.live == baseline, (threads, k)
+                assert structure_digest(ctx, t) == digest
+    bt.set_threads(1)
+    bt.release(t)
 
 
 def test_point_queries_random_vs_model():
