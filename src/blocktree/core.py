@@ -13,13 +13,18 @@ Everything else in the library is built from the primitives here: expose,
 node, fold, unfold, join, join2, split and split_last (``refold`` is a
 second name for ``fold``).
 
-Ownership: functions prefixed with an underscore *consume* the handles they
-are given (the caller's reference transfers), and return owned results.  The
-un-prefixed public wrappers borrow their inputs: they ``retain`` each input
-before handing it to the consuming internals, so callers keep their trees
-(persistence).  ``_split``, ``_node`` and the joins release every handle
-they hold when an exception (a decode that fails) unwinds through them, so
-a read that borrows its input and fails inside them leaks nothing.
+Ownership: a walk *borrows* the tree it reads.  ``_split`` (and, in
+``ordmap``, every recursion over a caller's tree) reads ``t.left``,
+``t.right`` and the entry in place, and ``retain``s only the subtrees it
+shares into its result, after its own recursive calls have returned: a
+walk that raises holds nothing of its input.  Only the glue that links
+fresh pieces *consumes* the handles it is given (the caller's reference
+transfers): ``_node``, the joins, ``_join2``, ``_open`` and ``_settle``.
+Glue releases every handle it holds when an exception (a failed decode,
+codec check or user callback) unwinds through it, so a failed operation
+leaves its inputs intact and no node live.  Every result is owned by the
+caller; the public wrappers borrow their inputs and ``retain`` them only
+to hand them to glue.
 
 Two deliberate deviations from the expose-everywhere formulation keep the
 instrumented cost properties sharp:
@@ -61,7 +66,7 @@ from .encoding import EncodingScheme, make_codec
 from .errors import ContractError
 from .nodes import (is_flat, new_flat, new_regular, release, retain, size,
                     weight)
-from .parallel import fork2
+from .parallel import _release, fork2
 
 ALPHA_MAX = 1.0 - 1.0 / math.sqrt(2.0)
 
@@ -221,13 +226,19 @@ def _make_flat(ctx, entries):
 
 
 def _make_regular(ctx, l, e, r):
+    """Regular node over l, e and r; consumes l and r, and releases them
+    if the aggregate (a user's ``lift`` or ``combine``) raises."""
     s = size(l) + size(r) + 1
+    aug = None
     if ctx.aug:
         spec = ctx.aug
-        aug = spec.combine(aug_of(ctx, l),
-                           spec.combine(spec.lift(e), aug_of(ctx, r)))
-    else:
-        aug = None
+        try:
+            aug = spec.combine(aug_of(ctx, l),
+                               spec.combine(spec.lift(e), aug_of(ctx, r)))
+        except BaseException:
+            release(l)
+            release(r)
+            raise
     return new_regular(e[0], e[1], l, r, s, aug)
 
 
@@ -280,14 +291,6 @@ def _check_node_pre(ctx, l, e, r):
             raise ContractError(f"key order violated on the right of {e[0]!r}")
 
 
-def _flatten_consume(ctx, t):
-    """In-order entries of t; consumes t."""
-    try:
-        return flatten(ctx, t)
-    finally:
-        release(t)
-
-
 def _entries(ctx, l, e, r):
     """In-order entries of l, e and r; consumes l and r."""
     try:
@@ -300,15 +303,16 @@ def _entries(ctx, l, e, r):
 
 
 def _guard(held, f, *args):
-    """f(*args), releasing the handles in ``held`` if it raises: the pieces
-    a consuming function still owns while f runs.  The hot recursions of
-    the joins and ``_split`` inline the same try/except, which costs
-    nothing until it raises, where a call through here costs a frame."""
+    """f(*args), releasing the pieces in ``held`` if it raises: what a
+    function still owns while f runs (an entry run of ``ordmap`` holds no
+    node).  The hot recursions of the joins inline the same try/except,
+    which costs nothing until it raises, where a call through here costs a
+    frame."""
     try:
         return f(*args)
     except BaseException:
         for t in held:
-            release(t)
+            _release(t)
         raise
 
 
@@ -335,7 +339,8 @@ def _node(ctx, l, e, r):
         # passes back in is the one child _settle changes (reachable for
         # B <= 4, where balance lets it sit beside 4B entries); it leaves
         # valid children alone at O(1).
-        return _make_regular(ctx, _settle(ctx, l), e, _settle(ctx, r))
+        l = _guard((r,), _settle, ctx, l)
+        return _make_regular(ctx, l, e, _guard((l,), _settle, ctx, r))
     return _rebuild(ctx, _entries(ctx, l, e, r))
 
 
@@ -346,7 +351,11 @@ def _settle(ctx, t):
     all-regular fragments ``unfold`` hands out."""
     if t is None or is_flat(t) or t.size > 2 * ctx.config.block_size:
         return t
-    return _make_flat(ctx, _flatten_consume(ctx, t))
+    try:
+        entries = flatten(ctx, t)
+    finally:
+        release(t)
+    return _make_flat(ctx, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -419,45 +428,29 @@ def _flat_or_none(ctx, entries):
 
 def _split(ctx, t, i, mid=False):
     """(entries before position i, the entry at i or None, the entries
-    after); consumes t.  With ``mid`` the entry at i is taken out as the
+    after); borrows t.  With ``mid`` the entry at i is taken out as the
     middle; without it the entry opens the right side.  A block is sliced
     into two blocks (one decode) and never unfolded; a subtree wholly on
-    one side passes through untouched."""
+    one side is shared untouched."""
     if i >= size(t):
-        return t, None, None
+        return retain(t), None, None
     if i <= 0 and not mid:
-        return None, None, t
+        return None, None, retain(t)
     if is_flat(t):
-        try:
-            entries = _decode(ctx, t)
-        finally:
-            release(t)
-        j = i + 1 if mid else i
-        return (_flat_or_none(ctx, entries[:i]), entries[i] if mid else None,
-                _flat_or_none(ctx, entries[j:]))
-    l, e, r = _destructure(ctx, t)
-    sl = size(l)
+        entries = _decode(ctx, t)
+        left = _flat_or_none(ctx, entries[:i])
+        right = _guard((left,), _flat_or_none, ctx,
+                       entries[i + 1 if mid else i:])
+        return left, entries[i] if mid else None, right
+    e = (t.key, t.value)
+    sl = size(t.left)
     if i == sl and mid:
-        return l, e, r
-    # ``held`` is the one handle this frame owns that the running call has
-    # not been given: released if that call raises
+        return retain(t.left), e, retain(t.right)
     if i <= sl:
-        held = r
-        try:
-            ll, m, lr = _split(ctx, l, i, mid)
-            held = ll
-            return ll, m, _join(ctx, lr, e, r)
-        except BaseException:
-            release(held)
-            raise
-    held = l
-    try:
-        rl, m, rr = _split(ctx, r, i - sl - 1, mid)
-        held = rr
-        return _join(ctx, l, e, rl), m, rr
-    except BaseException:
-        release(held)
-        raise
+        ll, m, lr = _split(ctx, t.left, i, mid)
+        return ll, m, _guard((ll,), _join, ctx, lr, e, retain(t.right))
+    rl, m, rr = _split(ctx, t.right, i - sl - 1, mid)
+    return _guard((rr,), _join, ctx, retain(t.left), e, rl), m, rr
 
 
 def _locate(ctx, t, k):
@@ -486,7 +479,10 @@ def _open(ctx, t):
     """(left, entry, right) of a nonempty tree; consumes t.  A block is
     sliced at its middle entry."""
     if is_flat(t):
-        return _split(ctx, t, t.count // 2, True)
+        try:
+            return _split(ctx, t, t.count // 2, True)
+        finally:
+            release(t)
     return _destructure(ctx, t)
 
 
@@ -500,6 +496,8 @@ def _join2(ctx, l, r):
     except BaseException:
         release(r)
         raise
+    finally:
+        release(l)
     return _join(ctx, l2, m, r)
 
 
@@ -555,14 +553,15 @@ def join2(ctx, l, r):
 
 def split(ctx, t, k):
     """(tree of keys < k, entry at k or None, tree of keys > k)."""
-    i, present = _locate(ctx, t, k)     # may decode: before the retain
-    l, b, r = _split(ctx, retain(t), i, present)
-    return _settle(ctx, l), b, _settle(ctx, r)
+    i, present = _locate(ctx, t, k)
+    l, b, r = _split(ctx, t, i, present)
+    l = _guard((r,), _settle, ctx, l)
+    return l, b, _guard((l,), _settle, ctx, r)
 
 
 def split_last(ctx, t):
     """(tree minus its maximum entry, that entry)."""
     if t is None:
         raise ContractError("split_last of an empty tree")
-    t2, e, _ = _split(ctx, retain(t), size(t) - 1, True)
+    t2, e, _ = _split(ctx, t, size(t) - 1, True)
     return _settle(ctx, t2), e

@@ -7,8 +7,8 @@ optional, with defaults on ``EncodingScheme``:
 
 ``check_entry(key, value)``
     Raise ``CodecError`` for an entry no block could hold.
-    ``ordmap.insert`` and ``ordmap.multi_insert`` call it before they take
-    any handle, so a bad entry consumes nothing.  The default accepts
+    ``ordmap.insert`` and ``ordmap.multi_insert`` call it before their
+    walk starts, so a bad entry builds nothing.  The default accepts
     everything.
 
 ``search(payload, count, key, right=False)``

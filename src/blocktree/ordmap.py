@@ -51,25 +51,28 @@ covers most of the map shares its covered subtrees and allocates O(depth)
 nodes.
 
 ``insert`` and ``multi_insert`` check every incoming entry against the codec
-before they take any handle, so an entry the codec rejects consumes nothing.
+before their walk starts, so an entry the codec rejects builds nothing.
 ``insert`` runs a custom ``combine`` before that check and checks its result.
 ``union``, ``intersection`` and ``multi_insert`` check each ``combine``
 result where it is stored: the merge base case encodes it into a block, and
 the recursion checks the one it keeps in a regular node.  A rejected result
 raises ``CodecError`` and leaves the inputs intact.
 
-``filter`` and ``map_values`` call the user's callback on a node's own
-entry before its branches run, and ``fork2`` releases the result of one
-branch when the other raises, so a predicate, an ``f`` or a decode that
-raises leaves the input intact and no node behind.  A ``combine`` that
-raises inside ``_batch`` still leaks the pieces the recursion holds.
+Every recursion here borrows the tree it reads and retains only what it
+shares into its result, once its own recursive calls have returned;
+``filter``, ``map_values`` and ``_batch`` call the user's callback on a
+node's own entry before its branches run, ``fork2`` releases the result
+of one branch when the other raises, and the glue (``_concat`` and the
+joins) releases what it holds.  So a ``combine``, a predicate, an ``f``,
+an aggregate, a codec check or a decode that raises leaves the inputs
+intact and no node behind.
 """
 
 from bisect import bisect_left
 
-from .core import (_decode, _destructure, _entry_key, _flatten_consume,
-                   _join, _join2, _locate, _make_flat, _make_regular,
-                   _rebuild, _search, _settle)
+from .core import (_decode, _entry_key, _guard, _join, _join2, _locate,
+                   _make_flat, _make_regular, _rebuild, _search, _settle,
+                   flatten)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
 from .parallel import fork2
@@ -184,57 +187,57 @@ def previous_entry(ctx, t, k):
 
 
 def _insert(ctx, t, k, v):
-    """t with the entry (k, v); an entry at k is overwritten."""
+    """t with the entry (k, v); an entry at k is overwritten.  Borrows t."""
     if t is None:
         return _rebuild(ctx, [(k, v)])
     if is_flat(t):
         entries = _decode(ctx, t)
-        release(t)
         pos = bisect_left(entries, k, key=_entry_key)
         if pos < len(entries) and entries[pos][0] == k:
             entries[pos] = (k, v)
         else:
             entries.insert(pos, (k, v))
         return _rebuild(ctx, entries)
-    l, e, r = _destructure(ctx, t)
-    if k == e[0]:
-        return _join(ctx, l, (k, v), r)
-    if k < e[0]:
-        return _join(ctx, _insert(ctx, l, k, v), e, r)
-    return _join(ctx, l, e, _insert(ctx, r, k, v))
+    if k == t.key:
+        return _join(ctx, retain(t.left), (k, v), retain(t.right))
+    e = (t.key, t.value)
+    if k < t.key:
+        return _join(ctx, _insert(ctx, t.left, k, v), e, retain(t.right))
+    r = _insert(ctx, t.right, k, v)
+    return _join(ctx, retain(t.left), e, r)
 
 
 def insert(ctx, t, k, v, combine=_RIGHT):
     """t with (k, v) added; an existing value at k becomes combine(old, v).
 
-    combine runs once, and its result passes the codec check, before any
-    handle is taken: a combine that raises, or whose result the codec
-    rejects, consumes nothing.
+    combine runs once, and its result passes the codec check, before the
+    walk starts: a combine that raises, or whose result the codec rejects,
+    builds nothing.
     """
     if combine is not _RIGHT:
         old = get_entry(ctx, t, k)
         if old is not None:
             v = combine(old[1], v)
     ctx.codec.check_entry(k, v)
-    return _settle(ctx, _insert(ctx, retain(t), k, v))
+    return _settle(ctx, _insert(ctx, t, k, v))
 
 
 def _remove(ctx, t, k, found):
-    """t without the entry at k, which is present; consumes t.  ``found``
+    """t without the entry at k, which is present; borrows t.  ``found``
     is _seek's result for k: the search of the block that holds it."""
     if is_flat(t):
         pos, entries = found
         if not isinstance(entries, list):   # searched in place
             entries = _decode(ctx, t)
-        release(t)
         del entries[pos]
         return _rebuild(ctx, entries)
-    l, e, r = _destructure(ctx, t)
-    if k == e[0]:
-        return _join2(ctx, l, r)
-    if k < e[0]:
-        return _join(ctx, _remove(ctx, l, k, found), e, r)
-    return _join(ctx, l, e, _remove(ctx, r, k, found))
+    if k == t.key:
+        return _join2(ctx, retain(t.left), retain(t.right))
+    e = (t.key, t.value)
+    if k < t.key:
+        return _join(ctx, _remove(ctx, t.left, k, found), e, retain(t.right))
+    r = _remove(ctx, t.right, k, found)
+    return _join(ctx, retain(t.left), e, r)
 
 
 def remove(ctx, t, k):
@@ -243,7 +246,7 @@ def remove(ctx, t, k):
     found = _seek(ctx, t, k)
     if found is None:
         return retain(t)
-    return _settle(ctx, _remove(ctx, retain(t), k, found))
+    return _settle(ctx, _remove(ctx, t, k, found))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +296,7 @@ def _combined(ctx, k, a, b, combine):
 
 
 def _setop(ctx, t1, t2, op, combine):
-    """t1 under op with t2 as second operand; consumes both.  The smaller
+    """t1 under op with t2 as second operand; borrows both.  The smaller
     operand is read as a sorted run and bisected by ``_batch``; when that is
     t1, the op triple is mirrored and combine still sees (t1 value, t2
     value)."""
@@ -301,20 +304,20 @@ def _setop(ctx, t1, t2, op, combine):
         t1, t2 = t2, t1
         op = (op[1], op[0], op[2])
         combine = lambda a, b, f=combine: f(b, a)
-    return _bulk(ctx, t1, _flatten_consume(ctx, t2), op, combine)
+    return _bulk(ctx, t1, flatten(ctx, t2), op, combine)
 
 
 def union(ctx, t1, t2, combine=_RIGHT):
-    return _setop(ctx, retain(t1), retain(t2), _UNION, combine)
+    return _setop(ctx, t1, t2, _UNION, combine)
 
 
 def intersection(ctx, t1, t2, combine=_RIGHT):
-    return _setop(ctx, retain(t1), retain(t2), _INTERSECTION, combine)
+    return _setop(ctx, t1, t2, _INTERSECTION, combine)
 
 
 def difference(ctx, t1, t2):
     """Entries of t1 whose keys are absent from t2 (t1 keeps its values)."""
-    return _setop(ctx, retain(t1), retain(t2), _DIFFERENCE, None)
+    return _setop(ctx, t1, t2, _DIFFERENCE, None)
 
 
 # a second public name for union, kept for callers
@@ -348,11 +351,13 @@ def _concat(ctx, left, e, right):
     """left, then the entry e (None for none), then right, where left and
     right are trees or entry runs; consumes both.  Two runs are
     concatenated, and stay a run below B entries; a run that meets a tree
-    becomes one block, which the join absorbs."""
+    becomes one block, which the join absorbs.  A run whose block raises
+    (a combine result the codec rejects) releases the other side."""
     if _is_run(left) and _is_run(right):
         return _run_or_tree(ctx, (left or []) + ([] if e is None else [e])
                             + (right or []))
-    left, right = _as_tree(ctx, left), _as_tree(ctx, right)
+    left = _guard((right,), _as_tree, ctx, left)
+    right = _guard((left,), _as_tree, ctx, right)
     if e is None:
         return _join2(ctx, left, right)
     return _join(ctx, left, e, right)
@@ -360,28 +365,25 @@ def _concat(ctx, left, e, right):
 
 def _batch(ctx, t, arr, lo, hi, op, combine):
     """t under op with the sorted entry run arr[lo:hi] as second operand;
-    consumes t.  A block goes to the merge.  Returns a tree, or an entry
+    borrows t.  A block goes to the merge.  Returns a tree, or an entry
     run of fewer than B entries, which ``_concat`` joins with its
     neighbors."""
     only1, only2, both = op
     if lo >= hi:
-        if only1:
-            return t
-        release(t)
-        return None
+        return retain(t) if only1 else None
     if t is None:
         return _run_or_tree(ctx, arr[lo:hi]) if only2 else None
     if is_flat(t):
-        entries = _decode(ctx, t)
-        release(t)
-        return _run_or_tree(ctx, _merge(entries, arr[lo:hi], op, combine))
-    l, e, r = _destructure(ctx, t)
+        return _run_or_tree(ctx, _merge(_decode(ctx, t), arr[lo:hi], op,
+                                        combine))
+    e = (t.key, t.value)
     pos = bisect_left(arr, e[0], lo, hi, key=_entry_key)
     hit = pos < hi and arr[pos][0] == e[0]
     if hit:
         e = _combined(ctx, e[0], e[1], arr[pos][1], combine) if both else None
     elif not only1:
         e = None
+    l, r = t.left, t.right
     tl, tr = fork2(ctx, size(l) + size(r) + (hi - lo),
                    lambda: _batch(ctx, l, arr, lo, pos, op, combine),
                    lambda: _batch(ctx, r, arr, pos + (1 if hit else 0), hi, op,
@@ -390,7 +392,7 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
 
 
 def _bulk(ctx, t, arr, op, combine):
-    """_batch over the whole run arr; consumes t and returns a tree."""
+    """_batch over the whole run arr; borrows t and returns a tree."""
     return _as_tree(ctx, _batch(ctx, t, arr, 0, len(arr), op, combine))
 
 
@@ -399,12 +401,12 @@ def multi_insert(ctx, t, batch, combine=_RIGHT):
     check = ctx.codec.check_entry
     for k, v in arr:
         check(k, v)
-    return _bulk(ctx, retain(t), arr, _UNION, combine)
+    return _bulk(ctx, t, arr, _UNION, combine)
 
 
 def multi_delete(ctx, t, keys):
     arr = [(k, None) for k in sorted(set(keys))]
-    return _bulk(ctx, retain(t), arr, _DIFFERENCE, None)
+    return _bulk(ctx, t, arr, _DIFFERENCE, None)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +501,7 @@ def _slice(ctx, t, i, j):
     if i > sl:
         return _slice(ctx, t.right, i - sl - 1, j - sl - 1)
     left = _slice(ctx, t.left, i, sl)
-    try:
-        right = _slice(ctx, t.right, 0, j - sl - 1)
-    except BaseException:
-        if not _is_run(left):
-            release(left)
-        raise
+    right = _guard((left,), _slice, ctx, t.right, 0, j - sl - 1)
     return _concat(ctx, left, (t.key, t.value), right)
 
 

@@ -52,8 +52,8 @@ def _run_marked(fn):
 
 
 def _release(x):
-    """Release a branch result: an owned tree, or an entry run (a plain
-    list), which holds no node."""
+    """Release a branch result or a held piece: an owned tree, or an entry
+    run (a plain list), which holds no node."""
     if type(x) is not list:
         nodes.release(x)
 

@@ -10,11 +10,11 @@ ordered maps use for ``key_range`` (``ordmap._slice``): covered subtrees are
 shared and only the boundary blocks are decoded.
 """
 
-from .core import (_decode, _join2, _make_flat, _make_regular, _rebuild,
-                   _settle, flatten, make_context)
+from .core import (_decode, _make_flat, _make_regular, _rebuild, flatten,
+                   join2, make_context)
 from .encoding import ObjectCodec
 from .errors import ContractError
-from .nodes import is_flat, retain, size
+from .nodes import is_flat, size
 from .ordmap import (_as_tree, _filter_tree, _slice, map_values as seq_map,
                      reduce as seq_reduce)
 from .parallel import fork2
@@ -77,8 +77,8 @@ def subseq(ctx, s, i, j):
     return _as_tree(ctx, _slice(ctx, s, i, j))
 
 
-def append(ctx, s1, s2):
-    return _settle(ctx, _join2(ctx, retain(s1), retain(s2)))
+# concatenation is the core's join2
+append = join2
 
 
 def reverse(ctx, s):

@@ -605,18 +605,21 @@ def _failing_codec(cls):
 
 
 def _handles(result):
-    """The trees of a read's result: one tree, or split's (l, entry, r)."""
-    return [result[0], result[2]] if type(result) is tuple else [result]
+    """The trees of a result: one tree, split's (l, entry, r), or none for
+    a user value (reduce's)."""
+    if type(result) is tuple:
+        return [result[0], result[2]]
+    return [result] if result is None or hasattr(result, "owners") else []
 
 
 @pytest.mark.parametrize("B", [1, 2, 8])
-def test_range_reads_release_on_unwind(B):
+def test_failed_decodes_release_what_they_hold(B):
     # a decode that fails anywhere in a key_range, a subseq, a split, a
-    # filter or a map_values (the position search, the walk, the splits and
-    # joins that assemble the pieces, the branch that fork2 ran first)
-    # leaves the input intact and releases every node the read had made.
-    # The delta codec has no in-place search, so its position searches
-    # decode too
+    # filter, a map_values or a write (the position search, the walk, the
+    # merges, the splits and joins that assemble the pieces, the branch
+    # that fork2 ran first) leaves the inputs intact and releases every
+    # node the operation had made.  The delta codec has no in-place search,
+    # so its position searches decode too
     from blocktree import sequence as sq
     from blocktree.core import Config, Context
     from blocktree.encoding import DeltaCodec, IdentityCodec, ObjectCodec
@@ -626,37 +629,46 @@ def test_range_reads_release_on_unwind(B):
         codec = _failing_codec(cls)
         ctx = Context(Config(block_size=B), codec)
         t = ordmap.build(ctx, KV(range(0, 40 * B + 60, 2)))
-        trees.append(t)
+        other = ordmap.build(ctx, KV(range(B, 30 * B + 7, 3)))
+        trees += [t, other]
         for lo, hi in ((7, 20 * B + 41), (1, 40 * B + 40),
                        (10 * B, 30 * B + 3)):
-            cases.append((codec, ctx, t, lambda ctx=ctx, t=t, lo=lo, hi=hi:
+            cases.append((codec, ctx, (t,), lambda ctx=ctx, t=t, lo=lo, hi=hi:
                           ordmap.key_range(ctx, t, lo, hi)))
-        cases.append((codec, ctx, t, lambda ctx=ctx, t=t:
-                      bt.split(ctx, t, 20 * B + 1)))
-        cases.append((codec, ctx, t, lambda ctx=ctx, t=t:
-                      ordmap.filter(ctx, t, lambda e: e[0] % 6 != 2)))
-        cases.append((codec, ctx, t, lambda ctx=ctx, t=t:
-                      ordmap.map_values(ctx, t, lambda v: v + 1)))
+        for read in (lambda ctx, t, o: bt.split(ctx, t, 20 * B + 1),
+                     lambda ctx, t, o: ordmap.filter(
+                         ctx, t, lambda e: e[0] % 6 != 2),
+                     lambda ctx, t, o: ordmap.map_values(
+                         ctx, t, lambda v: v + 1),
+                     lambda ctx, t, o: ordmap.insert(ctx, t, 20 * B + 1, 5),
+                     lambda ctx, t, o: ordmap.remove(ctx, t, 20 * B + 2),
+                     lambda ctx, t, o: ordmap.union(ctx, t, o),
+                     lambda ctx, t, o: ordmap.difference(ctx, t, o),
+                     lambda ctx, t, o: ordmap.multi_delete(
+                         ctx, t, range(5, 30 * B, 4))):
+            cases.append((codec, ctx, (t, other),
+                          lambda ctx=ctx, t=t, o=other, read=read:
+                          read(ctx, t, o)))
     scodec = _failing_codec(ObjectCodec)
     sctx = Context(Config(block_size=B), scodec, ordered=False)
     s = sq.seq_build(sctx, range(20 * B + 30))
     for i, j in ((3, 15 * B + 11), (1, 20 * B + 29), (5 * B, 9 * B + 2)):
-        cases.append((scodec, sctx, s,
+        cases.append((scodec, sctx, (s,),
                       lambda i=i, j=j: sq.subseq(sctx, s, i, j)))
     swept = 0
-    for codec, c, x, read in cases:
-        digest = structure_digest(c, x)
+    for codec, c, xs, op in cases:
+        digests = [structure_digest(c, x) for x in xs]
         codec.calls = 0
-        for result in _handles(read()):
+        for result in _handles(op()):
             bt.release(result)
         live = counters.live
         for k in range(1, codec.calls + 1):
             codec.calls, codec.fail_at = 0, k
             with pytest.raises(_DecodeFault):
-                read()
+                op()
             codec.fail_at = None
             assert counters.live == live, (k, counters.live - live)
-            assert structure_digest(c, x) == digest
+            assert [structure_digest(c, x) for x in xs] == digests
             swept += 1
     assert swept >= len(cases)
     for x in trees + [s]:
@@ -679,33 +691,87 @@ def _failing(f, fail_at):
     return g
 
 
+def _calls(op, callback):
+    """How many times op calls callback; op's result is released."""
+    calls = itertools.count()
+
+    def counted(*args):
+        next(calls)
+        return callback(*args)
+    for result in _handles(op(counted)):
+        bt.release(result)
+    return next(calls)
+
+
 @pytest.mark.parametrize("B", [1, 8, 128])
 def test_failed_callbacks_release_what_they_hold(B):
-    # a filter predicate or a map_values f that raises on its k-th call
-    # leaves the input intact and releases every node the traversal had
-    # made, inline and with a worker pool running one branch of each fork.
+    # a callback that raises on its k-th call (a filter predicate, a
+    # map_values f, the combine of a set operation or a multi_insert, an
+    # augmented context's lift, also where node or split folds an unfolded
+    # block passed in) leaves the inputs intact and releases every node the
+    # operation had made, inline and with a worker pool running one branch
+    # of each fork; once the inputs are released, no node is left live.
     # reduce's branch results are user values: its error propagates as it
     # is, and nothing tries to release them
-    ctx = make_context(block_size=B, encoding="identity")
-    n = max(40 * B, 600)
-    t = ordmap.build(ctx, KV(range(0, 2 * n, 2)))
-    digest = structure_digest(ctx, t)
+    from blocktree.augment import AugSpec
     baseline = counters.live
-    ops = [lambda f: ordmap.filter(ctx, t, f),
-           lambda f: ordmap.map_values(ctx, t, f),
-           lambda f: ordmap.reduce(ctx, t, f, 0)]
-    callbacks = [lambda e: e[0] % 6 != 2, lambda v: v + 1,
-                 lambda a, b: a + b]
+    n = max(40 * B, 600)
+    pairs = KV(range(0, 2 * n, 2))
+    few = KV(sorted(random.Random(B).sample(range(2 * n), n // 2)))
+    ctx = make_context(block_size=B, encoding="identity")
+    t, other = ordmap.build(ctx, pairs), ordmap.build(ctx, few)
+    # the lift the augmented trees call, swapped for each failing run
+    key_of = lambda e: e[0]
+    lift = [key_of]
+    actx = make_context(block_size=B, encoding="identity", aug=AugSpec(
+        identity=0, lift=lambda e: lift[0](e), combine=lambda a, b: a + b))
+    ta, tb = ordmap.build(actx, pairs), ordmap.build(actx, few)
+    block = ordmap.build(actx, KV([2 * n + 2, 2 * n + 4]))
+    unfolded = bt.unfold(actx, block)
+    bt.release(block)
+    inputs = [(ctx, t), (ctx, other), (actx, ta), (actx, tb),
+              (actx, unfolded)]
+    digests = [structure_digest(c, x) for c, x in inputs]
+    live = counters.live
+
+    def lifting(op):
+        def run(f):
+            lift[0] = f
+            try:
+                return op()
+            finally:
+                lift[0] = key_of
+        return run
+
+    add = lambda a, b: a + b
+    cases = [(lambda f: ordmap.filter(ctx, t, f), lambda e: e[0] % 6 != 2),
+             (lambda f: ordmap.map_values(ctx, t, f), lambda v: v + 1),
+             (lambda f: ordmap.reduce(ctx, t, f, 0), add),
+             (lambda f: ordmap.union(ctx, t, other, f), add),
+             (lambda f: ordmap.intersection(ctx, t, other, f), add),
+             (lambda f: ordmap.multi_insert(ctx, t, few, f), add)]
+    cases += [(lifting(op), key_of) for op in (
+        lambda: ordmap.build(actx, pairs),
+        lambda: ordmap.map_values(actx, ta, lambda v: v + 1),
+        lambda: ordmap.filter(actx, ta, lambda e: e[0] % 6 != 2),
+        lambda: ordmap.union(actx, ta, tb),
+        lambda: ordmap.insert(actx, ta, n + 1, 5),
+        lambda: bt.split(actx, ta, n + 3),
+        lambda: bt.node(actx, ta, (2 * n + 1, 1), unfolded),
+        lambda: bt.split(actx, unfolded, 2 * n + 3))]
     for threads in (1, 2):
         bt.set_threads(threads)
-        for op, callback in zip(ops, callbacks):
-            for k in range(1, n + 1, max(1, n // 24)):
+        for i, (op, callback) in enumerate(cases):
+            calls = _calls(op, callback)
+            for k in range(1, calls + 1, max(1, calls // 24)):
                 with pytest.raises(_CallbackFault):
                     op(_failing(callback, k))
-                assert counters.live == baseline, (threads, k)
-                assert structure_digest(ctx, t) == digest
+                assert counters.live == live, (threads, i, k)
+                assert [structure_digest(c, x) for c, x in inputs] == digests
     bt.set_threads(1)
-    bt.release(t)
+    for _, x in inputs:
+        bt.release(x)
+    assert counters.live == baseline
 
 
 def test_point_queries_random_vs_model():
@@ -823,8 +889,10 @@ def test_insert_combine_failure_consumes_nothing():
 def test_set_combine_result_is_checked_where_stored():
     # at B=8, the root key of 200 entries sits in a regular node, and the
     # recursion keeps its combined entry in one: a result the codec
-    # rejects must raise there, not wait for a later fold to meet it
+    # rejects must raise there, not wait for a later fold to meet it, and
+    # leaves no node live once the inputs are released
     ctx = make_context(block_size=8, encoding="identity")
+    baseline = counters.live
     t = ordmap.build(ctx, KV(range(0, 400, 2)))
     assert not is_flat(t)
     root = KV([t.key])
@@ -841,6 +909,22 @@ def test_set_combine_result_is_checked_where_stored():
     check_tree(ctx, t)
     bt.release(t)
     bt.release(other)
+    # a result rejected on any call k, also one that an entry run of a
+    # sparse intersection carries to the block it is encoded in
+    for B in (2, 8):
+        c = make_context(block_size=B, encoding="identity")
+        t1 = ordmap.build(c, KV(range(0, 600, 2)))
+        t2 = ordmap.build(c, KV(range(0, 600, 7)))
+        live = counters.live
+        for op in (ordmap.intersection, ordmap.union):
+            for k in range(1, 44):      # the 43 shared keys: 0, 14, .., 588
+                calls = itertools.count(1)
+                with pytest.raises(CodecError):
+                    op(c, t1, t2, lambda a, b: -1 if next(calls) == k else b)
+                assert counters.live == live, (B, k)
+        bt.release(t1)
+        bt.release(t2)
+    assert counters.live == baseline
 
 
 def _codec_cost(fn):
