@@ -10,10 +10,10 @@ subtrees without decoding them.
 from dataclasses import dataclass
 from bisect import bisect_right
 
-from .core import _entry_key, _search
+from .core import _as_tree, _entry_key, _search
 from .errors import ContractError
 from .nodes import is_flat
-from .ordmap import _as_tree, _filter_tree
+from .ordmap import _filter_tree
 
 
 @dataclass(frozen=True)

@@ -13,40 +13,50 @@ Everything else in the library is built from the primitives here: expose,
 node, fold, unfold, join, join2, split and split_last (``refold`` is a
 second name for ``fold``).
 
-Ownership: a walk *borrows* the tree it reads.  ``_split`` (and, in
-``ordmap``, every recursion over a caller's tree) reads ``t.left``,
-``t.right`` and the entry in place, and ``retain``s only the subtrees it
-shares into its result, after its own recursive calls have returned: a
-walk that raises holds nothing of its input.  Only the glue that links
-fresh pieces *consumes* the handles it is given (the caller's reference
-transfers): ``_node``, the joins, ``_join2``, ``_open`` and ``_settle``.
-Glue releases every handle it holds when an exception (a failed decode,
-codec check or user callback) unwinds through it, so a failed operation
-leaves its inputs intact and no node live.  Every result is owned by the
-caller; the public wrappers borrow their inputs and ``retain`` them only
-to hand them to glue.
+Ownership: a walk *borrows* the tree it reads.  ``_slice`` and
+``_pop_last`` (and, in ``ordmap``, every recursion over a caller's tree)
+read ``t.left``, ``t.right`` and the entry in place, and ``retain`` only
+the subtrees they share into their result, after their own recursive
+calls have returned: a walk that raises holds nothing of its input.  Only
+the glue that links fresh pieces *consumes* the handles it is given (the
+caller's reference transfers): ``_node``, the joins, ``_join2``,
+``_open``, ``_settle``, ``_concat`` and ``_as_tree``.  Glue releases every
+handle it holds when an exception (a failed decode, codec check or user
+callback) unwinds through it, so a failed operation leaves its inputs
+intact and no node live.  Every result is owned by the caller; the public
+wrappers borrow their inputs and ``retain`` them only to hand them to glue.
 
 Two deliberate deviations from the expose-everywhere formulation keep the
 instrumented cost properties sharp:
 
-* ``_split`` works by position and slices the one block it ends in (one
-  decode, two blocks); subtrees wholly on one side pass through untouched.
-  A keyed split first finds its position with the read-only ``_locate``.
+* Reads by position are one read-only walk, ``_slice``: a subtree wholly
+  inside the range is shared, one wholly outside is skipped, and only the
+  boundary blocks are decoded.  A keyed split is two slices at the
+  position the read-only ``_locate`` finds, so it decodes the block it
+  ends in once for each side; ``_join2`` and ``split_last`` take the last
+  entry off with ``_pop_last``, a walk down the right spine that decodes
+  only the last block.
 * ``_join_right``/``_join_left`` hand an unbalanced block, or any
   rebalance of at most ``4B`` entries, to ``_node``, which rebuilds it;
-  a rotation that meets a block (seen at B=1) slices it at its middle
+  a rotation that meets a block (seen at B=1) cuts it at its middle
   entry.
 
-Every fragment is a block.  The slices of a split, the merges of a batch
-and the pieces of a rebalance are blocks, undersized ones included, and
-``_node`` is the one place that decides between linking and flattening:
-it links children that are already valid (two blocks of ``B..2B``
-entries, or any pair of at least ``4B`` entries) and rebuilds any smaller
-pair from its entries.  A point update therefore re-encodes just the one
-block it changes: its untouched sibling block is shared, not rebuilt.
+Fragments are entry runs.  A piece below ``B`` entries that a walk hands
+up (the cut of a boundary block, a merge of a batch, the entries a filter
+keeps of a block, a block less its last entry) is a plain sorted list,
+not a block (``_run_or_tree``).  ``_concat`` is the one glue: two runs are
+concatenated, and stay a run below ``B``; a run becomes a block
+(``_as_tree``) only where the glue hands a tree to a join; and with no
+middle entry, a nonempty run beside a tree gives up the entry next to the
+seam as the middle, so only two trees reach ``_join2``.  ``_node`` is the
+one place that decides between linking and flattening: it links children
+that are already valid (two blocks of ``B..2B`` entries, or any pair of
+at least ``4B`` entries) and rebuilds any smaller pair from its entries.
+A point update therefore re-encodes just the one block it changes: its
+untouched sibling block is shared, not rebuilt.
 
 No path but the public ``unfold`` expands a block into regular nodes; the
-public ``expose`` slices a block into two blocks like ``_open`` does.  An
+public ``expose`` cuts a block into two blocks like ``_open`` does.  An
 unfolded block is the one regular tree of at most ``2B`` entries a caller
 can hold, and ``_settle`` (public ``fold``) packs it back into one block:
 no valid tree has a regular subtree that small.  ``_node`` settles the
@@ -84,23 +94,17 @@ class Config:
     """Tree shape parameters.
 
     alpha: weight-balance factor; B (block_size): block capacity lower
-    bound; grain: smallest subtree size whose recursive branches may run on
-    separate workers (default 4B).
+    bound.
     """
 
     alpha: float = 0.29
     block_size: int = 128
-    grain: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= ALPHA_MAX + 1e-12:
             raise ValueError(f"alpha must be in (0, 1 - 1/sqrt(2)]; got {self.alpha}")
         if self.block_size < 1:
             raise ValueError("block size must be at least 1")
-        if self.grain == 0:
-            object.__setattr__(self, "grain", 4 * self.block_size)
-        if self.grain < 1:
-            raise ValueError("grain must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,8 @@ class Context:
 
 
 def make_context(block_size=128, alpha=0.29, encoding=None, aug=None,
-                 ordered=True, grain=0, value_width=8):
-    cfg = Config(alpha=alpha, block_size=block_size, grain=grain)
+                 ordered=True, value_width=8):
+    cfg = Config(alpha=alpha, block_size=block_size)
     return Context(config=cfg, codec=make_codec(encoding, value_width),
                    aug=aug, ordered=ordered)
 
@@ -304,10 +308,9 @@ def _entries(ctx, l, e, r):
 
 def _guard(held, f, *args):
     """f(*args), releasing the pieces in ``held`` if it raises: what a
-    function still owns while f runs (an entry run of ``ordmap`` holds no
-    node).  The hot recursions of the joins inline the same try/except,
-    which costs nothing until it raises, where a call through here costs a
-    frame."""
+    function still owns while f runs (an entry run holds no node).  The
+    hot recursions of the joins inline the same try/except, which costs
+    nothing until it raises, where a call through here costs a frame."""
     try:
         return f(*args)
     except BaseException:
@@ -359,7 +362,7 @@ def _settle(ctx, t):
 
 
 # ---------------------------------------------------------------------------
-# join / split
+# join
 
 
 def _balanced_pair(cfg, wl, wr):
@@ -422,68 +425,54 @@ def _join_left(ctx, tl, k, tr):
     return _node(ctx, left, e2, _guard((left,), _node, ctx, r2, e0, r))
 
 
-def _flat_or_none(ctx, entries):
-    return _make_flat(ctx, entries) if entries else None
-
-
-def _split(ctx, t, i, mid=False):
-    """(entries before position i, the entry at i or None, the entries
-    after); borrows t.  With ``mid`` the entry at i is taken out as the
-    middle; without it the entry opens the right side.  A block is sliced
-    into two blocks (one decode) and never unfolded; a subtree wholly on
-    one side is shared untouched."""
-    if i >= size(t):
-        return retain(t), None, None
-    if i <= 0 and not mid:
-        return None, None, retain(t)
-    if is_flat(t):
-        entries = _decode(ctx, t)
-        left = _flat_or_none(ctx, entries[:i])
-        right = _guard((left,), _flat_or_none, ctx,
-                       entries[i + 1 if mid else i:])
-        return left, entries[i] if mid else None, right
-    e = (t.key, t.value)
-    sl = size(t.left)
-    if i == sl and mid:
-        return retain(t.left), e, retain(t.right)
-    if i <= sl:
-        ll, m, lr = _split(ctx, t.left, i, mid)
-        return ll, m, _guard((ll,), _join, ctx, lr, e, retain(t.right))
-    rl, m, rr = _split(ctx, t.right, i - sl - 1, mid)
-    return _guard((rr,), _join, ctx, retain(t.left), e, rl), m, rr
-
-
 def _locate(ctx, t, k):
-    """(number of keys below k, whether k is present); read-only.  The
-    position a keyed split hands to ``_split``."""
+    """(number of keys below k, the entry at k or None); read-only.  The
+    position a keyed split or a key range hands to ``_slice``."""
     n = 0
     while t is not None:
         if is_flat(t):
-            if k <= t.first_key:
-                return n, k == t.first_key
+            if k < t.first_key:
+                return n, None
             if k > t.last_key:
-                return n + t.count, False
+                return n + t.count, None
             pos, entries = _search(ctx, t, k)
-            return n + pos, entries[pos][0] == k
+            e = entries[pos]
+            return n + pos, e if e[0] == k else None
         if k == t.key:
-            return n + size(t.left), True
+            return n + size(t.left), (t.key, t.value)
         if k < t.key:
             t = t.left
         else:
             n += size(t.left) + 1
             t = t.right
-    return n, False
+    return n, None
 
 
 def _open(ctx, t):
     """(left, entry, right) of a nonempty tree; consumes t.  A block is
-    sliced at its middle entry."""
+    cut at its middle entry into two blocks."""
+    if not is_flat(t):
+        return _destructure(ctx, t)
+    try:
+        entries = _decode(ctx, t)
+    finally:
+        release(t)
+    i = len(entries) // 2
+    left = _as_tree(ctx, entries[:i])
+    return left, entries[i], _guard((left,), _as_tree, ctx, entries[i + 1:])
+
+
+def _pop_last(ctx, t):
+    """(t without its last entry, as a tree or an entry run; that entry);
+    borrows t.  A walk down the right spine: only the last block is
+    decoded."""
     if is_flat(t):
-        try:
-            return _split(ctx, t, t.count // 2, True)
-        finally:
-            release(t)
-    return _destructure(ctx, t)
+        entries = _decode(ctx, t)
+        return _run_or_tree(ctx, entries[:-1]), entries[-1]
+    if t.right is None:
+        return retain(t.left), (t.key, t.value)
+    rest, last = _pop_last(ctx, t.right)
+    return _concat(ctx, retain(t.left), (t.key, t.value), rest), last
 
 
 def _join2(ctx, l, r):
@@ -492,13 +481,80 @@ def _join2(ctx, l, r):
     if r is None:
         return l
     try:
-        l2, m, _ = _split(ctx, l, size(l) - 1, True)
+        rest, m = _pop_last(ctx, l)
     except BaseException:
         release(r)
         raise
     finally:
         release(l)
-    return _join(ctx, l2, m, r)
+    return _concat(ctx, rest, m, r)
+
+
+# ---------------------------------------------------------------------------
+# fragments: entry runs and the glue that links them
+
+
+def _run_or_tree(ctx, entries):
+    """A base case's result: the entries themselves, as an entry run, while
+    there are fewer than B of them; else their tree."""
+    if len(entries) < ctx.config.block_size:
+        return entries
+    return _rebuild(ctx, entries)
+
+
+def _is_run(x):
+    """True for an entry run or nothing: what ``_concat`` concatenates."""
+    return x is None or type(x) is list
+
+
+def _as_tree(ctx, x):
+    """The tree of a recursion's result: an entry run becomes one block,
+    and a tree is settled (an unfolded block passed in is folded back)."""
+    return _rebuild(ctx, x) if type(x) is list else _settle(ctx, x)
+
+
+def _concat(ctx, left, e, right):
+    """left, then the entry e (None for none), then right, where left and
+    right are trees or entry runs; consumes both.  Two runs are
+    concatenated, and stay a run below B entries; a run that meets a tree
+    becomes one block, which the join absorbs.  With no entry, a nonempty
+    run beside a tree gives up its entry next to the seam (its last, or
+    the right run's first), so only two trees reach ``_join2``.  A run
+    whose block raises (a combine result the codec rejects) releases the
+    other side."""
+    if _is_run(left) and _is_run(right):
+        return _run_or_tree(ctx, (left or []) + ([] if e is None else [e])
+                            + (right or []))
+    if e is None and _is_run(left) and left:
+        left, e = left[:-1], left[-1]
+    elif e is None and _is_run(right) and right:
+        e, right = right[0], right[1:]
+    left = _guard((right,), _as_tree, ctx, left)
+    right = _guard((left,), _as_tree, ctx, right)
+    if e is None:
+        return _join2(ctx, left, right)
+    return _join(ctx, left, e, right)
+
+
+def _slice(ctx, t, i, j):
+    """Entries at positions [i, j) of t, 0 <= i <= j <= size(t); borrows
+    t.  A read-only walk by position: a subtree wholly inside is shared,
+    one wholly outside is skipped, and only the boundary blocks are
+    decoded.  Returns a tree, or an entry run of fewer than B entries."""
+    if i >= j:
+        return None
+    if i == 0 and j == size(t):
+        return retain(t)
+    if is_flat(t):
+        return _run_or_tree(ctx, _decode(ctx, t)[i:j])
+    sl = size(t.left)
+    if j <= sl:
+        return _slice(ctx, t.left, i, j)
+    if i > sl:
+        return _slice(ctx, t.right, i - sl - 1, j - sl - 1)
+    left = _slice(ctx, t.left, i, sl)
+    right = _guard((left,), _slice, ctx, t.right, 0, j - sl - 1)
+    return _concat(ctx, left, (t.key, t.value), right)
 
 
 # ---------------------------------------------------------------------------
@@ -552,16 +608,18 @@ def join2(ctx, l, r):
 
 
 def split(ctx, t, k):
-    """(tree of keys < k, entry at k or None, tree of keys > k)."""
-    i, present = _locate(ctx, t, k)
-    l, b, r = _split(ctx, t, i, present)
-    l = _guard((r,), _settle, ctx, l)
-    return l, b, _guard((l,), _settle, ctx, r)
+    """(tree of keys < k, entry at k or None, tree of keys > k): two
+    read-only slices by position, so a boundary block is decoded once for
+    each side."""
+    i, e = _locate(ctx, t, k)
+    l = _as_tree(ctx, _slice(ctx, t, 0, i))
+    r = _guard((l,), _slice, ctx, t, i + (e is not None), size(t))
+    return l, e, _guard((l,), _as_tree, ctx, r)
 
 
 def split_last(ctx, t):
     """(tree minus its maximum entry, that entry)."""
     if t is None:
         raise ContractError("split_last of an empty tree")
-    t2, e, _ = _split(ctx, t, size(t) - 1, True)
-    return _settle(ctx, t2), e
+    rest, e = _pop_last(ctx, t)
+    return _as_tree(ctx, rest), e

@@ -17,17 +17,18 @@ one is ``t1``, ``_setop`` mirrors the op triple and flips ``combine``, so it
 is still called as ``combine(t1 value, t2 value)``.  The base case is the
 block: where the run reaches a block, the recursion decodes it, runs the
 three-way ``_merge`` and rebuilds, and every block the run does not reach
-stays shared, so a batch of k keys re-encodes about k blocks.  A merge
-that keeps fewer than B entries returns them as an entry run (a plain
-sorted list) instead of a tree.  A regular node glues its two results
-and its kept entry with ``_concat``: two runs are concatenated and
-encoded once they reach B, as one block; a run that meets a tree becomes
-one block that the join absorbs.  So a sparse intersection encodes its
-result about once instead of joining one undersized fragment per block.
-The two other recursions that build a result, ``_filter_tree`` and
-``_slice``, follow the same run convention and end in the same
+stays shared, so a batch of k keys re-encodes about k blocks.  Results
+follow ``core``'s fragment convention: a merge that keeps fewer than B
+entries returns them as an entry run (a plain sorted list) instead of a
+tree, and a regular node glues its two results and its kept entry with
+``core._concat``: two runs are concatenated and encoded once they reach
+B, as one block; a run that meets a tree becomes one block that the join
+absorbs, and a run beside a dropped entry gives up its entry at the seam
+as the join's middle.  So a sparse intersection encodes its result about
+once instead of joining one undersized fragment per block.
+``_filter_tree`` follows the same convention and ends in the same
 ``_concat``, and every public operation turns the final result into a
-tree with ``_as_tree``.  No bulk operation unfolds a block, and
+tree with ``core._as_tree``.  No bulk operation unfolds a block, and
 each decodes every input block about once, plus the few blocks its joins
 rebalance: over 300 seeded AC4-shaped unions (B in {1, 2, 8, 128}, all
 three codecs) the worst count is 1.375 times the block count of the two
@@ -40,15 +41,14 @@ delta codec (Python 3.11), where joining the shared subtrees took 0.6 ms.
 
 ``rank`` is the position search of a keyed split (``core._locate``), and
 ``key_range`` reads the positions ``[rank(lo), rank(hi) + (hi present))``
-with ``_slice``, a read-only walk by position that borrows the tree (the
-sequence slices ``take``, ``drop`` and ``subseq`` are the same walk).  A
+with ``core._slice``, the read-only walk by position that also serves
+``split`` and the sequence slices ``take``, ``drop`` and ``subseq``.  A
 subtree wholly inside the range is shared, one wholly outside is skipped,
 and only the two boundary blocks are decoded and sliced; pieces below B
-travel as entry runs, as in ``_batch``, and a piece that meets a tree is
-joined to it.  So the discarded sides cost nothing: a ~100-entry range at
-B=128 makes one block (one allocation, one encode), and a range that
-covers most of the map shares its covered subtrees and allocates O(depth)
-nodes.
+travel as entry runs, as in ``_batch``.  So the discarded sides cost
+nothing: a ~100-entry range at B=128 makes one block (one allocation, one
+encode), and a range that covers most of the map shares its covered
+subtrees and allocates O(depth) nodes.
 
 ``insert`` and ``multi_insert`` check every incoming entry against the codec
 before their walk starts, so an entry the codec rejects builds nothing.
@@ -62,17 +62,17 @@ Every recursion here borrows the tree it reads and retains only what it
 shares into its result, once its own recursive calls have returned;
 ``filter``, ``map_values`` and ``_batch`` call the user's callback on a
 node's own entry before its branches run, ``fork2`` releases the result
-of one branch when the other raises, and the glue (``_concat`` and the
-joins) releases what it holds.  So a ``combine``, a predicate, an ``f``,
+of one branch when the other raises, and the glue (``core._concat`` and
+the joins) releases what it holds.  So a ``combine``, a predicate, an ``f``,
 an aggregate, a codec check or a decode that raises leaves the inputs
 intact and no node behind.
 """
 
 from bisect import bisect_left
 
-from .core import (_decode, _entry_key, _guard, _join, _join2, _locate,
-                   _make_flat, _make_regular, _rebuild, _search, _settle,
-                   flatten)
+from .core import (_as_tree, _concat, _decode, _entry_key, _join, _join2,
+                   _locate, _make_flat, _make_regular, _rebuild, _run_or_tree,
+                   _search, _settle, _slice, flatten)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
 from .parallel import fork2
@@ -328,41 +328,6 @@ union_efficient = union
 # batch updates
 
 
-def _run_or_tree(ctx, entries):
-    """A base case's result: the entries themselves, as an entry run, while
-    there are fewer than B of them; else their tree."""
-    if len(entries) < ctx.config.block_size:
-        return entries
-    return _rebuild(ctx, entries)
-
-
-def _is_run(x):
-    """True for an entry run or nothing: what ``_concat`` concatenates."""
-    return x is None or type(x) is list
-
-
-def _as_tree(ctx, x):
-    """The tree of a recursion's result: an entry run becomes one block,
-    and a tree is settled (an unfolded block passed in is folded back)."""
-    return _rebuild(ctx, x) if type(x) is list else _settle(ctx, x)
-
-
-def _concat(ctx, left, e, right):
-    """left, then the entry e (None for none), then right, where left and
-    right are trees or entry runs; consumes both.  Two runs are
-    concatenated, and stay a run below B entries; a run that meets a tree
-    becomes one block, which the join absorbs.  A run whose block raises
-    (a combine result the codec rejects) releases the other side."""
-    if _is_run(left) and _is_run(right):
-        return _run_or_tree(ctx, (left or []) + ([] if e is None else [e])
-                            + (right or []))
-    left = _guard((right,), _as_tree, ctx, left)
-    right = _guard((left,), _as_tree, ctx, right)
-    if e is None:
-        return _join2(ctx, left, right)
-    return _join(ctx, left, e, right)
-
-
 def _batch(ctx, t, arr, lo, hi, op, combine):
     """t under op with the sorted entry run arr[lo:hi] as second operand;
     borrows t.  A block goes to the merge.  Returns a tree, or an entry
@@ -483,32 +448,10 @@ def reduce(ctx, t, f, identity):
     return f(f(xl, t.value), xr)
 
 
-def _slice(ctx, t, i, j):
-    """Entries at positions [i, j) of t, 0 <= i <= j <= size(t); borrows
-    t.  A read-only walk by position: a subtree wholly inside is shared,
-    one wholly outside is skipped, and only the boundary blocks are
-    decoded.  Returns a tree, or an entry run of fewer than B entries, like
-    ``_batch``."""
-    if i >= j:
-        return None
-    if i == 0 and j == size(t):
-        return retain(t)
-    if is_flat(t):
-        return _run_or_tree(ctx, _decode(ctx, t)[i:j])
-    sl = size(t.left)
-    if j <= sl:
-        return _slice(ctx, t.left, i, j)
-    if i > sl:
-        return _slice(ctx, t.right, i - sl - 1, j - sl - 1)
-    left = _slice(ctx, t.left, i, sl)
-    right = _guard((left,), _slice, ctx, t.right, 0, j - sl - 1)
-    return _concat(ctx, left, (t.key, t.value), right)
-
-
 def key_range(ctx, t, lo, hi):
     """Entries with lo <= key <= hi, as a fresh tree."""
     if lo > hi:
         raise ContractError("key_range requires lo <= hi")
-    j, hi_present = _locate(ctx, t, hi)
+    j, e = _locate(ctx, t, hi)
     return _as_tree(ctx, _slice(ctx, t, _locate(ctx, t, lo)[0],
-                                j + hi_present))
+                                j + (e is not None)))

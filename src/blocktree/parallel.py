@@ -3,9 +3,9 @@
 Bulk operations call ``fork2(ctx, work_size, fa, fb)`` for their two
 recursive branches.  With one thread configured (the default) both run
 inline.  With more, the coordinating (non-worker) thread offloads the second
-branch to a shared pool whenever ``work_size`` exceeds the context's grain;
-pool workers themselves never fork, which keeps the scheme deadlock-free
-with a bounded pool.  Results are combined only after both branches finish,
+branch to a shared pool whenever ``work_size`` exceeds 4B, four times the
+context's block size; pool workers themselves never fork, which keeps the
+scheme deadlock-free with a bounded pool.  Results are combined only after both branches finish,
 so output trees are identical regardless of scheduling.  A branch that
 raises takes the other's result with it: ``fork2`` waits for both and
 releases the one that survived before the error propagates.
@@ -66,7 +66,7 @@ def fork2(ctx, work_size, fa, fb, owned=True):
     for results that are user values, not owned trees (``reduce``).
     """
     future = None
-    if not (_pool is None or work_size <= ctx.config.grain
+    if not (_pool is None or work_size <= 4 * ctx.config.block_size
             or getattr(_worker, "active", False)):
         future = _pool.submit(_run_marked, fb)
     try:

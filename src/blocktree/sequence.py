@@ -6,25 +6,24 @@ blocks use the object codec (gap compression needs sorted integer keys, so
 byte codecs are rejected here).  Balance and blocked-leaf invariants are the
 same as for maps; positions are implicit in each node's stored sizes.
 ``take``, ``drop`` and ``subseq`` are the read-only walk by position that
-ordered maps use for ``key_range`` (``ordmap._slice``): covered subtrees are
+ordered maps use for ``key_range`` (``core._slice``): covered subtrees are
 shared and only the boundary blocks are decoded.
 """
 
-from .core import (_decode, _make_flat, _make_regular, _rebuild, flatten,
-                   join2, make_context)
+from .core import (_as_tree, _decode, _make_flat, _make_regular, _rebuild,
+                   _slice, flatten, join2, make_context)
 from .encoding import ObjectCodec
 from .errors import ContractError
 from .nodes import is_flat, size
-from .ordmap import (_as_tree, _filter_tree, _slice, map_values as seq_map,
-                     reduce as seq_reduce)
+from .ordmap import _filter_tree, map_values as seq_map, reduce as seq_reduce
 from .parallel import fork2
 
 _ABSENT = object()
 
 
-def seq_context(block_size=128, alpha=0.29, aug=None, grain=0):
+def seq_context(block_size=128, alpha=0.29, aug=None):
     return make_context(block_size=block_size, alpha=alpha, encoding="object",
-                        aug=aug, ordered=False, grain=grain)
+                        aug=aug, ordered=False)
 
 
 def check_seq_context(ctx):

@@ -47,8 +47,6 @@ def test_config_validation():
         Config(alpha=0.0)
     with pytest.raises(ValueError):
         Config(block_size=0)
-    cfg = Config(block_size=16)
-    assert cfg.grain == 64
 
 
 def test_config_has_no_kappa():

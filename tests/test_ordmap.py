@@ -492,6 +492,27 @@ def test_sparse_filter_allocates_no_discarded_node():
         bt.release(t)
 
 
+@pytest.mark.parametrize("encoding", ["identity", "delta"])
+def test_dropped_entry_beside_a_run_takes_no_block(encoding):
+    # a multi_delete of the root key and all but one key of the left
+    # subtree leaves a one-entry run on the left of the dropped entry: the
+    # glue takes that entry as the middle of the join, so no block is made
+    # of the run only to be cut open again
+    for B in (8, 128):
+        ctx = make_context(block_size=B, encoding=encoding)
+        n = 40 * B
+        t = ordmap.build(ctx, KV(range(n)))
+        keys = [t.key] + [k for k, _ in bt.to_list(ctx, t.left)][1:]
+        f0 = counters.folds
+        got = ordmap.multi_delete(ctx, t, keys)
+        assert counters.folds - f0 <= 1, (B, counters.folds - f0)
+        want = MapModel(KV(range(n))).difference(MapModel(KV(keys)))
+        assert bt.to_list(ctx, got) == want.items()
+        check_tree(ctx, got)
+        bt.release(got)
+        bt.release(t)
+
+
 def test_map_reduce():
     ctx = make_context(block_size=3, encoding="identity")
     assert ordmap.reduce(ctx, None, lambda a, b: a + b, 0) == 0
@@ -605,21 +626,22 @@ def _failing_codec(cls):
 
 
 def _handles(result):
-    """The trees of a result: one tree, split's (l, entry, r), or none for
-    a user value (reduce's)."""
-    if type(result) is tuple:
-        return [result[0], result[2]]
-    return [result] if result is None or hasattr(result, "owners") else []
+    """The trees of a result: one tree, every tree of a tuple (split's and
+    expose's (l, entry, r), split_last's (rest, entry)), or none for a
+    user value (reduce's)."""
+    parts = result if type(result) is tuple else (result,)
+    return [x for x in parts if hasattr(x, "owners")]
 
 
 @pytest.mark.parametrize("B", [1, 2, 8])
 def test_failed_decodes_release_what_they_hold(B):
     # a decode that fails anywhere in a key_range, a subseq, a split, a
-    # filter, a map_values or a write (the position search, the walk, the
-    # merges, the splits and joins that assemble the pieces, the branch
-    # that fork2 ran first) leaves the inputs intact and releases every
-    # node the operation had made.  The delta codec has no in-place search,
-    # so its position searches decode too
+    # split_last, an expose, an append, a filter, a map_values or a write
+    # (the position search, the walk, the merges, the splits and joins
+    # that assemble the pieces, the branch that fork2 ran first) leaves
+    # the inputs intact and releases every node the operation had made.
+    # The delta codec has no in-place search, so its position searches
+    # decode too
     from blocktree import sequence as sq
     from blocktree.core import Config, Context
     from blocktree.encoding import DeltaCodec, IdentityCodec, ObjectCodec
@@ -636,6 +658,8 @@ def test_failed_decodes_release_what_they_hold(B):
             cases.append((codec, ctx, (t,), lambda ctx=ctx, t=t, lo=lo, hi=hi:
                           ordmap.key_range(ctx, t, lo, hi)))
         for read in (lambda ctx, t, o: bt.split(ctx, t, 20 * B + 1),
+                     lambda ctx, t, o: bt.split_last(ctx, t),
+                     lambda ctx, t, o: bt.expose(ctx, t),
                      lambda ctx, t, o: ordmap.filter(
                          ctx, t, lambda e: e[0] % 6 != 2),
                      lambda ctx, t, o: ordmap.map_values(
@@ -652,9 +676,13 @@ def test_failed_decodes_release_what_they_hold(B):
     scodec = _failing_codec(ObjectCodec)
     sctx = Context(Config(block_size=B), scodec, ordered=False)
     s = sq.seq_build(sctx, range(20 * B + 30))
+    s2 = sq.seq_build(sctx, range(7 * B + 3))
     for i, j in ((3, 15 * B + 11), (1, 20 * B + 29), (5 * B, 9 * B + 2)):
         cases.append((scodec, sctx, (s,),
                       lambda i=i, j=j: sq.subseq(sctx, s, i, j)))
+    for a, b in ((s, s2), (s2, s)):
+        cases.append((scodec, sctx, (s, s2),
+                      lambda a=a, b=b: sq.append(sctx, a, b)))
     swept = 0
     for codec, c, xs, op in cases:
         digests = [structure_digest(c, x) for x in xs]
@@ -671,7 +699,7 @@ def test_failed_decodes_release_what_they_hold(B):
             assert [structure_digest(c, x) for x in xs] == digests
             swept += 1
     assert swept >= len(cases)
-    for x in trees + [s]:
+    for x in trees + [s, s2]:
         bt.release(x)
     assert counters.live == baseline
 
@@ -1094,7 +1122,7 @@ def test_persistence_snapshots_after_bulk_ops():
 
 def test_parallel_matches_sequential():
     rng = random.Random(9)
-    ctx = make_context(block_size=16, encoding="identity", grain=64)
+    ctx = make_context(block_size=16, encoding="identity")
     a = ordmap.build(ctx, KV(rng.sample(range(10 ** 5), 15000)))
     b = ordmap.build(ctx, KV(rng.sample(range(10 ** 5), 12000)))
     res1 = {}
