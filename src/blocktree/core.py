@@ -52,18 +52,24 @@ seam as the middle, so only two trees reach ``_join2``.  ``_node`` is the
 one place that decides between linking and flattening: it links children
 that are already valid (two blocks of ``B..2B`` entries, or any pair of
 at least ``4B`` entries) and rebuilds any smaller pair from its entries.
-A point update therefore re-encodes just the one block it changes: its
-untouched sibling block is shared, not rebuilt.
+``_join`` tests the balance of its pair once and hands a balanced pair,
+which every level of a point update's path copy is, straight to
+``_node``.  A point update therefore re-encodes just the one block it
+changes and allocates one regular node per level: its untouched sibling
+block is shared, not rebuilt.
 
 No path but the public ``unfold`` expands a block into regular nodes; the
 public ``expose`` cuts a block into two blocks like ``_open`` does.  An
 unfolded block is the one regular tree of at most ``2B`` entries a caller
 can hold, and ``_settle`` (public ``fold``) packs it back into one block:
-no valid tree has a regular subtree that small.  ``_node`` settles the
-children it links, and the public wrappers that can hand back an input or
-a piece of one (``join2``, ``split``, the bulk operations) settle their
-results, so every public operation accepts an unfolded block and returns
-a valid tree.
+no valid tree has a regular subtree that small.  Inside a walk every child
+is valid, so ``_node`` links without settling.  The settle happens at the
+public boundary: ``node``, ``join`` and ``join2``, the only operations
+that can link a caller's tree beside a larger one, fold their inputs
+first (O(1) on a valid tree), and the wrappers that can hand back an
+input or a piece of one (``split``, ``split_last``, the point and bulk
+operations) settle their results.  So every public operation accepts an
+unfolded block and returns a valid tree.
 """
 
 import math
@@ -101,8 +107,10 @@ class Config:
     block_size: int = 128
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= ALPHA_MAX + 1e-12:
-            raise ValueError(f"alpha must be in (0, 1 - 1/sqrt(2)]; got {self.alpha}")
+        # below 1/4, balance would let a block under B sit beside 4B
+        # entries, a pair that _node links without rebuilding
+        if not 0.25 <= self.alpha <= ALPHA_MAX + 1e-12:
+            raise ValueError(f"alpha must be in [1/4, 1 - 1/sqrt(2)]; got {self.alpha}")
         if self.block_size < 1:
             raise ValueError("block size must be at least 1")
 
@@ -229,10 +237,10 @@ def _make_flat(ctx, entries):
     return new_flat(len(entries), payload, fk, lk, aug)
 
 
-def _make_regular(ctx, l, e, r):
-    """Regular node over l, e and r; consumes l and r, and releases them
-    if the aggregate (a user's ``lift`` or ``combine``) raises."""
-    s = size(l) + size(r) + 1
+def _make_regular(ctx, l, e, r, s):
+    """Regular node of s entries over l, e and r (its caller knows s);
+    consumes l and r, and releases them if the aggregate (a user's
+    ``lift`` or ``combine``) raises."""
     aug = None
     if ctx.aug:
         spec = ctx.aug
@@ -253,7 +261,7 @@ def _build_expanded(ctx, entries, lo, hi):
     mid = lo + (hi - lo) // 2
     l = _build_expanded(ctx, entries, lo, mid)
     r = _build_expanded(ctx, entries, mid + 1, hi)
-    return _make_regular(ctx, l, entries[mid], r)
+    return _make_regular(ctx, l, entries[mid], r, hi - lo)
 
 
 def _rebuild(ctx, entries, lo=0, hi=None):
@@ -270,7 +278,7 @@ def _rebuild(ctx, entries, lo=0, hi=None):
     l, r = fork2(ctx, n,
                  lambda: _rebuild(ctx, entries, lo, mid),
                  lambda: _rebuild(ctx, entries, mid + 1, hi))
-    return _make_regular(ctx, l, entries[mid], r)
+    return _make_regular(ctx, l, entries[mid], r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +317,9 @@ def _entries(ctx, l, e, r):
 def _guard(held, f, *args):
     """f(*args), releasing the pieces in ``held`` if it raises: what a
     function still owns while f runs (an entry run holds no node).  The
-    hot recursions of the joins inline the same try/except, which costs
-    nothing until it raises, where a call through here costs a frame."""
+    hot paths do without it: the joins' recursions inline the same
+    try/except, which costs nothing until it raises, where a call through
+    here costs a frame, and ``_node`` links children it need not settle."""
     try:
         return f(*args)
     except BaseException:
@@ -324,26 +333,36 @@ def _is_block(B, t):
     return t is not None and is_flat(t) and B <= t.count <= 2 * B
 
 
-def _node(ctx, l, e, r):
-    """Smart constructor; consumes l and r and restores the leaf rules.
+def _node(ctx, l, e, r, n=None):
+    """Smart constructor over two valid trees (n: their entries, if the
+    caller has counted them); consumes l and r and restores the leaf rules.
 
     The one place that decides between linking and flattening.  Children
     that are already valid are linked untouched: any pair of at least 4B
     entries, and two blocks of B..2B entries.  Any smaller pair is a
     fragment and is rebuilt from its entries: one block up to 2B, else two
-    blocks under a regular node.
+    blocks under a regular node.  It never settles a child: a caller's
+    unfolded block is folded by the public ``node``, ``join`` and
+    ``join2`` before it gets here.
+
+    The rebuild is also the cost of a point update that overflows or
+    underflows its block beside a sibling block (B=128, identity codec, a
+    root over a 256- and a 128-entry block): the two fresh blocks of an
+    overflow are flattened again with their sibling, 4 decodes, 4 folds
+    and 6 allocations against 1, 1 and 2 for an insert that stays in its
+    block; a remove that leaves B-1 entries costs 3 decodes and 3 folds.
     """
     if _debug:
         _check_node_pre(ctx, l, e, r)
     B = ctx.config.block_size
-    if size(l) + size(r) >= 4 * B or (_is_block(B, l) and _is_block(B, r)):
+    if n is None:
+        n = size(l) + size(r)
+    if n >= 4 * B or (_is_block(B, l) and _is_block(B, r)):
         # Two such blocks need no balance check: their weight ratio is at
-        # least (B+1)/(3B+2) > 1/3 > ALPHA_MAX.  An unfolded block a caller
-        # passes back in is the one child _settle changes (reachable for
-        # B <= 4, where balance lets it sit beside 4B entries); it leaves
-        # valid children alone at O(1).
-        l = _guard((r,), _settle, ctx, l)
-        return _make_regular(ctx, l, e, _guard((l,), _settle, ctx, r))
+        # least (B+1)/(3B+2) > 1/3 > ALPHA_MAX.  A block below B never
+        # sits in a pair of 4B entries that balances: its weight ratio
+        # would be below B/(4B+2) < 1/4 <= alpha.
+        return _make_regular(ctx, l, e, r, n + 1)
     return _rebuild(ctx, _entries(ctx, l, e, r))
 
 
@@ -371,9 +390,11 @@ def _balanced_pair(cfg, wl, wr):
 
 
 def _join(ctx, l, e, r):
-    if weight(l) > weight(r):
-        return _join_right(ctx, l, e, r)
-    return _join_left(ctx, l, e, r)
+    # a balanced pair (every level of a path copy) goes straight to _node
+    wl, wr = size(l) + 1, size(r) + 1
+    if _balanced_pair(ctx.config, wl, wr):
+        return _node(ctx, l, e, r, wl + wr - 2)
+    return (_join_right if wl > wr else _join_left)(ctx, l, e, r)
 
 
 def _join_right(ctx, tl, k, tr):
@@ -387,15 +408,14 @@ def _join_right(ctx, tl, k, tr):
     except BaseException:
         release(l)
         raise
-    if _balanced_pair(cfg, weight(l), weight(t2)):
-        return _node(ctx, l, e0, t2)
-    if size(l) + size(t2) + 1 <= 4 * cfg.block_size:
-        return _node(ctx, l, e0, t2)
+    wl, w2 = weight(l), weight(t2)
+    if _balanced_pair(cfg, wl, w2) or wl + w2 <= 4 * cfg.block_size + 1:
+        return _node(ctx, l, e0, t2, wl + w2 - 2)
     # rotations; the pieces taken apart are regular nodes, except at tiny B
     # (seen at B=1), where a block can sit in a rotation slot
     l1, e1, r1 = _guard((l,), _open, ctx, t2)
-    if (_balanced_pair(cfg, weight(l), weight(l1))
-            and _balanced_pair(cfg, weight(l) + weight(l1), weight(r1))):
+    if (_balanced_pair(cfg, wl, weight(l1))
+            and _balanced_pair(cfg, wl + weight(l1), weight(r1))):
         return _node(ctx, _guard((r1,), _node, ctx, l, e0, l1), e1, r1)
     l2, e2, r2 = _guard((l, r1), _open, ctx, l1)
     left = _guard((r2, r1), _node, ctx, l, e0, l2)
@@ -412,13 +432,12 @@ def _join_left(ctx, tl, k, tr):
     except BaseException:
         release(r)
         raise
-    if _balanced_pair(cfg, weight(t2), weight(r)):
-        return _node(ctx, t2, e0, r)
-    if size(t2) + size(r) + 1 <= 4 * cfg.block_size:
-        return _node(ctx, t2, e0, r)
+    w2, wr = weight(t2), weight(r)
+    if _balanced_pair(cfg, w2, wr) or w2 + wr <= 4 * cfg.block_size + 1:
+        return _node(ctx, t2, e0, r, w2 + wr - 2)
     l1, e1, r1 = _guard((r,), _open, ctx, t2)
-    if (_balanced_pair(cfg, weight(r1), weight(r))
-            and _balanced_pair(cfg, weight(r1) + weight(r), weight(l1))):
+    if (_balanced_pair(cfg, weight(r1), wr)
+            and _balanced_pair(cfg, weight(r1) + wr, weight(l1))):
         return _node(ctx, l1, e1, _guard((l1,), _node, ctx, r1, e0, r))
     l2, e2, r2 = _guard((l1, r), _open, ctx, r1)
     left = _guard((r2, r), _node, ctx, l1, e1, l2)
@@ -476,10 +495,8 @@ def _pop_last(ctx, t):
 
 
 def _join2(ctx, l, r):
-    if l is None:
-        return r
-    if r is None:
-        return l
+    if l is None or r is None:
+        return l or r
     try:
         rest, m = _pop_last(ctx, l)
     except BaseException:
@@ -591,20 +608,22 @@ def unfold(ctx, t):
 
 def node(ctx, l, e, r):
     """Combine two trees around a middle entry per the size rules."""
-    return _node(ctx, retain(l), e, retain(r))
+    l = fold(ctx, l)
+    return _node(ctx, l, e, _guard((l,), fold, ctx, r))
 
 
 def join(ctx, l, e, r):
     """Concatenate l, e, r into a balanced tree; keys(l) < key(e) < keys(r)."""
     if _debug:
         _check_node_pre(ctx, l, e, r)
-    return _join(ctx, retain(l), e, retain(r))
+    l = fold(ctx, l)
+    return _join(ctx, l, e, _guard((l,), fold, ctx, r))
 
 
 def join2(ctx, l, r):
     """Concatenate two trees with no middle entry."""
-    # with one side empty, _join2 hands back the other as it is
-    return _settle(ctx, _join2(ctx, retain(l), retain(r)))
+    l = fold(ctx, l)
+    return _join2(ctx, l, _guard((l,), fold, ctx, r))
 
 
 def split(ctx, t, k):

@@ -430,7 +430,7 @@ def map_values(ctx, t, f):
                    lambda: map_values(ctx, t.left, f),
                    lambda: map_values(ctx, t.right, f))
     # shape and sizes are preserved, so the node rules need not rerun
-    return _make_regular(ctx, fl, e, fr)
+    return _make_regular(ctx, fl, e, fr, t.size)
 
 
 def reduce(ctx, t, f, identity):

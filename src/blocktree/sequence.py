@@ -89,7 +89,7 @@ def reverse(ctx, s):
     fl, fr = fork2(ctx, s.size,
                    lambda: reverse(ctx, s.right),
                    lambda: reverse(ctx, s.left))
-    return _make_regular(ctx, fl, (None, s.value), fr)
+    return _make_regular(ctx, fl, (None, s.value), fr, s.size)
 
 
 def seq_filter(ctx, s, pred):

@@ -49,6 +49,54 @@ def test_config_validation():
         Config(block_size=0)
 
 
+def test_config_rejects_alpha_below_a_quarter():
+    # below 1/4, balance lets a block under B sit beside 4B entries, a pair
+    # that node() links: a mixed sequence of updates left a block of 1
+    # entry at B=2 (alpha=0.15) and of 3 entries at B=4 (alpha=0.2)
+    for alpha in (0.2, 0.15, 0.2499):
+        with pytest.raises(ValueError):
+            Config(alpha=alpha)
+        with pytest.raises(ValueError):
+            make_context(block_size=4, alpha=alpha)
+    Config(alpha=0.25)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.29])
+@pytest.mark.parametrize("B", [1, 2, 3, 4, 8])
+def test_mixed_updates_keep_the_leaf_rule(alpha, B):
+    # seeded inserts, removes, batch updates and filters at both ends of the
+    # alpha range; the tree passes check_tree after every operation
+    ctx = make_context(block_size=B, alpha=alpha, encoding="identity")
+    rng = random.Random(700 + B)
+    baseline = counters.live
+    model, t = {}, None
+    for _ in range(300):
+        op = rng.randrange(5)
+        ks = rng.sample(range(400), rng.randrange(1, 40))
+        if op == 0:
+            t2 = ordmap.insert(ctx, t, ks[0], ks[0])
+            model[ks[0]] = ks[0]
+        elif op == 1:
+            t2 = ordmap.remove(ctx, t, ks[0])
+            model.pop(ks[0], None)
+        elif op == 2:
+            t2 = ordmap.multi_insert(ctx, t, KV(ks))
+            model.update(KV(ks))
+        elif op == 3:
+            t2 = ordmap.multi_delete(ctx, t, ks)
+            model = {k: v for k, v in model.items() if k not in ks}
+        else:
+            m = rng.randrange(2, 6)
+            t2 = ordmap.filter(ctx, t, lambda e: e[0] % m != 0)
+            model = {k: v for k, v in model.items() if k % m}
+        bt.release(t)
+        t = t2
+        check_tree(ctx, t)
+        assert bt.to_list(ctx, t) == sorted(model.items())
+    bt.release(t)
+    assert counters.live == baseline
+
+
 def test_config_has_no_kappa():
     # the bulk recursion merges only at a block: no size threshold remains
     assert not hasattr(Config(), "kappa")
@@ -309,7 +357,8 @@ def test_refold_random_expanded_inputs_pass_invariants():
 def test_public_ops_accept_unfolded_block(B):
     # an unfolded block passed to any public operation beside a larger
     # operand comes out inside a valid tree (at B <= 4 balance lets it sit
-    # beside 4B entries, where _node links rather than rebuilds)
+    # beside 4B entries, where _node links rather than rebuilds: the public
+    # node, join and join2 fold it first)
     ctx = make_context(block_size=B, encoding="identity")
     sctx = sq.seq_context(block_size=B)
     baseline = counters.live
@@ -344,6 +393,10 @@ def test_public_ops_accept_unfolded_block(B):
                 (bt.join2(ctx, u, t), ub + big),
                 (bt.join2(ctx, ts, u), small + ub),
             ]
+            if _balanced_pair(ctx.config, nb + 1, n + 1):
+                # node() does not rebalance: only a pair it balances with
+                results += [(bt.node(ctx, u, (900, 900), t), ub + [900] + big),
+                            (bt.node(ctx, ts, (400, 400), u), small + [400] + ub)]
             for x, want in results:
                 check_tree(ctx, x)
                 assert bt.to_list(ctx, x) == KV(want)
@@ -626,11 +679,11 @@ def test_leaf_blocking_threshold():
     check_tree(ctx, big)
     # built by hand: a tree below B may hold no regular node, so neither a
     # lone regular node nor two blocks joined under one passes
-    lone = _make_regular(ctx, None, (1, 1), None)
+    lone = _make_regular(ctx, None, (1, 1), None, 1)
     with pytest.raises(InvariantViolation):
         check_tree(ctx, lone)
     pair = _make_regular(ctx, _make_flat(ctx, KV([1, 2])), (3, 3),
-                         _make_flat(ctx, KV([4, 5])))
+                         _make_flat(ctx, KV([4, 5])), 5)
     with pytest.raises(InvariantViolation):
         check_tree(ctx, pair)
     for t in (small, big, lone, pair):
@@ -642,7 +695,7 @@ def test_checker_rejects_entry_the_codec_rejects():
     # value out of range for the identity codec
     ctx = make_context(block_size=8, encoding="identity")
     tree = lambda v: _make_regular(ctx, _make_flat(ctx, KV(range(8))), (8, v),
-                                   _make_flat(ctx, KV(range(9, 17))))
+                                   _make_flat(ctx, KV(range(9, 17))), 17)
     good, bad = tree(8), tree(-1)
     check_tree(ctx, good)
     with pytest.raises(InvariantViolation):

@@ -1009,6 +1009,54 @@ def test_point_update_codec_budget():
     assert decodes / n <= 1.1 and folds / n <= 1.1, (decodes / n, folds / n)
 
 
+def test_point_update_path_copy_rebuilds_nothing(monkeypatch):
+    # an insert or a present-key remove that stays inside its block copies
+    # the regular nodes on its search path and re-encodes that one block:
+    # every other node is shared, and no join flattens a pair of children
+    # back into entries (core._entries, the rebuild of _node)
+    from blocktree import core
+    rebuilds = []
+    entries = core._entries
+    monkeypatch.setattr(core, "_entries",
+                        lambda *a: rebuilds.append(1) or entries(*a))
+    B = 128
+    ctx = make_context(block_size=B, encoding="identity")
+    t = ordmap.build(ctx, KV(range(0, 2 * 10 ** 5, 2)))
+
+    def path(k):
+        """(regular nodes on the search path of k, the block it ends in),
+        or None where k is a regular node's key"""
+        n, x = 0, t
+        while not is_flat(x):
+            if k == x.key:
+                return None
+            n, x = n + 1, (x.left if k < x.key else x.right)
+        return n, x
+
+    rng = random.Random(17)
+    done = {"insert": 0, "remove": 0}
+    for k in rng.sample(range(2 * 10 ** 5), 60):
+        if path(k) is None:
+            continue
+        depth, block = path(k)
+        if k % 2 == 0 and block.count > B:          # present: in its block
+            kind, update = "remove", lambda: ordmap.remove(ctx, t, k)
+        elif k % 2 == 1 and block.count < 2 * B:    # new: the block has room
+            kind, update = "insert", lambda: ordmap.insert(ctx, t, k, 0)
+        else:
+            continue
+        a0, live = counters.allocations, counters.live
+        t2 = update()
+        assert counters.allocations - a0 == depth + 1, (kind, k)
+        assert counters.live - live == depth + 1, (kind, k)
+        assert rebuilds == [], (kind, k)
+        check_tree(ctx, t2)
+        bt.release(t2)
+        done[kind] += 1
+    bt.release(t)
+    assert min(done.values()) >= 10, done
+
+
 # the ids keep the "-pure" suffix of the ownership mode they once named
 # (public operations borrow their inputs), so case ids stay comparable
 # across versions
