@@ -47,17 +47,12 @@ def test_config_validation():
         Config(alpha=0.0)
     with pytest.raises(ValueError):
         Config(block_size=0)
-
-
-def test_config_rejects_alpha_below_a_quarter():
     # below 1/4, balance lets a block under B sit beside 4B entries, a pair
-    # that node() links: a mixed sequence of updates left a block of 1
-    # entry at B=2 (alpha=0.15) and of 3 entries at B=4 (alpha=0.2)
-    for alpha in (0.2, 0.15, 0.2499):
+    # node() links: with alpha 0.15 or 0.2 accepted,
+    # test_mixed_updates_keep_the_leaf_rule fails at B=2, 3 and 4
+    for alpha in (0.15, 0.2, 0.2499):
         with pytest.raises(ValueError):
             Config(alpha=alpha)
-        with pytest.raises(ValueError):
-            make_context(block_size=4, alpha=alpha)
     Config(alpha=0.25)
 
 
