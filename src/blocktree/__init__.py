@@ -19,9 +19,9 @@ Quick start::
 
 from . import augment, graphstore, inspect, ordmap, sequence
 from .augment import AugSpec, aug_filter, aug_range, aug_val
-from .core import (Config, Context, debug_checks, expose, fold, items, join,
-                   join2, make_context, node, refold, split, split_last,
-                   to_list, unfold)
+from .core import (Config, Context, expose, fold, items, join, join2,
+                   make_context, node, refold, split, split_last, to_list,
+                   unfold)
 from .counters import counters, reset_counters
 from .encoding import (DeltaCodec, EncodingScheme, IdentityCodec, ObjectCodec,
                        make_codec)
@@ -37,7 +37,7 @@ __all__ = [
     "ContractError", "CorruptionError", "DeltaCodec", "EncodingScheme",
     "GraphParseError", "IdentityCodec", "InvariantViolation", "ObjectCodec",
     "aug_filter", "aug_range", "aug_val", "augment", "check_tree",
-    "count_blocks", "counters", "debug_checks", "expose", "fold",
+    "count_blocks", "counters", "expose", "fold",
     "graphstore", "inspect", "items", "join", "join2", "make_codec",
     "make_context", "node", "ordmap", "refold", "release", "reset_counters",
     "retain", "seq_build", "seq_context", "sequence", "set_threads",

@@ -4,13 +4,15 @@ An ``AugSpec`` is a monoid over entries: ``identity``, ``lift(entry)`` and an
 associative ``combine``.  Trees built with an augmented context cache the
 fold of ``lift`` over every subtree at each regular node and one value per
 block, so ``aug_val`` is O(1) and range/filter queries can prune whole
-subtrees without decoding them.
+subtrees without decoding them.  The value of a block, and of the part of
+a boundary block a range query reads, is one fold, ``core._entries_aug``,
+and ``aug_val`` reads the root with ``core.aug_of``.
 """
 
 from dataclasses import dataclass
 from bisect import bisect_right
 
-from .core import _as_tree, _entry_key, _search
+from .core import _as_tree, _entries_aug, _entry_key, _search, aug_of
 from .errors import ContractError
 from .nodes import is_flat
 from .ordmap import _filter_tree
@@ -27,9 +29,7 @@ def aug_val(ctx, t):
     """Aggregate over the whole tree, read from the root."""
     if ctx.aug is None:
         raise ContractError("tree context has no augmentation")
-    if t is None:
-        return ctx.aug.identity
-    return t.aug
+    return aug_of(ctx, t)
 
 
 def aug_range(ctx, t, lo, hi):
@@ -47,9 +47,11 @@ def aug_range(ctx, t, lo, hi):
     return _rng(ctx, spec, t, lo, hi)
 
 
-def _block_part(ctx, spec, t, lo, hi):
+def _block_part(ctx, t, lo, hi):
     """Aggregate over the entries of block t with lo <= key <= hi (a None
-    bound is open), searched in place where the codec can."""
+    bound is open), searched in place where the codec can.  The entries
+    are folded as a block's are (``core._entries_aug``), by index: an
+    in-place search result can be indexed but not sliced."""
     if lo is None:
         start = 0
         stop, entries = _search(ctx, t, hi, right=True)
@@ -57,10 +59,7 @@ def _block_part(ctx, spec, t, lo, hi):
         start, entries = _search(ctx, t, lo)
         stop = t.count if hi is None else bisect_right(
             entries, hi, start, t.count, key=_entry_key)
-    acc = spec.identity
-    for p in range(start, stop):
-        acc = spec.combine(acc, spec.lift(entries[p]))
-    return acc
+    return _entries_aug(ctx, map(entries.__getitem__, range(start, stop)))
 
 
 def _rng(ctx, spec, t, lo, hi):
@@ -76,7 +75,7 @@ def _rng(ctx, spec, t, lo, hi):
         if ((lo is not None and t.last_key < lo)
                 or (hi is not None and hi < t.first_key)):
             return spec.identity
-        return _block_part(ctx, spec, t, lo, hi)
+        return _block_part(ctx, t, lo, hi)
     k = t.key
     if lo is not None and k < lo:
         return _rng(ctx, spec, t.right, lo, hi)

@@ -81,9 +81,21 @@ def _setup_two_trees(ctx, cfg):
 
 
 def run_micro(cfg):
-    """One measurement row for the configured operation."""
-    parallel.set_threads(cfg.threads)
+    """One measurement row for the configured operation.  The worker pool
+    is switched back to one thread afterwards, also when the run raises."""
     ctx = _ctx_for(cfg)
+    parallel.set_threads(cfg.threads)
+    try:
+        ms, tree = _measure(ctx, cfg)
+    finally:
+        parallel.set_threads(1)
+    total, meta = tree_bytes(ctx, tree) if tree is not None else (0, 0)
+    return [f"{cfg.op},{cfg.n},{cfg.m},{cfg.block_size},{cfg.encoding},"
+            f"{cfg.threads},{ms:.3f},{total},{meta}"]
+
+
+def _measure(ctx, cfg):
+    """(median ms, result tree or None) of the configured operation."""
     rng = random.Random(cfg.seed)
     op = cfg.op
 
@@ -144,11 +156,7 @@ def run_micro(cfg):
                       cfg.trials)
     else:
         raise ValueError(f"unknown op {cfg.op!r}")
-
-    total, meta = tree_bytes(ctx, tree) if tree is not None else (0, 0)
-    parallel.set_threads(1)
-    return [f"{cfg.op},{cfg.n},{cfg.m},{cfg.block_size},{cfg.encoding},"
-            f"{cfg.threads},{ms:.3f},{total},{meta}"]
+    return ms, tree
 
 
 def sweep_blocksize(op, n, block_sizes, encoding="identity", m=None, seed=1,

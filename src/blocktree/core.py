@@ -10,8 +10,10 @@ A tree is ``None``, a ``Regular`` node (one entry, two children), or a
   block of ``1..B-1`` entries.
 
 Everything else in the library is built from the primitives here: expose,
-node, fold, unfold, join, join2, split and split_last (``refold`` is a
-second name for ``fold``).
+node, flatten, fold, unfold, join, join2, split and split_last.  ``items``
+and ``to_list`` read ``flatten``'s list, ``refold`` is a second name for
+``fold``, and ``_rebuild`` builds every tree from sorted entries, the
+all-regular one ``unfold`` returns included.
 
 Ownership: a walk *borrows* the tree it reads.  ``_slice`` and
 ``_pop_last`` (and, in ``ordmap``, every recursion over a caller's tree)
@@ -70,6 +72,12 @@ first (O(1) on a valid tree), and the wrappers that can hand back an
 input or a piece of one (``split``, ``split_last``, the point and bulk
 operations) settle their results.  So every public operation accepts an
 unfolded block and returns a valid tree.
+
+Key order is a caller's promise only at the public ``node``, ``join`` and
+``join2``: on an ordered context they read the boundary keys of their
+inputs and raise ``ContractError`` before they retain anything.  Every
+internal link orders its keys by construction, and ``check_tree`` is the
+test-time check.
 """
 
 import math
@@ -85,15 +93,6 @@ from .nodes import (is_flat, new_flat, new_regular, release, retain, size,
 from .parallel import _release, fork2
 
 ALPHA_MAX = 1.0 - 1.0 / math.sqrt(2.0)
-
-_debug = False
-
-
-def debug_checks(enabled=True):
-    """Enable expensive precondition checks (key order, balance) in node()."""
-    global _debug
-    _debug = bool(enabled)
-
 
 @dataclass(frozen=True)
 class Config:
@@ -111,8 +110,10 @@ class Config:
         # entries, a pair that _node links without rebuilding
         if not 0.25 <= self.alpha <= ALPHA_MAX + 1e-12:
             raise ValueError(f"alpha must be in [1/4, 1 - 1/sqrt(2)]; got {self.alpha}")
-        if self.block_size < 1:
-            raise ValueError("block size must be at least 1")
+        # exactly an int: neither 2.5 nor True is a block size
+        if type(self.block_size) is not int or self.block_size < 1:
+            raise ValueError(f"block size must be an int of at least 1; "
+                             f"got {self.block_size!r}")
 
 
 @dataclass(frozen=True)
@@ -177,19 +178,12 @@ def flatten(ctx, t, out=None):
 
 
 def items(ctx, t):
-    """In-order iterator over entries."""
-    if t is None:
-        return
-    if is_flat(t):
-        yield from _decode(ctx, t)
-        return
-    yield from items(ctx, t.left)
-    yield (t.key, t.value)
-    yield from items(ctx, t.right)
+    """In-order iterator over entries.  It decodes every block up front:
+    it iterates ``flatten``'s list."""
+    return iter(flatten(ctx, t))
 
 
-def to_list(ctx, t):
-    return flatten(ctx, t)
+to_list = flatten
 
 
 def aug_of(ctx, t):
@@ -254,30 +248,24 @@ def _make_regular(ctx, l, e, r, s):
     return new_regular(e[0], e[1], l, r, s, aug)
 
 
-def _build_expanded(ctx, entries, lo, hi):
-    """Perfectly balanced all-regular tree over entries[lo:hi]."""
-    if lo >= hi:
-        return None
-    mid = lo + (hi - lo) // 2
-    l = _build_expanded(ctx, entries, lo, mid)
-    r = _build_expanded(ctx, entries, mid + 1, hi)
-    return _make_regular(ctx, l, entries[mid], r, hi - lo)
-
-
-def _rebuild(ctx, entries, lo=0, hi=None):
-    """Owned tree over sorted entries[lo:hi]: one block up to 2B entries,
-    else blocks of B..2B under balanced regular nodes."""
+def _rebuild(ctx, entries, lo=0, hi=None, cap=None):
+    """Owned tree over sorted entries[lo:hi]: one block up to ``cap``
+    entries (default 2B), else blocks of B..2B under balanced regular
+    nodes, split at the middle entry.  ``unfold`` passes ``cap=0`` for a
+    tree of regular nodes only."""
     if hi is None:
         hi = len(entries)
+    if cap is None:
+        cap = 2 * ctx.config.block_size
     n = hi - lo
     if n == 0:
         return None
-    if n <= 2 * ctx.config.block_size:
+    if n <= cap:
         return _make_flat(ctx, entries[lo:hi])
     mid = lo + n // 2
     l, r = fork2(ctx, n,
-                 lambda: _rebuild(ctx, entries, lo, mid),
-                 lambda: _rebuild(ctx, entries, mid + 1, hi))
+                 lambda: _rebuild(ctx, entries, lo, mid, cap),
+                 lambda: _rebuild(ctx, entries, mid + 1, hi, cap))
     return _make_regular(ctx, l, entries[mid], r, n)
 
 
@@ -352,8 +340,6 @@ def _node(ctx, l, e, r, n=None):
     and 6 allocations against 1, 1 and 2 for an insert that stays in its
     block; a remove that leaves B-1 entries costs 3 decodes and 3 folds.
     """
-    if _debug:
-        _check_node_pre(ctx, l, e, r)
     B = ctx.config.block_size
     if n is None:
         n = size(l) + size(r)
@@ -603,25 +589,32 @@ def unfold(ctx, t):
         raise ContractError("unfold expects a flat node")
     entries = _decode(ctx, t)
     counters.unfolds += 1
-    return _build_expanded(ctx, entries, 0, len(entries))
+    return _rebuild(ctx, entries, cap=0)
 
 
 def node(ctx, l, e, r):
-    """Combine two trees around a middle entry per the size rules."""
+    """Combine two trees around a middle entry per the size rules.  On an
+    ordered context, keys out of order raise ``ContractError`` before any
+    input is touched."""
+    _check_node_pre(ctx, l, e, r)
     l = fold(ctx, l)
     return _node(ctx, l, e, _guard((l,), fold, ctx, r))
 
 
 def join(ctx, l, e, r):
-    """Concatenate l, e, r into a balanced tree; keys(l) < key(e) < keys(r)."""
-    if _debug:
-        _check_node_pre(ctx, l, e, r)
+    """Concatenate l, e, r into a balanced tree; keys(l) < key(e) < keys(r),
+    checked on an ordered context before any input is touched."""
+    _check_node_pre(ctx, l, e, r)
     l = fold(ctx, l)
     return _join(ctx, l, e, _guard((l,), fold, ctx, r))
 
 
 def join2(ctx, l, r):
-    """Concatenate two trees with no middle entry."""
+    """Concatenate two trees with no middle entry; keys(l) < keys(r),
+    checked on an ordered context before any input is touched."""
+    if (ctx.ordered and l is not None and r is not None
+            and not last_key(ctx, l) < first_key(ctx, r)):
+        raise ContractError("key order violated between the two trees")
     l = fold(ctx, l)
     return _join2(ctx, l, _guard((l,), fold, ctx, r))
 

@@ -1,7 +1,10 @@
 """Two-level graph store: a vertex map whose values are neighbor sets.
 
 The vertex tree maps vertex id to an edge tree and is augmented with the
-total edge count, so ``edge_count`` is an O(1) root read.  Edge trees are
+total edge count, so ``edge_count`` is an O(1) root read (``core.aug_of``).
+A batch is sorted and grouped by source with ``itertools.groupby``; the
+readers (``neighbors``, ``bfs``, ``adjacency``) iterate ``core.items``,
+which decodes an edge tree's blocks into one list.  Edge trees are
 sets of neighbor ids with gap-compressed blocks.  Both levels default to
 64-entry blocks; a neighbor set below 64 ids is a single gap-coded block
 (the raw first id, then one varint per gap), so the many small sets of a
@@ -19,10 +22,11 @@ counts (values are opaque to the reclamation protocol).
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from . import ordmap
 from .augment import AugSpec
-from .core import _rebuild, items, make_context
+from .core import _entry_key, _rebuild, aug_of, items, make_context
 from .encoding import DeltaCodec
 from .errors import GraphParseError
 from .nodes import size
@@ -55,17 +59,9 @@ def _normalize_batch(pairs):
 
 
 def _group_by_src(edges):
-    groups = []
-    i = 0
-    n = len(edges)
-    while i < n:
-        src = edges[i][0]
-        j = i
-        while j < n and edges[j][0] == src:
-            j += 1
-        groups.append((src, [d for _, d in edges[i:j]]))
-        i = j
-    return groups
+    """(src, [dst, ...]) for each source of a sorted edge list."""
+    return [(src, [d for _, d in group])
+            for src, group in groupby(edges, key=_entry_key)]
 
 
 def from_edge_list(pairs, block_size=64, symmetric=False):
@@ -157,9 +153,7 @@ def vertex_ids(g):
 
 def edge_count(g):
     """Total directed edges, read from the vertex tree's root aggregate."""
-    if g.vertices is None:
-        return 0
-    return g.vertices.aug
+    return aug_of(g.vctx, g.vertices)
 
 
 def adjacency(g):

@@ -242,10 +242,10 @@ def _remove(ctx, t, k, found):
 
 def remove(ctx, t, k):
     """t without the entry at k; an absent key copies nothing and returns
-    t itself."""
+    t itself (an unfolded block comes back folded)."""
     found = _seek(ctx, t, k)
     if found is None:
-        return retain(t)
+        return _settle(ctx, retain(t))
     return _settle(ctx, _remove(ctx, t, k, found))
 
 
@@ -417,9 +417,9 @@ def filter(ctx, t, pred):
     return _as_tree(ctx, _filter_tree(ctx, t, pred))
 
 
-def map_values(ctx, t, f):
-    """Apply f to every value, preserving keys and shape.  A node maps its
-    own value before its branches run, so an f that raises there holds
+def _map_values(ctx, t, f):
+    """f applied to every value of t, in t's shape; borrows t.  A node maps
+    its own value before its branches run, so an f that raises there holds
     nothing."""
     if t is None:
         return None
@@ -427,10 +427,16 @@ def map_values(ctx, t, f):
         return _make_flat(ctx, [(k, f(v)) for k, v in _decode(ctx, t)])
     e = (t.key, f(t.value))
     fl, fr = fork2(ctx, t.size,
-                   lambda: map_values(ctx, t.left, f),
-                   lambda: map_values(ctx, t.right, f))
+                   lambda: _map_values(ctx, t.left, f),
+                   lambda: _map_values(ctx, t.right, f))
     # shape and sizes are preserved, so the node rules need not rerun
     return _make_regular(ctx, fl, e, fr, t.size)
+
+
+def map_values(ctx, t, f):
+    """Apply f to every value, preserving keys and shape (an unfolded block
+    comes back folded)."""
+    return _settle(ctx, _map_values(ctx, t, f))
 
 
 def reduce(ctx, t, f, identity):

@@ -11,7 +11,7 @@ shared and only the boundary blocks are decoded.
 """
 
 from .core import (_as_tree, _decode, _make_flat, _make_regular, _rebuild,
-                   _slice, flatten, join2, make_context)
+                   _settle, _slice, flatten, join2, make_context)
 from .encoding import ObjectCodec
 from .errors import ContractError
 from .nodes import is_flat, size
@@ -80,16 +80,22 @@ def subseq(ctx, s, i, j):
 append = join2
 
 
-def reverse(ctx, s):
-    """Mirrored sequence; block contents flip, node shapes mirror."""
+def _reverse(ctx, s):
+    """Mirror of s; borrows s."""
     if s is None:
         return None
     if is_flat(s):
         return _make_flat(ctx, list(reversed(_decode(ctx, s))))
     fl, fr = fork2(ctx, s.size,
-                   lambda: reverse(ctx, s.right),
-                   lambda: reverse(ctx, s.left))
+                   lambda: _reverse(ctx, s.right),
+                   lambda: _reverse(ctx, s.left))
     return _make_regular(ctx, fl, (None, s.value), fr, s.size)
+
+
+def reverse(ctx, s):
+    """Mirrored sequence; block contents flip, node shapes mirror (an
+    unfolded block comes back folded)."""
+    return _settle(ctx, _reverse(ctx, s))
 
 
 def seq_filter(ctx, s, pred):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from blocktree import bench
+from blocktree.parallel import get_threads
 from blocktree.bench import BenchConfig, gen_pairs, graph_bench, run_micro, sweep_blocksize
 
 
@@ -24,10 +25,12 @@ def test_micro_schema_and_bytes_populated():
 
 
 def test_unknown_op_rejected():
+    # a failed run leaves the worker pool at one thread
     cfg = BenchConfig(op="frobnicate", n=10, m=10, block_size=8,
-                      encoding="identity", trials=1)
+                      encoding="identity", threads=2, trials=1)
     with pytest.raises(ValueError):
         run_micro(cfg)
+    assert get_threads() == 1
 
 
 def test_inputs_seed_deterministic():

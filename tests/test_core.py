@@ -47,6 +47,10 @@ def test_config_validation():
         Config(alpha=0.0)
     with pytest.raises(ValueError):
         Config(block_size=0)
+    # a block size must be an int: 2.5 and True built trees before
+    for bad in (2.5, True):
+        with pytest.raises(ValueError):
+            make_context(block_size=bad)
     # below 1/4, balance lets a block under B sit beside 4B entries, a pair
     # node() links: with alpha 0.15 or 0.2 accepted,
     # test_mixed_updates_keep_the_leaf_rule fails at B=2, 3 and 4
@@ -238,13 +242,29 @@ def test_fold_matches_inorder_oracle():
     assert bt.to_list(ctx, f) == KV(range(7))
 
 
+def _regular_shape(t):
+    """An all-regular tree as nested tuples (left, entry, right)."""
+    if t is None:
+        return None
+    assert not is_flat(t)
+    return (_regular_shape(t.left), (t.key, t.value), _regular_shape(t.right))
+
+
 def test_unfold_small_block():
-    ctx = make_context(block_size=3, encoding="identity")
-    t = build(ctx, [1, 2, 3])
-    u = bt.unfold(ctx, t)
-    assert not is_flat(u)
-    assert u.key == 2
-    assert u.left.key == 1 and u.right.key == 3
+    # every block of 1..2B entries unfolds into the divide-at-n//2 tree of
+    # regular nodes only, and folds back into its entries
+    for B in (1, 3, 8):
+        ctx = make_context(block_size=B, encoding="identity")
+        for nb in range(1, 2 * B + 1):
+            entries = KV(range(1, nb + 1))
+            t = build(ctx, range(1, nb + 1))
+            assert is_flat(t)
+            u = bt.unfold(ctx, t)
+            assert _regular_shape(u) == from_sorted_shape(entries)
+            f = bt.fold(ctx, u)
+            assert is_flat(f) and bt.to_list(ctx, f) == entries
+            for x in (t, u, f):
+                bt.release(x)
 
 
 def test_unfold_singleton_block():
@@ -381,6 +401,8 @@ def test_public_ops_accept_unfolded_block(B):
                 (ordmap.insert(ctx, u, 900, 900), ub + [900]),
                 (ordmap.insert(ctx, u, 400, 400), [400] + ub),
                 (ordmap.remove(ctx, u, 500), ub[1:]),
+                (ordmap.remove(ctx, u, 1), ub),
+                (ordmap.map_values(ctx, u, lambda v: v), ub),
                 (ordmap.filter(ctx, u, lambda e: e[0] != ub[-1]), ub[:-1]),
                 (ordmap.key_range(ctx, u, 501, 999), ub[1:]),
                 (bt.join(ctx, u, (900, 900), t), ub + [900] + big),
@@ -399,7 +421,9 @@ def test_public_ops_accept_unfolded_block(B):
                     (sq.append(sctx, s, su), big + ub),
                     (sq.take(sctx, su, nb - 1), ub[:-1]),
                     (sq.drop(sctx, su, 1), ub[1:]),
-                    (sq.seq_filter(sctx, su, lambda x: x != 500), ub[1:])]
+                    (sq.seq_filter(sctx, su, lambda x: x != 500), ub[1:]),
+                    (sq.seq_map(sctx, su, lambda x: x), ub),
+                    (sq.reverse(sctx, su), ub[::-1])]
             for x, want in seqs:
                 check_tree(sctx, x)
                 assert sq.to_elements(sctx, x) == want
@@ -708,11 +732,34 @@ def test_checker_rejects_corrupt_size():
     t.size -= 1
 
 
-def test_debug_checks_catch_key_disorder():
+def test_public_links_reject_key_disorder():
+    # the public node, join and join2 check key order on an ordered context
+    # before they touch their inputs: no node is left live and no input
+    # gains an owner; an unfolded block is checked like any tree
     ctx = make_context(block_size=3, encoding="identity")
-    bt.debug_checks(True)
-    try:
+    baseline = counters.live
+    a, b, c = build(ctx, [5, 6, 7]), build(ctx, [8, 9, 10]), build(ctx, [1, 2, 3])
+    ua = bt.unfold(ctx, a)
+    ins = (a, b, c, ua)
+    calls = [lambda: bt.join(ctx, a, (1, 1), b),
+             lambda: bt.join(ctx, c, (9, 9), b),
+             lambda: bt.join(ctx, ua, (1, 1), b),
+             lambda: bt.join2(ctx, a, c),
+             lambda: bt.join2(ctx, ua, c),
+             lambda: bt.join2(ctx, b, b),
+             lambda: bt.node(ctx, a, (1, 1), b),
+             lambda: bt.node(ctx, c, (4, 4), c)]
+    for call in calls:
+        live, owners = counters.live, [x.owners for x in ins]
         with pytest.raises(ContractError):
-            bt.join(ctx, build(ctx, [5, 6, 7]), (1, 1), build(ctx, [8, 9, 10]))
-    finally:
-        bt.debug_checks(False)
+            call()
+        assert counters.live == live
+        assert [x.owners for x in ins] == owners
+    # an unordered context (a sequence) links in any order
+    sctx = sq.seq_context(block_size=3)
+    s1, s2 = sq.seq_build(sctx, [5, 6, 7]), sq.seq_build(sctx, [1, 2, 3])
+    s = sq.append(sctx, s1, s2)
+    assert sq.to_elements(sctx, s) == [5, 6, 7, 1, 2, 3]
+    for x in ins + (s1, s2, s):
+        bt.release(x)
+    assert counters.live == baseline

@@ -1,6 +1,6 @@
 """Write one BENCH file: every perfbench metric of a checkout at fixed seeds.
 
-Usage: python tools/bench_file.py K [--root DIR]
+Usage: python tools/bench_file.py K [--root DIR] [--against PARENT]
 
 Runs ``perfbench/run.py`` of the checkout at DIR (default: the checkout
 this file is in), unchanged, for the workloads ``point``, ``bulk`` and
@@ -16,7 +16,13 @@ the three untraced runs.  A performance change is read from two
 consecutive BENCH files, ``BENCH_<k>.json`` measured at the parent commit
 and ``BENCH_<k+1>.json`` at the change, on the same host.  Each file
 records the commit, the Python version and the host it was measured on.
-Exits 1 if any run reports a wrong result.
+
+With ``--against PARENT``, every run is made on both checkouts, one right
+after the other, and which side goes first alternates from run to run, so
+that drift of the host falls on both sides alike.  ``BENCH_K.json`` then
+holds the runs of PARENT and ``BENCH_<K+1>.json`` those of DIR, and each
+names the other's commit as ``paired_with``.  Exits 1 if any run reports
+a wrong result.
 """
 
 import argparse
@@ -73,28 +79,38 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("k", type=int, help="writes BENCH_<k>.json")
     ap.add_argument("--root", default=here, help="checkout to measure")
+    ap.add_argument("--against", metavar="PARENT",
+                    help="parent checkout, measured in alternation with "
+                         "--root into BENCH_<k>.json")
     args = ap.parse_args(argv)
-    root = os.path.abspath(args.root)
+    sides = [os.path.abspath(d) for d in (args.against, args.root) if d]
 
-    runs = []
+    runs = [[] for _ in sides]
+    turn = 0
     for seed in SEEDS:
         for workload in WORKLOADS:
             for trace in [0] * REPEATS + [1]:
-                print(f"{workload} seed {seed} trace {trace}", file=sys.stderr,
-                      flush=True)
-                runs.append(run_once(root, workload, seed, trace))
-    doc = {
-        "commit": commit_of(root),
-        "python": platform.python_version(),
-        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                 "system": platform.system()},
-        "median": medians(runs),
-        "runs": runs,
-    }
-    with open(f"BENCH_{args.k}.json", "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    return 0 if all(r["correct"] for r in runs) else 1
+                order = range(len(sides))
+                for s in (order if turn % 2 == 0 else reversed(order)):
+                    print(f"{sides[s]}: {workload} seed {seed} trace {trace}",
+                          file=sys.stderr, flush=True)
+                    runs[s].append(run_once(sides[s], workload, seed, trace))
+                turn += 1
+    commits = [commit_of(d) for d in sides]
+    for s, side_runs in enumerate(runs):
+        doc = {
+            "commit": commits[s],
+            "paired_with": commits[1 - s] if len(sides) == 2 else None,
+            "python": platform.python_version(),
+            "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                     "system": platform.system()},
+            "median": medians(side_runs),
+            "runs": side_runs,
+        }
+        with open(f"BENCH_{args.k + s}.json", "w") as f:
+            json.dump(doc, f, indent=1, sort_keys=True)
+            f.write("\n")
+    return 0 if all(r["correct"] for rs in runs for r in rs) else 1
 
 
 if __name__ == "__main__":
