@@ -47,7 +47,7 @@ def test_config_validation():
         Config(alpha=0.0)
     with pytest.raises(ValueError):
         Config(block_size=0)
-    # a block size must be an int: 2.5 and True built trees before
+    # a block size is exactly an int: neither 2.5 nor True
     for bad in (2.5, True):
         with pytest.raises(ValueError):
             make_context(block_size=bad)
