@@ -15,6 +15,10 @@ Subcommands::
                             --encoding identity --threads 1 --seed 1 --trials 3
     blocktree-bench sweep-B --op find --n 100000 --Bs 8,16,32,64,128
     blocktree-bench graph   --input edges.txt --batches 10,1000,100000
+
+``micro`` is a ``sweep-B`` over one block size.  Bad input (an unknown op,
+no block size, fewer than one trial) is a usage error: a message and exit
+status 2.  A run releases every tree it builds.
 """
 
 import argparse
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from . import graphstore, ordmap, parallel
 from .core import make_context
 from .inspect import tree_bytes
-from .nodes import size
+from .nodes import release, retain
 
 HEADER = "op,n,m,B,encoding,threads,median_ms,bytes_total,bytes_metadata"
 GRAPH_HEADER = "batch,n_edges,insert_eps,delete_eps"
@@ -59,104 +63,99 @@ def gen_pairs(rng, n):
     return [(k, rng.getrandbits(VALUE_BITS)) for k in keys]
 
 
-def _ctx_for(cfg):
-    return make_context(block_size=cfg.block_size, encoding=cfg.encoding)
-
-
 def _time(fn, trials):
-    times = []
-    out = None
+    """(median ms, the result of every trial) of fn."""
+    times, outs = [], []
     for _ in range(trials):
         t0 = time.perf_counter()
         out = fn()
         times.append((time.perf_counter() - t0) * 1000.0)
-    return statistics.median(times), out
-
-
-def _setup_two_trees(ctx, cfg):
-    rng = random.Random(cfg.seed)
-    t1 = ordmap.build(ctx, gen_pairs(rng, cfg.n))
-    t2 = ordmap.build(ctx, gen_pairs(rng, cfg.m))
-    return t1, t2
+        outs.append(out)
+    return statistics.median(times), outs
 
 
 def run_micro(cfg):
-    """One measurement row for the configured operation.  The worker pool
-    is switched back to one thread afterwards, also when the run raises."""
-    ctx = _ctx_for(cfg)
+    """One measurement row for the configured operation.  Every tree the
+    run builds is released and the worker pool is switched back to one
+    thread before it returns, also when the run raises."""
+    ctx = make_context(block_size=cfg.block_size, encoding=cfg.encoding)
+    held = []
     parallel.set_threads(cfg.threads)
     try:
-        ms, tree = _measure(ctx, cfg)
+        ms, tree = _measure(ctx, cfg, held)
+        total, meta = tree_bytes(ctx, tree) if tree is not None else (0, 0)
     finally:
         parallel.set_threads(1)
-    total, meta = tree_bytes(ctx, tree) if tree is not None else (0, 0)
+        for t in held:
+            release(t)
     return [f"{cfg.op},{cfg.n},{cfg.m},{cfg.block_size},{cfg.encoding},"
             f"{cfg.threads},{ms:.3f},{total},{meta}"]
 
 
-def _measure(ctx, cfg):
-    """(median ms, result tree or None) of the configured operation."""
+def _measure(ctx, cfg, held):
+    """(median ms, the tree the row reports) of the configured operation:
+    its result, or the tree it reads where it returns no tree.  Every tree
+    it builds goes on ``held``: its inputs and the result of each trial."""
     rng = random.Random(cfg.seed)
     op = cfg.op
 
+    def built(n):
+        held.append(ordmap.build(ctx, gen_pairs(rng, n)))
+        return held[-1]
+
+    tree = None
     if op == "build":
         pairs = gen_pairs(rng, cfg.n)
-        ms, tree = _time(lambda: ordmap.build(ctx, pairs), cfg.trials)
+        fn = lambda: ordmap.build(ctx, pairs)
     elif op in ("union", "union_efficient", "intersection", "difference"):
-        t1, t2 = _setup_two_trees(ctx, cfg)
-        fn = getattr(ordmap, op)
-        ms, tree = _time(lambda: fn(ctx, t1, t2), cfg.trials)
+        t1, t2, setop = built(cfg.n), built(cfg.m), getattr(ordmap, op)
+        fn = lambda: setop(ctx, t1, t2)
     elif op == "multi_insert":
-        t1 = ordmap.build(ctx, gen_pairs(rng, cfg.n))
+        t1 = built(cfg.n)
         batch = gen_pairs(rng, cfg.m)
-        ms, tree = _time(lambda: ordmap.multi_insert(ctx, t1, batch), cfg.trials)
+        fn = lambda: ordmap.multi_insert(ctx, t1, batch)
     elif op == "insert":
-        tree = ordmap.build(ctx, gen_pairs(rng, cfg.n))
+        tree = built(cfg.n)
         fresh = [(KEY_SPACE_FACTOR * cfg.n + i, i) for i in range(cfg.m)]
 
-        def do_inserts():
-            t = tree
+        def fn():
+            t = retain(tree)
             for k, v in fresh:
-                t = ordmap.insert(ctx, t, k, v)
-            return t
-        ms, _ = _time(do_inserts, cfg.trials)
+                t2 = ordmap.insert(ctx, t, k, v)
+                release(t)
+                t = t2
+            release(t)
     elif op == "find":
-        tree = ordmap.build(ctx, gen_pairs(rng, cfg.n))
+        tree = built(cfg.n)
         queries = [rng.randrange(KEY_SPACE_FACTOR * cfg.n) for _ in range(cfg.m)]
 
-        def do_finds():
-            hits = 0
+        def fn():
             for q in queries:
-                if ordmap.find(ctx, tree, q) is not None:
-                    hits += 1
-            return hits
-        ms, _ = _time(do_finds, cfg.trials)
+                ordmap.find(ctx, tree, q)
     elif op == "range":
-        tree = ordmap.build(ctx, gen_pairs(rng, cfg.n))
+        tree = built(cfg.n)
         span = max(1, KEY_SPACE_FACTOR * cfg.n // max(cfg.m, 1))
         starts = [rng.randrange(KEY_SPACE_FACTOR * cfg.n) for _ in range(min(cfg.m, 200))]
 
-        def do_ranges():
-            acc = 0
+        def fn():
             for s in starts:
-                acc += size(ordmap.key_range(ctx, tree, s, s + span))
-            return acc
-        ms, _ = _time(do_ranges, cfg.trials)
+                release(ordmap.key_range(ctx, tree, s, s + span))
     elif op == "filter":
-        tree = ordmap.build(ctx, gen_pairs(rng, cfg.n))
-        ms, tree = _time(lambda: ordmap.filter(ctx, tree, lambda e: e[0] % 2 == 0),
-                         cfg.trials)
+        t1 = built(cfg.n)
+        fn = lambda: ordmap.filter(ctx, t1, lambda e: e[0] % 2 == 0)
     elif op == "map":
-        tree = ordmap.build(ctx, gen_pairs(rng, cfg.n))
-        ms, tree = _time(lambda: ordmap.map_values(ctx, tree, lambda v: v ^ 1),
-                         cfg.trials)
+        t1 = built(cfg.n)
+        fn = lambda: ordmap.map_values(ctx, t1, lambda v: v ^ 1)
     elif op == "reduce":
-        tree = ordmap.build(ctx, gen_pairs(rng, cfg.n))
-        ms, _ = _time(lambda: ordmap.reduce(ctx, tree, lambda a, b: a + b, 0),
-                      cfg.trials)
+        tree = built(cfg.n)
+
+        def fn():
+            ordmap.reduce(ctx, tree, lambda a, b: a + b, 0)
     else:
         raise ValueError(f"unknown op {cfg.op!r}")
-    return ms, tree
+    ms, outs = _time(fn, cfg.trials)
+    held.extend(outs)
+    return ms, tree if tree is not None else outs[-1]
 
 
 def sweep_blocksize(op, n, block_sizes, encoding="identity", m=None, seed=1,
@@ -183,7 +182,7 @@ def graph_bench(path, batch_sizes, seed=1, trials=3, block_size=64):
     for bs in batch_sizes:
         batch = [(rng.choice(vids), rng.choice(vids)) for _ in range(bs)]
         ins_ms, g2 = _time(lambda: graphstore.insert_edges(g, batch), trials)
-        del_ms, _ = _time(lambda: graphstore.delete_edges(g2, batch), trials)
+        del_ms, _ = _time(lambda: graphstore.delete_edges(g2[-1], batch), trials)
         ins_eps = bs / (ins_ms / 1000.0) if ins_ms > 0 else float("inf")
         del_eps = bs / (del_ms / 1000.0) if del_ms > 0 else float("inf")
         rows.append(f"{bs},{len(pairs)},{ins_eps:.1f},{del_eps:.1f}")
@@ -204,63 +203,51 @@ def _int_list(s):
 
 
 def main(argv=None):
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=1)
+    common.add_argument("--trials", type=int, default=3)
+    common.add_argument("--out", default=None)
+    row_flags = argparse.ArgumentParser(add_help=False, parents=[common])
+    row_flags.add_argument("--op", required=True)
+    row_flags.add_argument("--n", type=int, required=True)
+    row_flags.add_argument("--m", type=int, default=0)
+    row_flags.add_argument("--encoding", choices=["identity", "diff", "delta"],
+                           default="identity")
+    row_flags.add_argument("--threads", type=int, default=1)
+
     ap = argparse.ArgumentParser(prog="blocktree-bench",
                                  description="blocktree benchmark harness")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("micro", help="single microbenchmark row")
-    p.add_argument("--op", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
+    p = sub.add_parser("micro", parents=[row_flags],
+                       help="single microbenchmark row")
     p.add_argument("--B", type=int, default=128)
-    p.add_argument("--encoding", choices=["identity", "diff", "delta"],
-                   default="identity")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("sweep-B", help="one row per block size")
-    p.add_argument("--op", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--Bs", required=True, help="comma-separated block sizes")
-    p.add_argument("--encoding", choices=["identity", "diff", "delta"],
-                   default="identity")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("graph", help="batch-update throughput for a graph file")
+    p = sub.add_parser("sweep-B", parents=[row_flags],
+                       help="one row per block size")
+    p.add_argument("--Bs", type=_int_list, required=True,
+                   help="comma-separated block sizes")
+    p = sub.add_parser("graph", parents=[common],
+                       help="batch-update throughput for a graph file")
     p.add_argument("--input", required=True)
-    p.add_argument("--batches", required=True, help="comma-separated batch sizes")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--out", default=None)
+    p.add_argument("--batches", type=_int_list, required=True,
+                   help="comma-separated batch sizes")
 
     args = ap.parse_args(argv)
-
-    if args.cmd == "micro":
-        cfg = BenchConfig(op=args.op, n=args.n, m=args.m or args.n,
-                          block_size=args.B, encoding=args.encoding,
-                          threads=args.threads, seed=args.seed,
-                          trials=args.trials)
-        try:
-            rows = run_micro(cfg)
-        except ValueError as exc:
-            ap.error(str(exc))
-        _emit(HEADER, rows, args.out)
-    elif args.cmd == "sweep-B":
-        rows = sweep_blocksize(args.op, args.n, _int_list(args.Bs),
-                               encoding=args.encoding, m=args.m or None,
-                               seed=args.seed, trials=args.trials,
-                               threads=args.threads)
-        _emit(HEADER, rows, args.out)
-    else:
-        rows = graph_bench(args.input, _int_list(args.batches),
-                           seed=args.seed, trials=args.trials)
-        _emit(GRAPH_HEADER, rows, args.out)
+    # bad input (an unknown op, no block size, zero trials) is a usage error
+    try:
+        if args.cmd == "graph":
+            header = GRAPH_HEADER
+            rows = graph_bench(args.input, args.batches, seed=args.seed,
+                               trials=args.trials)
+        else:
+            # micro is a sweep over one block size
+            header = HEADER
+            rows = sweep_blocksize(
+                args.op, args.n, [args.B] if args.cmd == "micro" else args.Bs,
+                encoding=args.encoding, m=args.m or None, seed=args.seed,
+                trials=args.trials, threads=args.threads)
+    except ValueError as exc:
+        ap.error(str(exc))
+    _emit(header, rows, args.out)
     return 0
 
 

@@ -38,10 +38,10 @@ instrumented cost properties sharp:
   ends in once for each side; ``_join2`` and ``split_last`` take the last
   entry off with ``_pop_last``, a walk down the right spine that decodes
   only the last block.
-* ``_join_right``/``_join_left`` hand an unbalanced block, or any
-  rebalance of at most ``4B`` entries, to ``_node``, which rebuilds it;
-  a rotation that meets a block (seen at B=1) cuts it at its middle
-  entry.
+* ``_join_right``/``_join_left`` hand a lone block heavier than the
+  other side to ``_node`` instead of exposing it; every other unbalanced
+  pair rotates, at any size, and a rotation that meets a block cuts it at
+  its middle entry.
 
 Fragments are entry runs.  A piece below ``B`` entries that a walk hands
 up (the cut of a boundary block, a merge of a batch, the entries a filter
@@ -51,9 +51,11 @@ concatenated, and stay a run below ``B``; a run becomes a block
 (``_as_tree``) only where the glue hands a tree to a join; and with no
 middle entry, a nonempty run beside a tree gives up the entry next to the
 seam as the middle, so only two trees reach ``_join2``.  ``_node`` is the
-one place that decides between linking and flattening: it links children
-that are already valid (two blocks of ``B..2B`` entries, or any pair of
-at least ``4B`` entries) and rebuilds any smaller pair from its entries.
+one place that decides between linking and flattening, by the leaf rule:
+it links any pair of at least ``4B`` entries, or two whole children (a
+block of at least ``B`` entries, or a regular tree of more than ``2B``),
+and rebuilds any other pair from its entries.  So a block that overflows
+into two is linked beside its sibling block, not flattened with it.
 ``_join`` tests the balance of its pair once and hands a balanced pair,
 which every level of a point update's path copy is, straight to
 ``_node``.  A point update therefore re-encodes just the one block it
@@ -316,38 +318,32 @@ def _guard(held, f, *args):
         raise
 
 
-def _is_block(B, t):
-    """True for a block a blocked tree may hold as a leaf (B..2B entries)."""
-    return t is not None and is_flat(t) and B <= t.count <= 2 * B
+def _whole(B, t):
+    """True for a child a blocked tree may hold: a block of at least B
+    entries, or a regular tree of more than 2B.  A fragment below B and a
+    caller's unfolded block are not whole."""
+    return t is not None and (t.count >= B if is_flat(t) else t.size > 2 * B)
 
 
 def _node(ctx, l, e, r, n=None):
-    """Smart constructor over two valid trees (n: their entries, if the
-    caller has counted them); consumes l and r and restores the leaf rules.
+    """Smart constructor (n: the entries of l and r, if the caller has
+    counted them); consumes l and r and restores the leaf rules.
 
-    The one place that decides between linking and flattening.  Children
-    that are already valid are linked untouched: any pair of at least 4B
-    entries, and two blocks of B..2B entries.  Any smaller pair is a
-    fragment and is rebuilt from its entries: one block up to 2B, else two
-    blocks under a regular node.  It never settles a child: a caller's
-    unfolded block is folded by the public ``node``, ``join`` and
+    The one place that decides between linking and flattening, by the leaf
+    rule: it links a pair of at least 4B entries, or two whole children
+    (``_whole``), and rebuilds any other pair from its entries: one block
+    up to 2B, else blocks under regular nodes.  Its callers hand it
+    balanced pairs, or pairs where one side is a fragment (a run's block,
+    or half of a block ``_open`` cut).  It never settles a child: a
+    caller's unfolded block is folded by the public ``node``, ``join`` and
     ``join2`` before it gets here.
-
-    The rebuild is also the cost of a point update that overflows or
-    underflows its block beside a sibling block (B=128, identity codec, a
-    root over a 256- and a 128-entry block): the two fresh blocks of an
-    overflow are flattened again with their sibling, 4 decodes, 4 folds
-    and 6 allocations against 1, 1 and 2 for an insert that stays in its
-    block; a remove that leaves B-1 entries costs 3 decodes and 3 folds.
     """
     B = ctx.config.block_size
     if n is None:
         n = size(l) + size(r)
-    if n >= 4 * B or (_is_block(B, l) and _is_block(B, r)):
-        # Two such blocks need no balance check: their weight ratio is at
-        # least (B+1)/(3B+2) > 1/3 > ALPHA_MAX.  A block below B never
-        # sits in a pair of 4B entries that balances: its weight ratio
-        # would be below B/(4B+2) < 1/4 <= alpha.
+    if n >= 4 * B or (_whole(B, l) and _whole(B, r)):
+        # A fragment below B never sits in a pair of 4B entries that
+        # balances: its weight ratio would be below B/(4B+2) < 1/4 <= alpha.
         return _make_regular(ctx, l, e, r, n + 1)
     return _rebuild(ctx, _entries(ctx, l, e, r))
 
@@ -385,7 +381,9 @@ def _join(ctx, l, e, r):
 
 def _join_right(ctx, tl, k, tr):
     cfg = ctx.config
-    # a balanced pair, or a lone block heavier than tr, which _node merges
+    # a balanced pair, or a lone block heavier than tr: _node links it
+    # beside a whole block (their weight ratio is at least (B+1)/(3B+2) >
+    # 1/3 > ALPHA_MAX) and merges it with a fragment
     if is_flat(tl) or _balanced_pair(cfg, weight(tl), weight(tr)):
         return _node(ctx, tl, k, tr)
     l, e0, c = _destructure(ctx, tl)
@@ -395,10 +393,12 @@ def _join_right(ctx, tl, k, tr):
         release(l)
         raise
     wl, w2 = weight(l), weight(t2)
-    if _balanced_pair(cfg, wl, w2) or wl + w2 <= 4 * cfg.block_size + 1:
+    if _balanced_pair(cfg, wl, w2):
         return _node(ctx, l, e0, t2, wl + w2 - 2)
-    # rotations; the pieces taken apart are regular nodes, except at tiny B
-    # (seen at B=1), where a block can sit in a rotation slot
+    # rotations.  t2 is a regular node: it outweighs l, a whole tree, by
+    # (1-alpha)/alpha > 2, so it holds more than 2B entries.  Its inner
+    # child l1 can be a block at any B (B=100: a root over blocks of 101
+    # and 200 entries joined with one of 110), which _open cuts in two.
     l1, e1, r1 = _guard((l,), _open, ctx, t2)
     if (_balanced_pair(cfg, wl, weight(l1))
             and _balanced_pair(cfg, wl + weight(l1), weight(r1))):
@@ -419,7 +419,7 @@ def _join_left(ctx, tl, k, tr):
         release(r)
         raise
     w2, wr = weight(t2), weight(r)
-    if _balanced_pair(cfg, w2, wr) or w2 + wr <= 4 * cfg.block_size + 1:
+    if _balanced_pair(cfg, w2, wr):
         return _node(ctx, t2, e0, r, w2 + wr - 2)
     l1, e1, r1 = _guard((r,), _open, ctx, t2)
     if (_balanced_pair(cfg, weight(r1), wr)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from blocktree import bench
+from blocktree.counters import counters
 from blocktree.parallel import get_threads
 from blocktree.bench import BenchConfig, gen_pairs, graph_bench, run_micro, sweep_blocksize
 
@@ -140,6 +141,32 @@ def test_cli_micro_and_out_file(tmp_path, capsys):
     assert len(text) == 3
 
 
-def test_cli_rejects_unknown_op():
-    with pytest.raises(SystemExit):
-        bench.main(["micro", "--op", "nope", "--n", "10"])
+@pytest.mark.parametrize("op", ["build", "union", "union_efficient",
+                                "intersection", "difference", "multi_insert",
+                                "insert", "find", "range", "filter", "map",
+                                "reduce"])
+def test_run_micro_releases_what_it_builds(op):
+    # the setup trees, every trial's result and each intermediate insert
+    # version are released: no node is left live
+    live = counters.live
+    rows = run_micro(BenchConfig(op=op, n=3000, m=500, block_size=32,
+                                 encoding="identity", trials=2))
+    assert len(rows) == 1 and rows[0].count(",") == bench.HEADER.count(",")
+    f = row_fields(rows[0])
+    assert f["op"] == op and float(f["median_ms"]) >= 0
+    assert int(f["bytes_total"]) >= int(f["bytes_metadata"]) >= 0
+    assert counters.live == live
+
+
+def test_cli_rejects_unknown_op(capsys):
+    # bad input is a usage error: exit status 2 and a message, no traceback
+    for argv in (["micro", "--op", "nope", "--n", "10"],
+                 ["micro", "--op", "build", "--n", "10", "--trials", "0"],
+                 ["sweep-B", "--op", "nope", "--n", "10", "--Bs", "8"],
+                 ["sweep-B", "--op", "build", "--n", "10", "--Bs", "8",
+                  "--trials", "0"],
+                 ["sweep-B", "--op", "build", "--n", "10", "--Bs", ","]):
+        with pytest.raises(SystemExit) as exc:
+            bench.main(argv)
+        assert exc.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err, argv

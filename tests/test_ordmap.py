@@ -196,17 +196,22 @@ def test_union_efficient_unfold_bound():
 
 def test_union_base_case_decode_bound():
     # the smaller operand is flattened once and the larger one decodes each
-    # block it merges once: decodes <= 2 * (blocks(t1) + blocks(t2))
+    # block it merges once, and the joins link the blocks a merge makes
+    # instead of decoding them again: decodes <= blocks(t1) + blocks(t2)
     rng = random.Random(5)
-    for B in (8, 128):
-        ctx = make_context(block_size=B, encoding="identity")
+    for encoding, B in itertools.product(("identity", "delta", "object"),
+                                         (1, 2, 8, 128)):
+        ctx = make_context(block_size=B, encoding=encoding)
         for _ in range(25):
             a = ordmap.build(ctx, KV(rng.sample(range(10 ** 6), rng.randrange(2 * B + 1, 60 * B))))
             b = ordmap.build(ctx, KV(rng.sample(range(10 ** 6), rng.randrange(2 * B + 1, 60 * B))))
-            budget = 2 * (count_blocks(a) + count_blocks(b))
+            budget = count_blocks(a) + count_blocks(b)
             d0 = counters.decodes
-            ordmap.union(ctx, a, b)
-            assert counters.decodes - d0 <= budget
+            u = ordmap.union(ctx, a, b)
+            assert counters.decodes - d0 <= budget, \
+                (encoding, B, counters.decodes - d0, budget)
+            for t in (a, b, u):
+                bt.release(t)
 
 
 def test_multi_insert_and_delete():
@@ -1055,6 +1060,33 @@ def test_point_update_path_copy_rebuilds_nothing(monkeypatch):
         done[kind] += 1
     bt.release(t)
     assert min(done.values()) >= 10, done
+
+
+def test_point_update_overflow_links_beside_its_sibling(monkeypatch):
+    # an insert into a full block splits it into two blocks, and the leaf
+    # rule links them beside their sibling block: one decode, the two new
+    # blocks, a regular node over them and a new root; nothing is flattened
+    # back into entries (core._entries, the rebuild of _node)
+    from blocktree import core
+    rebuilds = []
+    entries = core._entries
+    monkeypatch.setattr(core, "_entries",
+                        lambda *a: rebuilds.append(1) or entries(*a))
+    B = 128
+    ctx = make_context(block_size=B, encoding="identity")
+    full = ordmap.build(ctx, KV(range(0, 4 * B, 2)))
+    sibling = ordmap.build(ctx, KV(range(4 * B + 2, 6 * B + 2, 2)))
+    t = bt.join(ctx, full, (4 * B, 0), sibling)
+    assert (t.left.count, t.right.count) == (2 * B, B)
+    d0, f0, a0 = counters.decodes, counters.folds, counters.allocations
+    t2 = ordmap.insert(ctx, t, 1, 0)
+    assert (counters.decodes - d0, counters.folds - f0,
+            counters.allocations - a0) == (1, 2, 4)
+    assert rebuilds == []
+    check_tree(ctx, t2)
+    assert bt.to_list(ctx, t2) == sorted(bt.to_list(ctx, t) + [(1, 0)])
+    for x in (full, sibling, t, t2):
+        bt.release(x)
 
 
 # the ids keep the "-pure" suffix of the ownership mode they once named
