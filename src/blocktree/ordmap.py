@@ -33,11 +33,11 @@ each decodes every input block about once: the joins link the blocks a
 merge makes beside their neighbours instead of decoding them again.  Over
 900 seeded AC4-shaped unions (B in {1, 2, 8, 128}, all three codecs, 75
 each) the worst count is 1.0 times the block count of the two inputs.
-The cost of reading the
-smaller operand entry by entry shows when the key ranges are disjoint: no
-subtree of the run is shared, so a union of 10^5 and 10^4 entries with
-disjoint ranges re-encodes the 10^4, still O(m): 9 ms at B=128 with the
-delta codec (Python 3.11), where joining the shared subtrees took 0.6 ms.
+The cost of reading the smaller operand entry by entry shows when the key
+ranges are disjoint: no subtree of the run is shared, so a union of 10^5
+and 10^4 entries with disjoint ranges re-encodes the 10^4, still O(m):
+9 ms at B=128 with the delta codec (Python 3.11), where joining the
+shared subtrees took 0.6 ms.
 ``union_efficient`` is the same function as ``union``.
 
 ``rank`` is the position search of a keyed split (``core._locate``), and
