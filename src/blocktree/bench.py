@@ -17,8 +17,9 @@ Subcommands::
     blocktree-bench graph   --input edges.txt --batches 10,1000,100000
 
 ``micro`` is a ``sweep-B`` over one block size.  Bad input (an unknown op,
-no block size, fewer than one trial) is a usage error: a message and exit
-status 2.  A run releases every tree it builds.
+no block size or batch size, fewer than one trial, an edge list that is
+missing, malformed or empty) is a usage error: a message and exit status
+2.  A run releases every tree it builds.
 """
 
 import argparse
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 from . import graphstore, ordmap, parallel
 from .core import make_context
+from .errors import GraphParseError
 from .inspect import tree_bytes
 from .nodes import release, retain
 
@@ -53,10 +55,6 @@ class BenchConfig:
     seed: int = 1
     trials: int = 3
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-
 
 def gen_pairs(rng, n):
     keys = rng.sample(range(KEY_SPACE_FACTOR * n), n)
@@ -65,6 +63,8 @@ def gen_pairs(rng, n):
 
 def _time(fn, trials):
     """(median ms, the result of every trial) of fn."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     times, outs = [], []
     for _ in range(trials):
         t0 = time.perf_counter()
@@ -177,6 +177,8 @@ def graph_bench(path, batch_sizes, seed=1, trials=3, block_size=64):
     pairs = graphstore.load_edge_list(path)
     g = graphstore.from_edge_list(pairs, block_size=block_size)
     vids = graphstore.vertex_ids(g)
+    if batch_sizes and not vids:
+        raise ValueError(f"{path}: no edges to sample a batch from")
     rng = random.Random(seed)
     rows = []
     for bs in batch_sizes:
@@ -232,9 +234,12 @@ def main(argv=None):
                    help="comma-separated batch sizes")
 
     args = ap.parse_args(argv)
-    # bad input (an unknown op, no block size, zero trials) is a usage error
+    # bad input (an unknown op, no block or batch size, zero trials, an
+    # edge list that cannot be read or parsed) is a usage error
     try:
         if args.cmd == "graph":
+            if not args.batches:
+                raise ValueError("graph needs at least one batch size")
             header = GRAPH_HEADER
             rows = graph_bench(args.input, args.batches, seed=args.seed,
                                trials=args.trials)
@@ -245,7 +250,7 @@ def main(argv=None):
                 args.op, args.n, [args.B] if args.cmd == "micro" else args.Bs,
                 encoding=args.encoding, m=args.m or None, seed=args.seed,
                 trials=args.trials, threads=args.threads)
-    except ValueError as exc:
+    except (ValueError, OSError, GraphParseError) as exc:
         ap.error(str(exc))
     _emit(header, rows, args.out)
     return 0

@@ -10,10 +10,11 @@ A tree is ``None``, a ``Regular`` node (one entry, two children), or a
   block of ``1..B-1`` entries.
 
 Everything else in the library is built from the primitives here: expose,
-node, flatten, fold, unfold, join, join2, split and split_last.  ``items``
-and ``to_list`` read ``flatten``'s list, ``refold`` is a second name for
-``fold``, and ``_rebuild`` builds every tree from sorted entries, the
-all-regular one ``unfold`` returns included.
+flatten, fold, unfold, join, join2, split and split_last.  ``items`` and
+``to_list`` read ``flatten``'s list, ``node`` is a second name for
+``join`` and ``refold`` one for ``fold``, and ``_rebuild`` builds every
+tree from sorted entries, the all-regular one ``unfold`` returns
+included.
 
 Ownership: a walk *borrows* the tree it reads.  ``_slice`` and
 ``_pop_last`` (and, in ``ordmap``, every recursion over a caller's tree)
@@ -22,7 +23,7 @@ the subtrees they share into their result, after their own recursive
 calls have returned: a walk that raises holds nothing of its input.  Only
 the glue that links fresh pieces *consumes* the handles it is given (the
 caller's reference transfers): ``_node``, the joins, ``_join2``,
-``_open``, ``_settle``, ``_concat`` and ``_as_tree``.  Glue releases every
+``_open``, ``_concat`` and ``_as_tree``.  Glue releases every
 handle it holds when an exception (a failed decode, codec check or user
 callback) unwinds through it, so a failed operation leaves its inputs
 intact and no node live.  Every result is owned by the caller; the public
@@ -65,18 +66,20 @@ block is shared, not rebuilt.
 No path but the public ``unfold`` expands a block into regular nodes; the
 public ``expose`` cuts a block into two blocks like ``_open`` does.  An
 unfolded block is the one regular tree of at most ``2B`` entries a caller
-can hold, and ``_settle`` (public ``fold``) packs it back into one block:
-no valid tree has a regular subtree that small.  Inside a walk every child
-is valid, so ``_node`` links without settling.  The settle happens at the
-public boundary: ``node``, ``join`` and ``join2``, the only operations
-that can link a caller's tree beside a larger one, fold their inputs
-first (O(1) on a valid tree), and the wrappers that can hand back an
-input or a piece of one (``split``, ``split_last``, the point and bulk
-operations) settle their results.  So every public operation accepts an
-unfolded block and returns a valid tree.
+can hold, and ``_as_tree`` (public ``fold``) packs it back into one
+block: no valid tree has a regular subtree that small.  Inside a walk
+every child is valid, so ``_node`` links without folding.  The fold
+happens at the public boundary: ``join`` (``node``) and ``join2``, the
+only operations that can link a caller's tree beside a larger one, fold
+their inputs first (O(1) on a valid tree), and the wrappers that can hand
+back an input or a piece of one (``split``, ``split_last``, the point and
+bulk operations, ``map_values`` and ``reverse``) end in ``_as_tree``, the
+one finishing step, which also turns an entry run into its block.  So
+every public operation accepts an unfolded block and returns a valid
+tree.
 
-Key order is a caller's promise only at the public ``node``, ``join`` and
-``join2``: on an ordered context they read the boundary keys of their
+Key order is a caller's promise only at the public ``join`` (``node``)
+and ``join2``: on an ordered context they read the boundary keys of their
 inputs and raise ``ContractError`` before they retain anything.  Every
 internal link orders its keys by construction, and ``check_tree`` is the
 test-time check.
@@ -226,11 +229,8 @@ def _make_flat(ctx, entries):
     counters.folds += 1
     payload = ctx.codec.encode(entries)
     aug = _entries_aug(ctx, entries) if ctx.aug else None
-    if ctx.ordered:
-        fk, lk = entries[0][0], entries[-1][0]
-    else:
-        fk = lk = None
-    return new_flat(len(entries), payload, fk, lk, aug)
+    # a sequence's keys are None, so its bounds are too
+    return new_flat(len(entries), payload, entries[0][0], entries[-1][0], aug)
 
 
 def _make_regular(ctx, l, e, r, s):
@@ -285,14 +285,6 @@ def _destructure(ctx, t):
     return l, e, r
 
 
-def _check_node_pre(ctx, l, e, r):
-    if ctx.ordered:
-        if l is not None and not last_key(ctx, l) < e[0]:
-            raise ContractError(f"key order violated on the left of {e[0]!r}")
-        if r is not None and not e[0] < first_key(ctx, r):
-            raise ContractError(f"key order violated on the right of {e[0]!r}")
-
-
 def _entries(ctx, l, e, r):
     """In-order entries of l, e and r; consumes l and r."""
     try:
@@ -309,7 +301,7 @@ def _guard(held, f, *args):
     function still owns while f runs (an entry run holds no node).  The
     hot paths do without it: the joins' recursions inline the same
     try/except, which costs nothing until it raises, where a call through
-    here costs a frame, and ``_node`` links children it need not settle."""
+    here costs a frame, and ``_node`` links children it need not fold."""
     try:
         return f(*args)
     except BaseException:
@@ -334,9 +326,9 @@ def _node(ctx, l, e, r, n=None):
     (``_whole``), and rebuilds any other pair from its entries: one block
     up to 2B, else blocks under regular nodes.  Its callers hand it
     balanced pairs, or pairs where one side is a fragment (a run's block,
-    or half of a block ``_open`` cut).  It never settles a child: a
-    caller's unfolded block is folded by the public ``node``, ``join`` and
-    ``join2`` before it gets here.
+    or half of a block ``_open`` cut).  It never folds a child: a caller's
+    unfolded block is folded by the public ``join`` and ``join2`` before it
+    gets here.
     """
     B = ctx.config.block_size
     if n is None:
@@ -346,20 +338,6 @@ def _node(ctx, l, e, r, n=None):
         # balances: its weight ratio would be below B/(4B+2) < 1/4 <= alpha.
         return _make_regular(ctx, l, e, r, n + 1)
     return _rebuild(ctx, _entries(ctx, l, e, r))
-
-
-def _settle(ctx, t):
-    """Fold a regular tree of at most 2B entries into one block; any other
-    tree passes through.  No valid blocked tree has a regular subtree that
-    small (the smallest holds 2B+1 entries), so this repairs exactly the
-    all-regular fragments ``unfold`` hands out."""
-    if t is None or is_flat(t) or t.size > 2 * ctx.config.block_size:
-        return t
-    try:
-        entries = flatten(ctx, t)
-    finally:
-        release(t)
-    return _make_flat(ctx, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +489,20 @@ def _is_run(x):
 
 
 def _as_tree(ctx, x):
-    """The tree of a recursion's result: an entry run becomes one block,
-    and a tree is settled (an unfolded block passed in is folded back)."""
-    return _rebuild(ctx, x) if type(x) is list else _settle(ctx, x)
+    """The one finishing step; consumes x.  An entry run becomes one block,
+    and a regular tree of at most 2B entries is folded into one; any other
+    tree passes through.  No valid blocked tree has a regular subtree that
+    small (the smallest holds 2B+1 entries), so the fold repairs exactly
+    the all-regular fragments ``unfold`` hands out."""
+    if type(x) is list:
+        return _rebuild(ctx, x)
+    if x is None or is_flat(x) or x.size > 2 * ctx.config.block_size:
+        return x
+    try:
+        entries = flatten(ctx, x)
+    finally:
+        release(x)
+    return _make_flat(ctx, entries)
 
 
 def _concat(ctx, left, e, right):
@@ -575,7 +564,7 @@ def expose(ctx, t):
 def fold(ctx, t):
     """Pack a regular tree of at most 2B entries (such as an unfolded
     block) into one block; any other tree passes through.  Borrows t."""
-    return _settle(ctx, retain(t))
+    return _as_tree(ctx, retain(t))
 
 
 # a second public name for fold, kept for callers
@@ -592,21 +581,21 @@ def unfold(ctx, t):
     return _rebuild(ctx, entries, cap=0)
 
 
-def node(ctx, l, e, r):
-    """Combine two trees around a middle entry per the size rules.  On an
-    ordered context, keys out of order raise ``ContractError`` before any
-    input is touched."""
-    _check_node_pre(ctx, l, e, r)
-    l = fold(ctx, l)
-    return _node(ctx, l, e, _guard((l,), fold, ctx, r))
-
-
 def join(ctx, l, e, r):
     """Concatenate l, e, r into a balanced tree; keys(l) < key(e) < keys(r),
     checked on an ordered context before any input is touched."""
-    _check_node_pre(ctx, l, e, r)
+    if ctx.ordered:
+        if l is not None and not last_key(ctx, l) < e[0]:
+            raise ContractError(f"key order violated on the left of {e[0]!r}")
+        if r is not None and not e[0] < first_key(ctx, r):
+            raise ContractError(f"key order violated on the right of {e[0]!r}")
     l = fold(ctx, l)
     return _join(ctx, l, e, _guard((l,), fold, ctx, r))
+
+
+# node is join: a balanced pair is linked in O(1) (``_join`` hands it
+# straight to ``_node``), and any other pair is rebalanced
+node = join
 
 
 def join2(ctx, l, r):

@@ -1,9 +1,9 @@
 """Block codecs.
 
-Every leaf block stores its entries through a codec.  Three methods are
-required: ``encoded_size`` (bytes the encoding will occupy), ``encode``
-(entries to payload) and ``decode`` (payload back to entries).  Two are
-optional, with defaults on ``EncodingScheme``:
+Every leaf block stores its entries through a codec.  Two methods are
+required: ``encode`` (entries to payload) and ``decode`` (payload back to
+entries); ``inspect.tree_bytes`` prices a byte payload at its length.
+Two more are optional, with defaults on ``EncodingScheme``:
 
 ``check_entry(key, value)``
     Raise ``CodecError`` for an entry no block could hold.
@@ -52,9 +52,10 @@ Two byte-oriented codecs ship with the library:
     are packed and unpacked by one ``struct`` call.
 
 ``ObjectCodec`` keeps entries as a plain tuple for payloads that are not
-byte-packable (sequences of arbitrary elements, nested tree handles).  Its
-reported size is a nominal pointer-model estimate, and ``search`` bisects
-the tuple in place.
+byte-packable (sequences of arbitrary elements, nested tree handles).
+``inspect.tree_bytes`` prices its payload by a nominal pointer model
+(``NOMINAL_ENTRY_BYTES`` per entry), and ``search`` bisects the tuple in
+place.
 """
 
 import struct
@@ -130,16 +131,13 @@ def _check_uint(x, width, what):
 
 
 class EncodingScheme:
-    """Codec interface; subclasses implement the three required methods and
+    """Codec interface; subclasses implement the two required methods and
     may override the two optional ones (see the module docstring)."""
 
     name = "abstract"
     # True when the codec cannot read its first/last key in O(1) from the
     # payload, so the block header carries cached key bounds.
     caches_bounds = False
-
-    def encoded_size(self, entries):
-        raise NotImplementedError
 
     def encode(self, entries):
         raise NotImplementedError
@@ -191,9 +189,6 @@ class IdentityCodec(EncodingScheme):
         # memoryview casts read native byte order: the payload is searched
         # in place only where that order is the wire format's
         self._view = code if sys.byteorder == "little" else None
-
-    def encoded_size(self, entries):
-        return len(entries) * self._step
 
     def check_entry(self, key, value):
         _check_uint(key, self.key_width, "key")
@@ -275,12 +270,6 @@ class DeltaCodec(EncodingScheme):
         _gap_varints([(key, value)])
         if self.value_width:
             _check_uint(value, self.value_width, "value")
-
-    def encoded_size(self, entries):
-        if not entries:
-            return 0
-        return (self.key_width + len(_gap_varints(entries))
-                + self.value_width * len(entries))
 
     def encode(self, entries):
         if not entries:
@@ -364,9 +353,6 @@ class ObjectCodec(EncodingScheme):
     name = "object"
     # Pointer-model estimate: one key word plus one value word per entry.
     NOMINAL_ENTRY_BYTES = 16
-
-    def encoded_size(self, entries):
-        return len(entries) * self.NOMINAL_ENTRY_BYTES
 
     def encode(self, entries):
         return tuple(entries)

@@ -2,7 +2,13 @@
 
 The vertex tree maps vertex id to an edge tree and is augmented with the
 total edge count, so ``edge_count`` is an O(1) root read (``core.aug_of``).
-A batch is sorted and grouped by source with ``itertools.groupby``; the
+A batch is sorted and grouped by source with ``itertools.groupby``, and
+each batch update is one bulk merge of that run into the vertex tree:
+``insert_edges`` unions each source's new neighbors into its set
+(``ordmap.multi_insert``), and ``delete_edges`` runs
+``ordmap.multi_delete`` on the set of each source that is a vertex and
+drops the others (``ordmap._bulk`` under the ``_DELETE`` op triple).
+``from_edge_list`` is ``insert_edges`` into the empty graph.  The
 readers (``neighbors``, ``bfs``, ``adjacency``) iterate ``core.items``,
 which decodes an edge tree's blocks into one list.  Edge trees are
 sets of neighbor ids with gap-compressed blocks.  Both levels default to
@@ -22,6 +28,7 @@ counts (values are opaque to the reclamation protocol).
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 
 from . import ordmap
@@ -65,30 +72,12 @@ def _group_by_src(edges):
 
 
 def from_edge_list(pairs, block_size=64, symmetric=False):
-    """Graph over the distinct directed edges; both endpoints become vertices."""
-    vctx, ectx = graph_contexts(block_size)
+    """Graph over the distinct directed edges; both endpoints become
+    vertices.  The batch insert of every edge into the empty graph."""
     pairs = list(pairs)
     if symmetric:
         pairs += [(d, s) for s, d in pairs]
-    edges = _normalize_batch(pairs)
-    groups = dict(_group_by_src(edges))
-    vids = sorted(set(groups) | {d for _, d in edges})
-    entries = []
-    for v in vids:
-        dsts = groups.get(v)
-        etree = _rebuild(ectx, [(d, None) for d in dsts]) if dsts else None
-        entries.append((v, etree))
-    return Graph(ordmap.from_sorted(vctx, entries), vctx, ectx)
-
-
-def _merge_edge_trees(ectx):
-    def combine(old, new):
-        if new is None:
-            return old
-        if old is None:
-            return new
-        return ordmap.union(ectx, old, new)
-    return combine
+    return insert_edges(Graph(None, *graph_contexts(block_size)), pairs)
 
 
 def insert_edges(g, batch):
@@ -107,29 +96,29 @@ def insert_edges(g, batch):
         if d not in additions and not ordmap.contains(g.vctx, g.vertices, d):
             additions[d] = None
     entries = sorted(additions.items())
-    vertices = ordmap.multi_insert(g.vctx, g.vertices, entries,
-                                   combine=_merge_edge_trees(g.ectx))
+
+    # only a destination that is not a vertex yet comes without edges
+    # (None), so a merge always gets a source's new edge tree
+    def merge(old, new):
+        return new if old is None else ordmap.union(g.ectx, old, new)
+
+    vertices = ordmap.multi_insert(g.vctx, g.vertices, entries, combine=merge)
     return Graph(vertices, g.vctx, g.ectx)
+
+
+# What delete_edges keeps of the vertex tree and its run of (source,
+# destinations): every vertex, each found source with its destinations
+# deleted (``ordmap.multi_delete``), and no absent source.
+_DELETE = (True, False, True)
 
 
 def delete_edges(g, batch):
     """New snapshot with the batch's edges removed; vertices are kept."""
     edges = _normalize_batch(batch)
-    removals = []
-    for src, dsts in _group_by_src(edges):
-        if not ordmap.contains(g.vctx, g.vertices, src):
-            continue
-        removals.append((src, dsts))
-    if not removals:
+    if not edges:
         return g
-    ectx = g.ectx
-
-    def combine(old, incoming_keys):
-        if old is None:
-            return None
-        return ordmap.multi_delete(ectx, old, incoming_keys)
-
-    vertices = ordmap.multi_insert(g.vctx, g.vertices, removals, combine=combine)
+    vertices = ordmap._bulk(g.vctx, g.vertices, _group_by_src(edges), _DELETE,
+                            partial(ordmap.multi_delete, g.ectx))
     return Graph(vertices, g.vctx, g.ectx)
 
 

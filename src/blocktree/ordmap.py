@@ -73,7 +73,7 @@ from bisect import bisect_left
 
 from .core import (_as_tree, _concat, _decode, _entry_key, _join, _join2,
                    _locate, _make_flat, _make_regular, _rebuild, _run_or_tree,
-                   _search, _settle, _slice, flatten)
+                   _search, _slice, flatten)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
 from .parallel import fork2
@@ -220,7 +220,7 @@ def insert(ctx, t, k, v, combine=_RIGHT):
         if old is not None:
             v = combine(old[1], v)
     ctx.codec.check_entry(k, v)
-    return _settle(ctx, _insert(ctx, t, k, v))
+    return _as_tree(ctx, _insert(ctx, t, k, v))
 
 
 def _remove(ctx, t, k, found):
@@ -246,8 +246,8 @@ def remove(ctx, t, k):
     t itself (an unfolded block comes back folded)."""
     found = _seek(ctx, t, k)
     if found is None:
-        return _settle(ctx, retain(t))
-    return _settle(ctx, _remove(ctx, t, k, found))
+        return _as_tree(ctx, retain(t))
+    return _as_tree(ctx, _remove(ctx, t, k, found))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ def _map_values(ctx, t, f):
 def map_values(ctx, t, f):
     """Apply f to every value, preserving keys and shape (an unfolded block
     comes back folded)."""
-    return _settle(ctx, _map_values(ctx, t, f))
+    return _as_tree(ctx, _map_values(ctx, t, f))
 
 
 def reduce(ctx, t, f, identity):

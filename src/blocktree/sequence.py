@@ -11,7 +11,7 @@ shared and only the boundary blocks are decoded.
 """
 
 from .core import (_as_tree, _decode, _make_flat, _make_regular, _rebuild,
-                   _settle, _slice, flatten, join2, make_context)
+                   _slice, flatten, join2, make_context)
 from .encoding import ObjectCodec
 from .errors import ContractError
 from .nodes import is_flat, size
@@ -95,7 +95,7 @@ def _reverse(ctx, s):
 def reverse(ctx, s):
     """Mirrored sequence; block contents flip, node shapes mirror (an
     unfolded block comes back folded)."""
-    return _settle(ctx, _reverse(ctx, s))
+    return _as_tree(ctx, _reverse(ctx, s))
 
 
 def seq_filter(ctx, s, pred):

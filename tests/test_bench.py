@@ -158,14 +158,25 @@ def test_run_micro_releases_what_it_builds(op):
     assert counters.live == live
 
 
-def test_cli_rejects_unknown_op(capsys):
+def test_cli_rejects_unknown_op(tmp_path, capsys):
     # bad input is a usage error: exit status 2 and a message, no traceback
+    good, bad, empty = (tmp_path / f for f in ("good.txt", "bad.txt", "empty.txt"))
+    good.write_text("0 1\n1 2\n")
+    bad.write_text("0 1\nnope\n")
+    empty.write_text("# no edges\n")
     for argv in (["micro", "--op", "nope", "--n", "10"],
                  ["micro", "--op", "build", "--n", "10", "--trials", "0"],
                  ["sweep-B", "--op", "nope", "--n", "10", "--Bs", "8"],
                  ["sweep-B", "--op", "build", "--n", "10", "--Bs", "8",
                   "--trials", "0"],
-                 ["sweep-B", "--op", "build", "--n", "10", "--Bs", ","]):
+                 ["sweep-B", "--op", "build", "--n", "10", "--Bs", ","],
+                 ["graph", "--batches", "10"],
+                 ["graph", "--input", str(tmp_path / "none.txt"), "--batches", "10"],
+                 ["graph", "--input", str(bad), "--batches", "10"],
+                 ["graph", "--input", str(empty), "--batches", "10"],
+                 ["graph", "--input", str(good), "--batches", ","],
+                 ["graph", "--input", str(good), "--batches", "10",
+                  "--trials", "0"]):
         with pytest.raises(SystemExit) as exc:
             bench.main(argv)
         assert exc.value.code == 2, argv

@@ -197,6 +197,22 @@ def test_node_large_keeps_children():
     check_tree(ctx, t)
 
 
+@pytest.mark.parametrize("nl, nr", [(600, 2), (8, 22)])
+def test_node_rebalances_an_unbalanced_pair(nl, nr):
+    # node is join: two valid trees that do not balance (a 600-entry tree
+    # beside a 2-entry block; an 8-entry block beside a 22-entry tree) give
+    # a valid tree, not a root linked over them as they stand
+    ctx = make_context(block_size=8, encoding="identity")
+    baseline = counters.live
+    l, r = build(ctx, range(nl)), build(ctx, range(nl + 1, nl + 1 + nr))
+    t = bt.node(ctx, l, (nl, nl), r)
+    check_tree(ctx, t)
+    assert keys_of(ctx, t) == list(range(nl + 1 + nr))
+    for x in (t, l, r):
+        bt.release(x)
+    assert counters.live == baseline
+
+
 # ---------------------------------------------------------------------------
 # fold / unfold / refold
 
@@ -373,7 +389,7 @@ def test_public_ops_accept_unfolded_block(B):
     # an unfolded block passed to any public operation beside a larger
     # operand comes out inside a valid tree (at B <= 4 balance lets it sit
     # beside 4B entries, where _node links rather than rebuilds: the public
-    # node, join and join2 fold it first)
+    # join, its second name node, and join2 fold it first)
     ctx = make_context(block_size=B, encoding="identity")
     sctx = sq.seq_context(block_size=B)
     baseline = counters.live
@@ -409,11 +425,9 @@ def test_public_ops_accept_unfolded_block(B):
                 (bt.join(ctx, ts, (400, 400), u), small + [400] + ub),
                 (bt.join2(ctx, u, t), ub + big),
                 (bt.join2(ctx, ts, u), small + ub),
+                (bt.node(ctx, u, (900, 900), t), ub + [900] + big),
+                (bt.node(ctx, ts, (400, 400), u), small + [400] + ub),
             ]
-            if _balanced_pair(ctx.config, nb + 1, n + 1):
-                # node() does not rebalance: only a pair it balances with
-                results += [(bt.node(ctx, u, (900, 900), t), ub + [900] + big),
-                            (bt.node(ctx, ts, (400, 400), u), small + [400] + ub)]
             for x, want in results:
                 check_tree(ctx, x)
                 assert bt.to_list(ctx, x) == KV(want)

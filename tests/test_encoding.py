@@ -22,7 +22,7 @@ def _gap_bytes(gap):
     codec = DeltaCodec(value_width=0)
     entries = [(0, None), (gap, None)]
     payload = codec.encode(entries)
-    assert codec.encoded_size(entries) == len(payload)
+    assert len(payload) == delta_block_bytes([0, gap], value_width=0)
     assert codec.decode(payload, 2) == entries
     return payload[8:]
 
@@ -59,7 +59,7 @@ def test_delta_wire_format_pinned():
             + (7).to_bytes(8, "little") + (8).to_bytes(8, "little")
             + (9).to_bytes(8, "little"))
     assert payload == want
-    assert codec.encoded_size(entries) == len(payload)
+    assert len(payload) == delta_block_bytes([100, 103, 107])
     assert codec.decode(payload, 3) == entries
 
 
@@ -76,7 +76,6 @@ def test_delta_size_matches_analytic_formula():
     for _ in range(200):
         keys = sorted(rng.sample(range(10 ** 9), rng.randrange(1, 64)))
         entries = [(k, 0) for k in keys]
-        assert codec.encoded_size(entries) == delta_block_bytes(keys)
         assert len(codec.encode(entries)) == delta_block_bytes(keys)
 
 
@@ -84,14 +83,14 @@ def test_delta_size_monotone_in_gap_magnitude():
     codec = DeltaCodec(value_width=0)
     tight = [(i, None) for i in range(0, 50)]
     wide = [(i * 1000, None) for i in range(0, 50)]
-    assert codec.encoded_size(tight) < codec.encoded_size(wide)
+    assert len(codec.encode(tight)) < len(codec.encode(wide))
 
 
 def test_identity_fixed_width():
     codec = IdentityCodec()
     entries = [(5, 6), (9, 10)]
     payload = codec.encode(entries)
-    assert len(payload) == 2 * 16 == codec.encoded_size(entries)
+    assert len(payload) == 2 * 16 == len(identity_block_bytes(entries))
     assert payload[:8] == (5).to_bytes(8, "little")
     assert codec.decode(payload, 2) == entries
 
@@ -110,7 +109,11 @@ def test_roundtrip_fuzz(keys, kind):
         codec = DeltaCodec(value_width=0)
         entries = [(k, None) for k in sorted(keys)]
     payload = codec.encode(entries)
-    assert len(payload) == codec.encoded_size(entries)
+    if kind == "identity":
+        assert payload == identity_block_bytes(entries)
+    else:
+        assert len(payload) == delta_block_bytes(
+            sorted(keys), value_width=0 if kind == "delta0" else 8)
     assert codec.decode(payload, len(entries)) == entries
 
 
@@ -288,7 +291,7 @@ def test_delta_wire_format_matches_varint_oracle(case, vw):
     assert (codec._value_code is None) == (vw in (0, 3))
     payload = codec.encode(entries)
     assert payload == delta_block_payload(entries, 8, vw)
-    assert len(payload) == codec.encoded_size(entries)
+    assert len(payload) == delta_block_bytes([k for k, _ in entries], 8, vw)
     decoded = codec.decode(payload, len(entries))
     assert decoded == entries
     assert all(type(e) is tuple for e in decoded)

@@ -143,6 +143,41 @@ def test_insert_edges_between_existing_vertices_shares_blocks():
     assert gs.vertex_ids(g) == vids
 
 
+def test_neighbors_match_adjacency_oracle():
+    rng = random.Random(7)
+    edges = rand_edges(rng, 3000, 400) + [(1000, 2000)]
+    g = gs.from_edge_list(edges, block_size=8)
+    adj = adj_of(edges)
+    assert adj[2000] == set()                 # a vertex with no edges
+    for v in adj:
+        assert gs.neighbors(g, v) == sorted(adj[v]), v
+    assert gs.neighbors(g, 3000) == []        # not a vertex
+
+
+@pytest.mark.parametrize("absent", ["all", "some", "empty"])
+def test_delete_edges_with_absent_sources(absent):
+    # a source that is not a vertex deletes nothing and adds no vertex;
+    # nor does one that is a vertex without edges (1000)
+    rng = random.Random(8)
+    edges = rand_edges(rng, 2000, 300) + [(999, 1000)]
+    g = gs.from_edge_list(edges, block_size=8)
+    vids, adj = gs.vertex_ids(g), adj_of(edges)
+    missing = [(s, rng.randrange(300)) for s in range(300, 340)]
+    present = rng.sample(edges, 200) + [(1000, 999)]
+    batch = {"all": missing, "some": missing + present, "empty": []}[absent]
+    g2 = gs.delete_edges(g, batch)
+    for s, d in batch:
+        if s in adj:
+            adj[s].discard(d)
+    assert gs.vertex_ids(g2) == vids
+    assert gs.adjacency(g2) == {v: sorted(n) for v, n in adj.items()}
+    assert gs.edge_count(g2) == sum(len(n) for n in adj.values())
+    check_tree(g2.vctx, g2.vertices)
+    if absent == "empty":
+        assert g2 is g
+    assert gs.adjacency(g) == {v: sorted(n) for v, n in adj_of(edges).items()}
+
+
 def test_degree_grows_with_fresh_edges():
     g = gs.from_edge_list([(5, 1)])
     before = gs.degree(g, 5)
