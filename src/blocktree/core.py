@@ -34,10 +34,10 @@ instrumented cost properties sharp:
 
 * Reads by position are one read-only walk, ``_slice``: a subtree wholly
   inside the range is shared, one wholly outside is skipped, and only the
-  boundary blocks are decoded.  A keyed split is two slices at the
-  position the read-only ``_locate`` finds, so it decodes the block it
+  boundary blocks are edited.  A keyed split is two slices at the
+  position the read-only ``_locate`` finds, so it edits the block it
   ends in once for each side; ``_join2`` and ``split_last`` take the last
-  entry off with ``_pop_last``, a walk down the right spine that decodes
+  entry off with ``_pop_last``, a walk down the right spine that edits
   only the last block.
 * ``_join_right``/``_join_left`` hand a lone block heavier than the
   other side to ``_node`` instead of exposing it; every other unbalanced
@@ -55,13 +55,29 @@ seam as the middle, so only two trees reach ``_join2``.  ``_node`` is the
 one place that decides between linking and flattening, by the leaf rule:
 it links any pair of at least ``4B`` entries, or two whole children (a
 block of at least ``B`` entries, or a regular tree of more than ``2B``),
-and rebuilds any other pair from its entries.  So a block that overflows
-into two is linked beside its sibling block, not flattened with it.
-``_join`` tests the balance of its pair once and hands a balanced pair,
-which every level of a point update's path copy is, straight to
-``_node``.  A point update therefore re-encodes just the one block it
-changes and allocates one regular node per level: its untouched sibling
-block is shared, not rebuilt.
+and rebuilds any other pair from its entries: where one side is a block,
+the other side's entries are spliced into it (the larger block, where
+both are), so only that other side is decoded.  So a block that
+overflows into two is linked beside its sibling block, not flattened with
+it, and one that underflows below ``B`` is merged into its sibling block
+with one decode.  ``_join`` tests the balance of its pair once and hands a
+balanced pair, which every level of a point update's path copy is,
+straight to ``_node``.  A point update therefore builds just the one block
+it changes and allocates one regular node per level: its untouched
+sibling block is shared, not rebuilt.
+
+Blocks are edited in place.  ``_edit`` is the one block edit: a point
+update's block, the cut of a boundary block by ``_slice``, the two halves
+``_open`` cuts, the block ``_pop_last`` shortens and the merge of
+``_node`` are all a block with a range of its entries replaced.  Where
+the codec splices (``EncodingScheme.splice``: identity and object), the
+new block's payload is the old one spliced, its bounds are read in place,
+and a result over ``2B`` entries is cut into two payload slices at its
+middle entry, as ``_rebuild`` would cut it.  So an in-block insert,
+overwrite or remove on those codecs decodes nothing and builds one block,
+and an overflow decodes nothing and builds two.  Elsewhere (the delta
+codec, sequences, augmented contexts, and a boundary cut left as an entry
+run below ``B``) the block is decoded, edited and rebuilt, once.
 
 No path but the public ``unfold`` expands a block into regular nodes; the
 public ``expose`` cuts a block into two blocks like ``_open`` does.  An
@@ -271,6 +287,50 @@ def _rebuild(ctx, entries, lo=0, hi=None, cap=None):
     return _make_regular(ctx, l, entries[mid], r, n)
 
 
+def _view(ctx, t):
+    """The entries of block t, indexable: read in place where ``_edit``
+    splices, else decoded, once for every edit that follows."""
+    if ctx.ordered and not ctx.aug:
+        return _search(ctx, t, t.first_key)[1]
+    return _decode(ctx, t)
+
+
+def _edit(ctx, t, i, j, new=(), entries=None, hi=None, run=False):
+    """Entries [0, hi) of block t (default: all of them) with [i, j)
+    replaced by ``new``, built as ``_rebuild`` builds them, or as
+    ``_run_or_tree`` with ``run``; borrows t.  ``entries`` is t's search
+    result, if its caller has one.  The one block edit: where the codec
+    splices, t's payload is spliced, and a result over 2B entries is cut
+    into two payload slices at its middle entry, read from the spliced
+    payload in place.  On a sequence or an augmented context, where the
+    codec cannot splice, and for a run below B, the block is decoded,
+    edited and rebuilt."""
+    codec, n, B = ctx.codec, t.count, ctx.config.block_size
+    c = (n if hi is None else hi) - j + i + len(new)
+    if not c:
+        return None
+    p = None
+    if ctx.ordered and not ctx.aug and (c >= B or not run):
+        p = codec.splice(t.payload, n, i, j, new)
+    if p is None:
+        if type(entries) is not list:
+            entries = _decode(ctx, t)
+        edited = entries[:i] + list(new) + entries[j:hi]
+        return (_run_or_tree if run else _rebuild)(ctx, edited)
+    full = n - j + i + len(new)
+    at = codec.search(p, full, t.first_key)[1]
+
+    def block(a, b):    # entries [a, b) of the result, over its payload
+        counters.folds += 1
+        q = codec.splice(codec.splice(p, full, b, full, ()), b, 0, a, ())
+        return new_flat(b - a, q, at[a][0], at[b - 1][0], None)
+
+    if c <= 2 * B:
+        return block(0, c)
+    return _make_regular(ctx, block(0, c // 2), at[c // 2],
+                         block(c // 2 + 1, c), c)
+
+
 # ---------------------------------------------------------------------------
 # expose / node
 
@@ -337,7 +397,17 @@ def _node(ctx, l, e, r, n=None):
         # A fragment below B never sits in a pair of 4B entries that
         # balances: its weight ratio would be below B/(4B+2) < 1/4 <= alpha.
         return _make_regular(ctx, l, e, r, n + 1)
-    return _rebuild(ctx, _entries(ctx, l, e, r))
+    # a block keeps its entries in its payload, and the other side's are
+    # spliced in: an underflow joins its sibling block decoding only itself
+    t = r if is_flat(r) and size(l) <= r.count else l
+    if not is_flat(t):
+        return _rebuild(ctx, _entries(ctx, l, e, r))
+    i = 0 if t is r else t.count
+    try:
+        new = _entries(ctx, None if t is l else l, e, None if t is r else r)
+        return _edit(ctx, t, i, i, new)
+    finally:
+        release(t)
 
 
 # ---------------------------------------------------------------------------
@@ -437,21 +507,21 @@ def _open(ctx, t):
     if not is_flat(t):
         return _destructure(ctx, t)
     try:
-        entries = _decode(ctx, t)
+        entries, m = _view(ctx, t), t.count // 2
+        left = _edit(ctx, t, m, t.count, (), entries)
+        return left, entries[m], _guard((left,), _edit, ctx, t, 0, m + 1,
+                                        (), entries)
     finally:
         release(t)
-    i = len(entries) // 2
-    left = _as_tree(ctx, entries[:i])
-    return left, entries[i], _guard((left,), _as_tree, ctx, entries[i + 1:])
 
 
 def _pop_last(ctx, t):
     """(t without its last entry, as a tree or an entry run; that entry);
     borrows t.  A walk down the right spine: only the last block is
-    decoded."""
+    edited."""
     if is_flat(t):
-        entries = _decode(ctx, t)
-        return _run_or_tree(ctx, entries[:-1]), entries[-1]
+        n, entries = t.count, _view(ctx, t)
+        return _edit(ctx, t, n - 1, n, (), entries, run=True), entries[n - 1]
     if t.right is None:
         return retain(t.left), (t.key, t.value)
     rest, last = _pop_last(ctx, t.right)
@@ -493,16 +563,13 @@ def _as_tree(ctx, x):
     and a regular tree of at most 2B entries is folded into one; any other
     tree passes through.  No valid blocked tree has a regular subtree that
     small (the smallest holds 2B+1 entries), so the fold repairs exactly
-    the all-regular fragments ``unfold`` hands out."""
+    the all-regular fragments ``unfold`` hands out; ``_node``, which links
+    no pair that small, rebuilds it from its entries."""
     if type(x) is list:
         return _rebuild(ctx, x)
     if x is None or is_flat(x) or x.size > 2 * ctx.config.block_size:
         return x
-    try:
-        entries = flatten(ctx, x)
-    finally:
-        release(x)
-    return _make_flat(ctx, entries)
+    return _node(ctx, *_destructure(ctx, x))
 
 
 def _concat(ctx, left, e, right):
@@ -532,13 +599,13 @@ def _slice(ctx, t, i, j):
     """Entries at positions [i, j) of t, 0 <= i <= j <= size(t); borrows
     t.  A read-only walk by position: a subtree wholly inside is shared,
     one wholly outside is skipped, and only the boundary blocks are
-    decoded.  Returns a tree, or an entry run of fewer than B entries."""
+    edited.  Returns a tree, or an entry run of fewer than B entries."""
     if i >= j:
         return None
     if i == 0 and j == size(t):
         return retain(t)
     if is_flat(t):
-        return _run_or_tree(ctx, _decode(ctx, t)[i:j])
+        return _edit(ctx, t, 0, i, hi=j, run=True)
     sl = size(t.left)
     if j <= sl:
         return _slice(ctx, t.left, i, j)

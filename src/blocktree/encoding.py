@@ -3,7 +3,7 @@
 Every leaf block stores its entries through a codec.  Two methods are
 required: ``encode`` (entries to payload) and ``decode`` (payload back to
 entries); ``inspect.tree_bytes`` prices a byte payload at its length.
-Two more are optional, with defaults on ``EncodingScheme``:
+Three more are optional, with defaults on ``EncodingScheme``:
 
 ``check_entry(key, value)``
     Raise ``CodecError`` for an entry no block could hold.
@@ -19,6 +19,18 @@ Two more are optional, with defaults on ``EncodingScheme``:
     falls back to a full (counted) ``decode`` and a bisect on ``None``.  The
     default returns ``None``.
 
+``splice(payload, count, i, j, entries)``
+    The payload of the block with its entries ``[i, j)`` replaced by the
+    list ``entries``, equal to ``encode`` of the edited entries; or
+    ``None`` when the codec cannot edit its payload in place.  Point
+    updates, block cuts and the merge of a block with a small neighbour
+    use it through ``core._edit``, which falls back to decode, edit and
+    ``encode`` on ``None``.  It runs only on a payload ``search`` (or
+    ``decode``) has read, so it need not check the payload's length.  A
+    codec that splices also searches in place: ``core._edit`` reads the
+    new block's bounds and middle entry by ``search`` on the spliced
+    payload.  The default returns ``None``.
+
 Codecs are stateless and safe to share between threads.
 
 Two byte-oriented codecs ship with the library:
@@ -29,8 +41,10 @@ Two byte-oriented codecs ship with the library:
     are one struct size (1, 2, 4 or 8 bytes; ``value_width`` equal to
     ``key_width`` or 0), a block is packed and unpacked by one ``struct``
     call, and ``search`` bisects the keys inside the payload, so a point
-    read decodes no block.  Other widths use a per-entry loop that writes
-    the same bytes, and searches fall back to decode.
+    read decodes no block, and ``splice`` cuts the payload at
+    ``i * step`` and ``j * step`` and packs only the new entries.  Other
+    widths use a per-entry loop that writes the same bytes, and searches
+    and splices fall back to decode.
 
 ``DeltaCodec``
     For nonnegative integer keys, strictly increasing within a block::
@@ -54,8 +68,8 @@ Two byte-oriented codecs ship with the library:
 ``ObjectCodec`` keeps entries as a plain tuple for payloads that are not
 byte-packable (sequences of arbitrary elements, nested tree handles).
 ``inspect.tree_bytes`` prices its payload by a nominal pointer model
-(``NOMINAL_ENTRY_BYTES`` per entry), and ``search`` bisects the tuple in
-place.
+(``NOMINAL_ENTRY_BYTES`` per entry), ``search`` bisects the tuple in
+place, and ``splice`` splices it.
 """
 
 import struct
@@ -132,7 +146,7 @@ def _check_uint(x, width, what):
 
 class EncodingScheme:
     """Codec interface; subclasses implement the two required methods and
-    may override the two optional ones (see the module docstring)."""
+    may override the three optional ones (see the module docstring)."""
 
     name = "abstract"
     # True when the codec cannot read its first/last key in O(1) from the
@@ -150,6 +164,11 @@ class EncodingScheme:
 
     def search(self, payload, count, key, right=False):
         """(position, indexable entries), or None: not searchable in place."""
+        return None
+
+    def splice(self, payload, count, i, j, entries):
+        """The payload with entries [i, j) replaced, or None: not editable
+        in place."""
         return None
 
 
@@ -254,6 +273,14 @@ class IdentityCodec(EncodingScheme):
             keys = keys[0::2]
         pos = (bisect_right if right else bisect_left)(keys, key)
         return pos, _PackedEntries(payload, self._entry, not self.value_width)
+
+    def splice(self, payload, count, i, j, entries):
+        # a payload that is not searched in place is not spliced either
+        if self._view is None:
+            return None
+        step = self._step
+        new = self.encode(entries) if entries else b""
+        return payload[:i * step] + new + payload[j * step:]
 
 
 class DeltaCodec(EncodingScheme):
@@ -368,6 +395,9 @@ class ObjectCodec(EncodingScheme):
     def search(self, payload, count, key, right=False):
         bisect = bisect_right if right else bisect_left
         return bisect(self._checked(payload, count), key, key=_first), payload
+
+    def splice(self, payload, count, i, j, entries):
+        return payload[:i] + tuple(entries) + payload[j:]
 
 
 def make_codec(spec, value_width=8):

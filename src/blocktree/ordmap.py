@@ -17,7 +17,12 @@ one is ``t1``, ``_setop`` mirrors the op triple and flips ``combine``, so it
 is still called as ``combine(t1 value, t2 value)``.  The base case is the
 block: where the run reaches a block, the recursion decodes it, runs the
 three-way ``_merge`` and rebuilds, and every block the run does not reach
-stays shared, so a batch of k keys re-encodes about k blocks.  Results
+stays shared, so a batch of k keys re-encodes about k blocks.  Under an
+op that keeps no run-only entry (``multi_delete``, ``difference``), a
+block whose run hits none of its keys is shared too, and so is a regular
+node whose two results are its own children and whose entry is kept
+unchanged (``_glue``, which ``_filter_tree`` shares): a delete batch
+that misses every key builds nothing and returns its input.  Results
 follow ``core``'s fragment convention: a merge that keeps fewer than B
 entries returns them as an entry run (a plain sorted list) instead of a
 tree, and a regular node glues its two results and its kept entry with
@@ -45,11 +50,12 @@ shared subtrees took 0.6 ms.
 with ``core._slice``, the read-only walk by position that also serves
 ``split`` and the sequence slices ``take``, ``drop`` and ``subseq``.  A
 subtree wholly inside the range is shared, one wholly outside is skipped,
-and only the two boundary blocks are decoded and sliced; pieces below B
-travel as entry runs, as in ``_batch``.  So the discarded sides cost
-nothing: a ~100-entry range at B=128 makes one block (one allocation, one
-encode), and a range that covers most of the map shares its covered
-subtrees and allocates O(depth) nodes.
+and only the two boundary blocks are cut (``core._edit``: a payload
+slice where the codec splices and the piece keeps B entries or more);
+pieces below B travel as entry runs, as in ``_batch``.  So the discarded
+sides cost nothing: a ~100-entry range at B=128 makes one block (one
+allocation, one encode), and a range that covers most of the map shares
+its covered subtrees and allocates O(depth) nodes.
 
 ``insert`` and ``multi_insert`` check every incoming entry against the codec
 before their walk starts, so an entry the codec rejects builds nothing.
@@ -71,9 +77,9 @@ intact and no node behind.
 
 from bisect import bisect_left
 
-from .core import (_as_tree, _concat, _decode, _entry_key, _join, _join2,
-                   _locate, _make_flat, _make_regular, _rebuild, _run_or_tree,
-                   _search, _slice, flatten)
+from .core import (_as_tree, _concat, _decode, _edit, _entry_key, _join,
+                   _join2, _locate, _make_flat, _make_regular, _rebuild,
+                   _run_or_tree, _search, _slice, flatten)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
 from .parallel import fork2
@@ -187,24 +193,24 @@ def previous_entry(ctx, t, k):
 # point updates
 
 
-def _insert(ctx, t, k, v):
-    """t with the entry (k, v); an entry at k is overwritten.  Borrows t."""
+def _update(ctx, t, k, new, found=None):
+    """t with its entry at k, if any, replaced by the list ``new``: one
+    entry for an insert, none for the remove of a present key; borrows t.
+    ``found`` is ``_seek``'s result for k, if the caller has it."""
     if t is None:
-        return _rebuild(ctx, [(k, v)])
+        return _rebuild(ctx, new)
     if is_flat(t):
-        entries = _decode(ctx, t)
-        pos = bisect_left(entries, k, key=_entry_key)
-        if pos < len(entries) and entries[pos][0] == k:
-            entries[pos] = (k, v)
-        else:
-            entries.insert(pos, (k, v))
-        return _rebuild(ctx, entries)
+        pos, entries = found or _search(ctx, t, k)
+        hit = pos < t.count and entries[pos][0] == k
+        return _edit(ctx, t, pos, pos + hit, new, entries)
     if k == t.key:
-        return _join(ctx, retain(t.left), (k, v), retain(t.right))
+        l, r = retain(t.left), retain(t.right)
+        return _join(ctx, l, new[0], r) if new else _join2(ctx, l, r)
     e = (t.key, t.value)
     if k < t.key:
-        return _join(ctx, _insert(ctx, t.left, k, v), e, retain(t.right))
-    r = _insert(ctx, t.right, k, v)
+        return _join(ctx, _update(ctx, t.left, k, new, found), e,
+                     retain(t.right))
+    r = _update(ctx, t.right, k, new, found)
     return _join(ctx, retain(t.left), e, r)
 
 
@@ -220,25 +226,7 @@ def insert(ctx, t, k, v, combine=_RIGHT):
         if old is not None:
             v = combine(old[1], v)
     ctx.codec.check_entry(k, v)
-    return _as_tree(ctx, _insert(ctx, t, k, v))
-
-
-def _remove(ctx, t, k, found):
-    """t without the entry at k, which is present; borrows t.  ``found``
-    is _seek's result for k: the search of the block that holds it."""
-    if is_flat(t):
-        pos, entries = found
-        if not isinstance(entries, list):   # searched in place
-            entries = _decode(ctx, t)
-        del entries[pos]
-        return _rebuild(ctx, entries)
-    if k == t.key:
-        return _join2(ctx, retain(t.left), retain(t.right))
-    e = (t.key, t.value)
-    if k < t.key:
-        return _join(ctx, _remove(ctx, t.left, k, found), e, retain(t.right))
-    r = _remove(ctx, t.right, k, found)
-    return _join(ctx, retain(t.left), e, r)
+    return _as_tree(ctx, _update(ctx, t, k, [(k, v)]))
 
 
 def remove(ctx, t, k):
@@ -247,7 +235,7 @@ def remove(ctx, t, k):
     found = _seek(ctx, t, k)
     if found is None:
         return _as_tree(ctx, retain(t))
-    return _as_tree(ctx, _remove(ctx, t, k, found))
+    return _as_tree(ctx, _update(ctx, t, k, [], found))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +250,11 @@ _DIFFERENCE = (True, False, False)
 
 
 def _merge(a, b, op, combine):
-    """Three-way merge of sorted entry lists a and b under op."""
+    """Three-way merge of sorted entry lists a and b under op, and whether
+    a key is in both."""
     only_a, only_b, both = op
     out = []
+    hit = False
     i = j = 0
     na, nb = len(a), len(b)
     while i < na and j < nb:
@@ -281,11 +271,12 @@ def _merge(a, b, op, combine):
             if both:
                 out.append((ka, combine(a[i][1], b[j][1])))
             i += 1; j += 1
+            hit = True
     if only_a:
         out.extend(a[i:])
     if only_b:
         out.extend(b[j:])
-    return out
+    return out, hit
 
 
 def _combined(ctx, k, a, b, combine):
@@ -329,6 +320,17 @@ union_efficient = union
 # batch updates
 
 
+def _glue(ctx, t, kept, l, e, r):
+    """The results l and r of node t's children and its entry e glued by
+    ``_concat``; consumes l and r.  Where they are t's own children and t's
+    entry is ``kept`` unchanged, t itself is shared instead."""
+    if kept and l is t.left and r is t.right:
+        release(l)
+        release(r)
+        return retain(t)
+    return _concat(ctx, l, e, r)
+
+
 def _batch(ctx, t, arr, lo, hi, op, combine):
     """t under op with the sorted entry run arr[lo:hi] as second operand;
     borrows t.  A block goes to the merge.  Returns a tree, or an entry
@@ -340,8 +342,10 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
     if t is None:
         return _run_or_tree(ctx, arr[lo:hi]) if only2 else None
     if is_flat(t):
-        return _run_or_tree(ctx, _merge(_decode(ctx, t), arr[lo:hi], op,
-                                        combine))
+        out, hit = _merge(_decode(ctx, t), arr[lo:hi], op, combine)
+        # a run that adds nothing and hits no key leaves the block as it is
+        return (retain(t) if only1 and not only2 and not hit
+                else _run_or_tree(ctx, out))
     e = (t.key, t.value)
     pos = bisect_left(arr, e[0], lo, hi, key=_entry_key)
     hit = pos < hi and arr[pos][0] == e[0]
@@ -354,7 +358,7 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
                    lambda: _batch(ctx, l, arr, lo, pos, op, combine),
                    lambda: _batch(ctx, r, arr, pos + (1 if hit else 0), hi, op,
                                   combine))
-    return _concat(ctx, tl, e, tr)
+    return _glue(ctx, t, only1 and not hit, tl, e, tr)
 
 
 def _bulk(ctx, t, arr, op, combine):
@@ -406,11 +410,7 @@ def _filter_tree(ctx, t, keep, prune=None):
     fl, fr = fork2(ctx, t.size,
                    lambda: _filter_tree(ctx, t.left, keep, prune),
                    lambda: _filter_tree(ctx, t.right, keep, prune))
-    if e is not None and fl is t.left and fr is t.right:
-        release(fl)
-        release(fr)
-        return retain(t)
-    return _concat(ctx, fl, e, fr)
+    return _glue(ctx, t, e is not None, fl, e, fr)
 
 
 def filter(ctx, t, pred):

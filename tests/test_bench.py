@@ -90,10 +90,20 @@ def test_find_slows_down_at_large_blocks():
 
 
 def test_insert_slows_down_at_large_blocks():
-    # every insert re-encodes the leaf block it lands in
-    t16 = _median_ms("insert", 16, "identity")
-    t512 = _median_ms("insert", 512, "identity")
-    assert t512 > t16, f"insert at B=512 ({t512}ms) not slower than B=16 ({t16}ms)"
+    # a delta insert decodes and re-encodes the leaf block it lands in, so
+    # it grows with the block; an identity insert splices its block's
+    # payload in place and decodes nothing
+    t16 = _median_ms("insert", 16, "delta")
+    t512 = _median_ms("insert", 512, "delta")
+    assert t512 > t16, f"delta insert at B=512 ({t512}ms) not slower than B=16 ({t16}ms)"
+    from blocktree import make_context, ordmap, release
+    ctx = make_context(block_size=512, encoding="identity")
+    t = ordmap.build(ctx, [(k, k) for k in range(0, 4000, 2)])
+    d0 = counters.decodes
+    t2 = ordmap.insert(ctx, t, 1001, 0)
+    assert counters.decodes == d0
+    release(t2)
+    release(t)
 
 
 def test_graph_bench_rows_and_throughput_direction(tmp_path):

@@ -466,3 +466,50 @@ def test_decode_counter_increments_via_tree_reads():
     before = counters.decodes
     bt.to_list(ctx, t)
     assert counters.decodes > before
+
+
+def _spliced(codec, payload, count, i, j, new):
+    """The oracle of splice: encode of the decoded entries, edited."""
+    entries = codec.decode(payload, count)
+    return codec.encode(entries[:i] + new + entries[j:])
+
+
+@pytest.mark.parametrize("kw,vw", [(kw, vw) for kw in (1, 2, 4, 8)
+                                   for vw in (kw, 0)])
+def test_identity_splice_matches_encode(kw, vw):
+    codec = IdentityCodec(kw, vw)
+    rng = random.Random(kw * 10 + vw)
+    top = 2 ** (8 * kw) - 1
+    value = lambda: rng.choice([0, top, rng.randrange(top)]) if vw else None
+    entries = [(k, value()) for k in sorted({rng.randrange(top) for _ in range(12)})]
+    payload, n = codec.encode(entries), len(entries)
+    news = ([], [(top, value())], [(0, value()), (rng.randrange(top), value())])
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            for new in news:
+                assert (codec.splice(payload, n, i, j, new)
+                        == _spliced(codec, payload, n, i, j, new))
+    # the new entries pass the codec's checks, as encode's do
+    with pytest.raises(CodecError):
+        codec.splice(payload, n, 0, 0, [(top + 1, value())])
+
+
+def test_object_splice_matches_encode():
+    codec = ObjectCodec()
+    entries = [(k, str(k)) for k in range(0, 30, 3)]
+    payload, n = codec.encode(entries), len(entries)
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            for new in ([], [(1, "x")], [(1, None), (2, [3])]):
+                assert (codec.splice(payload, n, i, j, new)
+                        == _spliced(codec, payload, n, i, j, new))
+
+
+def test_splice_declined_where_payload_is_not_edited_in_place():
+    # the delta codec's gaps depend on both neighbours, and an identity
+    # width with no struct code is neither searched nor spliced in place
+    for codec in (DeltaCodec(), DeltaCodec(value_width=0),
+                  IdentityCodec(3, 0), IdentityCodec(3, 3), IdentityCodec(8, 4)):
+        v = 0 if codec.value_width else None
+        payload = codec.encode([(1, v), (5, v), (9, v)])
+        assert codec.splice(payload, 3, 1, 2, [(4, v)]) is None
