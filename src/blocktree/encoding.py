@@ -25,11 +25,11 @@ Three more are optional, with defaults on ``EncodingScheme``:
     ``None`` when the codec cannot edit its payload in place.  Point
     updates, block cuts and the merge of a block with a small neighbour
     use it through ``core._edit``, which falls back to decode, edit and
-    ``encode`` on ``None``.  It runs only on a payload ``search`` (or
-    ``decode``) has read, so it need not check the payload's length.  A
-    codec that splices also searches in place: ``core._edit`` reads the
-    new block's bounds and middle entry by ``search`` on the spliced
-    payload.  The default returns ``None``.
+    ``encode`` on ``None``.  It need not check the payload's length: a
+    codec that splices also searches in place, and ``core._edit`` reads
+    the new block's bounds and middle entry by ``search`` on the spliced
+    payload, which checks its length against the edited count before any
+    block is built on it.  The default returns ``None``.
 
 Codecs are stateless and safe to share between threads.
 

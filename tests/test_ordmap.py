@@ -1331,6 +1331,22 @@ def test_point_update_of_a_damaged_block_raises(encoding):
         assert (counters.allocations, counters.live) == (a0, live)
     bt.release(t)
 
+    # a remove that underflows its block splices it into its sibling,
+    # whose damage the search of the spliced payload catches
+    full = ordmap.build(ctx, KV(range(0, 32, 2)))
+    sibling = ordmap.build(ctx, KV(range(34, 50, 2)))
+    t = bt.join(ctx, full, (32, 0), sibling)
+    assert (t.left.count, t.right.count) == (16, 8)
+    good = t.left.payload
+    t.left.payload = good[:-1]
+    live = counters.live
+    with pytest.raises(CorruptionError):
+        ordmap.remove(ctx, t, 34)
+    assert counters.live == live
+    t.left.payload = good
+    for x in (full, sibling, t):
+        bt.release(x)
+
 
 def test_merge_with_no_hit_shares_its_input():
     # a bulk delete whose keys all miss builds nothing: every block and
