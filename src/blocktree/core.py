@@ -11,10 +11,11 @@ A tree is ``None``, a ``Regular`` node (one entry, two children), or a
 
 Everything else in the library is built from the primitives here: expose,
 flatten, fold, unfold, join, join2, split and split_last.  ``items`` and
-``to_list`` read ``flatten``'s list, ``node`` is a second name for
-``join`` and ``refold`` one for ``fold``, and ``_rebuild`` builds every
-tree from sorted entries, the all-regular one ``unfold`` returns
-included.
+``to_list`` read ``flatten``'s list, ``keys`` is ``flatten`` of each
+block's key column alone (``_columns``, where the codec reads one),
+``node`` is a second name for ``join`` and ``refold`` one for ``fold``,
+and ``_rebuild`` builds every tree from sorted entries, the all-regular
+one ``unfold`` returns included.
 
 Ownership: a walk *borrows* the tree it reads.  ``_slice`` and
 ``_pop_last`` (and, in ``ordmap``, every recursion over a caller's tree)
@@ -183,6 +184,16 @@ def _search(ctx, t, k, right=False):
     return pos, entries
 
 
+def _columns(ctx, t):
+    """(keys, values) of block t, values None where the codec stores none,
+    counted as one decode; or None where the codec reads no columns
+    (``EncodingScheme.columns``), and the caller decodes."""
+    cols = ctx.codec.columns(t.payload, t.count)
+    if cols is not None:
+        counters.decodes += 1
+    return cols
+
+
 def flatten(ctx, t, out=None):
     """In-order entries of ``t`` as a list (read-only)."""
     if out is None:
@@ -195,6 +206,24 @@ def flatten(ctx, t, out=None):
     flatten(ctx, t.left, out)
     out.append((t.key, t.value))
     flatten(ctx, t.right, out)
+    return out
+
+
+def keys(ctx, t, out=None):
+    """In-order keys of ``t`` as a list (read-only): each block's key
+    column, or its decoded entries' keys where the codec reads none."""
+    if out is None:
+        out = []
+    if t is None:
+        return out
+    if is_flat(t):
+        cols = _columns(ctx, t)
+        out.extend(map(_entry_key, _decode(ctx, t)) if cols is None
+                   else cols[0])
+        return out
+    keys(ctx, t.left, out)
+    out.append(t.key)
+    keys(ctx, t.right, out)
     return out
 
 

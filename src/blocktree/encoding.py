@@ -3,7 +3,7 @@
 Every leaf block stores its entries through a codec.  Two methods are
 required: ``encode`` (entries to payload) and ``decode`` (payload back to
 entries); ``inspect.tree_bytes`` prices a byte payload at its length.
-Three more are optional, with defaults on ``EncodingScheme``:
+Four more are optional, with defaults on ``EncodingScheme``:
 
 ``check_entry(key, value)``
     Raise ``CodecError`` for an entry no block could hold.
@@ -31,6 +31,17 @@ Three more are optional, with defaults on ``EncodingScheme``:
     payload, which checks its length against the edited count before any
     block is built on it.  The default returns ``None``.
 
+``columns(payload, count)``
+    ``(keys, values)``: the block's keys and its values as two sequences
+    in entry order, with ``values`` None for a codec that stores no values
+    (a delta set); or ``None`` when the codec does not read columns.  It
+    runs the checks ``decode`` runs and raises the same
+    ``CorruptionError``s.  Reads that want one side of each entry use it
+    through ``core._columns``, counted as one decode: ``ordmap.reduce``
+    folds the value column, and ``core.keys`` (the graph store's readers)
+    collects the key column; on ``None`` they decode instead.  The
+    default returns ``None``.
+
 Codecs are stateless and safe to share between threads.
 
 Two byte-oriented codecs ship with the library:
@@ -41,10 +52,11 @@ Two byte-oriented codecs ship with the library:
     are one struct size (1, 2, 4 or 8 bytes; ``value_width`` equal to
     ``key_width`` or 0), a block is packed and unpacked by one ``struct``
     call, and ``search`` bisects the keys inside the payload, so a point
-    read decodes no block, and ``splice`` cuts the payload at
-    ``i * step`` and ``j * step`` and packs only the new entries.  Other
-    widths use a per-entry loop that writes the same bytes, and searches
-    and splices fall back to decode.
+    read decodes no block, ``splice`` cuts the payload at ``i * step`` and
+    ``j * step`` and packs only the new entries, and ``columns`` slices
+    the one unpacked tuple into keys and values.  Other widths use a
+    per-entry loop that writes the same bytes, and searches, splices and
+    column reads fall back to decode.
 
 ``DeltaCodec``
     For nonnegative integer keys, strictly increasing within a block::
@@ -63,13 +75,15 @@ Two byte-oriented codecs ship with the library:
     sums ``count - 1`` gap bytes that are all below 0x80 with
     ``accumulate``, and reads any other block with one sequential varint
     loop; no parallel-decode claim is made.  Values of width 1, 2, 4 or 8
-    are packed and unpacked by one ``struct`` call.
+    are packed and unpacked by one ``struct`` call.  ``columns`` is the
+    one parser: ``decode`` zips its two columns into entries.
 
 ``ObjectCodec`` keeps entries as a plain tuple for payloads that are not
 byte-packable (sequences of arbitrary elements, nested tree handles).
 ``inspect.tree_bytes`` prices its payload by a nominal pointer model
 (``NOMINAL_ENTRY_BYTES`` per entry), ``search`` bisects the tuple in
-place, and ``splice`` splices it.
+place, and ``splice`` splices it.  It reads no columns: iterating its
+stored tuples is already the cheapest way through a block.
 """
 
 import struct
@@ -146,7 +160,7 @@ def _check_uint(x, width, what):
 
 class EncodingScheme:
     """Codec interface; subclasses implement the two required methods and
-    may override the three optional ones (see the module docstring)."""
+    may override the four optional ones (see the module docstring)."""
 
     name = "abstract"
     # True when the codec cannot read its first/last key in O(1) from the
@@ -169,6 +183,11 @@ class EncodingScheme:
     def splice(self, payload, count, i, j, entries):
         """The payload with entries [i, j) replaced, or None: not editable
         in place."""
+        return None
+
+    def columns(self, payload, count):
+        """(keys, values), values None where none are stored; or None:
+        no column read."""
         return None
 
 
@@ -252,6 +271,15 @@ class IdentityCodec(EncodingScheme):
             return list(self._entry.iter_unpack(payload))
         return list(zip(struct.unpack(f"<{count}{self._code}", payload),
                         repeat(None)))
+
+    def columns(self, payload, count):
+        if self._code is None:
+            return None
+        self._check_length(payload, count)
+        if not self.value_width:
+            return struct.unpack(f"<{count}{self._code}", payload), None
+        flat = struct.unpack(f"<{2 * count}{self._code}", payload)
+        return flat[0::2], flat[1::2]
 
     def _decode_loop(self, payload, count):
         kw, vw, step = self.key_width, self.value_width, self._step
@@ -340,10 +368,16 @@ class DeltaCodec(EncodingScheme):
         return out
 
     def decode(self, payload, count):
+        # this class's parser, not a subclass's: a subclass that wraps both
+        # methods sees one call per block read
+        keys, values = DeltaCodec.columns(self, payload, count)
+        return list(zip(keys, repeat(None) if values is None else values))
+
+    def columns(self, payload, count):
         if count == 0:
             if payload:
                 raise CorruptionError("nonempty payload for empty block")
-            return []
+            return [], [] if self.value_width else None
         kw, vw = self.key_width, self.value_width
         if len(payload) < kw:
             raise CorruptionError("truncated first key")
@@ -365,10 +399,10 @@ class DeltaCodec(EncodingScheme):
             else:
                 values = [int.from_bytes(payload[p:p + vw], "little")
                           for p in range(pos, pos + vw * count, vw)]
-            return list(zip(keys, values))
+            return keys, values
         if len(payload) != pos:
             raise CorruptionError("delta payload length mismatch")
-        return list(zip(keys, repeat(None)))
+        return keys, None
 
 
 _first = itemgetter(0)

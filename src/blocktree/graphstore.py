@@ -7,14 +7,23 @@ each batch update is one bulk merge of that run into the vertex tree:
 ``insert_edges`` unions each source's new neighbors into its set
 (``ordmap.multi_insert``), and ``delete_edges`` runs
 ``ordmap.multi_delete`` on the set of each source that is a vertex and
-drops the others (``ordmap._bulk`` under the ``_DELETE`` op triple).
-``from_edge_list`` is ``insert_edges`` into the empty graph.  The
-readers (``neighbors``, ``bfs``, ``adjacency``) iterate ``core.items``,
-which decodes an edge tree's blocks into one list.  Edge trees are
-sets of neighbor ids with gap-compressed blocks.  Both levels default to
-64-entry blocks; a neighbor set below 64 ids is a single gap-coded block
-(the raw first id, then one varint per gap), so the many small sets of a
-skewed graph pay one block header each rather than a node per edge.
+drops the others (``ordmap._bulk`` under the ``_DELETE`` op triple).  A
+set that loses no edge comes back as itself, which the merge counts as no
+change, so a delete batch of absent edges returns the input vertex tree.
+``from_edge_list`` is ``insert_edges`` into the empty graph.
+
+The readers take key columns: ``neighbors``, ``adjacency``,
+``vertex_ids`` and ``bfs`` read a tree's ids with ``core.keys``, which
+collects each gap-coded block's key column and builds no ``(id, None)``
+entry.  ``bfs`` reads one vertex snapshot: it walks the vertex tree once
+into a dict of edge trees, and looks each frontier vertex up there
+instead of searching the tree per vertex.
+
+Edge trees are sets of neighbor ids with gap-compressed blocks.  Both
+levels default to 64-entry blocks; a neighbor set below 64 ids is a
+single gap-coded block (the raw first id, then one varint per gap), so
+the many small sets of a skewed graph pay one block header each rather
+than a node per edge.
 
 Graphs are immutable snapshots: batch updates return a new ``Graph`` sharing
 almost all structure with the old one, so readers on earlier snapshots are
@@ -33,7 +42,7 @@ from itertools import groupby
 
 from . import ordmap
 from .augment import AugSpec
-from .core import _entry_key, _rebuild, aug_of, items, make_context
+from .core import _entry_key, _rebuild, aug_of, flatten, keys, make_context
 from .encoding import DeltaCodec
 from .errors import GraphParseError
 from .nodes import size
@@ -132,12 +141,11 @@ def has_vertex(g, v):
 
 
 def neighbors(g, v):
-    etree = ordmap.find(g.vctx, g.vertices, v)
-    return [d for d, _ in items(g.ectx, etree)]
+    return keys(g.ectx, ordmap.find(g.vctx, g.vertices, v))
 
 
 def vertex_ids(g):
-    return [v for v, _ in items(g.vctx, g.vertices)]
+    return keys(g.vctx, g.vertices)
 
 
 def edge_count(g):
@@ -147,8 +155,7 @@ def edge_count(g):
 
 def adjacency(g):
     """{vertex: sorted neighbor list} over the whole graph (test oracle aid)."""
-    return {v: [d for d, _ in items(g.ectx, et)]
-            for v, et in items(g.vctx, g.vertices)}
+    return {v: keys(g.ectx, et) for v, et in flatten(g.vctx, g.vertices)}
 
 
 def graphs_equal(g1, g2):
@@ -157,7 +164,8 @@ def graphs_equal(g1, g2):
 
 def bfs(g, src):
     """Unweighted shortest-path hop counts from src; unreachable ids absent."""
-    if not has_vertex(g, src):
+    edges = dict(flatten(g.vctx, g.vertices))
+    if src not in edges:
         raise KeyError(f"vertex {src} not in graph")
     dist = {src: 0}
     frontier = [src]
@@ -166,10 +174,7 @@ def bfs(g, src):
         d += 1
         nxt = []
         for u in frontier:
-            etree = ordmap.find(g.vctx, g.vertices, u)
-            if etree is None:
-                continue
-            for nb, _ in items(g.ectx, etree):
+            for nb in keys(g.ectx, edges[u]):
                 if nb not in dist:
                     dist[nb] = d
                     nxt.append(nb)

@@ -18,11 +18,14 @@ is still called as ``combine(t1 value, t2 value)``.  The base case is the
 block: where the run reaches a block, the recursion decodes it, runs the
 three-way ``_merge`` and rebuilds, and every block the run does not reach
 stays shared, so a batch of k keys re-encodes about k blocks.  Under an
-op that keeps no run-only entry (``multi_delete``, ``difference``), a
-block whose run hits none of its keys is shared too, and so is a regular
-node whose two results are its own children and whose entry is kept
-unchanged (``_glue``, which ``_filter_tree`` shares): a delete batch
-that misses every key builds nothing and returns its input.  Results
+op that keeps no run-only entry (``multi_delete``, ``difference``,
+``graphstore.delete_edges``), a block whose run changes none of its
+entries is shared too, and so is a regular node whose two results are its
+own children and whose entry is kept unchanged (``_glue``, which
+``_filter_tree`` shares).  A key the run hits changes nothing where
+``combine`` returns the stored value object itself.  So a delete batch
+that misses every key, or every edge of its sources, builds nothing and
+returns its input.  Results
 follow ``core``'s fragment convention: a merge that keeps fewer than B
 entries returns them as an entry run (a plain sorted list) instead of a
 tree, and a regular node glues its two results and its kept entry with
@@ -76,10 +79,11 @@ intact and no node behind.
 """
 
 from bisect import bisect_left
+from itertools import repeat
 
-from .core import (_as_tree, _concat, _decode, _edit, _entry_key, _join,
-                   _join2, _locate, _make_flat, _make_regular, _rebuild,
-                   _run_or_tree, _search, _slice, flatten)
+from .core import (_as_tree, _columns, _concat, _decode, _edit, _entry_key,
+                   _join, _join2, _locate, _make_flat, _make_regular,
+                   _rebuild, _run_or_tree, _search, _slice, flatten)
 from .errors import ContractError
 from .nodes import is_flat, release, retain, size
 from .parallel import fork2
@@ -251,7 +255,8 @@ _DIFFERENCE = (True, False, False)
 
 def _merge(a, b, op, combine):
     """Three-way merge of sorted entry lists a and b under op, and whether
-    a key is in both."""
+    a key in both changed its entry of a: it is dropped, or ``combine``
+    returns anything but a's stored value object itself."""
     only_a, only_b, both = op
     out = []
     hit = False
@@ -269,9 +274,15 @@ def _merge(a, b, op, combine):
             j += 1
         else:
             if both:
-                out.append((ka, combine(a[i][1], b[j][1])))
+                v = combine(a[i][1], b[j][1])
+                if v is a[i][1]:
+                    out.append(a[i])
+                else:
+                    out.append((ka, v))
+                    hit = True
+            else:
+                hit = True
             i += 1; j += 1
-            hit = True
     if only_a:
         out.extend(a[i:])
     if only_b:
@@ -343,14 +354,18 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
         return _run_or_tree(ctx, arr[lo:hi]) if only2 else None
     if is_flat(t):
         out, hit = _merge(_decode(ctx, t), arr[lo:hi], op, combine)
-        # a run that adds nothing and hits no key leaves the block as it is
+        # a run that adds and changes nothing leaves the block as it is
         return (retain(t) if only1 and not only2 and not hit
                 else _run_or_tree(ctx, out))
     e = (t.key, t.value)
     pos = bisect_left(arr, e[0], lo, hi, key=_entry_key)
     hit = pos < hi and arr[pos][0] == e[0]
+    # whether t's entry stays as it is: a combine that returns the stored
+    # value object itself changes nothing
+    kept = only1
     if hit:
         e = _combined(ctx, e[0], e[1], arr[pos][1], combine) if both else None
+        kept = e is not None and e[1] is t.value
     elif not only1:
         e = None
     l, r = t.left, t.right
@@ -358,7 +373,7 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
                    lambda: _batch(ctx, l, arr, lo, pos, op, combine),
                    lambda: _batch(ctx, r, arr, pos + (1 if hit else 0), hi, op,
                                   combine))
-    return _glue(ctx, t, only1 and not hit, tl, e, tr)
+    return _glue(ctx, t, kept, tl, e, tr)
 
 
 def _bulk(ctx, t, arr, op, combine):
@@ -441,12 +456,20 @@ def map_values(ctx, t, f):
 
 
 def reduce(ctx, t, f, identity):
-    """Fold of in-order values under an associative f with identity."""
+    """Fold of in-order values under an associative f with identity.  A
+    block folds its value column where the codec reads one, and its
+    decoded entries otherwise (the object codec, whose stored tuples are
+    the cheapest read)."""
     if t is None:
         return identity
     if is_flat(t):
         acc = identity
-        for _, v in _decode(ctx, t):
+        cols = _columns(ctx, t)
+        if cols is None:
+            for _, v in _decode(ctx, t):
+                acc = f(acc, v)
+            return acc
+        for v in repeat(None, t.count) if cols[1] is None else cols[1]:
             acc = f(acc, v)
         return acc
     xl, xr = fork2(ctx, t.size,
