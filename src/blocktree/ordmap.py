@@ -468,9 +468,9 @@ def reduce(ctx, t, f, identity):
         if cols is None:
             for _, v in _decode(ctx, t):
                 acc = f(acc, v)
-            return acc
-        for v in repeat(None, t.count) if cols[1] is None else cols[1]:
-            acc = f(acc, v)
+        else:
+            for v in repeat(None, t.count) if cols[1] is None else cols[1]:
+                acc = f(acc, v)
         return acc
     xl, xr = fork2(ctx, t.size,
                    lambda: reduce(ctx, t.left, f, identity),

@@ -230,6 +230,9 @@ def test_identity_truncated_payload_is_corruption(kw, vw):
     for bad in (payload[:-1], payload + b"\x00", b""):
         with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
             codec.decode(bad, 3)
+        if codec.columns(payload, 3) is not None:
+            with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
+                codec.columns(bad, 3)
         if codec.search(payload, 3, 5) is not None:
             with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
                 codec.search(bad, 3, 5)
@@ -321,8 +324,9 @@ def test_delta_decode_error_messages(vw):
         (b"\x00", 0, "nonempty payload for empty block"),
     ]
     for payload, count, msg in cases:
-        with pytest.raises(CorruptionError, match=f"^{re.escape(msg)}$"):
-            codec.decode(payload, count)
+        for read in (codec.decode, codec.columns):
+            with pytest.raises(CorruptionError, match=f"^{re.escape(msg)}$"):
+                read(payload, count)
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             delta_block_decode(payload, count, 8, vw)
 
@@ -350,10 +354,12 @@ def test_delta_decode_matches_oracle_on_damaged_payloads(small, gaps, vw, data):
     try:
         want = delta_block_decode(payload, count, 8, vw)
     except ValueError as e:
-        with pytest.raises(CorruptionError, match=f"^{re.escape(str(e))}$"):
-            codec.decode(payload, count)
+        for read in (codec.decode, codec.columns):
+            with pytest.raises(CorruptionError, match=f"^{re.escape(str(e))}$"):
+                read(payload, count)
     else:
         assert codec.decode(payload, count) == want
+        assert _unzipped(codec.columns(payload, count)) == _unzipped(want, vw)
 
 
 @pytest.mark.parametrize("vw", [1, 3, 8])
@@ -513,3 +519,59 @@ def test_splice_declined_where_payload_is_not_edited_in_place():
         v = 0 if codec.value_width else None
         payload = codec.encode([(1, v), (5, v), (9, v)])
         assert codec.splice(payload, 3, 1, 2, [(4, v)]) is None
+
+
+def _unzipped(cols, vw=None):
+    """Columns as two lists, values None where none are stored; with
+    ``vw``, cols is a decoded entry list to unzip first."""
+    if vw is not None:
+        cols = ([k for k, _ in cols], [v for _, v in cols] if vw else None)
+    keys, values = cols
+    return list(keys), None if values is None else list(values)
+
+
+@pytest.mark.parametrize("vw", [0, 1, 2, 3, 4, 8])
+def test_delta_columns_match_decode(vw):
+    # dense (one-byte) and varint gaps, at counts 0, 1, 2 and 2B (B=128)
+    rng = random.Random(vw)
+    top = 2 ** (8 * vw) - 1
+    codec = DeltaCodec(value_width=vw)
+    for count in (0, 1, 2, 256):
+        for gap in (lambda: rng.randrange(1, 128),
+                    lambda: rng.choice((1, rng.randrange(128, 2 ** 30)))):
+            keys = list(accumulate((gap() for _ in range(count - 1)),
+                                   initial=rng.randrange(2 ** 40)))[:count]
+            entries = [(k, rng.choice((0, top, rng.randrange(top + 1)))
+                        if vw else None) for k in keys]
+            payload = codec.encode(entries)
+            cols = codec.columns(payload, count)
+            assert (cols[1] is None) == (vw == 0)
+            assert _unzipped(cols) == _unzipped(codec.decode(payload, count), vw)
+            assert _unzipped(cols) == _unzipped(entries, vw)
+
+
+@pytest.mark.parametrize("kw,vw", IDENTITY_WIDTHS)
+def test_identity_columns_match_decode(kw, vw):
+    # widths with one struct code read columns; the loop widths decline
+    codec = IdentityCodec(kw, vw)
+    rng = random.Random(kw * 10 + vw)
+    top, vtop = 2 ** (8 * kw), 2 ** (8 * vw)
+    for count in (0, 1, 2, 256):
+        keys = sorted(rng.sample(range(max(0, top - 2 ** 31), top), count))
+        entries = [(k, rng.choice((0, vtop - 1, rng.randrange(vtop)))
+                    if vw else None) for k in keys]
+        payload = codec.encode(entries)
+        cols = codec.columns(payload, count)
+        if codec._code is None:
+            assert (kw, vw) in ((3, 3), (8, 4), (3, 0))
+            assert cols is None
+            continue
+        assert _unzipped(cols) == _unzipped(codec.decode(payload, count), vw)
+        assert _unzipped(cols) == _unzipped(entries, vw)
+
+
+def test_object_codec_declines_columns():
+    # iterating the stored tuples is the object codec's cheapest read
+    codec = ObjectCodec()
+    payload = codec.encode([(1, "a"), (5, "b")])
+    assert codec.columns(payload, 2) is None

@@ -196,6 +196,59 @@ def test_bfs_random_vs_reference():
             assert gs.bfs(g, src) == bfs_reference(adj, src)
 
 
+@pytest.mark.parametrize("B", [1, 8, 64])
+def test_graph_readers_match_adjacency_oracle(B):
+    # the readers take key columns (neighbors, adjacency, vertex_ids) and
+    # bfs reads one vertex snapshot; each equals the adjacency dict, with
+    # a destination that has no out-edges (7000), a source whose edges are
+    # all deleted again (7001) and one large neighbor set (0)
+    rng = random.Random(B)
+    edges = (rand_edges(rng, 3000, 300) + [(5, 7000), (7001, 3)]
+             + [(0, v) for v in range(0, 600, 3)])
+    g = gs.delete_edges(gs.from_edge_list(edges, block_size=B), [(7001, 3)])
+    adj = adj_of(edges)
+    adj[7001].discard(3)
+    assert not adj[7000] and not adj[7001]
+    assert gs.vertex_ids(g) == sorted(adj)
+    assert gs.adjacency(g) == {v: sorted(n) for v, n in adj.items()}
+    for v in adj:
+        assert gs.neighbors(g, v) == sorted(adj[v]), v
+    assert gs.neighbors(g, 9999) == []
+    for src in [0, 7000, 7001] + rng.sample(sorted(adj), 5):
+        assert gs.bfs(g, src) == bfs_reference(adj, src), src
+    with pytest.raises(KeyError):
+        gs.bfs(g, 9999)
+
+
+def test_delete_of_absent_edges_shares_the_vertex_tree():
+    # edges absent from sets of existing sources change nothing: each
+    # set's multi_delete returns the set itself, which the merge counts as
+    # no change, both in a block and at a regular node of the vertex tree
+    from blocktree.counters import counters
+    rng = random.Random(3)
+    edges = [(rng.randrange(20000), rng.randrange(20000)) for _ in range(20000)]
+    g = gs.from_edge_list(edges, block_size=64)
+    present = set(edges)
+    in_nodes, t = [], g.vertices
+    while not is_flat(t):
+        in_nodes.append(t.key)
+        t = t.left
+    in_blocks = rng.sample(sorted({s for s, _ in edges} - set(in_nodes)), 5)
+    batch = []
+    for s in in_nodes[:5] + in_blocks:
+        d = rng.randrange(20000)
+        while (s, d) in present:
+            d = rng.randrange(20000)
+        batch.append((s, d))
+    before = counters.snapshot()
+    h = gs.delete_edges(g, batch)
+    after = counters.snapshot()
+    assert (after["folds"] - before["folds"],
+            after["allocations"] - before["allocations"]) == (0, 0)
+    assert h.vertices is g.vertices
+    assert gs.adjacency(h) == {v: sorted(n) for v, n in adj_of(edges).items()}
+
+
 def test_bfs_isolated_and_missing_vertex():
     g = gs.from_edge_list([(3, 4)])
     assert gs.bfs(g, 4) == {4: 0}

@@ -529,6 +529,31 @@ def test_map_reduce():
     check_tree(ctx, m)
 
 
+@pytest.mark.parametrize("B", [1, 8, 128])
+def test_reduce_reads_each_block_once(B):
+    # a block's value column (identity at struct widths, delta), or its
+    # decoded entries where the codec reads no columns (identity at
+    # 3 bytes, object), is one decode; reduce builds nothing.  A set's
+    # values are None: the fold counts them
+    from blocktree.encoding import IdentityCodec
+    from blocktree.core import Config, Context
+    keys = random.Random(B).sample(range(10 ** 6), 40 * B + 7)
+    for codec, vw in ((IdentityCodec(8, 8), 8), (IdentityCodec(3, 3), 3),
+                      ("delta", 8), ("delta", 0), ("object", 8)):
+        ctx = (Context(Config(block_size=B), codec)
+               if not isinstance(codec, str)
+               else make_context(block_size=B, encoding=codec, value_width=vw))
+        t = ordmap.build(ctx, [(k, k % 251 if vw else None) for k in keys])
+        before = counters.snapshot()
+        got = ordmap.reduce(ctx, t, lambda a, b: a + (1 if b is None else b), 0)
+        after = counters.snapshot()
+        assert got == (sum(k % 251 for k in keys) if vw else len(keys))
+        assert after["decodes"] - before["decodes"] == count_blocks(t)
+        assert after["folds"] == before["folds"]
+        assert after["allocations"] == before["allocations"]
+        bt.release(t)
+
+
 def test_range_rank_next_previous():
     ctx = make_context(block_size=3, encoding="identity")
     assert ordmap.key_range(ctx, None, 0, 9) is None
@@ -616,18 +641,30 @@ class _DecodeFault(Exception):
     pass
 
 
-def _failing_codec(cls):
-    """A codec of class cls whose decode raises on its ``fail_at``-th call."""
+def _failing_codec(cls, **kw):
+    """A codec ``cls(**kw)`` whose block reads raise on the ``fail_at``-th
+    one.  A block read is a decode, or a column read where the codec reads
+    columns; each counts once (a declined column read is no block read,
+    and the delta codec's decode parses with its own ``columns``)."""
     class Failing(cls):
         fail_at = None
         calls = 0
 
-        def decode(self, payload, count):
+        def _read(self):
             self.calls += 1
             if self.calls == self.fail_at:
                 raise _DecodeFault
+
+        def decode(self, payload, count):
+            self._read()
             return super().decode(payload, count)
-    return Failing()
+
+        def columns(self, payload, count):
+            cols = super().columns(payload, count)
+            if cols is not None:
+                self._read()
+            return cols
+    return Failing(**kw)
 
 
 def _handles(result):
@@ -640,18 +677,31 @@ def _handles(result):
 
 @pytest.mark.parametrize("B", [1, 2, 8])
 def test_failed_decodes_release_what_they_hold(B):
-    # a decode that fails anywhere in a key_range, a subseq, a split, a
-    # split_last, an expose, an append, a filter, a map_values or a write
-    # (the position search, the walk, the merges, the splits and joins
-    # that assemble the pieces, the branch that fork2 ran first) leaves
-    # the inputs intact and releases every node the operation had made.
-    # The delta codec has no in-place search, so its position searches
-    # decode too
+    # a block read that fails anywhere in a key_range, a subseq, a split,
+    # a split_last, an expose, an append, a filter, a map_values, a reduce,
+    # a write or a graph read (neighbors, bfs) (the position search, the
+    # walk, the merges, the splits and joins that assemble the pieces, the
+    # branch that fork2 ran first) leaves the inputs intact and releases
+    # every node the operation had made.  The delta codec has no in-place
+    # search, so its position searches decode too
+    from blocktree import graphstore as gs
     from blocktree import sequence as sq
     from blocktree.core import Config, Context
     from blocktree.encoding import DeltaCodec, IdentityCodec, ObjectCodec
+    # a graph's edge trees are left to the garbage collector (graphstore's
+    # docstring), so the live baseline is taken once the graph is built
+    vcodec = _failing_codec(ObjectCodec)
+    ecodec = _failing_codec(DeltaCodec, value_width=0)
+    vctx = Context(Config(block_size=B), vcodec, aug=gs._edge_count_spec())
+    rng = random.Random(B)
+    g = gs.insert_edges(gs.Graph(None, vctx, Context(Config(block_size=B), ecodec)),
+                        [(rng.randrange(3 * B + 9), rng.randrange(20 * B + 9))
+                         for _ in range(40 * B)] + [(0, v) for v in range(5 * B)])
     baseline = counters.live
     cases, trees = [], []
+    for codec in (vcodec, ecodec):
+        cases.append((codec, vctx, (g.vertices,), lambda: gs.bfs(g, 0)))
+    cases.append((ecodec, vctx, (g.vertices,), lambda: gs.neighbors(g, 0)))
     for cls in (IdentityCodec, DeltaCodec):
         codec = _failing_codec(cls)
         ctx = Context(Config(block_size=B), codec)
@@ -674,7 +724,9 @@ def test_failed_decodes_release_what_they_hold(B):
                      lambda ctx, t, o: ordmap.union(ctx, t, o),
                      lambda ctx, t, o: ordmap.difference(ctx, t, o),
                      lambda ctx, t, o: ordmap.multi_delete(
-                         ctx, t, range(5, 30 * B, 4))):
+                         ctx, t, range(5, 30 * B, 4)),
+                     lambda ctx, t, o: ordmap.reduce(
+                         ctx, t, lambda a, b: a + b, 0)):
             cases.append((codec, ctx, (t, other),
                           lambda ctx=ctx, t=t, o=other, read=read:
                           read(ctx, t, o)))
@@ -688,6 +740,8 @@ def test_failed_decodes_release_what_they_hold(B):
     for a, b in ((s, s2), (s2, s)):
         cases.append((scodec, sctx, (s, s2),
                       lambda a=a, b=b: sq.append(sctx, a, b)))
+    cases.append((scodec, sctx, (s,),
+                  lambda: sq.seq_reduce(sctx, s, lambda a, b: a + b, 0)))
     swept = 0
     for codec, c, xs, op in cases:
         digests = [structure_digest(c, x) for x in xs]
@@ -707,6 +761,7 @@ def test_failed_decodes_release_what_they_hold(B):
     for x in trees + [s, s2]:
         bt.release(x)
     assert counters.live == baseline
+    bt.release(g.vertices)
 
 
 class _CallbackFault(Exception):
