@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 from .core import _as_tree, _entries_aug, _entry_key, _search, aug_of
 from .errors import ContractError
-from .nodes import is_flat
+from .nodes import Flat
 from .ordmap import _filter_tree
 
 
@@ -52,13 +52,9 @@ def _block_part(ctx, t, lo, hi):
     bound is open), searched in place where the codec can.  The entries
     are folded as a block's are (``core._entries_aug``), by index: an
     in-place search result can be indexed but not sliced."""
-    if lo is None:
-        start = 0
-        stop, entries = _search(ctx, t, hi, right=True)
-    else:
-        start, entries = _search(ctx, t, lo)
-        stop = t.count if hi is None else bisect_right(
-            entries, hi, start, t.count, key=_entry_key)
+    start, entries = _search(ctx, t, t.first_key if lo is None else lo)
+    stop = t.count if hi is None else bisect_right(
+        entries, hi, start, t.count, key=_entry_key)
     return _entries_aug(ctx, map(entries.__getitem__, range(start, stop)))
 
 
@@ -68,7 +64,7 @@ def _rng(ctx, spec, t, lo, hi):
         return spec.identity
     if lo is None and hi is None:
         return t.aug
-    if is_flat(t):
+    if type(t) is Flat:
         if ((lo is None or lo <= t.first_key)
                 and (hi is None or t.last_key <= hi)):
             return t.aug

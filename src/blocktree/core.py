@@ -103,15 +103,14 @@ test-time check.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .counters import counters
 from .encoding import EncodingScheme, make_codec
 from .errors import ContractError
-from .nodes import (is_flat, new_flat, new_regular, release, retain, size,
-                    weight)
+from .nodes import Flat, new_flat, new_regular, release, retain, size, weight
 from .parallel import _release, fork2
 
 ALPHA_MAX = 1.0 - 1.0 / math.sqrt(2.0)
@@ -169,19 +168,18 @@ def _decode(ctx, t):
 _entry_key = itemgetter(0)
 
 
-def _search(ctx, t, k, right=False):
+def _search(ctx, t, k):
     """(pos, entries) for key k in block t: pos is bisect_left of k among
-    the block's keys (bisect_right when ``right``), entries is indexable.
+    the block's keys, entries is indexable.
 
     Codecs that search their payload in place decode nothing; the others
     pay one counted decode and a bisect over its result.
     """
-    found = ctx.codec.search(t.payload, t.count, k, right)
+    found = ctx.codec.search(t.payload, t.count, k)
     if found is not None:
         return found
     entries = _decode(ctx, t)
-    pos = (bisect_right if right else bisect_left)(entries, k, key=_entry_key)
-    return pos, entries
+    return bisect_left(entries, k, key=_entry_key), entries
 
 
 def _columns(ctx, t):
@@ -200,7 +198,7 @@ def flatten(ctx, t, out=None):
         out = []
     if t is None:
         return out
-    if is_flat(t):
+    if type(t) is Flat:
         out.extend(_decode(ctx, t))
         return out
     flatten(ctx, t.left, out)
@@ -216,7 +214,7 @@ def keys(ctx, t, out=None):
         out = []
     if t is None:
         return out
-    if is_flat(t):
+    if type(t) is Flat:
         cols = _columns(ctx, t)
         out.extend(map(_entry_key, _decode(ctx, t)) if cols is None
                    else cols[0])
@@ -243,7 +241,7 @@ def aug_of(ctx, t):
 
 
 def first_key(ctx, t):
-    while not is_flat(t):
+    while type(t) is not Flat:
         if t.left is None:
             return t.key
         t = t.left
@@ -251,7 +249,7 @@ def first_key(ctx, t):
 
 
 def last_key(ctx, t):
-    while not is_flat(t):
+    while type(t) is not Flat:
         if t.right is None:
             return t.key
         t = t.right
@@ -403,7 +401,8 @@ def _whole(B, t):
     """True for a child a blocked tree may hold: a block of at least B
     entries, or a regular tree of more than 2B.  A fragment below B and a
     caller's unfolded block are not whole."""
-    return t is not None and (t.count >= B if is_flat(t) else t.size > 2 * B)
+    return t is not None and (t.count >= B if type(t) is Flat
+                              else t.size > 2 * B)
 
 
 def _node(ctx, l, e, r, n=None):
@@ -428,8 +427,8 @@ def _node(ctx, l, e, r, n=None):
         return _make_regular(ctx, l, e, r, n + 1)
     # a block keeps its entries in its payload, and the other side's are
     # spliced in: an underflow joins its sibling block decoding only itself
-    t = r if is_flat(r) and size(l) <= r.count else l
-    if not is_flat(t):
+    t = r if type(r) is Flat and size(l) <= r.count else l
+    if type(t) is not Flat:
         return _rebuild(ctx, _entries(ctx, l, e, r))
     i = 0 if t is r else t.count
     try:
@@ -461,7 +460,7 @@ def _join_right(ctx, tl, k, tr):
     # a balanced pair, or a lone block heavier than tr: _node links it
     # beside a whole block (their weight ratio is at least (B+1)/(3B+2) >
     # 1/3 > ALPHA_MAX) and merges it with a fragment
-    if is_flat(tl) or _balanced_pair(cfg, weight(tl), weight(tr)):
+    if type(tl) is Flat or _balanced_pair(cfg, weight(tl), weight(tr)):
         return _node(ctx, tl, k, tr)
     l, e0, c = _destructure(ctx, tl)
     try:
@@ -487,7 +486,7 @@ def _join_right(ctx, tl, k, tr):
 
 def _join_left(ctx, tl, k, tr):
     cfg = ctx.config
-    if is_flat(tr) or _balanced_pair(cfg, weight(tl), weight(tr)):
+    if type(tr) is Flat or _balanced_pair(cfg, weight(tl), weight(tr)):
         return _node(ctx, tl, k, tr)
     c, e0, r = _destructure(ctx, tr)
     try:
@@ -512,7 +511,7 @@ def _locate(ctx, t, k):
     position a keyed split or a key range hands to ``_slice``."""
     n = 0
     while t is not None:
-        if is_flat(t):
+        if type(t) is Flat:
             if k < t.first_key:
                 return n, None
             if k > t.last_key:
@@ -533,7 +532,7 @@ def _locate(ctx, t, k):
 def _open(ctx, t):
     """(left, entry, right) of a nonempty tree; consumes t.  A block is
     cut at its middle entry into two blocks."""
-    if not is_flat(t):
+    if type(t) is not Flat:
         return _destructure(ctx, t)
     try:
         entries, m = _view(ctx, t), t.count // 2
@@ -548,7 +547,7 @@ def _pop_last(ctx, t):
     """(t without its last entry, as a tree or an entry run; that entry);
     borrows t.  A walk down the right spine: only the last block is
     edited."""
-    if is_flat(t):
+    if type(t) is Flat:
         n, entries = t.count, _view(ctx, t)
         return _edit(ctx, t, n - 1, n, (), entries, run=True), entries[n - 1]
     if t.right is None:
@@ -596,7 +595,7 @@ def _as_tree(ctx, x):
     no pair that small, rebuilds it from its entries."""
     if type(x) is list:
         return _rebuild(ctx, x)
-    if x is None or is_flat(x) or x.size > 2 * ctx.config.block_size:
+    if x is None or type(x) is Flat or x.size > 2 * ctx.config.block_size:
         return x
     return _node(ctx, *_destructure(ctx, x))
 
@@ -633,7 +632,7 @@ def _slice(ctx, t, i, j):
         return None
     if i == 0 and j == size(t):
         return retain(t)
-    if is_flat(t):
+    if type(t) is Flat:
         return _edit(ctx, t, 0, i, hi=j, run=True)
     sl = size(t.left)
     if j <= sl:
@@ -670,7 +669,7 @@ refold = fold
 def unfold(ctx, t):
     """Expand a block into a perfectly balanced all-regular tree (one
     unfold); ``fold`` packs it back."""
-    if t is None or not is_flat(t):
+    if t is None or type(t) is not Flat:
         raise ContractError("unfold expects a flat node")
     entries = _decode(ctx, t)
     counters.unfolds += 1

@@ -11,13 +11,14 @@ Four more are optional, with defaults on ``EncodingScheme``:
     walk starts, so a bad entry builds nothing.  The default accepts
     everything.
 
-``search(payload, count, key, right=False)``
+``search(payload, count, key)``
     ``(pos, entries)``: the ``bisect_left`` position of ``key`` among the
-    block's keys (``bisect_right`` when ``right``), and the block's entries
-    as an indexable sequence; or ``None`` when the codec cannot search its
-    payload in place.  Point reads use it through ``core._search``, which
-    falls back to a full (counted) ``decode`` and a bisect on ``None``.  The
-    default returns ``None``.
+    block's keys, and the block's entries as an indexable sequence; or
+    ``None`` when the codec cannot search its payload in place.  Point
+    reads use it through ``core._search``, which falls back to a full
+    (counted) ``decode`` and a bisect on ``None``; a reader that wants the
+    first key above ``key`` steps past an equal one itself.  The default
+    returns ``None``.
 
 ``splice(payload, count, i, j, entries)``
     The payload of the block with its entries ``[i, j)`` replaced by the
@@ -42,7 +43,10 @@ Four more are optional, with defaults on ``EncodingScheme``:
     collects the key column; on ``None`` they decode instead.  The
     default returns ``None``.
 
-Codecs are stateless and safe to share between threads.
+Codecs are stateless and safe to share between threads.  A codec is
+built with a ``key_width`` of at least 1 and a ``value_width`` of at least
+0, both ints (bytes per field; ``ObjectCodec`` stores no bytes and ignores
+them): ``EncodingScheme.__init__`` raises ``ValueError`` for anything else.
 
 Two byte-oriented codecs ship with the library:
 
@@ -88,7 +92,7 @@ stored tuples is already the cheapest way through a block.
 
 import struct
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, sub
 
@@ -167,6 +171,16 @@ class EncodingScheme:
     # payload, so the block header carries cached key bounds.
     caches_bounds = False
 
+    def __init__(self, key_width=8, value_width=8):
+        # exactly ints: neither 2.5 nor True is a width
+        for what, width, least in (("key", key_width, 1),
+                                   ("value", value_width, 0)):
+            if type(width) is not int or width < least:
+                raise ValueError(f"{what} width must be an int of at least "
+                                 f"{least}; got {width!r}")
+        self.key_width = key_width
+        self.value_width = value_width
+
     def encode(self, entries):
         raise NotImplementedError
 
@@ -176,7 +190,7 @@ class EncodingScheme:
     def check_entry(self, key, value):
         """Raise CodecError if no block could hold (key, value)."""
 
-    def search(self, payload, count, key, right=False):
+    def search(self, payload, count, key):
         """(position, indexable entries), or None: not searchable in place."""
         return None
 
@@ -214,8 +228,7 @@ class IdentityCodec(EncodingScheme):
     name = "identity"
 
     def __init__(self, key_width=8, value_width=8):
-        self.key_width = key_width
-        self.value_width = value_width
+        super().__init__(key_width, value_width)
         self._step = key_width + value_width
         code = _STRUCT_CODES.get(key_width)
         if value_width not in (0, key_width):
@@ -292,15 +305,15 @@ class IdentityCodec(EncodingScheme):
             pos += step
         return entries
 
-    def search(self, payload, count, key, right=False):
+    def search(self, payload, count, key):
         if self._view is None:
             return None
         self._check_length(payload, count)
         keys = memoryview(payload).cast(self._view)
         if self.value_width:
             keys = keys[0::2]
-        pos = (bisect_right if right else bisect_left)(keys, key)
-        return pos, _PackedEntries(payload, self._entry, not self.value_width)
+        return bisect_left(keys, key), _PackedEntries(payload, self._entry,
+                                                      not self.value_width)
 
     def splice(self, payload, count, i, j, entries):
         # a payload that is not searched in place is not spliced either
@@ -316,8 +329,7 @@ class DeltaCodec(EncodingScheme):
     caches_bounds = True
 
     def __init__(self, key_width=8, value_width=8):
-        self.key_width = key_width
-        self.value_width = value_width
+        super().__init__(key_width, value_width)
         # struct code packing every value in one call, or None for the loop
         self._value_code = _STRUCT_CODES.get(value_width)
 
@@ -426,9 +438,9 @@ class ObjectCodec(EncodingScheme):
     def decode(self, payload, count):
         return list(self._checked(payload, count))
 
-    def search(self, payload, count, key, right=False):
-        bisect = bisect_right if right else bisect_left
-        return bisect(self._checked(payload, count), key, key=_first), payload
+    def search(self, payload, count, key):
+        return (bisect_left(self._checked(payload, count), key, key=_first),
+                payload)
 
     def splice(self, payload, count, i, j, entries):
         return payload[:i] + tuple(entries) + payload[j:]

@@ -102,7 +102,7 @@ def insert_edges(g, batch):
     additions = {src: _rebuild(g.ectx, [(d, None) for d in dsts])
                  for src, dsts in _group_by_src(edges)}
     for _, d in edges:
-        if d not in additions and not ordmap.contains(g.vctx, g.vertices, d):
+        if d not in additions and not has_vertex(g, d):
             additions[d] = None
     entries = sorted(additions.items())
 

@@ -20,7 +20,7 @@ Metadata = regular nodes + block headers; total = metadata + payloads.
 """
 
 from .errors import CodecError, InvariantViolation
-from .nodes import is_flat, size, weight
+from .nodes import Flat, size, weight
 
 PTR_BYTES = 8
 REGULAR_NODE_BYTES = 2 * PTR_BYTES + 8 + 8 + 4 + 4
@@ -37,14 +37,14 @@ def check_tree(ctx, t):
     """Validate every invariant; raises InvariantViolation on the first break."""
     cfg = ctx.config
     blocked = size(t) >= cfg.block_size
-    if not blocked and t is not None and not is_flat(t):
+    if not blocked and t is not None and type(t) is not Flat:
         _fail("regular node in a tree smaller than B")
 
     def walk(node):
         # returns (size, first_key, last_key, aug)
         if node is None:
             return 0, None, None, (ctx.aug.identity if ctx.aug else None)
-        if is_flat(node):
+        if type(node) is Flat:
             if node.count < 1:
                 _fail("empty block")
             if blocked and not cfg.block_size <= node.count <= 2 * cfg.block_size:
@@ -102,7 +102,7 @@ def check_tree(ctx, t):
 
 
 def tree_depth(t):
-    if t is None or is_flat(t):
+    if t is None or type(t) is Flat:
         return 0
     return 1 + max(tree_depth(t.left), tree_depth(t.right))
 
@@ -110,7 +110,7 @@ def tree_depth(t):
 def count_blocks(t):
     if t is None:
         return 0
-    if is_flat(t):
+    if type(t) is Flat:
         return 1
     return count_blocks(t.left) + count_blocks(t.right)
 
@@ -119,7 +119,7 @@ def count_nodes(t):
     """All nodes, regular and flat."""
     if t is None:
         return 0
-    if is_flat(t):
+    if type(t) is Flat:
         return 1
     return 1 + count_nodes(t.left) + count_nodes(t.right)
 
@@ -142,7 +142,7 @@ def tree_bytes(ctx, t):
     def walk(node):
         if node is None:
             return 0, 0
-        if is_flat(node):
+        if type(node) is Flat:
             return hdr + _payload_bytes(ctx, node), hdr
         tl, ml = walk(node.left)
         tr, mr = walk(node.right)
@@ -155,7 +155,7 @@ def structure_digest(ctx, t):
     """Deep content digest (payload bytes included) for exact comparisons."""
     if t is None:
         return ()
-    if is_flat(t):
+    if type(t) is Flat:
         return ("F", t.count, bytes(t.payload) if isinstance(t.payload, (bytes, bytearray)) else tuple(t.payload))
     return ("R", t.key, t.value,
             structure_digest(ctx, t.left), structure_digest(ctx, t.right))

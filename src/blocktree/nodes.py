@@ -52,10 +52,6 @@ class Flat:
         return f"<Flat count={self.count} owners={self.owners}>"
 
 
-def is_flat(t):
-    return type(t) is Flat
-
-
 def size(t):
     if t is None:
         return 0

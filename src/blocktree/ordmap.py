@@ -48,6 +48,15 @@ and 10^4 entries with disjoint ranges re-encodes the 10^4, still O(m):
 shared subtrees took 0.6 ms.
 ``union_efficient`` is the same function as ``union``.
 
+A point operation is one walk from the root to a block.  ``get_entry``
+(behind ``find`` and ``contains``) is the lookup walk: it stops at a
+regular node holding the key, and searches no block whose bounds exclude
+it.  ``insert`` and ``remove`` are one ``_update`` walk each, a path copy
+on the way back up (an ``insert`` with its own ``combine`` looks the old
+value up first); a remove that finds nothing copies nothing and returns
+its input itself, and searches no block whose bounds exclude the key
+either.
+
 ``rank`` is the position search of a keyed split (``core._locate``), and
 ``key_range`` reads the positions ``[rank(lo), rank(hi) + (hi present))``
 with ``core._slice``, the read-only walk by position that also serves
@@ -85,7 +94,7 @@ from .core import (_as_tree, _columns, _concat, _decode, _edit, _entry_key,
                    _join, _join2, _locate, _make_flat, _make_regular,
                    _rebuild, _run_or_tree, _search, _slice, flatten)
 from .errors import ContractError
-from .nodes import is_flat, release, retain, size
+from .nodes import Flat, release, retain, size
 from .parallel import fork2
 
 _RIGHT = lambda a, b: b
@@ -121,26 +130,20 @@ def from_sorted(ctx, entries):
 # point queries (read-only)
 
 
-def _seek(ctx, t, k):
-    """(pos, entries) with entries[pos] the entry at k, or None if k is
-    absent.  When k sits in a block, this is that block's search result."""
+def get_entry(ctx, t, k):
+    """The entry at k, or None: the lookup walk.  A block whose bounds
+    exclude k is not searched."""
     while t is not None:
-        if is_flat(t):
+        if type(t) is Flat:
             if k < t.first_key or k > t.last_key:
                 return None
             pos, entries = _search(ctx, t, k)
-            if pos < t.count and entries[pos][0] == k:
-                return pos, entries
-            return None
+            e = entries[pos]
+            return e if e[0] == k else None
         if k == t.key:
-            return 0, ((t.key, t.value),)
+            return t.key, t.value
         t = t.left if k < t.key else t.right
     return None
-
-
-def get_entry(ctx, t, k):
-    found = _seek(ctx, t, k)
-    return None if found is None else found[1][found[0]]
 
 
 def find(ctx, t, k):
@@ -161,11 +164,13 @@ def next_entry(ctx, t, k):
     """Smallest entry with key strictly greater than k, or None."""
     best = None
     while t is not None:
-        if is_flat(t):
+        if type(t) is Flat:
             if t.last_key > k:
-                pos, entries = _search(ctx, t, k, right=True)
-                if pos < t.count:
-                    best = entries[pos]
+                # the first key at or above k, stepped past k itself
+                pos, entries = _search(ctx, t, k)
+                best = entries[pos]
+                if best[0] == k:
+                    best = entries[pos + 1]
             return best
         if t.key > k:
             best = (t.key, t.value)
@@ -179,7 +184,7 @@ def previous_entry(ctx, t, k):
     """Largest entry with key strictly less than k, or None."""
     best = None
     while t is not None:
-        if is_flat(t):
+        if type(t) is Flat:
             if t.first_key < k:
                 pos, entries = _search(ctx, t, k)
                 if pos > 0:
@@ -197,25 +202,32 @@ def previous_entry(ctx, t, k):
 # point updates
 
 
-def _update(ctx, t, k, new, found=None):
+def _update(ctx, t, k, new):
     """t with its entry at k, if any, replaced by the list ``new``: one
-    entry for an insert, none for the remove of a present key; borrows t.
-    ``found`` is ``_seek``'s result for k, if the caller has it."""
+    entry for an insert, none for a remove; borrows t.  A remove that
+    finds nothing copies nothing and returns t itself, still borrowed
+    (``remove`` retains it): a block whose bounds exclude k is not
+    searched, and a node whose child returned itself returns itself."""
     if t is None:
         return _rebuild(ctx, new)
-    if is_flat(t):
-        pos, entries = found or _search(ctx, t, k)
-        hit = pos < t.count and entries[pos][0] == k
-        return _edit(ctx, t, pos, pos + hit, new, entries)
+    if type(t) is Flat:
+        if new or t.first_key <= k <= t.last_key:
+            pos, entries = _search(ctx, t, k)
+            hit = pos < t.count and entries[pos][0] == k
+            if hit or new:
+                return _edit(ctx, t, pos, pos + hit, new, entries)
+        return t
     if k == t.key:
         l, r = retain(t.left), retain(t.right)
         return _join(ctx, l, new[0], r) if new else _join2(ctx, l, r)
+    # the sibling is retained after the walk below returns: a walk that
+    # raises holds nothing
     e = (t.key, t.value)
     if k < t.key:
-        return _join(ctx, _update(ctx, t.left, k, new, found), e,
-                     retain(t.right))
-    r = _update(ctx, t.right, k, new, found)
-    return _join(ctx, retain(t.left), e, r)
+        l = _update(ctx, t.left, k, new)
+        return t if l is t.left else _join(ctx, l, e, retain(t.right))
+    r = _update(ctx, t.right, k, new)
+    return t if r is t.right else _join(ctx, retain(t.left), e, r)
 
 
 def insert(ctx, t, k, v, combine=_RIGHT):
@@ -234,12 +246,10 @@ def insert(ctx, t, k, v, combine=_RIGHT):
 
 
 def remove(ctx, t, k):
-    """t without the entry at k; an absent key copies nothing and returns
-    t itself (an unfolded block comes back folded)."""
-    found = _seek(ctx, t, k)
-    if found is None:
-        return _as_tree(ctx, retain(t))
-    return _as_tree(ctx, _update(ctx, t, k, [], found))
+    """t without the entry at k, by one walk; an absent key copies nothing
+    and returns t itself (an unfolded block comes back folded)."""
+    r = _update(ctx, t, k, [])
+    return _as_tree(ctx, retain(t) if r is t else r)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +362,7 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
         return retain(t) if only1 else None
     if t is None:
         return _run_or_tree(ctx, arr[lo:hi]) if only2 else None
-    if is_flat(t):
+    if type(t) is Flat:
         out, hit = _merge(_decode(ctx, t), arr[lo:hi], op, combine)
         # a run that adds and changes nothing leaves the block as it is
         return (retain(t) if only1 and not only2 and not hit
@@ -413,7 +423,7 @@ def _filter_tree(ctx, t, keep, prune=None):
         return None
     if prune is not None and not prune(t):
         return None
-    if is_flat(t):
+    if type(t) is Flat:
         entries = _decode(ctx, t)
         kept = [e for e in entries if keep(e)]
         if len(kept) == len(entries):
@@ -439,7 +449,7 @@ def _map_values(ctx, t, f):
     nothing."""
     if t is None:
         return None
-    if is_flat(t):
+    if type(t) is Flat:
         return _make_flat(ctx, [(k, f(v)) for k, v in _decode(ctx, t)])
     e = (t.key, f(t.value))
     fl, fr = fork2(ctx, t.size,
@@ -462,7 +472,7 @@ def reduce(ctx, t, f, identity):
     the cheapest read)."""
     if t is None:
         return identity
-    if is_flat(t):
+    if type(t) is Flat:
         acc = identity
         cols = _columns(ctx, t)
         if cols is None:

@@ -3,8 +3,10 @@
 Elements are ordered by position only: entries carry the element in the
 value slot with an unused key, the context is unordered (no key checks), and
 blocks use the object codec (gap compression needs sorted integer keys, so
-byte codecs are rejected here).  Balance and blocked-leaf invariants are the
-same as for maps; positions are implicit in each node's stored sizes.
+``seq_build`` rejects byte codecs, and ordered contexts, with
+``ContractError`` before it builds anything).  Balance and blocked-leaf
+invariants are the same as for maps; positions are implicit in each node's
+stored sizes.
 ``take``, ``drop`` and ``subseq`` are the read-only walk by position that
 ordered maps use for ``key_range`` (``core._slice``): covered subtrees are
 shared and only the boundary blocks are decoded.
@@ -14,7 +16,7 @@ from .core import (_as_tree, _decode, _make_flat, _make_regular, _rebuild,
                    _slice, flatten, join2, make_context)
 from .encoding import ObjectCodec
 from .errors import ContractError
-from .nodes import is_flat, size
+from .nodes import Flat, size
 from .ordmap import _filter_tree, map_values as seq_map, reduce as seq_reduce
 from .parallel import fork2
 
@@ -32,7 +34,9 @@ def check_seq_context(ctx):
 
 
 def seq_build(ctx, elements):
-    """Sequence whose in-order traversal yields the elements in input order."""
+    """Sequence whose in-order traversal yields the elements in input
+    order."""
+    check_seq_context(ctx)
     return _rebuild(ctx, [(None, x) for x in elements])
 
 
@@ -45,7 +49,7 @@ def nth(ctx, s, i):
         raise IndexError(f"index {i} out of range for sequence of {size(s)}")
     t = s
     while True:
-        if is_flat(t):
+        if type(t) is Flat:
             return _decode(ctx, t)[i][1]
         sl = size(t.left)
         if i < sl:
@@ -84,7 +88,7 @@ def _reverse(ctx, s):
     """Mirror of s; borrows s."""
     if s is None:
         return None
-    if is_flat(s):
+    if type(s) is Flat:
         return _make_flat(ctx, list(reversed(_decode(ctx, s))))
     fl, fr = fork2(ctx, s.size,
                    lambda: _reverse(ctx, s.right),
@@ -105,7 +109,7 @@ def seq_filter(ctx, s, pred):
 def _find_first(ctx, t, pred):
     if t is None:
         return _ABSENT
-    if is_flat(t):
+    if type(t) is Flat:
         for _, v in _decode(ctx, t):
             if pred(v):
                 return v

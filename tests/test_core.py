@@ -12,7 +12,7 @@ from blocktree.counters import counters
 from blocktree.errors import ContractError, InvariantViolation
 from blocktree.inspect import (check_tree, count_blocks, count_nodes,
                                structure_digest, tree_depth)
-from blocktree.nodes import is_flat
+from blocktree.nodes import Flat
 
 from oracles import from_sorted_shape
 
@@ -129,14 +129,14 @@ def test_expose_flat_median_split():
     # the block is sliced into two blocks, both valid trees, and not unfolded
     ctx = make_context(block_size=3, encoding="identity")
     t = build(ctx, [1, 2, 3, 4, 5])
-    assert is_flat(t)
+    assert type(t) is Flat
     shape = from_sorted_shape(KV([1, 2, 3, 4, 5]))
     assert shape[1][0] == 3  # oracle picks the middle entry
     u0 = counters.unfolds
     l, e, r = bt.expose(ctx, t)
     assert counters.unfolds == u0
     assert e[0] == 3
-    assert is_flat(l) and is_flat(r)
+    assert type(l) is Flat and type(r) is Flat
     assert keys_of(ctx, l) == [1, 2]
     assert keys_of(ctx, r) == [4, 5]
     check_tree(ctx, l)
@@ -166,7 +166,7 @@ def test_node_folds_midsize_to_flat():
     l = build(ctx, [1, 2])
     r = build(ctx, [4, 5])
     t = bt.node(ctx, l, (3, 3), r)
-    assert is_flat(t) and t.count == 5
+    assert type(t) is Flat and t.count == 5
     assert keys_of(ctx, t) == [1, 2, 3, 4, 5]
 
 
@@ -177,10 +177,10 @@ def test_node_redistributes_two_blocks():
     l = build(ctx, [1, 2, 3, 4])
     r = build(ctx, [6, 7, 8, 9])
     t = bt.node(ctx, l, (5, 5), r)
-    assert not is_flat(t)
+    assert type(t) is not Flat
     assert t.key == 5
-    assert is_flat(t.left) and t.left.count == 4
-    assert is_flat(t.right) and t.right.count == 4
+    assert type(t.left) is Flat and t.left.count == 4
+    assert type(t.right) is Flat and t.right.count == 4
     assert t.left is l and t.right is r
     check_tree(ctx, t)
 
@@ -192,7 +192,7 @@ def test_node_large_keeps_children():
     r = build(ctx, range(8, 14))
     lid, rid = id(l), id(r)
     t = bt.node(ctx, l, (7, 7), r)
-    assert not is_flat(t)
+    assert type(t) is not Flat
     assert id(t.left) == lid and id(t.right) == rid
     check_tree(ctx, t)
 
@@ -221,7 +221,7 @@ def test_node_folds_at_block_threshold():
     ctx = make_context(block_size=3, encoding="identity")
     t = bt.node(ctx, bt.node(ctx, None, (1, 1), None), (2, 2),
                 bt.node(ctx, None, (3, 3), None))
-    assert is_flat(t)
+    assert type(t) is Flat
     assert keys_of(ctx, t) == [1, 2, 3]
 
 
@@ -230,16 +230,16 @@ def test_fold_of_simplex_tree():
     # it back into the block
     ctx = make_context(block_size=3, encoding="identity")
     u = bt.unfold(ctx, build(ctx, [1, 2, 3]))
-    assert not is_flat(u)
+    assert type(u) is not Flat
     f = bt.fold(ctx, u)
-    assert is_flat(f) and keys_of(ctx, f) == [1, 2, 3]
+    assert type(f) is Flat and keys_of(ctx, f) == [1, 2, 3]
 
 
 def test_fold_idempotent_on_flat():
     ctx = make_context(block_size=3, encoding="identity")
     t = build(ctx, [1, 2, 3, 4, 5])
     f = bt.fold(ctx, t)
-    assert is_flat(f)
+    assert type(f) is Flat
     assert structure_digest(ctx, f) == structure_digest(ctx, t)
 
 
@@ -254,7 +254,7 @@ def test_fold_matches_inorder_oracle():
     ctx = make_context(block_size=4, encoding="identity")
     t = build(ctx, range(7))
     f = bt.fold(ctx, t)
-    assert is_flat(f)
+    assert type(f) is Flat
     assert bt.to_list(ctx, f) == KV(range(7))
 
 
@@ -262,7 +262,7 @@ def _regular_shape(t):
     """An all-regular tree as nested tuples (left, entry, right)."""
     if t is None:
         return None
-    assert not is_flat(t)
+    assert type(t) is not Flat
     return (_regular_shape(t.left), (t.key, t.value), _regular_shape(t.right))
 
 
@@ -274,11 +274,11 @@ def test_unfold_small_block():
         for nb in range(1, 2 * B + 1):
             entries = KV(range(1, nb + 1))
             t = build(ctx, range(1, nb + 1))
-            assert is_flat(t)
+            assert type(t) is Flat
             u = bt.unfold(ctx, t)
             assert _regular_shape(u) == from_sorted_shape(entries)
             f = bt.fold(ctx, u)
-            assert is_flat(f) and bt.to_list(ctx, f) == entries
+            assert type(f) is Flat and bt.to_list(ctx, f) == entries
             for x in (t, u, f):
                 bt.release(x)
 
@@ -286,9 +286,9 @@ def test_unfold_small_block():
 def test_unfold_singleton_block():
     ctx = make_context(block_size=1, encoding="identity")
     t = build(ctx, [4])
-    assert is_flat(t)
+    assert type(t) is Flat
     u = bt.unfold(ctx, t)
-    assert not is_flat(u) and u.key == 4 and u.size == 1
+    assert type(u) is not Flat and u.key == 4 and u.size == 1
 
 
 def test_unfold_non_flat_is_contract_violation():
@@ -304,10 +304,10 @@ def test_fold_unfold_roundtrip_random():
     for _ in range(50):
         ks = sorted(rng.sample(range(1000), rng.randrange(8, 17)))
         b = ordmap.from_sorted(ctx, KV(ks))
-        assert is_flat(b)
+        assert type(b) is Flat
         u = bt.unfold(ctx, b)
         f = bt.fold(ctx, u)
-        assert is_flat(f)
+        assert type(f) is Flat
         assert bt.to_list(ctx, f) == KV(ks)
 
 
@@ -322,13 +322,13 @@ def test_refold_expanded_tree():
     b = build(ctx, [1, 2, 3, 4, 5])
     u = bt.unfold(ctx, b)  # fully expanded
     r = bt.refold(ctx, u)
-    assert is_flat(r) and r.count == 5
+    assert type(r) is Flat and r.count == 5
     check_tree(ctx, r)
 
 
 def _blocks(t, out):
     if t is not None:
-        if is_flat(t):
+        if type(t) is Flat:
             out.append(t)
         else:
             _blocks(t.left, out)
@@ -463,7 +463,7 @@ def test_join_redistribution_oracle():
     l = build(ctx, [1, 2, 3, 4])
     r = build(ctx, [6, 7, 8, 9])
     t = bt.join(ctx, l, (5, 5), r)
-    assert t.key == 5 and is_flat(t.left) and is_flat(t.right)
+    assert t.key == 5 and type(t.left) is Flat and type(t.right) is Flat
     check_tree(ctx, t)
 
 
@@ -705,10 +705,10 @@ def test_depth_bound_random_trees():
 def test_leaf_blocking_threshold():
     ctx = make_context(block_size=8, encoding="identity")
     small = build(ctx, range(7))       # below B: one undersized block
-    assert is_flat(small) and small.count == 7
+    assert type(small) is Flat and small.count == 7
     check_tree(ctx, small)
     big = build(ctx, range(8))         # at B: still one block
-    assert is_flat(big) and big.count == 8
+    assert type(big) is Flat and big.count == 8
     check_tree(ctx, big)
     # built by hand: a tree below B may hold no regular node, so neither a
     # lone regular node nor two blocks joined under one passes

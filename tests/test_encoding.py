@@ -1,7 +1,7 @@
 import hashlib
 import random
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import accumulate
 
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from blocktree.counters import counters
 from blocktree.encoding import DeltaCodec, IdentityCodec, ObjectCodec
 from blocktree.errors import CodecError, CorruptionError
-from blocktree.nodes import is_flat
+from blocktree.nodes import Flat
 
 from oracles import (delta_block_bytes, delta_block_decode, delta_block_payload,
                      identity_block_bytes, varint_decode_stream, varint_encode)
@@ -243,12 +243,27 @@ def test_object_count_mismatch_is_corruption():
     codec = ObjectCodec()
     payload = codec.encode([(1, "a"), (5, "b"), (9, "c")])
     assert codec.search(payload, 3, 5) == (1, payload)
-    assert codec.search(payload, 3, 5, right=True) == (2, payload)
     for count in (2, 4):
         for read in (lambda: codec.decode(payload, count),
                      lambda: codec.search(payload, count, 5)):
             with pytest.raises(CorruptionError, match="^object payload count mismatch$"):
                 read()
+
+
+@pytest.mark.parametrize("cls", [IdentityCodec, DeltaCodec])
+def test_codec_widths_checked_at_construction(cls):
+    # a width is exactly an int: key_width at least 1, value_width at
+    # least 0; neither 2.5 nor True is a width
+    for kw, vw in ((-1, 8), (0, 8), (2.5, 8), (True, 8), ("8", 8), (None, 8),
+                   (8, -3), (8, 1.0), (8, True), (8, False), (8, None)):
+        with pytest.raises(ValueError, match="^(key|value) width must be an "
+                                             "int of at least [01]; got "):
+            cls(key_width=kw, value_width=vw)
+    for kw, vw in ((1, 0), (1, 1), (3, 3), (2, 5), (8, 8)):
+        codec = cls(key_width=kw, value_width=vw)
+        assert (codec.key_width, codec.value_width) == (kw, vw)
+        entries = [(k, (k + 1) % 256 if vw else None) for k in (0, 3, 255)]
+        assert codec.decode(codec.encode(entries), 3) == entries
 
 
 def test_delta_check_entry_messages():
@@ -403,7 +418,7 @@ def test_delta_int_subclass_takes_loop_with_same_bytes():
 def _block_payloads(t, out):
     if t is None:
         return out
-    if is_flat(t):
+    if type(t) is Flat:
         out.append(t.payload)
         return out
     _block_payloads(t.left, out)
@@ -452,14 +467,12 @@ def test_search_agrees_with_decode_and_bisect(kind, keys, probes):
     t = _make_flat(ctx, entries)
     searched_in_place = kind in ("identity", "identity0", "object")
     for k in probes + keys[:3] + keys[-3:]:
-        for right in (False, True):
-            before = counters.decodes
-            pos, view = _search(ctx, t, k, right)
-            assert counters.decodes - before == (0 if searched_in_place else 1)
-            want = (bisect_right if right else bisect_left)(keys, k)
-            assert pos == want
-            for i in {0, len(entries) - 1, max(0, min(pos, len(entries) - 1))}:
-                assert view[i] == entries[i]
+        before = counters.decodes
+        pos, view = _search(ctx, t, k)
+        assert counters.decodes - before == (0 if searched_in_place else 1)
+        assert pos == bisect_left(keys, k)
+        for i in {0, len(entries) - 1, max(0, min(pos, len(entries) - 1))}:
+            assert view[i] == entries[i]
     bt.release(t)
 
 

@@ -8,7 +8,7 @@ from blocktree import graphstore as gs
 from blocktree.errors import CodecError, GraphParseError
 from blocktree.inspect import (BOUNDS_BYTES, FLAT_HEADER_BYTES, check_tree,
                                count_blocks, tree_bytes)
-from blocktree.nodes import is_flat
+from blocktree.nodes import Flat
 
 from oracles import bfs_reference
 
@@ -107,7 +107,7 @@ def test_random_update_interleavings_vs_oracle():
 def _vertex_blocks(t):
     if t is None:
         return []
-    if is_flat(t):
+    if type(t) is Flat:
         return [t]
     return _vertex_blocks(t.left) + _vertex_blocks(t.right)
 
@@ -220,6 +220,26 @@ def test_graph_readers_match_adjacency_oracle(B):
         gs.bfs(g, 9999)
 
 
+def test_has_vertex(monkeypatch):
+    # sources and destinations are vertices, and stay vertices once all
+    # their edges are deleted; insert_edges asks has_vertex about each
+    # destination that is not a source of its batch
+    g = gs.from_edge_list([(1, 2), (2, 3), (4, 1), (5, 6)], block_size=2)
+    assert [v for v in range(8) if gs.has_vertex(g, v)] == [1, 2, 3, 4, 5, 6]
+    h = gs.delete_edges(g, [(5, 6), (4, 1)])
+    assert [v for v in range(8) if gs.has_vertex(h, v)] == [1, 2, 3, 4, 5, 6]
+    assert gs.degree(h, 5) == gs.degree(h, 4) == 0
+    asked, has_vertex = [], gs.has_vertex
+    monkeypatch.setattr(gs, "has_vertex",
+                        lambda g, v: asked.append(v) or has_vertex(g, v))
+    k = gs.insert_edges(h, [(9, 9), (7, 8), (1, 3)])
+    assert asked == [3, 8]
+    assert [v for v in range(10) if has_vertex(k, v)] == [1, 2, 3, 4, 5, 6,
+                                                          7, 8, 9]
+    assert gs.adjacency(k) == {1: [2, 3], 2: [3], 3: [], 4: [], 5: [], 6: [],
+                               7: [8], 8: [], 9: [9]}
+
+
 def test_delete_of_absent_edges_shares_the_vertex_tree():
     # edges absent from sets of existing sources change nothing: each
     # set's multi_delete returns the set itself, which the merge counts as
@@ -230,7 +250,7 @@ def test_delete_of_absent_edges_shares_the_vertex_tree():
     g = gs.from_edge_list(edges, block_size=64)
     present = set(edges)
     in_nodes, t = [], g.vertices
-    while not is_flat(t):
+    while type(t) is not Flat:
         in_nodes.append(t.key)
         t = t.left
     in_blocks = rng.sample(sorted({s for s, _ in edges} - set(in_nodes)), 5)
@@ -331,7 +351,7 @@ def test_small_neighbor_sets_are_one_gap_coded_block():
         d = bt.tree_size(et)
         if 0 < d < 64:
             small += 1
-            assert is_flat(et) and et.count == d
+            assert type(et) is Flat and et.count == d
             # the first key raw (8 B), then one byte per gap
             assert tree_bytes(g.ectx, et) == (header + 8 + (d - 1), header)
         check_tree(g.ectx, et)

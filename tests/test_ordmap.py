@@ -6,12 +6,13 @@ import pytest
 
 import blocktree as bt
 from blocktree import ordmap
+from blocktree.augment import AugSpec, aug_range
 from blocktree.core import make_context
 from blocktree.counters import counters
 from blocktree.errors import CodecError, ContractError
 from blocktree.inspect import (check_tree, count_blocks, count_nodes,
                                structure_digest, tree_depth)
-from blocktree.nodes import is_flat
+from blocktree.nodes import Flat
 
 from oracles import MapModel
 
@@ -53,10 +54,9 @@ def test_from_sorted_shapes():
 
 
 def _blocks(t):
-    from blocktree.nodes import is_flat
     if t is None:
         return
-    if is_flat(t):
+    if type(t) is Flat:
         yield t
         return
     yield from _blocks(t.left)
@@ -312,7 +312,7 @@ def test_one_block_operands_match_model():
             pa = [(k, ("a", k)) for k in rng.sample(range(span), rng.randrange(8 * B, 20 * B + 200))]
             pb = [(k, ("b", k)) for k in rng.sample(range(span), n_small)]
             big, block = ordmap.build(ctx, pa), ordmap.build(ctx, pb)
-            assert is_flat(block)
+            assert type(block) is Flat
             digests = [structure_digest(ctx, t) for t in (big, block)]
             mbig, mblock = MapModel(pa), MapModel(pb)
             for (t1, m1), (t2, m2) in (((big, mbig), (block, mblock)),
@@ -567,6 +567,7 @@ def test_range_rank_next_previous():
     # bounds on a key, between keys, beyond both ends, lo == hi, and the
     # empty map, over a tree of several blocks
     assert ordmap.key_range(ctx, None, 4, 4) is None
+    spec = AugSpec(identity=0, lift=lambda e: e[1], combine=lambda a, b: a + b)
     for enc in ("identity", "delta", "object"):
         ctx = make_context(block_size=3, encoding=enc)
         ks = list(range(0, 60, 2))
@@ -580,13 +581,42 @@ def test_range_rank_next_previous():
                     assert bt.to_list(ctx, r) == m.key_range(lo, hi).items()
                     check_tree(ctx, r)
                     bt.release(r)
+        # every block's first and last key and every regular node's key,
+        # and the keys beside them: the searches that step past an equal
+        # key (next_entry, and aug_range's upper bound in a block)
+        actx = make_context(block_size=3, encoding=enc, aug=spec)
+        ta = ordmap.build(actx, KV(ks))
+        probes = _edge_keys(t, [])
+        assert len(probes) > 10 and _edge_keys(ta, []) == probes
+        near = sorted({p + d for p in probes for d in (-1, 0, 1)})
+        for k in near:
+            assert ordmap.next_entry(ctx, t, k) == m.next_entry(k), k
+            assert ordmap.previous_entry(ctx, t, k) == m.previous_entry(k), k
+        for lo in near:
+            for hi in near:
+                want = sum(v for _, v in m.key_range(lo, hi).items())
+                assert aug_range(actx, ta, lo, hi) == want, (lo, hi)
+        bt.release(t)
+        bt.release(ta)
+
+
+def _edge_keys(t, out):
+    """Each block's first and last key and each regular node's key, in
+    order."""
+    if type(t) is Flat:
+        out += [t.first_key, t.last_key]
+    elif t is not None:
+        _edge_keys(t.left, out)
+        out.append(t.key)
+        _edge_keys(t.right, out)
+    return out
 
 
 def _nodes(t, out):
     """Every node of t, by identity."""
     if t is not None:
         out.add(id(t))
-        if not is_flat(t):
+        if type(t) is not Flat:
             _nodes(t.left, out)
             _nodes(t.right, out)
     return out
@@ -889,7 +919,7 @@ def test_identity_point_reads_decode_no_block():
         ordmap.previous_entry(ctx, t, q)
     assert counters.decodes == before
     block = ordmap.build(ctx, KV(range(0, 120, 3)))
-    assert is_flat(block)
+    assert type(block) is Flat
     before = counters.decodes
     assert ordmap.remove(ctx, block, 4) is block    # absent key: no decode
     assert counters.decodes == before
@@ -982,7 +1012,7 @@ def test_set_combine_result_is_checked_where_stored():
     ctx = make_context(block_size=8, encoding="identity")
     baseline = counters.live
     t = ordmap.build(ctx, KV(range(0, 400, 2)))
-    assert not is_flat(t)
+    assert type(t) is not Flat
     root = KV([t.key])
     other = ordmap.build(ctx, root)
     digests = structure_digest(ctx, t), structure_digest(ctx, other)
@@ -1030,7 +1060,7 @@ def test_point_update_codec_budget():
         ctx = make_context(block_size=128, encoding=encoding)
         t = ordmap.build(ctx, KV(range(0, 2000, 2)))   # four blocks of ~250
         leaf_parent = t.left
-        assert is_flat(leaf_parent.left) and is_flat(leaf_parent.right)
+        assert type(leaf_parent.left) is type(leaf_parent.right) is Flat
         sibling = leaf_parent.right
         found, decodes, folds = _codec_cost(
             lambda: (ordmap.find(ctx, t, 14), ordmap.contains(ctx, t, 15)))
@@ -1087,7 +1117,7 @@ def test_point_update_path_copy_rebuilds_nothing(monkeypatch):
         """(regular nodes on the search path of k, the block it ends in),
         or None where k is a regular node's key"""
         n, x = 0, t
-        while not is_flat(x):
+        while type(x) is not Flat:
             if k == x.key:
                 return None
             n, x = n + 1, (x.left if k < x.key else x.right)
@@ -1154,27 +1184,70 @@ _PURE_IDS = lambda e: f"{e}-pure"
 @pytest.mark.parametrize("encoding", ["identity", "delta", "object"],
                          ids=_PURE_IDS)
 def test_absent_remove_returns_its_input(encoding):
-    # a miss copies no path: no node is allocated or reused, nothing encoded
-    ctx = make_context(block_size=128, encoding=encoding)
-    t = ordmap.build(ctx, KV(range(0, 20000, 2)))
-    node = t
-    while not is_flat(node.left):
-        node = node.left
-    between = node.left.last_key + 1          # past its block, below node
-    assert between < node.key
-    baseline = counters.live
-    digest = structure_digest(ctx, t)
-    for k in (5001, between, 20001):          # in a block's range, outside
-        a0, r0, f0 = counters.allocations, counters.reused, counters.folds
+    # remove is one walk.  A miss copies no path (no node allocated or
+    # reused, nothing encoded) and returns its input; it decodes only a
+    # delta block whose bounds hold the key, since identity and object
+    # search in place.  A hit in a block decodes that block alone on delta.
+    in_block = 1 if encoding == "delta" else 0
+    for B in (8, 128):
+        ctx = make_context(block_size=B, encoding=encoding)
+        n = 160 * B
+        t = ordmap.build(ctx, KV(range(0, n, 2)))
+        node = t
+        while type(node.left) is not Flat:
+            node = node.left
+        block = node.left
+        assert block.count > B                # a hit leaves it whole
+        between = block.last_key + 1          # past its block, below node
+        assert between < node.key
+        baseline = counters.live
+        digest = structure_digest(ctx, t)
+        # below every key, between two blocks and a node on either side,
+        # above every key, and in a block's range
+        for k, decodes in ((-1, 0), (between, 0), (node.key + 1, 0),
+                           (n + 1, 0), (block.first_key + 1, in_block)):
+            c0 = counters.snapshot()
+            t2 = ordmap.remove(ctx, t, k)
+            c1 = counters.snapshot()
+            assert t2 is t
+            assert tuple(c1[c] - c0[c] for c in ("allocations", "reused",
+                                                  "folds", "decodes")) == (
+                0, 0, 0, decodes), k
+            bt.release(t2)                    # remove retained t
+        assert counters.live == baseline
+        k = block.first_key + 2
+        d0 = counters.decodes
         t2 = ordmap.remove(ctx, t, k)
-        assert t2 is t
-        assert (counters.allocations - a0, counters.reused - r0,
-                counters.folds - f0) == (0, 0, 0)
-        bt.release(t2)                        # remove retained t
+        assert counters.decodes - d0 == in_block
+        assert bt.to_list(ctx, t2) == [e for e in KV(range(0, n, 2))
+                                       if e[0] != k]
+        check_tree(ctx, t2)
+        bt.release(t2)
+        assert counters.live == baseline
+        assert structure_digest(ctx, t) == digest
+        check_tree(ctx, t)
+        bt.release(t)
+    # an unfolded block comes back folded: a miss decodes nothing and
+    # builds the one block of its entries
+    ctx = make_context(block_size=8, encoding=encoding)
+    b = ordmap.build(ctx, KV(range(0, 20, 2)))
+    u = bt.unfold(ctx, b)
+    baseline = counters.live
+    for k in (-1, 5, 6, 18, 19):
+        c0 = counters.snapshot()
+        r = ordmap.remove(ctx, u, k)
+        c1 = counters.snapshot()
+        if k % 2:
+            assert tuple(c1[c] - c0[c] for c in ("decodes", "folds",
+                                                  "allocations")) == (0, 1, 1)
+        assert type(r) is Flat
+        assert bt.to_list(ctx, r) == [e for e in KV(range(0, 20, 2))
+                                      if e[0] != k]
+        bt.release(r)
     assert counters.live == baseline
-    assert structure_digest(ctx, t) == digest
-    check_tree(ctx, t)
-    bt.release(t)
+    assert bt.to_list(ctx, u) == KV(range(0, 20, 2))
+    bt.release(u)
+    bt.release(b)
 
 
 @pytest.mark.parametrize("encoding", ["identity", "delta", "object"],
@@ -1285,7 +1358,7 @@ class _NoSpliceObject(bt.ObjectCodec):
 
 def _leaf_count(t, k):
     """Entries of the block a point update of key k reaches in t."""
-    while t is not None and not is_flat(t):
+    while t is not None and type(t) is not Flat:
         if k == t.key:
             return None
         t = t.left if k < t.key else t.right
@@ -1363,7 +1436,7 @@ def test_point_update_of_a_damaged_block_raises(encoding):
     t = ordmap.build(ctx, KV(range(0, 200, 2)))
     digest = structure_digest(ctx, t)
     block = t
-    while not is_flat(block):
+    while type(block) is not Flat:
         block = block.left
     good = block.payload
     live = counters.live

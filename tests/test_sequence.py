@@ -18,6 +18,21 @@ def test_seq_context_rejects_byte_codecs():
         sq.check_seq_context(bad)
 
 
+def test_seq_build_rejects_a_bad_context_before_building():
+    # an ordered object context and unordered byte codecs raise
+    # ContractError before any block is built
+    from blocktree.core import make_context
+    baseline = counters.live
+    for bad in (make_context(block_size=4, encoding="object"),
+                make_context(block_size=4, encoding="identity", ordered=False),
+                make_context(block_size=4, encoding="delta", ordered=False)):
+        a0, f0 = counters.allocations, counters.folds
+        with pytest.raises(ContractError):
+            sq.seq_build(bad, range(10))
+        assert (counters.allocations, counters.folds) == (a0, f0)
+        assert counters.live == baseline
+
+
 def test_build_preserves_order():
     ctx = sq.seq_context(block_size=3)
     assert sq.seq_build(ctx, []) is None

@@ -17,7 +17,7 @@ from blocktree.augment import AugSpec
 from blocktree.core import make_context
 from blocktree.counters import counters
 from blocktree.inspect import check_tree, structure_digest
-from blocktree.nodes import is_flat, size
+from blocktree.nodes import Flat, size
 
 KV = lambda ks: [(k, k * 10 + 1) for k in ks]
 
@@ -45,7 +45,7 @@ class _Run:
         B = self.ctx.config.block_size
         for t in results:
             if size(t) < B:
-                assert t is None or is_flat(t)
+                assert t is None or type(t) is Flat
             check_tree(self.ctx, t)
         for t, digest in self.inputs:
             assert structure_digest(self.ctx, t) == digest
