@@ -34,8 +34,7 @@ def check_seq_context(ctx):
 
 
 def seq_build(ctx, elements):
-    """Sequence whose in-order traversal yields the elements in input
-    order."""
+    """Sequence whose in-order traversal yields the elements in input order."""
     check_seq_context(ctx)
     return _rebuild(ctx, [(None, x) for x in elements])
 
