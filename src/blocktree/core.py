@@ -105,6 +105,7 @@ test-time check.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from operator import itemgetter
 
 from .counters import counters
@@ -262,18 +263,25 @@ def last_key(ctx, t):
 
 def _entries_aug(ctx, entries):
     spec = ctx.aug
-    acc = spec.identity
-    for e in entries:
-        acc = spec.combine(acc, spec.lift(e))
-    return acc
+    return reduce(spec.combine, map(spec.lift, entries), spec.identity)
 
 
-def _make_flat(ctx, entries):
+def _make_flat(ctx, entries, values=None):
+    """Block over sorted entries; with ``values``, ``entries`` is the key
+    column and ``values`` the value column, written by the codec's column
+    writer."""
     counters.folds += 1
-    payload = ctx.codec.encode(entries)
+    n = len(entries)
+    if values is None:
+        payload = ctx.codec.encode(entries)
+        # a sequence's keys are None, so its bounds are too
+        first, last = entries[0][0], entries[-1][0]
+    else:
+        payload = ctx.codec.encode_columns(entries, values)
+        first, last = entries[0], entries[-1]
+        entries = zip(entries, values)
     aug = _entries_aug(ctx, entries) if ctx.aug else None
-    # a sequence's keys are None, so its bounds are too
-    return new_flat(len(entries), payload, entries[0][0], entries[-1][0], aug)
+    return new_flat(n, payload, first, last, aug)
 
 
 def _make_regular(ctx, l, e, r, s):
@@ -293,11 +301,13 @@ def _make_regular(ctx, l, e, r, s):
     return new_regular(e[0], e[1], l, r, s, aug)
 
 
-def _rebuild(ctx, entries, lo=0, hi=None, cap=None):
+def _rebuild(ctx, entries, lo=0, hi=None, cap=None, values=None):
     """Owned tree over sorted entries[lo:hi]: one block up to ``cap``
     entries (default 2B), else blocks of B..2B under balanced regular
     nodes, split at the middle entry.  ``unfold`` passes ``cap=0`` for a
-    tree of regular nodes only."""
+    tree of regular nodes only.  With ``values``, ``entries`` is the key
+    column and ``values`` the value column, and blocks are written from
+    them (``_make_flat``)."""
     if hi is None:
         hi = len(entries)
     if cap is None:
@@ -306,12 +316,14 @@ def _rebuild(ctx, entries, lo=0, hi=None, cap=None):
     if n == 0:
         return None
     if n <= cap:
-        return _make_flat(ctx, entries[lo:hi])
+        return _make_flat(ctx, entries[lo:hi],
+                          None if values is None else values[lo:hi])
     mid = lo + n // 2
     l, r = fork2(ctx, n,
-                 lambda: _rebuild(ctx, entries, lo, mid, cap),
-                 lambda: _rebuild(ctx, entries, mid + 1, hi, cap))
-    return _make_regular(ctx, l, entries[mid], r, n)
+                 lambda: _rebuild(ctx, entries, lo, mid, cap, values),
+                 lambda: _rebuild(ctx, entries, mid + 1, hi, cap, values))
+    e = entries[mid] if values is None else (entries[mid], values[mid])
+    return _make_regular(ctx, l, e, r, n)
 
 
 def _view(ctx, t):
@@ -573,12 +585,15 @@ def _join2(ctx, l, r):
 # fragments: entry runs and the glue that links them
 
 
-def _run_or_tree(ctx, entries):
+def _run_or_tree(ctx, entries, values=None):
     """A base case's result: the entries themselves, as an entry run, while
-    there are fewer than B of them; else their tree."""
+    there are fewer than B of them; else their tree.  With ``values``,
+    ``entries`` is the key column and ``values`` the value column: a run
+    is zipped into entries, and a tree's blocks are written from the
+    columns (``_rebuild``)."""
     if len(entries) < ctx.config.block_size:
-        return entries
-    return _rebuild(ctx, entries)
+        return entries if values is None else list(zip(entries, values))
+    return _rebuild(ctx, entries, values=values)
 
 
 def _is_run(x):

@@ -3,12 +3,14 @@
 Every leaf block stores its entries through a codec.  Two methods are
 required: ``encode`` (entries to payload) and ``decode`` (payload back to
 entries); ``inspect.tree_bytes`` prices a byte payload at its length.
-Four more are optional, with defaults on ``EncodingScheme``:
+Five more are optional, with defaults on ``EncodingScheme``:
 
 ``check_entry(key, value)``
     Raise ``CodecError`` for an entry no block could hold.
     ``ordmap.insert`` and ``ordmap.multi_insert`` call it before their
-    walk starts, so a bad entry builds nothing.  The default accepts
+    walk starts, so a bad entry builds nothing, and the bulk merges and
+    ``ordmap.map_values`` on a combined or mapped value they keep in a
+    regular node, which no writer checks.  The default accepts
     everything.
 
 ``search(payload, count, key)``
@@ -37,11 +39,22 @@ Four more are optional, with defaults on ``EncodingScheme``:
     in entry order, with ``values`` None for a codec that stores no values
     (a delta set); or ``None`` when the codec does not read columns.  It
     runs the checks ``decode`` runs and raises the same
-    ``CorruptionError``s.  Reads that want one side of each entry use it
-    through ``core._columns``, counted as one decode: ``ordmap.reduce``
-    folds the value column, and ``core.keys`` (the graph store's readers)
-    collects the key column; on ``None`` they decode instead.  The
-    default returns ``None``.
+    ``CorruptionError``s.  Reads use it through ``core._columns``,
+    counted as one decode: ``ordmap.reduce`` folds the value column,
+    ``core.keys`` (the graph store's readers) collects the key column,
+    and the bulk merges and ``map_values`` of ``ordmap`` read both; on
+    ``None`` they decode instead.  The default returns ``None``.
+
+``encode_columns(keys, values)``
+    The writer that mirrors ``columns``: the payload ``encode`` writes
+    for the entries ``(keys[i], values[i])``, with ``values`` None for a
+    set, after the same checks and with the same ``CodecError``
+    messages.  The bulk merges and ``map_values`` write their blocks with
+    it straight from their columns (``core._make_flat``).  Each byte
+    codec keeps one writer: ``DeltaCodec.encode`` splits its entries and
+    calls it, and both of ``IdentityCodec``'s writing methods pack
+    through ``_write``.  The default zips the columns and calls
+    ``encode``.
 
 Codecs are stateless and safe to share between threads.  A codec is
 built with a ``key_width`` of at least 1 and a ``value_width`` of at least
@@ -58,9 +71,12 @@ Two byte-oriented codecs ship with the library:
     call, and ``search`` bisects the keys inside the payload, so a point
     read decodes no block, ``splice`` cuts the payload at ``i * step`` and
     ``j * step`` and packs only the new entries, and ``columns`` slices
-    the one unpacked tuple into keys and values.  Other widths use a
-    per-entry loop that writes the same bytes, and searches, splices and
-    column reads fall back to decode.
+    the one unpacked tuple into keys and values.  ``encode`` reads the
+    fields straight from its entry tuples, so a one-entry splice pays no
+    split into columns, and ``encode_columns`` interleaves its two
+    columns; both pack through one writer.  Other widths use a per-entry
+    loop that writes the same bytes, and searches, splices and column
+    reads fall back to decode.
 
 ``DeltaCodec``
     For nonnegative integer keys, strictly increasing within a block::
@@ -72,10 +88,16 @@ Two byte-oriented codecs ship with the library:
     Gaps are classic little-endian base-128 varints: low seven bits per
     byte, high bit set on every byte except the last.  Values are stored
     raw; ``value_width=0`` drops them entirely (sets).  When every gap is
-    below 128 (dense keys), the gaps are one byte each.  Encode checks the
-    keys of a block whose mean gap is below 128 with a few C-level calls
-    and, when every gap is one byte, writes them with one ``bytes`` call;
-    every other block is checked and written by one per-key loop.  Decode
+    below 128 (dense keys), the gaps are one byte each.  The writer is
+    ``encode_columns``; ``encode`` splits its entries into the two
+    columns.  For a block whose mean gap is below 128, one
+    ``bytes(map(sub, ...))`` call computes and writes the gaps (it raises
+    ``ValueError`` for a gap outside 0..255), and ``isascii`` and a search
+    for a zero byte check that each is one varint byte; every other block
+    is checked and written by one per-key loop.  The first and the last
+    key are checked against ``key_width``: the last is the largest, so its
+    check covers the block.  ``check_entry`` passes exact ints in range at
+    once and sends anything else through the checks that raise.  Decode
     sums ``count - 1`` gap bytes that are all below 0x80 with
     ``accumulate``, and reads any other block with one sequential varint
     loop; no parallel-decode claim is made.  Values of width 1, 2, 4 or 8
@@ -99,13 +121,13 @@ from operator import itemgetter, sub
 from .errors import CodecError, CorruptionError
 
 
-def _gap_varints(entries):
-    """The gap varints of a delta block; raises CodecError unless the keys
-    are nonnegative, strictly increasing integers."""
+def _gap_varints(keys):
+    """The gap varints of a delta block's keys; raises CodecError unless
+    they are nonnegative, strictly increasing integers."""
     out = bytearray()
     append = out.append
     prev = None
-    for k, _ in entries:
+    for k in keys:
         if type(k) is not int and (not isinstance(k, int) or isinstance(k, bool)):
             raise CodecError("delta codec requires integer keys")
         if k < 0:
@@ -155,6 +177,10 @@ def _varint_keys(payload, pos, count, first):
     return keys, pos
 
 
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
 def _check_uint(x, width, what):
     if not isinstance(x, int) or isinstance(x, bool):
         raise CodecError(f"{what} must be an integer, got {type(x).__name__}")
@@ -186,6 +212,12 @@ class EncodingScheme:
 
     def decode(self, payload, count):
         raise NotImplementedError
+
+    def encode_columns(self, keys, values=None):
+        """encode of the entries (keys[i], values[i]); values None for a
+        set."""
+        return self.encode(list(zip(keys, repeat(None) if values is None
+                                    else values)))
 
     def check_entry(self, key, value):
         """Raise CodecError if no block could hold (key, value)."""
@@ -247,18 +279,31 @@ class IdentityCodec(EncodingScheme):
             _check_uint(value, self.value_width, "value")
 
     def encode(self, entries):
-        if self._code is not None:
-            if self.value_width:
-                flat = list(chain.from_iterable(entries))
-            else:
-                flat = [k for k, _ in entries]
-            # bool and other int subclasses, and out-of-range integers, go
-            # through the checked loop, which raises the CodecError
-            if set(map(type, flat)) == {int}:
-                try:
-                    return struct.pack(f"<{len(flat)}{self._code}", *flat)
-                except struct.error:
-                    pass
+        # the entries' fields in wire order, read straight from the tuples:
+        # a one-entry splice pays no split into columns
+        if self.value_width:
+            return self._write(list(chain.from_iterable(entries)), entries)
+        return self._write(list(map(_first, entries)), entries)
+
+    def encode_columns(self, keys, values=None):
+        flat = keys
+        if self.value_width:
+            flat = [None] * (2 * len(keys))
+            flat[0::2] = keys
+            flat[1::2] = values
+        return self._write(flat, zip(keys, values or repeat(None)))
+
+    def _write(self, flat, entries):
+        """The one writer: the payload of the block whose fields, in wire
+        order, are ``flat``; ``entries`` iterates its (key, value) pairs
+        for the checked loop."""
+        # bool and other int subclasses, and out-of-range integers, go
+        # through the checked loop, which raises the CodecError
+        if self._code is not None and set(map(type, flat)) == {int}:
+            try:
+                return struct.pack(f"<{len(flat)}{self._code}", *flat)
+            except struct.error:
+                pass
         return self._encode_loop(entries)
 
     def _encode_loop(self, entries):
@@ -334,34 +379,55 @@ class DeltaCodec(EncodingScheme):
         self._value_code = _STRUCT_CODES.get(value_width)
 
     def check_entry(self, key, value):
-        _gap_varints([(key, value)])
-        if self.value_width:
-            _check_uint(value, self.value_width, "value")
+        kw, vw = self.key_width, self.value_width
+        # exact ints in range pass at once; anything else takes the checks
+        # that raise the CodecError
+        if (type(key) is int and key >= 0 and not key >> 8 * kw
+                and (not vw or type(value) is int and value >= 0
+                     and not value >> 8 * vw)):
+            return
+        _gap_varints((key,))
+        _check_uint(key, kw, "key")
+        if vw:
+            _check_uint(value, vw, "value")
 
     def encode(self, entries):
-        if not entries:
+        # this class's writer, not a subclass's: a subclass that wraps both
+        # methods sees one call per block written
+        return DeltaCodec.encode_columns(
+            self, list(map(_first, entries)),
+            list(map(_second, entries)) if self.value_width else None)
+
+    def encode_columns(self, keys, values=None):
+        if not keys:
             return b""
-        first, last = entries[0][0], entries[-1][0]
+        first, last = keys[0], keys[-1]
         gaps = None
         # Only a block whose mean gap is below 128 can have every gap one
-        # byte; its keys are checked by C-level calls and its gaps written
-        # by one.  Every other block, and any block failing a check, goes
-        # through the checked loop, which raises the CodecError.
-        if (type(first) is int and type(last) is int
-                and last - first < 0x80 * (len(entries) - 1)):
-            keys = [k for k, _ in entries]
-            if set(map(type, keys)) == {int} and first >= 0:
-                diffs = list(map(sub, keys[1:], keys))
-                if min(diffs) > 0 and max(diffs) < 0x80:
-                    gaps = bytes(diffs)
+        # byte; its keys are checked and its gaps written by C-level calls
+        # (bytes() raises ValueError for a gap outside 0..255).  Every
+        # other block, and any block failing a check, goes through the
+        # checked loop, which raises the CodecError.
+        if (type(first) is int and type(last) is int and first >= 0
+                and last - first < 0x80 * (len(keys) - 1)
+                and set(map(type, keys)) == {int}):
+            try:
+                gaps = bytes(map(sub, keys[1:], keys))
+            except ValueError:
+                pass
+            if gaps is not None and (not gaps.isascii() or 0 in gaps):
+                gaps = None
         if gaps is None:
-            gaps = _gap_varints(entries)
-        kw, vw = self.key_width, self.value_width
+            gaps = _gap_varints(keys)
+        kw = self.key_width
         _check_uint(first, kw, "first key")
+        # the keys are increasing ints: the last one's width covers them
+        if last >> 8 * kw:
+            _check_uint(last, kw, "key")
         out = bytearray(first.to_bytes(kw, "little"))
         out += gaps
-        if vw:
-            out += self._encode_values([v for _, v in entries])
+        if self.value_width:
+            out += self._encode_values(values)
         return bytes(out)
 
     def _encode_values(self, values):
@@ -415,9 +481,6 @@ class DeltaCodec(EncodingScheme):
         if len(payload) != pos:
             raise CorruptionError("delta payload length mismatch")
         return keys, None
-
-
-_first = itemgetter(0)
 
 
 class ObjectCodec(EncodingScheme):

@@ -39,6 +39,7 @@ counts (values are opaque to the reclamation protocol).
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
+from operator import add
 
 from . import ordmap
 from .augment import AugSpec
@@ -51,7 +52,7 @@ from .nodes import size
 def _edge_count_spec():
     return AugSpec(identity=0,
                    lift=lambda e: size(e[1]),
-                   combine=lambda a, b: a + b)
+                   combine=add)
 
 
 @dataclass(frozen=True)

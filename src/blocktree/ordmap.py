@@ -15,9 +15,17 @@ to keep: those only in the tree, those only in the run, and keys in both
 as the run (flattened once) and recurses on the larger; when the smaller
 one is ``t1``, ``_setop`` mirrors the op triple and flips ``combine``, so it
 is still called as ``combine(t1 value, t2 value)``.  The base case is the
-block: where the run reaches a block, the recursion decodes it, runs the
-three-way ``_merge`` and rebuilds, and every block the run does not reach
-stays shared, so a batch of k keys re-encodes about k blocks.  Under an
+block: where the run reaches a block, ``_merge`` reads it as a key column
+and a value column (``core._columns``; a codec that reads none is decoded,
+and its entries stand in for the value column), merges the run into them
+and writes its result from the merged columns: a block of B..2B entries
+straight through the codec's ``encode_columns``, more cut at the middle
+entry as ``core._rebuild`` cuts, fewer zipped into an entry run.  A run
+below a quarter of the block gallops (Demaine, López-Ortiz and Munro,
+SODA 2000): each run key is bisected into the key column and the stretch
+before it copied as a slice; a longer run walks the block entry by
+entry.  Every block the run does not reach stays shared, so a batch of k
+keys re-encodes about k blocks.  Under an
 op that keeps no run-only entry (``multi_delete``, ``difference``,
 ``graphstore.delete_edges``), a block whose run changes none of its
 entries is shared too, and so is a regular node whose two results are its
@@ -73,9 +81,10 @@ its covered subtrees and allocates O(depth) nodes.
 before their walk starts, so an entry the codec rejects builds nothing.
 ``insert`` runs a custom ``combine`` before that check and checks its result.
 ``union``, ``intersection`` and ``multi_insert`` check each ``combine``
-result where it is stored: the merge base case encodes it into a block, and
-the recursion checks the one it keeps in a regular node.  A rejected result
-raises ``CodecError`` and leaves the inputs intact.
+result, and ``map_values`` each ``f`` result, where it is stored: a block's
+writer checks the results it writes, and the recursion checks the one it
+keeps in a regular node.  A rejected result raises the same ``CodecError``
+either way and leaves the inputs intact.
 
 Every recursion here borrows the tree it reads and retains only what it
 shares into its result, once its own recursive calls have returned;
@@ -263,41 +272,74 @@ _INTERSECTION = (False, False, True)
 _DIFFERENCE = (True, False, False)
 
 
-def _merge(a, b, op, combine):
-    """Three-way merge of sorted entry lists a and b under op, and whether
-    a key in both changed its entry of a: it is dropped, or ``combine``
-    returns anything but a's stored value object itself."""
+# A run below a quarter of its block's size gallops; a longer one walks.
+_GALLOP = 4
+
+
+def _merge(ctx, t, arr, lo, hi, op, combine):
+    """Block t under op with the sorted run arr[lo:hi] as second operand;
+    borrows t.  The one merge: it reads the block as a key column and a
+    value column, copies stretches of both, and writes the result from
+    the merged columns (``_run_or_tree``).  A codec that reads no columns
+    (``core._columns``) merges its decoded entries in the value column's
+    place, beside their keys, and ``combine`` still sees their values.  A
+    run below a quarter of the block gallops: each run key is bisected
+    into the key column, and the stretch before it copied as a slice; a
+    longer one steps through the block entry by entry.  Where the op
+    keeps no run-only entry and no key the run hits changed its entry (it
+    is dropped, or ``combine`` returns the stored value object itself),
+    the block is returned shared."""
     only_a, only_b, both = op
-    out = []
+    run = arr[lo:hi]
+    cols = _columns(ctx, t)
+    if cols is None:
+        vals = _decode(ctx, t)
+        keys = list(map(_entry_key, vals))
+        run = list(zip(map(_entry_key, run), run))
+        if both:
+            def combine(a, b, f=combine):
+                v = f(a[1], b[1])
+                return a if v is a[1] else (a[0], v)
+    else:
+        keys, vals = cols
+        if vals is None:
+            vals = [None] * t.count
+    ok, ov = [], []
     hit = False
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ka, kb = a[i][0], b[j][0]
-        if ka < kb:
+    i, n = 0, len(keys)
+    gallop = _GALLOP * len(run) < n
+    for k, v in run:
+        if gallop:
+            p = bisect_left(keys, k, i)
             if only_a:
-                out.append(a[i])
-            i += 1
-        elif kb < ka:
-            if only_b:
-                out.append(b[j])
-            j += 1
+                ok += keys[i:p]
+                ov += vals[i:p]
+            i = p
         else:
+            while i < n and keys[i] < k:
+                if only_a:
+                    ok.append(keys[i])
+                    ov.append(vals[i])
+                i += 1
+        if i < n and keys[i] == k:
             if both:
-                v = combine(a[i][1], b[j][1])
-                if v is a[i][1]:
-                    out.append(a[i])
-                else:
-                    out.append((ka, v))
-                    hit = True
+                x = combine(vals[i], v)
+                hit = hit or x is not vals[i]
+                ok.append(k)
+                ov.append(x)
             else:
                 hit = True
-            i += 1; j += 1
+            i += 1
+        elif only_b:
+            ok.append(k)
+            ov.append(v)
+    # a run that adds and changes nothing leaves the block as it is
+    if only_a and not only_b and not hit:
+        return retain(t)
     if only_a:
-        out.extend(a[i:])
-    if only_b:
-        out.extend(b[j:])
-    return out, hit
+        ok += keys[i:]
+        ov += vals[i:]
+    return _run_or_tree(ctx, ov) if cols is None else _run_or_tree(ctx, ok, ov)
 
 
 def _combined(ctx, k, a, b, combine):
@@ -363,10 +405,7 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
     if t is None:
         return _run_or_tree(ctx, arr[lo:hi]) if only2 else None
     if type(t) is Flat:
-        out, hit = _merge(_decode(ctx, t), arr[lo:hi], op, combine)
-        # a run that adds and changes nothing leaves the block as it is
-        return (retain(t) if only1 and not only2 and not hit
-                else _run_or_tree(ctx, out))
+        return _merge(ctx, t, arr, lo, hi, op, combine)
     e = (t.key, t.value)
     pos = bisect_left(arr, e[0], lo, hi, key=_entry_key)
     hit = pos < hi and arr[pos][0] == e[0]
@@ -450,8 +489,16 @@ def _map_values(ctx, t, f):
     if t is None:
         return None
     if type(t) is Flat:
-        return _make_flat(ctx, [(k, f(v)) for k, v in _decode(ctx, t)])
+        # the value column mapped, and the block written from the columns
+        cols = _columns(ctx, t)
+        if cols is None:
+            return _make_flat(ctx, [(k, f(v)) for k, v in _decode(ctx, t)])
+        keys, vals = cols
+        return _make_flat(ctx, keys, list(map(
+            f, repeat(None, t.count) if vals is None else vals)))
+    # a node's value is stored where no encode checks it
     e = (t.key, f(t.value))
+    ctx.codec.check_entry(*e)
     fl, fr = fork2(ctx, t.size,
                    lambda: _map_values(ctx, t.left, f),
                    lambda: _map_values(ctx, t.right, f))

@@ -211,11 +211,17 @@ def test_identity_codec_error_messages(kw, vw, bad, why):
         codec.encode(good + [(bad, 1 if vw else None)])
     assert str(exc.value) == "key " + why.format(w=kw)
     with pytest.raises(CodecError) as exc:
+        codec.encode_columns([1, 2, bad], [2, 3, 1] if vw else None)
+    assert str(exc.value) == "key " + why.format(w=kw)
+    with pytest.raises(CodecError) as exc:
         codec.check_entry(bad, 1)
     assert str(exc.value) == "key " + why.format(w=kw)
     if vw:
         with pytest.raises(CodecError) as exc:
             codec.encode(good + [(7, bad)])
+        assert str(exc.value) == "value " + why.format(w=vw)
+        with pytest.raises(CodecError) as exc:
+            codec.encode_columns([1, 2, 7], [2, 3, bad])
         assert str(exc.value) == "value " + why.format(w=vw)
         with pytest.raises(CodecError) as exc:
             codec.check_entry(7, bad)
@@ -264,6 +270,53 @@ def test_codec_widths_checked_at_construction(cls):
         assert (codec.key_width, codec.value_width) == (kw, vw)
         entries = [(k, (k + 1) % 256 if vw else None) for k in (0, 3, 255)]
         assert codec.decode(codec.encode(entries), 3) == entries
+
+
+def test_delta_check_entry_bounds():
+    # exact ints in range pass at once; everything else takes the checks
+    # that raise, in the identity codec's wording for a key too wide
+    for kw, vw in ((8, 8), (2, 1), (3, 0)):
+        codec = DeltaCodec(kw, vw)
+        top_k, top_v = 2 ** (8 * kw), 2 ** (8 * vw)
+        for key in (0, 1, top_k - 1, _Int(5)):
+            codec.check_entry(key, top_v - 1 if vw else None)
+        if vw:
+            codec.check_entry(7, _Int(3))
+        with pytest.raises(CodecError, match=f"^key {top_k} out of range for {kw} bytes$"):
+            codec.check_entry(top_k, 0)
+        for bad, msg in ((1.0, "delta codec requires integer keys"),
+                         (False, "delta codec requires integer keys"),
+                         (-5, "delta codec requires nonnegative keys")):
+            with pytest.raises(CodecError, match=f"^{msg}$"):
+                codec.check_entry(bad, 0)
+        if vw:
+            for bad, msg in ((top_v, f"value {top_v} out of range for {vw} bytes"),
+                             (-1, f"value -1 out of range for {vw} bytes"),
+                             (True, "value must be an integer, got bool")):
+                with pytest.raises(CodecError, match=f"^{msg}$"):
+                    codec.check_entry(3, bad)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["identity", "delta", "object"]), st.data())
+def test_encode_columns_writes_what_encode_writes(kind, data):
+    # the column writer makes encode's bytes from the two columns
+    if kind == "identity":
+        kw, vw, entries = data.draw(identity_block())
+        codec = IdentityCodec(kw, vw)
+    else:
+        vw = data.draw(st.sampled_from([0, 3, 8]))
+        first, gaps = DELTA_GAP_CASES[data.draw(st.sampled_from(sorted(DELTA_GAP_CASES)))]
+        entries = [(k, k % 251 if vw else None)
+                   for k in accumulate(gaps, initial=first)]
+        codec = DeltaCodec(value_width=vw) if kind == "delta" else ObjectCodec()
+    keys = [k for k, _ in entries]
+    values = [v for _, v in entries]
+    payload = codec.encode(entries)
+    assert codec.encode_columns(keys, values) == payload
+    assert codec.encode_columns(tuple(keys), tuple(values)) == payload
+    if not vw and kind != "object":
+        assert codec.encode_columns(keys) == payload
 
 
 def test_delta_check_entry_messages():
@@ -398,6 +451,10 @@ def test_delta_encode_error_messages(vw):
         ([(2 ** 64, 1), (2 ** 64 + 1, 1)],
          "first key 18446744073709551616 out of range for 8 bytes"),
         ([(2 ** 64, 1)], "first key 18446744073709551616 out of range for 8 bytes"),
+        # the last key is the widest: its check covers the block
+        ([(1, 2), (2 ** 64, 1)], "key 18446744073709551616 out of range for 8 bytes"),
+        ([(1, 2), (5, 3), (2 ** 70, 1)],
+         "key 1180591620717411303424 out of range for 8 bytes"),
         (good + [(9, True)], "value must be an integer, got bool"),
         (good + [(9, None)], "value must be an integer, got NoneType"),
         (good + [(9, top)], f"value {top} out of range for {vw} bytes"),
@@ -405,8 +462,11 @@ def test_delta_encode_error_messages(vw):
         ([(9, -1), (10, True)], f"value -1 out of range for {vw} bytes"),
     ]
     for entries, msg in cases:
-        with pytest.raises(CodecError, match=f"^{re.escape(msg)}$"):
-            codec.encode(entries)
+        keys, values = (list(c) for c in zip(*entries))
+        for write in (lambda: codec.encode(entries),
+                      lambda: codec.encode_columns(keys, values)):
+            with pytest.raises(CodecError, match=f"^{re.escape(msg)}$"):
+                write()
 
 
 def test_delta_int_subclass_takes_loop_with_same_bytes():

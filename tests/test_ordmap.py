@@ -7,8 +7,9 @@ import pytest
 import blocktree as bt
 from blocktree import ordmap
 from blocktree.augment import AugSpec, aug_range
-from blocktree.core import make_context
+from blocktree.core import Config, Context, make_context
 from blocktree.counters import counters
+from blocktree.encoding import DeltaCodec, IdentityCodec, ObjectCodec
 from blocktree.errors import CodecError, ContractError
 from blocktree.inspect import (check_tree, count_blocks, count_nodes,
                                structure_digest, tree_depth)
@@ -672,28 +673,37 @@ class _DecodeFault(Exception):
 
 
 def _failing_codec(cls, **kw):
-    """A codec ``cls(**kw)`` whose block reads raise on the ``fail_at``-th
-    one.  A block read is a decode, or a column read where the codec reads
-    columns; each counts once (a declined column read is no block read,
-    and the delta codec's decode parses with its own ``columns``)."""
+    """A codec ``cls(**kw)`` whose block reads and column writes raise on
+    the ``fail_at``-th one.  A block read is a decode, or a column read
+    where the codec reads columns; each counts once (a declined column
+    read is no block read, and the delta codec's decode parses with its
+    own ``columns``).  A column write is a block a merge or a map writes
+    from its columns (``encode_columns``; a codec's ``encode`` calls its
+    own writer, so it is not counted)."""
     class Failing(cls):
         fail_at = None
         calls = 0
+        failed_writes = 0
 
-        def _read(self):
+        def _tick(self, write=False):
             self.calls += 1
             if self.calls == self.fail_at:
+                self.failed_writes += write
                 raise _DecodeFault
 
         def decode(self, payload, count):
-            self._read()
+            self._tick()
             return super().decode(payload, count)
 
         def columns(self, payload, count):
             cols = super().columns(payload, count)
             if cols is not None:
-                self._read()
+                self._tick()
             return cols
+
+        def encode_columns(self, keys, values=None):
+            self._tick(write=True)
+            return super().encode_columns(keys, values)
     return Failing(**kw)
 
 
@@ -707,9 +717,9 @@ def _handles(result):
 
 @pytest.mark.parametrize("B", [1, 2, 8])
 def test_failed_decodes_release_what_they_hold(B):
-    # a block read that fails anywhere in a key_range, a subseq, a split,
-    # a split_last, an expose, an append, a filter, a map_values, a reduce,
-    # a write or a graph read (neighbors, bfs) (the position search, the
+    # a block read or column write that fails anywhere in a key_range, a
+    # subseq, a split, a split_last, an expose, an append, a filter, a
+    # map_values, a reduce, a write or a graph read (neighbors, bfs) (the position search, the
     # walk, the merges, the splits and joins that assemble the pieces, the
     # branch that fork2 ran first) leaves the inputs intact and releases
     # every node the operation had made.  The delta codec has no in-place
@@ -728,12 +738,13 @@ def test_failed_decodes_release_what_they_hold(B):
                         [(rng.randrange(3 * B + 9), rng.randrange(20 * B + 9))
                          for _ in range(40 * B)] + [(0, v) for v in range(5 * B)])
     baseline = counters.live
-    cases, trees = [], []
+    cases, trees, writers = [], [], []
     for codec in (vcodec, ecodec):
         cases.append((codec, vctx, (g.vertices,), lambda: gs.bfs(g, 0)))
     cases.append((ecodec, vctx, (g.vertices,), lambda: gs.neighbors(g, 0)))
     for cls in (IdentityCodec, DeltaCodec):
         codec = _failing_codec(cls)
+        writers.append(codec)
         ctx = Context(Config(block_size=B), codec)
         t = ordmap.build(ctx, KV(range(0, 40 * B + 60, 2)))
         other = ordmap.build(ctx, KV(range(B, 30 * B + 7, 3)))
@@ -788,6 +799,8 @@ def test_failed_decodes_release_what_they_hold(B):
             assert [structure_digest(c, x) for x in xs] == digests
             swept += 1
     assert swept >= len(cases)
+    # the merges and maps of both byte codecs failed in their column writes
+    assert all(c.failed_writes for c in writers)
     for x in trees + [s, s2]:
         bt.release(x)
     assert counters.live == baseline
@@ -1496,3 +1509,147 @@ def test_merge_with_no_hit_shares_its_input():
     g2 = gs.delete_edges(g, [(20000 + i, i) for i in range(100)])
     assert (counters.folds - f0, counters.allocations - a0) == (0, 0)
     assert g2.vertices is g.vertices
+
+
+# The codecs a block merge reads as columns (identity at struct widths,
+# delta) and those it reads as entries (identity at loop widths, object),
+# each with the value it stores at key k (None for a set).
+MERGE_CODECS = {
+    "identity8/8": (lambda: IdentityCodec(8, 8), lambda k: k % 997 + 1),
+    "identity8/0": (lambda: IdentityCodec(8, 0), lambda k: None),
+    "identity3/3": (lambda: IdentityCodec(3, 3), lambda k: k % 997 + 1),
+    "delta8": (lambda: DeltaCodec(value_width=8), lambda k: k % 997 + 1),
+    "delta0": (lambda: DeltaCodec(value_width=0), lambda k: None),
+    "object": (ObjectCodec, lambda k: k % 997 + 1),
+}
+# (tree entries, run entries): run-to-block ratios 1:100, 1:10, 1:1, 4:1
+MERGE_SIZES = [(3000, 30), (1000, 100), (400, 400), (150, 600)]
+
+
+def _keep_or_bump(a, b):
+    """A combine that returns the stored value object itself for some
+    keys and a new value for the others."""
+    return a if b is None or b % 3 == 0 else b + 1
+
+
+def _bump(v):
+    return None if v is None else v + 1
+
+
+@pytest.mark.parametrize("B", [1, 2, 8, 128])
+@pytest.mark.parametrize("name", sorted(MERGE_CODECS))
+def test_bulk_ops_match_dict_oracle_across_merge_shapes(name, B):
+    # every bulk op at every run-to-block ratio, on codecs read as columns
+    # and as entries: the galloping and the walking merge, blocks written
+    # from columns, runs zipped below B and results cut above 2B
+    make, val = MERGE_CODECS[name]
+    ctx = Context(Config(block_size=B), make())
+    rng = random.Random(B)
+    baseline = counters.live
+    for n, m in MERGE_SIZES:
+        space = 4 * (n + m)
+        a = {k: val(k) for k in rng.sample(range(space), n)}
+        hits = rng.sample(sorted(a), min(n, m) // 2)
+        b = {k: val(k + 1) for k in hits + rng.sample(range(space), m)}
+        t, o = ordmap.build(ctx, a.items()), ordmap.build(ctx, b.items())
+        both = a.keys() & b.keys()
+        union = {**a, **b}
+        union.update((k, _keep_or_bump(a[k], b[k])) for k in both)
+        gone = set(b)
+        cases = [
+            (lambda: ordmap.union(ctx, t, o, _keep_or_bump), union),
+            (lambda: ordmap.intersection(ctx, t, o, _keep_or_bump),
+             {k: _keep_or_bump(a[k], b[k]) for k in both}),
+            (lambda: ordmap.difference(ctx, t, o),
+             {k: v for k, v in a.items() if k not in b}),
+            (lambda: ordmap.multi_insert(ctx, t, b.items(), _keep_or_bump),
+             union),
+            (lambda: ordmap.multi_delete(ctx, t, gone),
+             {k: v for k, v in a.items() if k not in gone}),
+            (lambda: ordmap.map_values(ctx, t, _bump),
+             {k: _bump(v) for k, v in a.items()}),
+        ]
+        for op, want in cases:
+            r = op()
+            assert bt.to_list(ctx, r) == sorted(want.items()), (n, m)
+            check_tree(ctx, r)
+            bt.release(r)
+        assert bt.to_list(ctx, t) == sorted(a.items())
+        bt.release(t)
+        bt.release(o)
+    assert counters.live == baseline
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_CODECS))
+def test_short_run_into_one_block_decodes_and_folds_it_once(name):
+    make, val = MERGE_CODECS[name]
+    ctx = Context(Config(block_size=128), make())
+    t = ordmap.build(ctx, [(k, val(k)) for k in range(0, 20000, 2)])
+    lo = next(_blocks(t)).first_key
+    d0, f0 = counters.decodes, counters.folds
+    t2 = ordmap.multi_insert(ctx, t, [(lo + 1, val(1)), (lo + 3, val(3))])
+    assert (counters.decodes - d0, counters.folds - f0) == (1, 1)
+    assert ordmap.find(ctx, t2, lo + 3) == val(3)
+    # a delete that hits no key of the block shares it, and the tree
+    d0, f0 = counters.decodes, counters.folds
+    t3 = ordmap.multi_delete(ctx, t, [lo + 1, lo + 5])
+    assert (counters.decodes - d0, counters.folds - f0) == (1, 0)
+    assert t3 is t
+    for x in (t, t2, t3):
+        bt.release(x)
+
+
+@pytest.mark.parametrize("encoding", ["identity", "delta"])
+def test_rejected_results_raise_alike_in_blocks_and_runs(encoding):
+    # a combine or f result the codec rejects raises the CodecError that
+    # encode raises for it, whether it lands in a block written from the
+    # merged columns, in an entry run or in a regular node
+    ctx = make_context(block_size=8, encoding=encoding)
+    baseline = counters.live
+    with pytest.raises(CodecError) as exc:
+        ctx.codec.encode([(1, -1)])
+    want = str(exc.value)
+    t = ordmap.build(ctx, KV(range(0, 400, 2)))
+    k = next(_blocks(t)).first_key
+    digest = structure_digest(ctx, t)
+    one = ordmap.build(ctx, KV([k]))
+    reject = lambda a, b: -1
+    for op in (lambda: ordmap.union(ctx, t, one, reject),           # a block
+               lambda: ordmap.intersection(ctx, t, one, reject),    # a run
+               lambda: ordmap.multi_insert(ctx, t, KV([k]), reject),
+               lambda: ordmap.map_values(
+                   ctx, t, lambda v: -1 if v == k * 10 + 1 else v),
+               lambda: ordmap.map_values(                           # a node
+                   ctx, t, lambda v: -1 if v == t.value else v)):
+        with pytest.raises(CodecError) as exc:
+            op()
+        assert str(exc.value) == want
+        assert structure_digest(ctx, t) == digest
+    bt.release(t)
+    bt.release(one)
+    assert counters.live == baseline
+
+
+def test_delta_keys_wider_than_the_key_width_are_rejected():
+    ctx = make_context(block_size=4, encoding="delta")
+    wide = 2 ** 64 + 5
+    msg = f"^key {wide} out of range for 8 bytes$"
+    baseline = counters.live
+    t = ordmap.build(ctx, KV(range(10)))
+    digest = structure_digest(ctx, t)
+    live = counters.live
+    # the parent stored the key unless it landed first in a block, and a
+    # split or key_range over the result then failed to write its blocks
+    for op in (lambda: ordmap.insert(ctx, t, wide, 1),
+               lambda: ordmap.multi_insert(ctx, t, [(3, 1), (wide, 1)]),
+               lambda: ordmap.build(ctx, KV(range(10)) + [(wide, 1)])):
+        with pytest.raises(CodecError, match=msg):
+            op()
+        assert counters.live == live
+        assert structure_digest(ctx, t) == digest
+    l, e, r = bt.split(ctx, t, 9)
+    assert e == (9, 91) and r is None
+    assert bt.to_list(ctx, ordmap.key_range(ctx, t, 9.5, wide)) == []
+    bt.release(l)
+    bt.release(t)
+    assert counters.live == baseline
