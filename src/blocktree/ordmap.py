@@ -272,7 +272,9 @@ _INTERSECTION = (False, False, True)
 _DIFFERENCE = (True, False, False)
 
 
-# A run below a quarter of its block's size gallops; a longer one walks.
+# A run below a quarter of its block gallops: near a quarter, a bisect and
+# two slices per run key cost what the walk spends stepping over the block
+# entries between them (measured at 10-60 run keys against 86-256 entries).
 _GALLOP = 4
 
 
@@ -291,11 +293,12 @@ def _merge(ctx, t, arr, lo, hi, op, combine):
     the block is returned shared."""
     only_a, only_b, both = op
     run = arr[lo:hi]
+    gallop = _GALLOP * len(run) < t.count
     cols = _columns(ctx, t)
     if cols is None:
         vals = _decode(ctx, t)
         keys = list(map(_entry_key, vals))
-        run = list(zip(map(_entry_key, run), run))
+        run = zip(map(_entry_key, run), run)
         if both:
             def combine(a, b, f=combine):
                 v = f(a[1], b[1])
@@ -306,8 +309,7 @@ def _merge(ctx, t, arr, lo, hi, op, combine):
             vals = [None] * t.count
     ok, ov = [], []
     hit = False
-    i, n = 0, len(keys)
-    gallop = _GALLOP * len(run) < n
+    i, n = 0, t.count
     for k, v in run:
         if gallop:
             p = bisect_left(keys, k, i)

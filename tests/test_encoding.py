@@ -297,7 +297,7 @@ def test_delta_check_entry_bounds():
                     codec.check_entry(3, bad)
 
 
-@settings(max_examples=200)
+@settings(max_examples=100)
 @given(st.sampled_from(["identity", "delta", "object"]), st.data())
 def test_encode_columns_writes_what_encode_writes(kind, data):
     # the column writer makes encode's bytes from the two columns

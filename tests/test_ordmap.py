@@ -1523,7 +1523,7 @@ MERGE_CODECS = {
     "object": (ObjectCodec, lambda k: k % 997 + 1),
 }
 # (tree entries, run entries): run-to-block ratios 1:100, 1:10, 1:1, 4:1
-MERGE_SIZES = [(3000, 30), (1000, 100), (400, 400), (150, 600)]
+MERGE_SIZES = [(2000, 20), (600, 60), (300, 300), (100, 400)]
 
 
 def _keep_or_bump(a, b):
