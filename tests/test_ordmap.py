@@ -1638,8 +1638,9 @@ def test_delta_keys_wider_than_the_key_width_are_rejected():
     t = ordmap.build(ctx, KV(range(10)))
     digest = structure_digest(ctx, t)
     live = counters.live
-    # the parent stored the key unless it landed first in a block, and a
-    # split or key_range over the result then failed to write its blocks
+    # a key wider than the key width is rejected before anything is
+    # built, wherever in its block it would land: stored anywhere but
+    # first, it would make a later split or key_range fail to write
     for op in (lambda: ordmap.insert(ctx, t, wide, 1),
                lambda: ordmap.multi_insert(ctx, t, [(3, 1), (wide, 1)]),
                lambda: ordmap.build(ctx, KV(range(10)) + [(wide, 1)])):
