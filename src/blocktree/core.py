@@ -12,7 +12,7 @@ A tree is ``None``, a ``Regular`` node (one entry, two children), or a
 Everything else in the library is built from the primitives here: expose,
 flatten, fold, unfold, join, join2, split and split_last.  ``items`` and
 ``to_list`` read ``flatten``'s list, ``keys`` is ``flatten`` of each
-block's key column alone (``_columns``, where the codec reads one),
+block's key column alone (``_columns``),
 ``node`` is a second name for ``join`` and ``refold`` one for ``fold``,
 and ``_rebuild`` builds every tree from sorted entries, the all-regular
 one ``unfold`` returns included.
@@ -185,12 +185,9 @@ def _search(ctx, t, k):
 
 def _columns(ctx, t):
     """(keys, values) of block t, values None where the codec stores none,
-    counted as one decode; or None where the codec reads no columns
-    (``EncodingScheme.columns``), and the caller decodes."""
-    cols = ctx.codec.columns(t.payload, t.count)
-    if cols is not None:
-        counters.decodes += 1
-    return cols
+    counted as one decode."""
+    counters.decodes += 1
+    return ctx.codec.columns(t.payload, t.count)
 
 
 def flatten(ctx, t, out=None):
@@ -210,15 +207,13 @@ def flatten(ctx, t, out=None):
 
 def keys(ctx, t, out=None):
     """In-order keys of ``t`` as a list (read-only): each block's key
-    column, or its decoded entries' keys where the codec reads none."""
+    column."""
     if out is None:
         out = []
     if t is None:
         return out
     if type(t) is Flat:
-        cols = _columns(ctx, t)
-        out.extend(map(_entry_key, _decode(ctx, t)) if cols is None
-                   else cols[0])
+        out.extend(_columns(ctx, t)[0])
         return out
     keys(ctx, t.left, out)
     out.append(t.key)
@@ -361,7 +356,8 @@ def _edit(ctx, t, i, j, new=(), entries=None, hi=None, run=False):
 
     def block(a, b):    # entries [a, b) of the result, over its payload
         counters.folds += 1
-        q = codec.splice(codec.splice(p, full, b, full, ()), b, 0, a, ())
+        q = p if b - a == full else codec.splice(
+            codec.splice(p, full, b, full, ()), b, 0, a, ())
         return new_flat(b - a, q, at[a][0], at[b - 1][0], None)
 
     if c <= 2 * B:

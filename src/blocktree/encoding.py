@@ -7,15 +7,18 @@ Five more are optional, with defaults on ``EncodingScheme``:
 
 ``check_entry(key, value)``
     Raise ``CodecError`` for an entry no block could hold.
-    ``ordmap.insert`` and ``ordmap.multi_insert`` call it before their
-    walk starts, so a bad entry builds nothing, and the bulk merges and
-    ``ordmap.map_values`` on a combined or mapped value they keep in a
-    regular node, which no writer checks.  The default accepts
-    everything.
+    ``ordmap.multi_insert`` calls it before its walk starts and
+    ``ordmap.insert`` on the entry it stores, where its walk finds the
+    key's place, so a bad entry builds nothing; ``graphstore.insert_edges``
+    calls it on every endpoint before it builds an edge tree; and the
+    bulk merges and ``ordmap.map_values`` call it on a combined or mapped
+    value they keep in a regular node, which no writer checks.  The
+    default accepts everything.
 
 ``search(payload, count, key)``
     ``(pos, entries)``: the ``bisect_left`` position of ``key`` among the
-    block's keys, and the block's entries as an indexable sequence; or
+    block's keys, and the block's entries as an indexable sequence (the
+    shipped codecs' one view reads entry ``i`` from the two columns); or
     ``None`` when the codec cannot search its payload in place.  Point
     reads use it through ``core._search``, which falls back to a full
     (counted) ``decode`` and a bisect on ``None``; a reader that wants the
@@ -32,18 +35,22 @@ Five more are optional, with defaults on ``EncodingScheme``:
     codec that splices also searches in place, and ``core._edit`` reads
     the new block's bounds and middle entry by ``search`` on the spliced
     payload, which checks its length against the edited count before any
-    block is built on it.  The default returns ``None``.
+    block is built on it (``ObjectCodec.splice`` checks its payload
+    anyway, since it must unpack the pair to splice it).  The default
+    returns ``None``.
 
 ``columns(payload, count)``
     ``(keys, values)``: the block's keys and its values as two sequences
     in entry order, with ``values`` None for a codec that stores no values
-    (a delta set); or ``None`` when the codec does not read columns.  It
-    runs the checks ``decode`` runs and raises the same
+    (a byte set).  It runs the checks ``decode`` runs and raises the same
     ``CorruptionError``s.  Reads use it through ``core._columns``,
     counted as one decode: ``ordmap.reduce`` folds the value column,
     ``core.keys`` (the graph store's readers) collects the key column,
-    and the bulk merges and ``map_values`` of ``ordmap`` read both; on
-    ``None`` they decode instead.  The default returns ``None``.
+    the bulk merges and ``map_values`` of ``ordmap`` read both, and
+    ``sequence``'s ``nth``, ``find_first`` and ``reverse`` read the value
+    column.  Every shipped codec reads columns, so no reader keeps a
+    second, decoding path.  The default splits ``decode``'s entries, for
+    a codec that only decodes.
 
 ``encode_columns(keys, values)``
     The writer that mirrors ``columns``: the payload ``encode`` writes
@@ -74,9 +81,10 @@ Two byte-oriented codecs ship with the library:
     the one unpacked tuple into keys and values.  ``encode`` reads the
     fields straight from its entry tuples, so a one-entry splice pays no
     split into columns, and ``encode_columns`` interleaves its two
-    columns; both pack through one writer.  Other widths use a per-entry
-    loop that writes the same bytes, and searches, splices and column
-    reads fall back to decode.
+    columns; both pack through one writer.  Other widths use per-entry
+    loops that write and read the same bytes: ``columns`` parses the
+    block into its two columns, ``decode`` zips them, and searches and
+    splices fall back to decode.
 
 ``DeltaCodec``
     For nonnegative integer keys, strictly increasing within a block::
@@ -104,12 +112,15 @@ Two byte-oriented codecs ship with the library:
     are packed and unpacked by one ``struct`` call.  ``columns`` is the
     one parser: ``decode`` zips its two columns into entries.
 
-``ObjectCodec`` keeps entries as a plain tuple for payloads that are not
-byte-packable (sequences of arbitrary elements, nested tree handles).
+``ObjectCodec`` stores a block as two tuples, ``(keys, values)``, for
+entries that are not byte-packable (sequences of arbitrary elements,
+nested tree handles).  ``columns`` is the payload itself, once it has
+checked that the payload is a pair of ``count``-long columns; ``decode``
+zips the pair, ``search`` bisects the key tuple in place, and ``splice``
+splices both tuples, each after the same check, so a damaged payload
+raises ``CorruptionError`` before anything is built from it.
 ``inspect.tree_bytes`` prices its payload by a nominal pointer model
-(``NOMINAL_ENTRY_BYTES`` per entry), ``search`` bisects the tuple in
-place, and ``splice`` splices it.  It reads no columns: iterating its
-stored tuples is already the cheapest way through a block.
+(``NOMINAL_ENTRY_BYTES`` per entry).
 """
 
 import struct
@@ -190,7 +201,7 @@ def _check_uint(x, width, what):
 
 class EncodingScheme:
     """Codec interface; subclasses implement the two required methods and
-    may override the four optional ones (see the module docstring)."""
+    may override the five optional ones (see the module docstring)."""
 
     name = "abstract"
     # True when the codec cannot read its first/last key in O(1) from the
@@ -232,28 +243,30 @@ class EncodingScheme:
         return None
 
     def columns(self, payload, count):
-        """(keys, values), values None where none are stored; or None:
-        no column read."""
-        return None
+        """(keys, values), values None where none are stored: by default
+        the decoded entries, split."""
+        entries = self.decode(payload, count)
+        return list(map(_first, entries)), list(map(_second, entries))
 
 
 # struct codes for the widths the identity codec packs in one call
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-class _PackedEntries:
-    """The entries of an identity payload, each unpacked when indexed."""
+class _Entries:
+    """A block's entries read in place from its two columns: entry i is
+    ``(keys[i], values[i])``, or ``(keys[i], None)`` where ``values`` is
+    None."""
 
-    __slots__ = ("_payload", "_entry", "_keys_only")
+    __slots__ = ("_keys", "_values")
 
-    def __init__(self, payload, entry, keys_only):
-        self._payload = payload
-        self._entry = entry
-        self._keys_only = keys_only
+    def __init__(self, keys, values):
+        self._keys = keys
+        self._values = values
 
     def __getitem__(self, i):
-        e = self._entry.unpack_from(self._payload, i * self._entry.size)
-        return (e[0], None) if self._keys_only else e
+        values = self._values
+        return self._keys[i], None if values is None else values[i]
 
 
 class IdentityCodec(EncodingScheme):
@@ -267,8 +280,9 @@ class IdentityCodec(EncodingScheme):
             code = None
         # one struct code for every field, or None for the per-entry loop
         self._code = code
-        self._entry = (struct.Struct("<" + code * (2 if value_width else 1))
-                       if code else None)
+        # one [key][value] entry, where decode unpacks them in one call
+        self._entry = (struct.Struct("<" + code * 2)
+                       if code and value_width else None)
         # memoryview casts read native byte order: the payload is searched
         # in place only where that order is the wire format's
         self._view = code if sys.byteorder == "little" else None
@@ -322,43 +336,40 @@ class IdentityCodec(EncodingScheme):
             raise CorruptionError("identity payload length mismatch")
 
     def decode(self, payload, count):
-        self._check_length(payload, count)
-        if self._entry is None:
-            return self._decode_loop(payload, count)
-        if self.value_width:
+        if self._entry is not None:
+            self._check_length(payload, count)
             return list(self._entry.iter_unpack(payload))
-        return list(zip(struct.unpack(f"<{count}{self._code}", payload),
-                        repeat(None)))
+        # this class's parser, not a subclass's: a subclass that wraps both
+        # methods sees one call per block read
+        keys, values = IdentityCodec.columns(self, payload, count)
+        return list(zip(keys, repeat(None) if values is None else values))
 
     def columns(self, payload, count):
-        if self._code is None:
-            return None
         self._check_length(payload, count)
+        if self._code is None:
+            return self._columns_loop(payload, count)
         if not self.value_width:
             return struct.unpack(f"<{count}{self._code}", payload), None
         flat = struct.unpack(f"<{2 * count}{self._code}", payload)
         return flat[0::2], flat[1::2]
 
-    def _decode_loop(self, payload, count):
-        kw, vw, step = self.key_width, self.value_width, self._step
-        entries = []
-        pos = 0
-        for _ in range(count):
-            k = int.from_bytes(payload[pos:pos + kw], "little")
-            v = int.from_bytes(payload[pos + kw:pos + step], "little") if vw else None
-            entries.append((k, v))
-            pos += step
-        return entries
+    def _columns_loop(self, payload, count):
+        kw, vw, end = self.key_width, self.value_width, count * self._step
+        keys = [int.from_bytes(payload[p:p + kw], "little")
+                for p in range(0, end, self._step)]
+        if not vw:
+            return keys, None
+        return keys, [int.from_bytes(payload[p:p + vw], "little")
+                      for p in range(kw, end, self._step)]
 
     def search(self, payload, count, key):
         if self._view is None:
             return None
         self._check_length(payload, count)
-        keys = memoryview(payload).cast(self._view)
+        keys, values = memoryview(payload).cast(self._view), None
         if self.value_width:
-            keys = keys[0::2]
-        return bisect_left(keys, key), _PackedEntries(payload, self._entry,
-                                                      not self.value_width)
+            keys, values = keys[0::2], keys[1::2]
+        return bisect_left(keys, key), _Entries(keys, values)
 
     def splice(self, payload, count, i, j, entries):
         # a payload that is not searched in place is not spliced either
@@ -484,29 +495,43 @@ class DeltaCodec(EncodingScheme):
 
 
 class ObjectCodec(EncodingScheme):
-    """Stores entries as a tuple; for payloads that are not byte-packable."""
+    """Stores a block as a key tuple and a value tuple; for payloads that
+    are not byte-packable."""
 
     name = "object"
     # Pointer-model estimate: one key word plus one value word per entry.
     NOMINAL_ENTRY_BYTES = 16
 
     def encode(self, entries):
-        return tuple(entries)
+        return tuple(map(_first, entries)), tuple(map(_second, entries))
 
-    def _checked(self, payload, count):
-        if len(payload) != count:
+    def encode_columns(self, keys, values=None):
+        return tuple(keys), ((None,) * len(keys) if values is None
+                             else tuple(values))
+
+    def columns(self, payload, count):
+        if (len(payload) != 2 or len(payload[0]) != count
+                or len(payload[1]) != count):
             raise CorruptionError("object payload count mismatch")
         return payload
 
+    # decode, search and splice check the payload through this class's
+    # columns, not a subclass's: a subclass that wraps decode and columns
+    # sees one call per block read
+
     def decode(self, payload, count):
-        return list(self._checked(payload, count))
+        keys, values = ObjectCodec.columns(self, payload, count)
+        return list(zip(keys, values))
 
     def search(self, payload, count, key):
-        return (bisect_left(self._checked(payload, count), key, key=_first),
-                payload)
+        keys, values = ObjectCodec.columns(self, payload, count)
+        return bisect_left(keys, key), _Entries(keys, values)
 
     def splice(self, payload, count, i, j, entries):
-        return payload[:i] + tuple(entries) + payload[j:]
+        keys, values = ObjectCodec.columns(self, payload, count)
+        new_keys, new_values = ObjectCodec.encode(self, entries)
+        return (keys[:i] + new_keys + keys[j:],
+                values[:i] + new_values + values[j:])
 
 
 def make_codec(spec, value_width=8):

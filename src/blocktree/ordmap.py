@@ -16,11 +16,11 @@ as the run (flattened once) and recurses on the larger; when the smaller
 one is ``t1``, ``_setop`` mirrors the op triple and flips ``combine``, so it
 is still called as ``combine(t1 value, t2 value)``.  The base case is the
 block: where the run reaches a block, ``_merge`` reads it as a key column
-and a value column (``core._columns``; a codec that reads none is decoded,
-and its entries stand in for the value column), merges the run into them
-and writes its result from the merged columns: a block of B..2B entries
-straight through the codec's ``encode_columns``, more cut at the middle
-entry as ``core._rebuild`` cuts, fewer zipped into an entry run.  A run
+and a value column (``core._columns``, which every codec reads), merges
+the run into them and writes its result from the merged columns: a block
+of B..2B entries straight through the codec's ``encode_columns``, more
+cut at the middle entry as ``core._rebuild`` cuts, fewer zipped into an
+entry run.  A run
 below a quarter of the block gallops (Demaine, López-Ortiz and Munro,
 SODA 2000): each run key is bisected into the key column and the stretch
 before it copied as a slice; a longer run walks the block entry by
@@ -60,10 +60,10 @@ A point operation is one walk from the root to a block.  ``get_entry``
 (behind ``find`` and ``contains``) is the lookup walk: it stops at a
 regular node holding the key, and searches no block whose bounds exclude
 it.  ``insert`` and ``remove`` are one ``_update`` walk each, a path copy
-on the way back up (an ``insert`` with its own ``combine`` looks the old
-value up first); a remove that finds nothing copies nothing and returns
-its input itself, and searches no block whose bounds exclude the key
-either.
+on the way back up; an ``insert`` with its own ``combine`` runs it where
+the walk finds the key.  A remove that finds nothing copies nothing and
+returns its input itself, and searches no block whose bounds exclude the
+key either.
 
 ``rank`` is the position search of a keyed split (``core._locate``), and
 ``key_range`` reads the positions ``[rank(lo), rank(hi) + (hi present))``
@@ -77,9 +77,10 @@ sides cost nothing: a ~100-entry range at B=128 makes one block (one
 allocation, one encode), and a range that covers most of the map shares
 its covered subtrees and allocates O(depth) nodes.
 
-``insert`` and ``multi_insert`` check every incoming entry against the codec
-before their walk starts, so an entry the codec rejects builds nothing.
-``insert`` runs a custom ``combine`` before that check and checks its result.
+``multi_insert`` checks every incoming entry against the codec before its
+walk starts, and ``insert`` checks the entry it stores (``combine``'s result
+on a hit, the incoming entry on a miss) where its walk finds the key's
+place, so an entry the codec rejects builds nothing.
 ``union``, ``intersection`` and ``multi_insert`` check each ``combine``
 result, and ``map_values`` each ``f`` result, where it is stored: a block's
 writer checks the results it writes, and the recursion checks the one it
@@ -211,47 +212,61 @@ def previous_entry(ctx, t, k):
 # point updates
 
 
-def _update(ctx, t, k, new):
+def _stored(ctx, new, old, combine):
+    """What an update stores where it finds its key's place: a remove's []
+    as it is, and an insert's one entry (k, v) checked against the codec,
+    as (k, combine(old value, v)) over ``old``, the entry at k (None on a
+    miss)."""
+    if not new:
+        return new
+    (k, v), = new
+    if old is not None:
+        v = combine(old[1], v)
+    ctx.codec.check_entry(k, v)
+    return [(k, v)]
+
+
+def _update(ctx, t, k, new, combine=_RIGHT):
     """t with its entry at k, if any, replaced by the list ``new``: one
-    entry for an insert, none for a remove; borrows t.  A remove that
-    finds nothing copies nothing and returns t itself, still borrowed
-    (``remove`` retains it): a block whose bounds exclude k is not
-    searched, and a node whose child returned itself returns itself."""
+    entry for an insert, none for a remove; borrows t.  An insert's entry
+    is combined and checked (``_stored``) where the walk finds the key or
+    its place, before anything is built.  A remove that finds nothing
+    copies nothing and returns t itself, still borrowed (``remove``
+    retains it): a block whose bounds exclude k is not searched, and a
+    node whose child returned itself returns itself."""
     if t is None:
-        return _rebuild(ctx, new)
+        return _rebuild(ctx, _stored(ctx, new, None, combine))
     if type(t) is Flat:
         if new or t.first_key <= k <= t.last_key:
             pos, entries = _search(ctx, t, k)
             hit = pos < t.count and entries[pos][0] == k
             if hit or new:
+                new = _stored(ctx, new, entries[pos] if hit else None, combine)
                 return _edit(ctx, t, pos, pos + hit, new, entries)
         return t
     if k == t.key:
+        new = _stored(ctx, new, (t.key, t.value), combine)
         l, r = retain(t.left), retain(t.right)
         return _join(ctx, l, new[0], r) if new else _join2(ctx, l, r)
     # the sibling is retained after the walk below returns: a walk that
     # raises holds nothing
     e = (t.key, t.value)
     if k < t.key:
-        l = _update(ctx, t.left, k, new)
+        l = _update(ctx, t.left, k, new, combine)
         return t if l is t.left else _join(ctx, l, e, retain(t.right))
-    r = _update(ctx, t.right, k, new)
+    r = _update(ctx, t.right, k, new, combine)
     return t if r is t.right else _join(ctx, retain(t.left), e, r)
 
 
 def insert(ctx, t, k, v, combine=_RIGHT):
     """t with (k, v) added; an existing value at k becomes combine(old, v).
 
-    combine runs once, and its result passes the codec check, before the
-    walk starts: a combine that raises, or whose result the codec rejects,
-    builds nothing.
+    One walk: combine runs once, at the hit, and what the insert stores
+    (combine's result on a hit, (k, v) on a miss) passes the codec check
+    there, before anything is built: a combine that raises, or whose
+    result the codec rejects, builds nothing.
     """
-    if combine is not _RIGHT:
-        old = get_entry(ctx, t, k)
-        if old is not None:
-            v = combine(old[1], v)
-    ctx.codec.check_entry(k, v)
-    return _as_tree(ctx, _update(ctx, t, k, [(k, v)]))
+    return _as_tree(ctx, _update(ctx, t, k, [(k, v)], combine))
 
 
 def remove(ctx, t, k):
@@ -281,32 +296,20 @@ _GALLOP = 4
 def _merge(ctx, t, arr, lo, hi, op, combine):
     """Block t under op with the sorted run arr[lo:hi] as second operand;
     borrows t.  The one merge: it reads the block as a key column and a
-    value column, copies stretches of both, and writes the result from
-    the merged columns (``_run_or_tree``).  A codec that reads no columns
-    (``core._columns``) merges its decoded entries in the value column's
-    place, beside their keys, and ``combine`` still sees their values.  A
-    run below a quarter of the block gallops: each run key is bisected
-    into the key column, and the stretch before it copied as a slice; a
-    longer one steps through the block entry by entry.  Where the op
+    value column (``core._columns``), copies stretches of both, and writes
+    the result from the merged columns (``_run_or_tree``).  A run below a
+    quarter of the block gallops: each run key is bisected into the key
+    column, and the stretch before it copied as a slice; a longer one
+    steps through the block entry by entry.  Where the op
     keeps no run-only entry and no key the run hits changed its entry (it
     is dropped, or ``combine`` returns the stored value object itself),
     the block is returned shared."""
     only_a, only_b, both = op
     run = arr[lo:hi]
     gallop = _GALLOP * len(run) < t.count
-    cols = _columns(ctx, t)
-    if cols is None:
-        vals = _decode(ctx, t)
-        keys = list(map(_entry_key, vals))
-        run = zip(map(_entry_key, run), run)
-        if both:
-            def combine(a, b, f=combine):
-                v = f(a[1], b[1])
-                return a if v is a[1] else (a[0], v)
-    else:
-        keys, vals = cols
-        if vals is None:
-            vals = [None] * t.count
+    keys, vals = _columns(ctx, t)
+    if vals is None:
+        vals = [None] * t.count
     ok, ov = [], []
     hit = False
     i, n = 0, t.count
@@ -341,7 +344,7 @@ def _merge(ctx, t, arr, lo, hi, op, combine):
     if only_a:
         ok += keys[i:]
         ov += vals[i:]
-    return _run_or_tree(ctx, ov) if cols is None else _run_or_tree(ctx, ok, ov)
+    return _run_or_tree(ctx, ok, ov)
 
 
 def _combined(ctx, k, a, b, combine):
@@ -492,10 +495,7 @@ def _map_values(ctx, t, f):
         return None
     if type(t) is Flat:
         # the value column mapped, and the block written from the columns
-        cols = _columns(ctx, t)
-        if cols is None:
-            return _make_flat(ctx, [(k, f(v)) for k, v in _decode(ctx, t)])
-        keys, vals = cols
+        keys, vals = _columns(ctx, t)
         return _make_flat(ctx, keys, list(map(
             f, repeat(None, t.count) if vals is None else vals)))
     # a node's value is stored where no encode checks it
@@ -516,20 +516,14 @@ def map_values(ctx, t, f):
 
 def reduce(ctx, t, f, identity):
     """Fold of in-order values under an associative f with identity.  A
-    block folds its value column where the codec reads one, and its
-    decoded entries otherwise (the object codec, whose stored tuples are
-    the cheapest read)."""
+    block folds its value column."""
     if t is None:
         return identity
     if type(t) is Flat:
         acc = identity
-        cols = _columns(ctx, t)
-        if cols is None:
-            for _, v in _decode(ctx, t):
-                acc = f(acc, v)
-        else:
-            for v in repeat(None, t.count) if cols[1] is None else cols[1]:
-                acc = f(acc, v)
+        vals = _columns(ctx, t)[1]
+        for v in repeat(None, t.count) if vals is None else vals:
+            acc = f(acc, v)
         return acc
     xl, xr = fork2(ctx, t.size,
                    lambda: reduce(ctx, t.left, f, identity),

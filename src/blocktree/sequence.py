@@ -12,7 +12,7 @@ ordered maps use for ``key_range`` (``core._slice``): covered subtrees are
 shared and only the boundary blocks are decoded.
 """
 
-from .core import (_as_tree, _decode, _make_flat, _make_regular, _rebuild,
+from .core import (_as_tree, _columns, _make_flat, _make_regular, _rebuild,
                    _slice, flatten, join2, make_context)
 from .encoding import ObjectCodec
 from .errors import ContractError
@@ -49,7 +49,7 @@ def nth(ctx, s, i):
     t = s
     while True:
         if type(t) is Flat:
-            return _decode(ctx, t)[i][1]
+            return _columns(ctx, t)[1][i]
         sl = size(t.left)
         if i < sl:
             t = t.left
@@ -88,7 +88,8 @@ def _reverse(ctx, s):
     if s is None:
         return None
     if type(s) is Flat:
-        return _make_flat(ctx, list(reversed(_decode(ctx, s))))
+        keys, values = _columns(ctx, s)
+        return _make_flat(ctx, keys[::-1], values[::-1])
     fl, fr = fork2(ctx, s.size,
                    lambda: _reverse(ctx, s.right),
                    lambda: _reverse(ctx, s.left))
@@ -109,7 +110,7 @@ def _find_first(ctx, t, pred):
     if t is None:
         return _ABSENT
     if type(t) is Flat:
-        for _, v in _decode(ctx, t):
+        for v in _columns(ctx, t)[1]:
             if pred(v):
                 return v
         return _ABSENT

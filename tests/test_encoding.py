@@ -2,7 +2,7 @@ import hashlib
 import random
 import re
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -182,7 +182,8 @@ def test_identity_struct_path_matches_loop(block):
     payload = codec.encode(entries)
     assert payload == codec._encode_loop(entries) == identity_block_bytes(entries, kw, vw)
     decoded = codec.decode(payload, len(entries))
-    assert decoded == codec._decode_loop(payload, len(entries)) == entries
+    keys, values = codec._columns_loop(payload, len(entries))
+    assert decoded == list(zip(keys, values or repeat(None))) == entries
     assert all(type(e) is tuple for e in decoded)
 
 
@@ -236,9 +237,8 @@ def test_identity_truncated_payload_is_corruption(kw, vw):
     for bad in (payload[:-1], payload + b"\x00", b""):
         with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
             codec.decode(bad, 3)
-        if codec.columns(payload, 3) is not None:
-            with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
-                codec.columns(bad, 3)
+        with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
+            codec.columns(bad, 3)
         if codec.search(payload, 3, 5) is not None:
             with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
                 codec.search(bad, 3, 5)
@@ -247,11 +247,27 @@ def test_identity_truncated_payload_is_corruption(kw, vw):
 def test_object_count_mismatch_is_corruption():
     # search checks the count as decode does
     codec = ObjectCodec()
-    payload = codec.encode([(1, "a"), (5, "b"), (9, "c")])
-    assert codec.search(payload, 3, 5) == (1, payload)
+    entries = [(1, "a"), (5, "b"), (9, "c")]
+    payload = codec.encode(entries)
+    pos, view = codec.search(payload, 3, 5)
+    assert (pos, [view[i] for i in range(3)]) == (1, entries)
     for count in (2, 4):
         for read in (lambda: codec.decode(payload, count),
                      lambda: codec.search(payload, count, 5)):
+            with pytest.raises(CorruptionError, match="^object payload count mismatch$"):
+                read()
+
+
+def test_object_damaged_payload_is_corruption():
+    # a payload that is not a pair of count-long columns is caught by
+    # every read and by splice, before anything is built from it
+    codec = ObjectCodec()
+    keys, values = codec.encode([(1, "a"), (5, "b"), (9, "c")])
+    for bad in ((keys,), (keys, values, keys), (keys, values[:2])):
+        for read in (lambda: codec.decode(bad, 3),
+                     lambda: codec.columns(bad, 3),
+                     lambda: codec.search(bad, 3, 5),
+                     lambda: codec.splice(bad, 3, 1, 1, [(3, "x")])):
             with pytest.raises(CorruptionError, match="^object payload count mismatch$"):
                 read()
 
@@ -625,7 +641,8 @@ def test_delta_columns_match_decode(vw):
 
 @pytest.mark.parametrize("kw,vw", IDENTITY_WIDTHS)
 def test_identity_columns_match_decode(kw, vw):
-    # widths with one struct code read columns; the loop widths decline
+    # every width reads columns: one struct call, or the loop at the
+    # widths with no struct code
     codec = IdentityCodec(kw, vw)
     rng = random.Random(kw * 10 + vw)
     top, vtop = 2 ** (8 * kw), 2 ** (8 * vw)
@@ -635,16 +652,19 @@ def test_identity_columns_match_decode(kw, vw):
                     if vw else None) for k in keys]
         payload = codec.encode(entries)
         cols = codec.columns(payload, count)
-        if codec._code is None:
-            assert (kw, vw) in ((3, 3), (8, 4), (3, 0))
-            assert cols is None
-            continue
+        assert (codec._code is None) == ((kw, vw) in ((3, 3), (8, 4), (3, 0)))
+        assert (cols[1] is None) == (vw == 0)
         assert _unzipped(cols) == _unzipped(codec.decode(payload, count), vw)
         assert _unzipped(cols) == _unzipped(entries, vw)
 
 
-def test_object_codec_declines_columns():
-    # iterating the stored tuples is the object codec's cheapest read
+def test_object_columns_match_decode():
+    # the payload is the two columns, a key tuple and a value tuple
     codec = ObjectCodec()
-    payload = codec.encode([(1, "a"), (5, "b")])
-    assert codec.columns(payload, 2) is None
+    for entries in ([], [(1, "a")], [(1, "a"), (5, None), (9, [3])]):
+        payload = codec.encode(entries)
+        cols = codec.columns(payload, len(entries))
+        assert cols is payload
+        assert _unzipped(cols) == _unzipped(codec.decode(payload, len(entries)), 8)
+        assert _unzipped(cols) == _unzipped(entries, 8)
+        assert codec.encode_columns(*cols) == payload

@@ -376,6 +376,24 @@ def test_negative_neighbor_id_raises_codec_error(n_ids):
     check_tree(g.vctx, g.vertices)
 
 
+def test_bad_endpoint_raises_before_any_tree_is_built():
+    # a negative id, or one wider than the edge codec's key width, as a
+    # source or a destination, raises before any edge tree is built: no
+    # node stays live and no vertex is added
+    from blocktree.counters import counters
+    g = gs.from_edge_list([(0, 1), (1, 2), (7, 3)])
+    before = gs.adjacency(g), gs.edge_count(g)
+    live = counters.live
+    for batch in ([(0, 5), (3, -1)], [(-4, 1)], [(2, 2 ** 64)]):
+        with pytest.raises(CodecError):
+            gs.insert_edges(g, batch)
+        assert counters.live == live
+        with pytest.raises(CodecError):
+            gs.from_edge_list(batch)
+        assert counters.live == live
+    assert (gs.adjacency(g), gs.edge_count(g)) == before
+
+
 def test_load_edge_list(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text("# a comment\n0 1\n\n 1 2 \n2 0\n")

@@ -674,12 +674,11 @@ class _DecodeFault(Exception):
 
 def _failing_codec(cls, **kw):
     """A codec ``cls(**kw)`` whose block reads and column writes raise on
-    the ``fail_at``-th one.  A block read is a decode, or a column read
-    where the codec reads columns; each counts once (a declined column
-    read is no block read, and the delta codec's decode parses with its
-    own ``columns``).  A column write is a block a merge or a map writes
-    from its columns (``encode_columns``; a codec's ``encode`` calls its
-    own writer, so it is not counted)."""
+    the ``fail_at``-th one.  A block read is a decode or a column read;
+    each counts once (a codec's decode that parses with its own
+    ``columns`` is not counted twice).  A column write is a block a merge
+    or a map writes from its columns (``encode_columns``; a codec's
+    ``encode`` calls its own writer, so it is not counted)."""
     class Failing(cls):
         fail_at = None
         calls = 0
@@ -697,8 +696,7 @@ def _failing_codec(cls, **kw):
 
         def columns(self, payload, count):
             cols = super().columns(payload, count)
-            if cols is not None:
-                self._tick()
+            self._tick()
             return cols
 
         def encode_columns(self, keys, values=None):
@@ -985,6 +983,35 @@ def test_insert_combine_result_checked_by_codec():
     assert ordmap.find(ctx, summed, 24) == 246
     check_tree(ctx, summed)
     bt.release(summed)
+    bt.release(t)
+    assert counters.live == baseline
+
+
+def test_insert_with_combine_takes_one_walk():
+    # combine runs where the walk finds the key: on a delta map, whose
+    # blocks are not searched in place, an insert over a present key in a
+    # block decodes that block once, and one at a regular node decodes
+    # nothing; a miss calls no combine
+    ctx = make_context(block_size=8, encoding="delta")
+    baseline = counters.live
+    t = ordmap.build(ctx, KV(range(0, 400, 2)))
+    calls = []
+
+    def add(a, b):
+        calls.append((a, b))
+        return a + b
+
+    in_block = next(_blocks(t)).first_key + 2
+    for k, decodes in ((in_block, 1), (t.key, 0), (in_block + 1, 1)):
+        calls.clear()
+        d0 = counters.decodes
+        r = ordmap.insert(ctx, t, k, 5, combine=add)
+        assert counters.decodes - d0 == decodes
+        old = ordmap.find(ctx, t, k)
+        assert calls == ([] if old is None else [(old, 5)])
+        assert ordmap.find(ctx, r, k) == (5 if old is None else old + 5)
+        check_tree(ctx, r)
+        bt.release(r)
     bt.release(t)
     assert counters.live == baseline
 
@@ -1511,9 +1538,10 @@ def test_merge_with_no_hit_shares_its_input():
     assert g2.vertices is g.vertices
 
 
-# The codecs a block merge reads as columns (identity at struct widths,
-# delta) and those it reads as entries (identity at loop widths, object),
-# each with the value it stores at key k (None for a set).
+# The codecs a block merge reads as columns, each column parsed by one
+# struct call (identity at struct widths), by a loop (delta, identity at
+# the other widths) or stored as a tuple (object), each with the value it
+# stores at key k (None for a set).
 MERGE_CODECS = {
     "identity8/8": (lambda: IdentityCodec(8, 8), lambda k: k % 997 + 1),
     "identity8/0": (lambda: IdentityCodec(8, 0), lambda k: None),
@@ -1539,9 +1567,9 @@ def _bump(v):
 @pytest.mark.parametrize("B", [1, 2, 8, 128])
 @pytest.mark.parametrize("name", sorted(MERGE_CODECS))
 def test_bulk_ops_match_dict_oracle_across_merge_shapes(name, B):
-    # every bulk op at every run-to-block ratio, on codecs read as columns
-    # and as entries: the galloping and the walking merge, blocks written
-    # from columns, runs zipped below B and results cut above 2B
+    # every bulk op at every run-to-block ratio, on every codec: the
+    # galloping and the walking merge, blocks written from columns, runs
+    # zipped below B and results cut above 2B
     make, val = MERGE_CODECS[name]
     ctx = Context(Config(block_size=B), make())
     rng = random.Random(B)
