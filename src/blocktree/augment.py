@@ -7,6 +7,12 @@ block, so ``aug_val`` is O(1) and range/filter queries can prune whole
 subtrees without decoding them.  The value of a block, and of the part of
 a boundary block a range query reads, is one fold, ``core._entries_aug``,
 and ``aug_val`` reads the root with ``core.aug_of``.
+
+A spec may also give ``fold_values``, the aggregate of a block read from
+its value column alone.  It must equal
+``reduce(combine, map(lift, entries), identity)`` for every run of
+entries, and ``core._entries_aug`` then calls it instead of ``lift`` per
+entry.  The graph store's edge count is ``sum(map(size, values))``.
 """
 
 from dataclasses import dataclass
@@ -23,6 +29,9 @@ class AugSpec:
     identity: object
     lift: object       # entry -> aug value
     combine: object    # (aug, aug) -> aug, associative
+    # optional: iterable of a block's values -> its aug, equal to
+    # reduce(combine, map(lift, entries), identity); None folds lift
+    fold_values: object = None
 
 
 def aug_val(ctx, t):

@@ -65,7 +65,11 @@ with one decode.  ``_join`` tests the balance of its pair once and hands a
 balanced pair, which every level of a point update's path copy is,
 straight to ``_node``.  A point update therefore builds just the one block
 it changes and allocates one regular node per level: its untouched
-sibling block is shared, not rebuilt.
+sibling block is shared, not rebuilt.  The bulk walks' path copies skip
+even that: where both results of a node are whole trees (``_whole``) that
+balance, ``ordmap._glue`` links them with ``_make_regular`` directly, the
+node ``_node`` would make; every other pair, a caller's unfolded block
+among them, still goes through ``_concat`` and ``_as_tree``.
 
 Blocks are edited in place.  ``_edit`` is the one block edit: a point
 update's block, the cut of a boundary block by ``_slice``, the two halves
@@ -167,6 +171,7 @@ def _decode(ctx, t):
 # the sort and bisect key of an entry; a C callable, cheaper per call than
 # a Python function
 _entry_key = itemgetter(0)
+_entry_value = itemgetter(1)
 
 
 def _search(ctx, t, k):
@@ -256,9 +261,16 @@ def last_key(ctx, t):
 # construction
 
 
-def _entries_aug(ctx, entries):
+def _entries_aug(ctx, entries, values=None):
+    """The aggregate of a block's entries; with ``values``, ``entries`` is
+    the key column and ``values`` the value column.  A spec's column fold
+    (``AugSpec.fold_values``) reads the values alone."""
     spec = ctx.aug
-    return reduce(spec.combine, map(spec.lift, entries), spec.identity)
+    if spec.fold_values is None:
+        return reduce(spec.combine, map(spec.lift, entries if values is None
+                                        else zip(entries, values)), spec.identity)
+    return spec.fold_values(
+        map(_entry_value, entries) if values is None else values)
 
 
 def _make_flat(ctx, entries, values=None):
@@ -274,8 +286,7 @@ def _make_flat(ctx, entries, values=None):
     else:
         payload = ctx.codec.encode_columns(entries, values)
         first, last = entries[0], entries[-1]
-        entries = zip(entries, values)
-    aug = _entries_aug(ctx, entries) if ctx.aug else None
+    aug = _entries_aug(ctx, entries, values) if ctx.aug else None
     return new_flat(n, payload, first, last, aug)
 
 
@@ -287,8 +298,10 @@ def _make_regular(ctx, l, e, r, s):
     if ctx.aug:
         spec = ctx.aug
         try:
-            aug = spec.combine(aug_of(ctx, l),
-                               spec.combine(spec.lift(e), aug_of(ctx, r)))
+            aug = spec.combine(
+                spec.identity if l is None else l.aug,
+                spec.combine(spec.lift(e),
+                             spec.identity if r is None else r.aug))
         except BaseException:
             release(l)
             release(r)
@@ -407,10 +420,10 @@ def _guard(held, f, *args):
 
 def _whole(B, t):
     """True for a child a blocked tree may hold: a block of at least B
-    entries, or a regular tree of more than 2B.  A fragment below B and a
-    caller's unfolded block are not whole."""
-    return t is not None and (t.count >= B if type(t) is Flat
-                              else t.size > 2 * B)
+    entries, or a regular tree of more than 2B.  A fragment below B (an
+    entry run too) and a caller's unfolded block are not whole."""
+    return (t.count >= B if type(t) is Flat else
+            t is not None and type(t) is not list and t.size > 2 * B)
 
 
 def _node(ctx, l, e, r, n=None):

@@ -52,7 +52,8 @@ from .nodes import size
 def _edge_count_spec():
     return AugSpec(identity=0,
                    lift=lambda e: size(e[1]),
-                   combine=add)
+                   combine=add,
+                   fold_values=lambda values: sum(map(size, values)))
 
 
 @dataclass(frozen=True)

@@ -25,23 +25,31 @@ below a quarter of the block gallops (Demaine, López-Ortiz and Munro,
 SODA 2000): each run key is bisected into the key column and the stretch
 before it copied as a slice; a longer run walks the block entry by
 entry.  Every block the run does not reach stays shared, so a batch of k
-keys re-encodes about k blocks.  Under an
-op that keeps no run-only entry (``multi_delete``, ``difference``,
-``graphstore.delete_edges``), a block whose run changes none of its
-entries is shared too, and so is a regular node whose two results are its
-own children and whose entry is kept unchanged (``_glue``, which
-``_filter_tree`` shares).  A key the run hits changes nothing where
-``combine`` returns the stored value object itself.  So a delete batch
-that misses every key, or every edge of its sources, builds nothing and
-returns its input.  Results
+keys re-encodes about k blocks.  A node whose run lies wholly on one side
+of its key recurses into that side alone, and shares the other child (or
+drops it, under an op that keeps no tree-only entry) with no ``fork2``;
+only a node whose run splits forks its two branches.  Under an op that
+keeps the tree's own entries (``union``, ``multi_insert``,
+``multi_delete``, ``difference``, ``graphstore.delete_edges``), a block
+whose run adds no entry and changes none of its entries is shared too,
+and so is a regular node whose two results are its own children and whose
+entry is kept unchanged (``_glue``, which ``_filter_tree`` shares).  A key
+the run hits changes nothing where ``combine`` returns the stored value
+object itself.  So a delete batch that misses every key, or every edge of
+its sources, and a ``multi_insert`` of present keys whose ``combine``
+keeps the stored values, build nothing and return their input.  Results
 follow ``core``'s fragment convention: a merge that keeps fewer than B
 entries returns them as an entry run (a plain sorted list) instead of a
 tree, and a regular node glues its two results and its kept entry with
 ``core._concat``: two runs are concatenated and encoded once they reach
 B, as one block; a run that meets a tree becomes one block that the join
 absorbs, and a run beside a dropped entry gives up its entry at the seam
-as the join's middle.  So a sparse intersection encodes its result about
-once instead of joining one undersized fragment per block.
+as the join's middle.  Two results that are whole trees (``core._whole``)
+and balance beside a kept entry are linked by one regular node directly
+(``core._make_regular``), the link ``_concat`` would reach through
+``_as_tree``, ``_join`` and ``_node``.  So a sparse intersection encodes
+its result about once instead of joining one undersized fragment per
+block.
 ``_filter_tree`` follows the same convention and ends in the same
 ``_concat``, and every public operation turns the final result into a
 tree with ``core._as_tree``.  No bulk operation unfolds a block, and
@@ -100,9 +108,10 @@ intact and no node behind.
 from bisect import bisect_left
 from itertools import repeat
 
-from .core import (_as_tree, _columns, _concat, _decode, _edit, _entry_key,
-                   _join, _join2, _locate, _make_flat, _make_regular,
-                   _rebuild, _run_or_tree, _search, _slice, flatten)
+from .core import (_as_tree, _balanced_pair, _columns, _concat, _decode,
+                   _edit, _entry_key, _join, _join2, _locate, _make_flat,
+                   _make_regular, _rebuild, _run_or_tree, _search, _slice,
+                   _whole, flatten)
 from .errors import ContractError
 from .nodes import Flat, release, retain, size
 from .parallel import fork2
@@ -338,8 +347,9 @@ def _merge(ctx, t, arr, lo, hi, op, combine):
         elif only_b:
             ok.append(k)
             ov.append(v)
+            hit = True
     # a run that adds and changes nothing leaves the block as it is
-    if only_a and not only_b and not hit:
+    if only_a and not hit:
         return retain(t)
     if only_a:
         ok += keys[i:]
@@ -391,11 +401,17 @@ union_efficient = union
 def _glue(ctx, t, kept, l, e, r):
     """The results l and r of node t's children and its entry e glued by
     ``_concat``; consumes l and r.  Where they are t's own children and t's
-    entry is ``kept`` unchanged, t itself is shared instead."""
+    entry is ``kept`` unchanged, t itself is shared instead, and two whole
+    trees that balance (what ``_concat`` would link) are linked by one
+    regular node directly."""
     if kept and l is t.left and r is t.right:
         release(l)
         release(r)
         return retain(t)
+    B = ctx.config.block_size
+    if (e is not None and _whole(B, l) and _whole(B, r)
+            and _balanced_pair(ctx.config, size(l) + 1, size(r) + 1)):
+        return _make_regular(ctx, l, e, r, size(l) + size(r) + 1)
     return _concat(ctx, l, e, r)
 
 
@@ -422,11 +438,19 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
         kept = e is not None and e[1] is t.value
     elif not only1:
         e = None
-    l, r = t.left, t.right
-    tl, tr = fork2(ctx, size(l) + size(r) + (hi - lo),
-                   lambda: _batch(ctx, l, arr, lo, pos, op, combine),
-                   lambda: _batch(ctx, r, arr, pos + (1 if hit else 0), hi, op,
-                                  combine))
+    l, r, mid = t.left, t.right, pos + hit
+    # a run wholly on one side recurses there only, and the other child is
+    # shared or dropped as an empty run leaves it
+    if pos == lo:
+        tr = _batch(ctx, r, arr, mid, hi, op, combine)
+        tl = retain(l) if only1 else None
+    elif mid == hi:
+        tl = _batch(ctx, l, arr, lo, pos, op, combine)
+        tr = retain(r) if only1 else None
+    else:
+        tl, tr = fork2(ctx, t.size + (hi - lo),
+                       lambda: _batch(ctx, l, arr, lo, pos, op, combine),
+                       lambda: _batch(ctx, r, arr, mid, hi, op, combine))
     return _glue(ctx, t, kept, tl, e, tr)
 
 

@@ -104,6 +104,61 @@ def test_random_update_interleavings_vs_oracle():
     assert gs.edge_count(g) == sum(len(vs) for vs in model.values())
 
 
+def _augs(t):
+    """The aggregate of every node of t, in order."""
+    if t is None:
+        return []
+    if type(t) is Flat:
+        return [t.aug]
+    return _augs(t.left) + [t.aug] + _augs(t.right)
+
+
+@pytest.mark.parametrize("B", [1, 2, 8, 64])
+def test_column_fold_equals_the_lift_fold(B):
+    # the edge-count spec folds a vertex block's value column
+    # (AugSpec.fold_values).  It gives what folding lift over the entries
+    # gives: check_tree recomputes every block aggregate through lift, and
+    # a graph over the same spec without the column fold carries the same
+    # aggregate at every node.  Destinations that are no source are
+    # zero-degree vertices, whose value is None
+    import dataclasses
+    from blocktree.augment import aug_range
+    rng = random.Random(40 + B)
+    n = 30 * B + 40
+    edges = rand_edges(rng, 12 * B + 60, n)
+    g = gs.from_edge_list(edges, block_size=B)
+    assert g.vctx.aug.fold_values is not None
+    plain = dataclasses.replace(g.vctx, aug=dataclasses.replace(
+        g.vctx.aug, fold_values=None))
+    h = gs.insert_edges(gs.Graph(None, plain, g.ectx), edges)
+    model = adj_of(edges)
+    for _ in range(12):
+        batch = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randrange(1, 4 * B + 8))]
+        if rng.random() < 0.5:
+            g, h = gs.insert_edges(g, batch), gs.insert_edges(h, batch)
+            for u, v in batch:
+                model.setdefault(u, set()).add(v)
+                model.setdefault(v, set())
+        else:
+            batch += rng.sample(sorted((u, v) for u in model
+                                       for v in model[u]), 3 * B)
+            g, h = gs.delete_edges(g, batch), gs.delete_edges(h, batch)
+            for u, v in batch:
+                if u in model:
+                    model[u].discard(v)
+        assert any(not vs for vs in model.values())
+        for x in (g, h):
+            check_tree(x.vctx, x.vertices)
+            assert gs.edge_count(x) == sum(map(len, model.values()))
+            for _ in range(6):
+                lo = rng.randrange(n)
+                hi = lo + rng.randrange(n // 2)
+                assert aug_range(x.vctx, x.vertices, lo, hi) == sum(
+                    len(vs) for v, vs in model.items() if lo <= v <= hi)
+        assert _augs(g.vertices) == _augs(h.vertices)
+
+
 def _vertex_blocks(t):
     if t is None:
         return []

@@ -623,6 +623,16 @@ def _nodes(t, out):
     return out
 
 
+def _owners(t):
+    """The owner counts of t's nodes, in preorder: a failed operation that
+    kept a handle to a shared subtree shows as one count too many."""
+    if t is None:
+        return []
+    if type(t) is Flat:
+        return [t.owners]
+    return [t.owners] + _owners(t.left) + _owners(t.right)
+
+
 def test_small_key_range_allocates_only_its_result():
     # a ~100-entry range at B=128 is one result block: the walk decodes at
     # most the two boundary blocks (the identity codec finds both bounds in
@@ -901,6 +911,132 @@ def test_failed_callbacks_release_what_they_hold(B):
     for _, x in inputs:
         bt.release(x)
     assert counters.live == baseline
+
+
+@pytest.mark.parametrize("B", [1, 8])
+def test_one_sided_batches_release_what_they_hold(B):
+    # a batch run that lies wholly on one side of a node recurses into that
+    # side alone, with no fork.  A combine that raises on a run key after
+    # the first, or a block read or column write that fails, leaves the
+    # inputs intact and releases every node the operation had made, inline
+    # and with a worker pool
+    codec = _failing_codec(IdentityCodec)
+    ctx = Context(Config(block_size=B), codec)
+    t = ordmap.build(ctx, KV(range(0, 60 * B + 40, 2)))
+    # clusters at both ends and in the middle: most nodes on their paths
+    # see the run on one side
+    few = KV([1, 4, 6, 30 * B + 1, 30 * B + 2, 60 * B + 37, 60 * B + 38])
+    other = ordmap.build(ctx, few)
+    state = lambda: [(structure_digest(ctx, x), _owners(x)) for x in (t, other)]
+    before = state()
+    add = lambda a, b: a + b
+    ops = [lambda f: ordmap.multi_insert(ctx, t, few, f),
+           lambda f: ordmap.union(ctx, t, other, f),
+           lambda f: ordmap.union(ctx, other, t, f)]
+    live = counters.live
+    for threads in (1, 2):
+        bt.set_threads(threads)
+        for i, op in enumerate(ops):
+            calls = _calls(op, add)
+            assert calls >= 2
+            for k in range(2, calls + 1):
+                with pytest.raises(_CallbackFault):
+                    op(_failing(add, k))
+                assert counters.live == live, (threads, i, k)
+                assert state() == before
+            codec.calls = 0
+            bt.release(op(add))
+            for k in range(1, codec.calls + 1):
+                codec.calls, codec.fail_at = 0, k
+                with pytest.raises(_DecodeFault):
+                    op(add)
+                codec.fail_at = None
+                assert counters.live == live, (threads, i, k)
+                assert state() == before
+    bt.set_threads(1)
+    assert codec.failed_writes
+    bt.release(t)
+    bt.release(other)
+    assert counters.live == 0
+
+
+@pytest.mark.parametrize("B", [1, 8])
+def test_failed_graph_batches_release_what_they_hold(B, monkeypatch):
+    # an edge batch whose per-source union or delete raises after the first
+    # one, or whose vertex or edge block read or column write fails, leaves
+    # the graph intact and releases every vertex-tree node it had made,
+    # inline and with a worker pool.  graphstore leaves edge trees to the
+    # garbage collector, so the test releases the ones each attempt built
+    # (the new sets, and every union and delete result) for an exact count
+    from blocktree import graphstore as gs
+    vcodec = _failing_codec(ObjectCodec)
+    ecodec = _failing_codec(DeltaCodec, value_width=0)
+    vctx = Context(Config(block_size=B), vcodec, aug=gs._edge_count_spec())
+    ectx = Context(Config(block_size=B), ecodec)
+    rng = random.Random(B)
+    n = 40 * B + 9
+    g = gs.insert_edges(gs.Graph(None, vctx, ectx),
+                        [(rng.randrange(n), rng.randrange(n))
+                         for _ in range(60 * B)] + [(0, v) for v in range(5 * B)])
+    made, edge_ops = [], itertools.count(1)
+    fail_at = [None]
+
+    def recorded(f, counted=True):
+        def run(*args):
+            if counted and next(edge_ops) == fail_at[0]:
+                raise _CallbackFault
+            made.append(f(*args))
+            return made[-1]
+        return run
+    monkeypatch.setattr(gs, "_rebuild", recorded(gs._rebuild, False))
+    monkeypatch.setattr(ordmap, "union", recorded(ordmap.union))
+    monkeypatch.setattr(ordmap, "multi_delete", recorded(ordmap.multi_delete))
+    present = sorted(set(itertools.chain.from_iterable(
+        (s, d) for s, ds in gs.adjacency(g).items() for d in ds[:1])))
+    sources = [v for v, ds in gs.adjacency(g).items() if ds]
+    batch = ([(sources[0], n + 1), (sources[len(sources) // 2], 3),
+              (sources[-1], sources[0]), (n + 2, present[1])]
+             + [(s, d) for s, ds in list(gs.adjacency(g).items())[::7]
+                for d in ds[:1]])
+    ops = [lambda: gs.insert_edges(g, batch), lambda: gs.delete_edges(g, batch)]
+    state = lambda: (structure_digest(vctx, g.vertices), _owners(g.vertices))
+    before = state()
+    baseline = counters.live
+
+    def settle(result=None):
+        if result is not None:
+            bt.release(result.vertices)
+        for x in made:
+            bt.release(x)
+        made.clear()
+        assert counters.live == baseline
+        assert state() == before
+
+    for threads in (1, 2):
+        bt.set_threads(threads)
+        for op in ops:
+            vcodec.calls = ecodec.calls = 0
+            start = next(edge_ops)
+            settle(op())
+            calls = next(edge_ops) - start - 1
+            codec_calls = ((vcodec, vcodec.calls), (ecodec, ecodec.calls))
+            assert calls >= 2
+            for k in range(2, calls + 1):
+                fail_at[0] = next(edge_ops) + k
+                with pytest.raises(_CallbackFault):
+                    op()
+                settle()
+            fail_at[0] = None
+            for codec, n_calls in codec_calls:
+                for k in range(1, n_calls + 1):
+                    codec.calls, codec.fail_at = 0, k
+                    with pytest.raises(_DecodeFault):
+                        op()
+                    codec.fail_at = None
+                    settle()
+    bt.set_threads(1)
+    assert vcodec.failed_writes and ecodec.failed_writes
+    bt.release(g.vertices)
 
 
 def test_point_queries_random_vs_model():
@@ -1536,6 +1672,31 @@ def test_merge_with_no_hit_shares_its_input():
     g2 = gs.delete_edges(g, [(20000 + i, i) for i in range(100)])
     assert (counters.folds - f0, counters.allocations - a0) == (0, 0)
     assert g2.vertices is g.vertices
+
+
+@pytest.mark.parametrize("encoding", ["identity", "delta", "object"])
+def test_union_that_adds_and_changes_nothing_shares_its_input(encoding):
+    # a multi_insert of present keys whose combine returns the stored value
+    # object itself adds no key and changes no entry: the result is the
+    # input, every block its own, and nothing is built.  One absent key
+    # re-encodes only the block it lands in
+    keep = lambda old, new: old
+    for B in (2, 8, 64):
+        ctx = make_context(block_size=B, encoding=encoding)
+        t = ordmap.build(ctx, KV(range(0, 60 * B, 3)))
+        blocks = {id(b) for b in _blocks(t)}
+        batch = KV(range(0, 60 * B, 21))
+        f0, a0 = counters.folds, counters.allocations
+        r = ordmap.multi_insert(ctx, t, batch, keep)
+        assert (counters.folds - f0, counters.allocations - a0) == (0, 0)
+        assert r is t and {id(b) for b in _blocks(r)} == blocks
+        bt.release(r)
+        r = ordmap.multi_insert(ctx, t, batch + [(30 * B + 1, 7)], keep)
+        assert len(blocks - {id(b) for b in _blocks(r)}) == 1
+        assert ordmap.find(ctx, r, 30 * B + 1) == 7
+        check_tree(ctx, r)
+        bt.release(r)
+        bt.release(t)
 
 
 # The codecs a block merge reads as columns, each column parsed by one
