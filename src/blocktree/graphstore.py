@@ -8,8 +8,9 @@ each batch update is one bulk merge of that run into the vertex tree:
 (``ordmap.multi_insert``), and ``delete_edges`` runs
 ``ordmap.multi_delete`` on the set of each source that is a vertex and
 drops the others (``ordmap._bulk`` under the ``_DELETE`` op triple).  A
-set that loses no edge comes back as itself, which the merge counts as no
-change, so a delete batch of absent edges returns the input vertex tree.
+set that loses or gains no edge comes back as itself, which the merge
+counts as no change, so a delete batch of absent edges, and an insert
+batch of present ones, returns the input vertex tree.
 ``from_edge_list`` is ``insert_edges`` into the empty graph.
 
 The readers take key columns: ``neighbors``, ``adjacency``,

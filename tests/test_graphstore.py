@@ -324,6 +324,33 @@ def test_delete_of_absent_edges_shares_the_vertex_tree():
     assert gs.adjacency(h) == {v: sorted(n) for v, n in adj_of(edges).items()}
 
 
+def test_insert_of_present_edges_shares_the_vertex_tree():
+    # edges already present change nothing: each source's union adds no
+    # edge and returns its set itself, which the vertex merge counts as no
+    # change, in a block and at a regular node.  Only each source's tree
+    # of new edges is built (one block each)
+    from blocktree.counters import counters
+    rng = random.Random(5)
+    edges = [(rng.randrange(20000), rng.randrange(20000)) for _ in range(20000)]
+    g = gs.from_edge_list(edges, block_size=64)
+    in_nodes, t = [], g.vertices
+    while type(t) is not Flat:
+        in_nodes.append(t.key)
+        t = t.left
+    adj = adj_of(edges)
+    sources = in_nodes[:5] + rng.sample(sorted({s for s, _ in edges}), 5)
+    batch = [(s, d) for s in sources if adj[s] for d in sorted(adj[s])[:2]]
+    before = counters.snapshot()
+    h = gs.insert_edges(g, batch)
+    after = counters.snapshot()
+    n_sources = len({s for s, _ in batch})
+    assert (after["folds"] - before["folds"],
+            after["allocations"] - before["allocations"]) == (n_sources,
+                                                              n_sources)
+    assert h.vertices is g.vertices
+    assert gs.adjacency(h) == {v: sorted(n) for v, n in adj.items()}
+
+
 def test_bfs_isolated_and_missing_vertex():
     g = gs.from_edge_list([(3, 4)])
     assert gs.bfs(g, 4) == {4: 0}
