@@ -18,7 +18,7 @@ entry.  The graph store's edge count is ``sum(map(size, values))``.
 from dataclasses import dataclass
 from bisect import bisect_right
 
-from .core import _as_tree, _entries_aug, _entry_key, _search, aug_of
+from .core import _as_tree, _entries_aug, _search, aug_of
 from .errors import ContractError
 from .nodes import Flat
 from .ordmap import _filter_tree
@@ -58,13 +58,13 @@ def aug_range(ctx, t, lo, hi):
 
 def _block_part(ctx, t, lo, hi):
     """Aggregate over the entries of block t with lo <= key <= hi (a None
-    bound is open), searched in place where the codec can.  The entries
-    are folded as a block's are (``core._entries_aug``), by index: an
-    in-place search result can be indexed but not sliced."""
-    start, entries = _search(ctx, t, t.first_key if lo is None else lo)
-    stop = t.count if hi is None else bisect_right(
-        entries, hi, start, t.count, key=_entry_key)
-    return _entries_aug(ctx, map(entries.__getitem__, range(start, stop)))
+    bound is open), searched in place where the codec can.  The slice of
+    its columns is folded as a block's are (``core._entries_aug``)."""
+    start, at = _search(ctx, t, t.first_key if lo is None else lo)
+    keys, values = at.keys, at.values
+    stop = t.count if hi is None else bisect_right(keys, hi, start, t.count)
+    return _entries_aug(ctx, keys[start:stop],
+                        None if values is None else values[start:stop])
 
 
 def _rng(ctx, spec, t, lo, hi):

@@ -14,8 +14,18 @@ flatten, fold, unfold, join, join2, split and split_last.  ``items`` and
 ``to_list`` read ``flatten``'s list, ``keys`` is ``flatten`` of each
 block's key column alone (``_columns``),
 ``node`` is a second name for ``join`` and ``refold`` one for ``fold``,
-and ``_rebuild`` builds every tree from sorted entries, the all-regular
-one ``unfold`` returns included.
+and ``_rebuild`` builds every tree from a sorted key column and its value
+column, the all-regular one ``unfold`` returns included.
+
+Blocks are read and written as columns.  A block read that does not
+search in place is ``_columns`` (the codec's ``columns``, counted as one
+decode), and every block is written from a key column and a value column
+by ``_make_flat`` (the codec's ``encode_columns``).  ``_rebuild``,
+``_make_flat``, ``_run_or_tree`` and ``_entries_aug`` each take those two
+columns (the value column None for a set); a caller that holds an entry
+list converts it once (``_unzip``).  Only ``flatten`` and ``ordmap``'s
+filter, whose predicate takes entries, read a block as entries
+(``_decode``: the codec's ``decode``, which zips its columns).
 
 Ownership: a walk *borrows* the tree it reads.  ``_slice`` and
 ``_pop_last`` (and, in ``ordmap``, every recursion over a caller's tree)
@@ -82,7 +92,11 @@ middle entry, as ``_rebuild`` would cut it.  So an in-block insert,
 overwrite or remove on those codecs decodes nothing and builds one block,
 and an overflow decodes nothing and builds two.  Elsewhere (the delta
 codec, sequences, augmented contexts, and a boundary cut left as an entry
-run below ``B``) the block is decoded, edited and rebuilt, once.
+run below ``B``) the block's columns are sliced around the new entries
+and the result is written from them, once: the columns are read in
+place where the codec searches in place (``_view``), so a boundary run
+cut from an identity or object block decodes nothing, and read once
+(``_columns``) elsewhere.
 
 No path but the public ``unfold`` expands a block into regular nodes; the
 public ``expose`` cuts a block into two blocks like ``_open`` does.  An
@@ -110,10 +124,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 from operator import itemgetter
 
 from .counters import counters
-from .encoding import EncodingScheme, make_codec
+from .encoding import EncodingScheme, _Entries, make_codec
 from .errors import ContractError
 from .nodes import Flat, new_flat, new_regular, release, retain, size, weight
 from .parallel import _release, fork2
@@ -163,29 +178,15 @@ def make_context(block_size=128, alpha=0.29, encoding=None, aug=None,
 # reading
 
 
-def _decode(ctx, t):
-    counters.decodes += 1
-    return ctx.codec.decode(t.payload, t.count)
-
-
 # the sort and bisect key of an entry; a C callable, cheaper per call than
 # a Python function
 _entry_key = itemgetter(0)
 _entry_value = itemgetter(1)
 
 
-def _search(ctx, t, k):
-    """(pos, entries) for key k in block t: pos is bisect_left of k among
-    the block's keys, entries is indexable.
-
-    Codecs that search their payload in place decode nothing; the others
-    pay one counted decode and a bisect over its result.
-    """
-    found = ctx.codec.search(t.payload, t.count, k)
-    if found is not None:
-        return found
-    entries = _decode(ctx, t)
-    return bisect_left(entries, k, key=_entry_key), entries
+def _unzip(entries):
+    """The key column and the value column of an entry list."""
+    return list(map(_entry_key, entries)), list(map(_entry_value, entries))
 
 
 def _columns(ctx, t):
@@ -193,6 +194,27 @@ def _columns(ctx, t):
     counted as one decode."""
     counters.decodes += 1
     return ctx.codec.columns(t.payload, t.count)
+
+
+def _decode(ctx, t):
+    """The entries of block t (the codec's ``decode``, which zips its
+    columns), counted as one decode."""
+    counters.decodes += 1
+    return ctx.codec.decode(t.payload, t.count)
+
+
+def _search(ctx, t, k):
+    """(pos, entries) for key k in block t: pos is bisect_left of k among
+    the block's keys, entries an ``_Entries`` view of its columns.
+
+    Codecs that search their payload in place decode nothing; the others
+    pay one counted column read and a bisect of its key column.
+    """
+    found = ctx.codec.search(t.payload, t.count, k)
+    if found is not None:
+        return found
+    keys, values = _columns(ctx, t)
+    return bisect_left(keys, k), _Entries(keys, values)
 
 
 def flatten(ctx, t, out=None):
@@ -261,33 +283,27 @@ def last_key(ctx, t):
 # construction
 
 
-def _entries_aug(ctx, entries, values=None):
-    """The aggregate of a block's entries; with ``values``, ``entries`` is
-    the key column and ``values`` the value column.  A spec's column fold
-    (``AugSpec.fold_values``) reads the values alone."""
+def _entries_aug(ctx, keys, values):
+    """The aggregate of the entries of a key column and a value column
+    (None for a set).  A spec's column fold (``AugSpec.fold_values``)
+    reads the values alone."""
     spec = ctx.aug
-    if spec.fold_values is None:
-        return reduce(spec.combine, map(spec.lift, entries if values is None
-                                        else zip(entries, values)), spec.identity)
-    return spec.fold_values(
-        map(_entry_value, entries) if values is None else values)
-
-
-def _make_flat(ctx, entries, values=None):
-    """Block over sorted entries; with ``values``, ``entries`` is the key
-    column and ``values`` the value column, written by the codec's column
-    writer."""
-    counters.folds += 1
-    n = len(entries)
     if values is None:
-        payload = ctx.codec.encode(entries)
-        # a sequence's keys are None, so its bounds are too
-        first, last = entries[0][0], entries[-1][0]
-    else:
-        payload = ctx.codec.encode_columns(entries, values)
-        first, last = entries[0], entries[-1]
-    aug = _entries_aug(ctx, entries, values) if ctx.aug else None
-    return new_flat(n, payload, first, last, aug)
+        values = repeat(None, len(keys))
+    if spec.fold_values is None:
+        return reduce(spec.combine, map(spec.lift, zip(keys, values)),
+                      spec.identity)
+    return spec.fold_values(values)
+
+
+def _make_flat(ctx, keys, values):
+    """Block over a sorted key column and its value column (None for a
+    set), written by the codec's ``encode_columns``."""
+    counters.folds += 1
+    payload = ctx.codec.encode_columns(keys, values)
+    aug = _entries_aug(ctx, keys, values) if ctx.aug else None
+    # a sequence's keys are None, so its bounds are too
+    return new_flat(len(keys), payload, keys[0], keys[-1], aug)
 
 
 def _make_regular(ctx, l, e, r, s):
@@ -309,49 +325,51 @@ def _make_regular(ctx, l, e, r, s):
     return new_regular(e[0], e[1], l, r, s, aug)
 
 
-def _rebuild(ctx, entries, lo=0, hi=None, cap=None, values=None):
-    """Owned tree over sorted entries[lo:hi]: one block up to ``cap``
-    entries (default 2B), else blocks of B..2B under balanced regular
-    nodes, split at the middle entry.  ``unfold`` passes ``cap=0`` for a
-    tree of regular nodes only.  With ``values``, ``entries`` is the key
-    column and ``values`` the value column, and blocks are written from
-    them (``_make_flat``)."""
+def _rebuild(ctx, keys, values, lo=0, hi=None, cap=None):
+    """Owned tree over the entries [lo, hi) of a sorted key column and its
+    value column (None for a set): one block up to ``cap`` entries
+    (default 2B), else blocks of B..2B under balanced regular nodes, split
+    at the middle entry.  ``unfold`` passes ``cap=0`` for a tree of
+    regular nodes only.  Blocks are written from the columns
+    (``_make_flat``)."""
     if hi is None:
-        hi = len(entries)
+        hi = len(keys)
     if cap is None:
         cap = 2 * ctx.config.block_size
     n = hi - lo
     if n == 0:
         return None
     if n <= cap:
-        return _make_flat(ctx, entries[lo:hi],
+        return _make_flat(ctx, keys[lo:hi],
                           None if values is None else values[lo:hi])
     mid = lo + n // 2
     l, r = fork2(ctx, n,
-                 lambda: _rebuild(ctx, entries, lo, mid, cap, values),
-                 lambda: _rebuild(ctx, entries, mid + 1, hi, cap, values))
-    e = entries[mid] if values is None else (entries[mid], values[mid])
+                 lambda: _rebuild(ctx, keys, values, lo, mid, cap),
+                 lambda: _rebuild(ctx, keys, values, mid + 1, hi, cap))
+    e = keys[mid], None if values is None else values[mid]
     return _make_regular(ctx, l, e, r, n)
 
 
 def _view(ctx, t):
-    """The entries of block t, indexable: read in place where ``_edit``
-    splices, else decoded, once for every edit that follows."""
-    if ctx.ordered and not ctx.aug:
+    """The entries of block t as an ``_Entries`` view of its columns: read
+    in place where the codec searches (on an ordered context), else its
+    columns, read once for every edit that follows."""
+    if ctx.ordered:
         return _search(ctx, t, t.first_key)[1]
-    return _decode(ctx, t)
+    return _Entries(*_columns(ctx, t))
 
 
 def _edit(ctx, t, i, j, new=(), entries=None, hi=None, run=False):
     """Entries [0, hi) of block t (default: all of them) with [i, j)
-    replaced by ``new``, built as ``_rebuild`` builds them, or as
-    ``_run_or_tree`` with ``run``; borrows t.  ``entries`` is t's search
-    result, if its caller has one.  The one block edit: where the codec
-    splices, t's payload is spliced, and a result over 2B entries is cut
-    into two payload slices at its middle entry, read from the spliced
-    payload in place.  On a sequence or an augmented context, where the
-    codec cannot splice, and for a run below B, the block is decoded,
-    edited and rebuilt."""
+    replaced by the entry list ``new``, built as ``_rebuild`` builds
+    them, or as ``_run_or_tree`` with ``run``; borrows t.  ``entries`` is
+    t's search result or ``_view``, if its caller has one.  The one block
+    edit: where the codec splices, t's payload is spliced, and a result
+    over 2B entries is cut into two payload slices at its middle entry,
+    read from the spliced payload in place.  On a sequence or an
+    augmented context, where the codec cannot splice, and for a run below
+    B, t's columns (``_view``: read in place where the codec searches)
+    are sliced around ``new`` and the result written from them."""
     codec, n, B = ctx.codec, t.count, ctx.config.block_size
     c = (n if hi is None else hi) - j + i + len(new)
     if not c:
@@ -360,10 +378,12 @@ def _edit(ctx, t, i, j, new=(), entries=None, hi=None, run=False):
     if ctx.ordered and not ctx.aug and (c >= B or not run):
         p = codec.splice(t.payload, n, i, j, new)
     if p is None:
-        if type(entries) is not list:
-            entries = _decode(ctx, t)
-        edited = entries[:i] + list(new) + entries[j:hi]
-        return (_run_or_tree if run else _rebuild)(ctx, edited)
+        at = entries or _view(ctx, t)
+        keys, values = at.keys, at.values
+        keys = [*keys[:i], *map(_entry_key, new), *keys[j:hi]]
+        if values is not None:
+            values = [*values[:i], *map(_entry_value, new), *values[j:hi]]
+        return (_run_or_tree if run else _rebuild)(ctx, keys, values)
     full = n - j + i + len(new)
     at = codec.search(p, full, t.first_key)[1]
 
@@ -450,7 +470,7 @@ def _node(ctx, l, e, r, n=None):
     # spliced in: an underflow joins its sibling block decoding only itself
     t = r if type(r) is Flat and size(l) <= r.count else l
     if type(t) is not Flat:
-        return _rebuild(ctx, _entries(ctx, l, e, r))
+        return _rebuild(ctx, *_unzip(_entries(ctx, l, e, r)))
     i = 0 if t is r else t.count
     try:
         new = _entries(ctx, None if t is l else l, e, None if t is r else r)
@@ -594,15 +614,13 @@ def _join2(ctx, l, r):
 # fragments: entry runs and the glue that links them
 
 
-def _run_or_tree(ctx, entries, values=None):
-    """A base case's result: the entries themselves, as an entry run, while
-    there are fewer than B of them; else their tree.  With ``values``,
-    ``entries`` is the key column and ``values`` the value column: a run
-    is zipped into entries, and a tree's blocks are written from the
-    columns (``_rebuild``)."""
-    if len(entries) < ctx.config.block_size:
-        return entries if values is None else list(zip(entries, values))
-    return _rebuild(ctx, entries, values=values)
+def _run_or_tree(ctx, keys, values):
+    """A base case's result from a key column and its value column (None
+    for a set): their entries zipped into an entry run while there are
+    fewer than B of them; else their tree (``_rebuild``)."""
+    if len(keys) < ctx.config.block_size:
+        return list(zip(keys, repeat(None) if values is None else values))
+    return _rebuild(ctx, keys, values)
 
 
 def _is_run(x):
@@ -618,7 +636,7 @@ def _as_tree(ctx, x):
     the all-regular fragments ``unfold`` hands out; ``_node``, which links
     no pair that small, rebuilds it from its entries."""
     if type(x) is list:
-        return _rebuild(ctx, x)
+        return _rebuild(ctx, *_unzip(x))
     if x is None or type(x) is Flat or x.size > 2 * ctx.config.block_size:
         return x
     return _node(ctx, *_destructure(ctx, x))
@@ -634,8 +652,8 @@ def _concat(ctx, left, e, right):
     whose block raises (a combine result the codec rejects) releases the
     other side."""
     if _is_run(left) and _is_run(right):
-        return _run_or_tree(ctx, (left or []) + ([] if e is None else [e])
-                            + (right or []))
+        run = (left or []) + ([] if e is None else [e]) + (right or [])
+        return run if len(run) < ctx.config.block_size else _as_tree(ctx, run)
     if e is None and _is_run(left) and left:
         left, e = left[:-1], left[-1]
     elif e is None and _is_run(right) and right:
@@ -695,9 +713,9 @@ def unfold(ctx, t):
     unfold); ``fold`` packs it back."""
     if t is None or type(t) is not Flat:
         raise ContractError("unfold expects a flat node")
-    entries = _decode(ctx, t)
+    keys, values = _columns(ctx, t)
     counters.unfolds += 1
-    return _rebuild(ctx, entries, cap=0)
+    return _rebuild(ctx, keys, values, cap=0)
 
 
 def join(ctx, l, e, r):

@@ -1,9 +1,29 @@
 """Block codecs.
 
-Every leaf block stores its entries through a codec.  Two methods are
-required: ``encode`` (entries to payload) and ``decode`` (payload back to
-entries); ``inspect.tree_bytes`` prices a byte payload at its length.
-Five more are optional, with defaults on ``EncodingScheme``:
+Every leaf block stores its entries through a codec, and the library
+reads and writes a block as two columns, its keys and its values.  Two
+methods are required:
+
+``columns(payload, count)``
+    ``(keys, values)``: the block's keys and its values as two sequences
+    in entry order, with ``values`` None for a codec that stores no values
+    (a byte set).  It checks the payload and raises ``CorruptionError``
+    for a damaged one.  Every block read that does not search in place
+    goes through it (``core._columns``, counted as one decode): the bulk
+    merges, ``map_values`` and ``reduce`` of ``ordmap``, ``core.keys``
+    (the graph store's readers), ``sequence``'s ``nth``, ``find_first``
+    and ``reverse``, and the fallbacks of ``core._search`` and
+    ``core._edit``.
+
+``encode_columns(keys, values)``
+    The writer that mirrors ``columns``: the payload of the block whose
+    entries are ``(keys[i], values[i])``, with ``values`` None for a set.
+    It raises ``CodecError`` for an entry it cannot store.  Every block
+    the library builds is written by it (``core._make_flat``), straight
+    from the columns its caller holds.
+
+``inspect.tree_bytes`` prices a byte payload at its length.  Three more
+methods are optional, with defaults on ``EncodingScheme``:
 
 ``check_entry(key, value)``
     Raise ``CodecError`` for an entry no block could hold.
@@ -17,51 +37,34 @@ Five more are optional, with defaults on ``EncodingScheme``:
 
 ``search(payload, count, key)``
     ``(pos, entries)``: the ``bisect_left`` position of ``key`` among the
-    block's keys, and the block's entries as an indexable sequence (the
-    shipped codecs' one view reads entry ``i`` from the two columns); or
-    ``None`` when the codec cannot search its payload in place.  Point
-    reads use it through ``core._search``, which falls back to a full
-    (counted) ``decode`` and a bisect on ``None``; a reader that wants the
-    first key above ``key`` steps past an equal one itself.  The default
+    block's keys, and ``entries``, an ``_Entries`` view that reads entry
+    ``i`` from the block's two columns in place; or ``None`` when the
+    codec cannot search its payload in place.  Point reads use it through
+    ``core._search``, which falls back to the (counted) ``columns`` and a
+    bisect of the key column on ``None``; a reader that wants the first
+    key above ``key`` steps past an equal one itself.  The default
     returns ``None``.
 
 ``splice(payload, count, i, j, entries)``
     The payload of the block with its entries ``[i, j)`` replaced by the
-    list ``entries``, equal to ``encode`` of the edited entries; or
+    entry list ``entries``, equal to ``encode`` of the edited entries; or
     ``None`` when the codec cannot edit its payload in place.  Point
     updates, block cuts and the merge of a block with a small neighbour
-    use it through ``core._edit``, which falls back to decode, edit and
-    ``encode`` on ``None``.  It need not check the payload's length: a
-    codec that splices also searches in place, and ``core._edit`` reads
-    the new block's bounds and middle entry by ``search`` on the spliced
-    payload, which checks its length against the edited count before any
-    block is built on it (``ObjectCodec.splice`` checks its payload
-    anyway, since it must unpack the pair to splice it).  The default
-    returns ``None``.
+    use it through ``core._edit``, which falls back to slicing the
+    block's columns and writing them with ``encode_columns`` on ``None``.
+    It need not check the payload's length: a codec that splices also
+    searches in place, and ``core._edit`` reads the new block's bounds
+    and middle entry by ``search`` on the spliced payload, which checks
+    its length against the edited count before any block is built on it
+    (``ObjectCodec.splice`` checks its payload anyway, since it must
+    unpack the pair to splice it).  The default returns ``None``.
 
-``columns(payload, count)``
-    ``(keys, values)``: the block's keys and its values as two sequences
-    in entry order, with ``values`` None for a codec that stores no values
-    (a byte set).  It runs the checks ``decode`` runs and raises the same
-    ``CorruptionError``s.  Reads use it through ``core._columns``,
-    counted as one decode: ``ordmap.reduce`` folds the value column,
-    ``core.keys`` (the graph store's readers) collects the key column,
-    the bulk merges and ``map_values`` of ``ordmap`` read both, and
-    ``sequence``'s ``nth``, ``find_first`` and ``reverse`` read the value
-    column.  Every shipped codec reads columns, so no reader keeps a
-    second, decoding path.  The default splits ``decode``'s entries, for
-    a codec that only decodes.
-
-``encode_columns(keys, values)``
-    The writer that mirrors ``columns``: the payload ``encode`` writes
-    for the entries ``(keys[i], values[i])``, with ``values`` None for a
-    set, after the same checks and with the same ``CodecError``
-    messages.  The bulk merges and ``map_values`` write their blocks with
-    it straight from their columns (``core._make_flat``).  Each byte
-    codec keeps one writer: ``DeltaCodec.encode`` splits its entries and
-    calls it, and both of ``IdentityCodec``'s writing methods pack
-    through ``_write``.  The default zips the columns and calls
-    ``encode``.
+``encode(entries)`` and ``decode(payload, count)`` are conveniences that
+every codec inherits and no shipped codec overrides: ``encode`` splits an entry list
+into its columns and calls ``encode_columns``, and ``decode`` zips what
+``columns`` returns.  ``core.flatten`` (behind ``to_list``),
+``ordmap.filter`` (whose predicate takes entries), ``inspect.check_tree``
+and callers that hold entry lists use them.
 
 Codecs are stateless and safe to share between threads.  A codec is
 built with a ``key_width`` of at least 1 and a ``value_width`` of at least
@@ -77,14 +80,12 @@ Two byte-oriented codecs ship with the library:
     ``key_width`` or 0), a block is packed and unpacked by one ``struct``
     call, and ``search`` bisects the keys inside the payload, so a point
     read decodes no block, ``splice`` cuts the payload at ``i * step`` and
-    ``j * step`` and packs only the new entries, and ``columns`` slices
-    the one unpacked tuple into keys and values.  ``encode`` reads the
-    fields straight from its entry tuples, so a one-entry splice pays no
-    split into columns, and ``encode_columns`` interleaves its two
-    columns; both pack through one writer.  Other widths use per-entry
-    loops that write and read the same bytes: ``columns`` parses the
-    block into its two columns, ``decode`` zips them, and searches and
-    splices fall back to decode.
+    ``j * step`` and packs only the new entries, read straight from their
+    tuples (a one-entry splice pays no split into columns), and
+    ``columns`` slices the one unpacked tuple into keys and values.
+    ``encode_columns`` interleaves its two columns; it and ``splice``
+    pack through one writer.  Other widths use per-entry loops that write
+    and read the same bytes, and neither search nor splice in place.
 
 ``DeltaCodec``
     For nonnegative integer keys, strictly increasing within a block::
@@ -96,31 +97,28 @@ Two byte-oriented codecs ship with the library:
     Gaps are classic little-endian base-128 varints: low seven bits per
     byte, high bit set on every byte except the last.  Values are stored
     raw; ``value_width=0`` drops them entirely (sets).  When every gap is
-    below 128 (dense keys), the gaps are one byte each.  The writer is
-    ``encode_columns``; ``encode`` splits its entries into the two
-    columns.  For a block whose mean gap is below 128, one
-    ``bytes(map(sub, ...))`` call computes and writes the gaps (it raises
-    ``ValueError`` for a gap outside 0..255), and ``isascii`` and a search
-    for a zero byte check that each is one varint byte; every other block
-    is checked and written by one per-key loop.  The first and the last
-    key are checked against ``key_width``: the last is the largest, so its
-    check covers the block.  ``check_entry`` passes exact ints in range at
-    once and sends anything else through the checks that raise.  Decode
-    sums ``count - 1`` gap bytes that are all below 0x80 with
-    ``accumulate``, and reads any other block with one sequential varint
-    loop; no parallel-decode claim is made.  Values of width 1, 2, 4 or 8
-    are packed and unpacked by one ``struct`` call.  ``columns`` is the
-    one parser: ``decode`` zips its two columns into entries.
+    below 128 (dense keys), the gaps are one byte each.  For a block
+    whose mean gap is below 128, one ``bytes(map(sub, ...))`` call
+    computes and writes the gaps (it raises ``ValueError`` for a gap
+    outside 0..255), and ``isascii`` and a search for a zero byte check
+    that each is one varint byte; every other block is checked and
+    written by one per-key loop.  The first and the last key are checked
+    against ``key_width``: the last is the largest, so its check covers
+    the block.  ``check_entry`` passes exact ints in range at once and
+    sends anything else through the checks that raise.  ``columns`` sums
+    ``count - 1`` gap bytes that are all below 0x80 with ``accumulate``,
+    and reads any other block with one sequential varint loop; no
+    parallel-decode claim is made.  Values of width 1, 2, 4 or 8 are
+    packed and unpacked by one ``struct`` call.
 
 ``ObjectCodec`` stores a block as two tuples, ``(keys, values)``, for
 entries that are not byte-packable (sequences of arbitrary elements,
 nested tree handles).  ``columns`` is the payload itself, once it has
-checked that the payload is a pair of ``count``-long columns; ``decode``
-zips the pair, ``search`` bisects the key tuple in place, and ``splice``
-splices both tuples, each after the same check, so a damaged payload
-raises ``CorruptionError`` before anything is built from it.
-``inspect.tree_bytes`` prices its payload by a nominal pointer model
-(``NOMINAL_ENTRY_BYTES`` per entry).
+checked that the payload is a pair of ``count``-long columns; ``search``
+bisects the key tuple in place, and ``splice`` splices both tuples, each
+after the same check, so a damaged payload raises ``CorruptionError``
+before anything is built from it.  ``inspect.tree_bytes`` prices its
+payload by a nominal pointer model (``NOMINAL_ENTRY_BYTES`` per entry).
 """
 
 import struct
@@ -201,7 +199,7 @@ def _check_uint(x, width, what):
 
 class EncodingScheme:
     """Codec interface; subclasses implement the two required methods and
-    may override the five optional ones (see the module docstring)."""
+    may override the three optional ones (see the module docstring)."""
 
     name = "abstract"
     # True when the codec cannot read its first/last key in O(1) from the
@@ -218,17 +216,24 @@ class EncodingScheme:
         self.key_width = key_width
         self.value_width = value_width
 
-    def encode(self, entries):
-        raise NotImplementedError
-
-    def decode(self, payload, count):
+    def columns(self, payload, count):
+        """(keys, values) of a block, values None where none are stored."""
         raise NotImplementedError
 
     def encode_columns(self, keys, values=None):
-        """encode of the entries (keys[i], values[i]); values None for a
-        set."""
-        return self.encode(list(zip(keys, repeat(None) if values is None
-                                    else values)))
+        """The payload of the entries (keys[i], values[i]); values None for
+        a set."""
+        raise NotImplementedError
+
+    def encode(self, entries):
+        """The payload of an entry list: its two columns, written."""
+        return self.encode_columns(list(map(_first, entries)),
+                                   list(map(_second, entries)))
+
+    def decode(self, payload, count):
+        """The entries of a block: its two columns, zipped."""
+        keys, values = self.columns(payload, count)
+        return list(zip(keys, repeat(None) if values is None else values))
 
     def check_entry(self, key, value):
         """Raise CodecError if no block could hold (key, value)."""
@@ -242,31 +247,25 @@ class EncodingScheme:
         in place."""
         return None
 
-    def columns(self, payload, count):
-        """(keys, values), values None where none are stored: by default
-        the decoded entries, split."""
-        entries = self.decode(payload, count)
-        return list(map(_first, entries)), list(map(_second, entries))
-
 
 # struct codes for the widths the identity codec packs in one call
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class _Entries:
-    """A block's entries read in place from its two columns: entry i is
+    """A block's entries read from its two columns: entry i is
     ``(keys[i], values[i])``, or ``(keys[i], None)`` where ``values`` is
     None."""
 
-    __slots__ = ("_keys", "_values")
+    __slots__ = ("keys", "values")
 
     def __init__(self, keys, values):
-        self._keys = keys
-        self._values = values
+        self.keys = keys
+        self.values = values
 
     def __getitem__(self, i):
-        values = self._values
-        return self._keys[i], None if values is None else values[i]
+        values = self.values
+        return self.keys[i], None if values is None else values[i]
 
 
 class IdentityCodec(EncodingScheme):
@@ -280,9 +279,6 @@ class IdentityCodec(EncodingScheme):
             code = None
         # one struct code for every field, or None for the per-entry loop
         self._code = code
-        # one [key][value] entry, where decode unpacks them in one call
-        self._entry = (struct.Struct("<" + code * 2)
-                       if code and value_width else None)
         # memoryview casts read native byte order: the payload is searched
         # in place only where that order is the wire format's
         self._view = code if sys.byteorder == "little" else None
@@ -291,13 +287,6 @@ class IdentityCodec(EncodingScheme):
         _check_uint(key, self.key_width, "key")
         if self.value_width:
             _check_uint(value, self.value_width, "value")
-
-    def encode(self, entries):
-        # the entries' fields in wire order, read straight from the tuples:
-        # a one-entry splice pays no split into columns
-        if self.value_width:
-            return self._write(list(chain.from_iterable(entries)), entries)
-        return self._write(list(map(_first, entries)), entries)
 
     def encode_columns(self, keys, values=None):
         flat = keys
@@ -335,15 +324,6 @@ class IdentityCodec(EncodingScheme):
         if len(payload) != count * self._step:
             raise CorruptionError("identity payload length mismatch")
 
-    def decode(self, payload, count):
-        if self._entry is not None:
-            self._check_length(payload, count)
-            return list(self._entry.iter_unpack(payload))
-        # this class's parser, not a subclass's: a subclass that wraps both
-        # methods sees one call per block read
-        keys, values = IdentityCodec.columns(self, payload, count)
-        return list(zip(keys, repeat(None) if values is None else values))
-
     def columns(self, payload, count):
         self._check_length(payload, count)
         if self._code is None:
@@ -375,8 +355,13 @@ class IdentityCodec(EncodingScheme):
         # a payload that is not searched in place is not spliced either
         if self._view is None:
             return None
-        step = self._step
-        new = self.encode(entries) if entries else b""
+        step, new = self._step, b""
+        if entries:
+            # the fields in wire order, read straight from the entry
+            # tuples: a one-entry splice pays no split into columns
+            new = self._write(list(chain.from_iterable(entries))
+                              if self.value_width
+                              else list(map(_first, entries)), entries)
         return payload[:i * step] + new + payload[j * step:]
 
 
@@ -401,13 +386,6 @@ class DeltaCodec(EncodingScheme):
         _check_uint(key, kw, "key")
         if vw:
             _check_uint(value, vw, "value")
-
-    def encode(self, entries):
-        # this class's writer, not a subclass's: a subclass that wraps both
-        # methods sees one call per block written
-        return DeltaCodec.encode_columns(
-            self, list(map(_first, entries)),
-            list(map(_second, entries)) if self.value_width else None)
 
     def encode_columns(self, keys, values=None):
         if not keys:
@@ -456,12 +434,6 @@ class DeltaCodec(EncodingScheme):
             out += v.to_bytes(vw, "little")
         return out
 
-    def decode(self, payload, count):
-        # this class's parser, not a subclass's: a subclass that wraps both
-        # methods sees one call per block read
-        keys, values = DeltaCodec.columns(self, payload, count)
-        return list(zip(keys, repeat(None) if values is None else values))
-
     def columns(self, payload, count):
         if count == 0:
             if payload:
@@ -502,9 +474,6 @@ class ObjectCodec(EncodingScheme):
     # Pointer-model estimate: one key word plus one value word per entry.
     NOMINAL_ENTRY_BYTES = 16
 
-    def encode(self, entries):
-        return tuple(map(_first, entries)), tuple(map(_second, entries))
-
     def encode_columns(self, keys, values=None):
         return tuple(keys), ((None,) * len(keys) if values is None
                              else tuple(values))
@@ -515,13 +484,9 @@ class ObjectCodec(EncodingScheme):
             raise CorruptionError("object payload count mismatch")
         return payload
 
-    # decode, search and splice check the payload through this class's
-    # columns, not a subclass's: a subclass that wraps decode and columns
-    # sees one call per block read
-
-    def decode(self, payload, count):
-        keys, values = ObjectCodec.columns(self, payload, count)
-        return list(zip(keys, values))
+    # search and splice check the payload through this class's columns,
+    # not a subclass's: a subclass that wraps columns sees one call per
+    # block read
 
     def search(self, payload, count, key):
         keys, values = ObjectCodec.columns(self, payload, count)
@@ -529,9 +494,8 @@ class ObjectCodec(EncodingScheme):
 
     def splice(self, payload, count, i, j, entries):
         keys, values = ObjectCodec.columns(self, payload, count)
-        new_keys, new_values = ObjectCodec.encode(self, entries)
-        return (keys[:i] + new_keys + keys[j:],
-                values[:i] + new_values + values[j:])
+        return (keys[:i] + tuple(map(_first, entries)) + keys[j:],
+                values[:i] + tuple(map(_second, entries)) + values[j:])
 
 
 def make_codec(spec, value_width=8):

@@ -10,7 +10,9 @@ each batch update is one bulk merge of that run into the vertex tree:
 drops the others (``ordmap._bulk`` under the ``_DELETE`` op triple).  A
 set that loses or gains no edge comes back as itself, which the merge
 counts as no change, so a delete batch of absent edges, and an insert
-batch of present ones, returns the input vertex tree.
+batch of present ones, returns the input vertex tree; the owner the
+union or delete gave that set back is released (``_settled``), so its
+owner count is what it was.
 ``from_edge_list`` is ``insert_edges`` into the empty graph.
 
 The readers take key columns: ``neighbors``, ``adjacency``,
@@ -38,7 +40,6 @@ counts (values are opaque to the reclamation protocol).
 """
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, groupby
 from operator import add
 
@@ -47,7 +48,7 @@ from .augment import AugSpec
 from .core import _entry_key, _rebuild, aug_of, flatten, keys, make_context
 from .encoding import DeltaCodec
 from .errors import GraphParseError
-from .nodes import size
+from .nodes import release, size
 
 
 def _edge_count_spec():
@@ -75,6 +76,16 @@ def graph_contexts(block_size=64):
 def _normalize_batch(pairs):
     """Sorted, deduplicated (src, dst) list."""
     return sorted(set((int(s), int(d)) for s, d in pairs))
+
+
+def _settled(old, new):
+    """``new``, an edge-set operation's result on ``old``.  Where it is
+    ``old`` itself (the operation changed nothing), the owner the
+    operation gave it is released: the vertex merge then keeps ``old``
+    where it is and drops the handle it was handed."""
+    if new is old:
+        release(new)
+    return new
 
 
 def _group_by_src(edges):
@@ -109,7 +120,8 @@ def insert_edges(g, batch):
     check = g.ectx.codec.check_entry
     for v in set(chain.from_iterable(edges)):
         check(v, None)
-    additions = {src: _rebuild(g.ectx, [(d, None) for d in dsts])
+    # each new edge set is written from its id column
+    additions = {src: _rebuild(g.ectx, dsts, None)
                  for src, dsts in _group_by_src(edges)}
     for _, d in edges:
         if d not in additions and not has_vertex(g, d):
@@ -119,7 +131,8 @@ def insert_edges(g, batch):
     # only a destination that is not a vertex yet comes without edges
     # (None), so a merge always gets a source's new edge tree
     def merge(old, new):
-        return new if old is None else ordmap.union(g.ectx, old, new)
+        return new if old is None else _settled(
+            old, ordmap.union(g.ectx, old, new))
 
     vertices = ordmap.multi_insert(g.vctx, g.vertices, entries, combine=merge)
     return Graph(vertices, g.vctx, g.ectx)
@@ -137,7 +150,8 @@ def delete_edges(g, batch):
     if not edges:
         return g
     vertices = ordmap._bulk(g.vctx, g.vertices, _group_by_src(edges), _DELETE,
-                            partial(ordmap.multi_delete, g.ectx))
+                            lambda old, dsts: _settled(
+                                old, ordmap.multi_delete(g.ectx, old, dsts)))
     return Graph(vertices, g.vctx, g.ectx)
 
 

@@ -111,7 +111,7 @@ from itertools import repeat
 from .core import (_as_tree, _balanced_pair, _columns, _concat, _decode,
                    _edit, _entry_key, _join, _join2, _locate, _make_flat,
                    _make_regular, _rebuild, _run_or_tree, _search, _slice,
-                   _whole, flatten)
+                   _unzip, _whole, flatten)
 from .errors import ContractError
 from .nodes import Flat, release, retain, size
 from .parallel import fork2
@@ -133,7 +133,7 @@ def _normalize(batch, combine):
 
 def build(ctx, pairs, combine=_RIGHT):
     """Tree over an unsorted entry sequence; duplicate keys combined."""
-    return _rebuild(ctx, _normalize(pairs, combine))
+    return _rebuild(ctx, *_unzip(_normalize(pairs, combine)))
 
 
 def from_sorted(ctx, entries):
@@ -142,7 +142,7 @@ def from_sorted(ctx, entries):
     for i in range(1, len(entries)):
         if not entries[i - 1][0] < entries[i][0]:
             raise ContractError("from_sorted requires strictly increasing keys")
-    return _rebuild(ctx, entries)
+    return _rebuild(ctx, *_unzip(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def _update(ctx, t, k, new, combine=_RIGHT):
     retains it): a block whose bounds exclude k is not searched, and a
     node whose child returned itself returns itself."""
     if t is None:
-        return _rebuild(ctx, _stored(ctx, new, None, combine))
+        return _rebuild(ctx, *_unzip(_stored(ctx, new, None, combine)))
     if type(t) is Flat:
         if new or t.first_key <= k <= t.last_key:
             pos, entries = _search(ctx, t, k)
@@ -424,7 +424,7 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
     if lo >= hi:
         return retain(t) if only1 else None
     if t is None:
-        return _run_or_tree(ctx, arr[lo:hi]) if only2 else None
+        return _run_or_tree(ctx, *_unzip(arr[lo:hi])) if only2 else None
     if type(t) is Flat:
         return _merge(ctx, t, arr, lo, hi, op, combine)
     e = (t.key, t.value)
@@ -492,11 +492,13 @@ def _filter_tree(ctx, t, keep, prune=None):
     if prune is not None and not prune(t):
         return None
     if type(t) is Flat:
-        entries = _decode(ctx, t)
-        kept = [e for e in entries if keep(e)]
-        if len(kept) == len(entries):
+        # the predicate takes entries, so the block is read as entries
+        kept = [e for e in _decode(ctx, t) if keep(e)]
+        if len(kept) == t.count:
             return retain(t)
-        return _run_or_tree(ctx, kept)
+        if len(kept) < ctx.config.block_size:
+            return kept
+        return _as_tree(ctx, kept)
     e = (t.key, t.value)
     if not keep(e):
         e = None

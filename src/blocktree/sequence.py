@@ -36,7 +36,8 @@ def check_seq_context(ctx):
 def seq_build(ctx, elements):
     """Sequence whose in-order traversal yields the elements in input order."""
     check_seq_context(ctx)
-    return _rebuild(ctx, [(None, x) for x in elements])
+    elements = list(elements)
+    return _rebuild(ctx, [None] * len(elements), elements)
 
 
 def to_elements(ctx, s):

@@ -715,8 +715,8 @@ def test_leaf_blocking_threshold():
     lone = _make_regular(ctx, None, (1, 1), None, 1)
     with pytest.raises(InvariantViolation):
         check_tree(ctx, lone)
-    pair = _make_regular(ctx, _make_flat(ctx, KV([1, 2])), (3, 3),
-                         _make_flat(ctx, KV([4, 5])), 5)
+    pair = _make_regular(ctx, _make_flat(ctx, [1, 2], [1, 2]), (3, 3),
+                         _make_flat(ctx, [4, 5], [4, 5]), 5)
     with pytest.raises(InvariantViolation):
         check_tree(ctx, pair)
     for t in (small, big, lone, pair):
@@ -727,8 +727,9 @@ def test_checker_rejects_entry_the_codec_rejects():
     # built by hand: a balanced blocked tree whose regular node holds a
     # value out of range for the identity codec
     ctx = make_context(block_size=8, encoding="identity")
-    tree = lambda v: _make_regular(ctx, _make_flat(ctx, KV(range(8))), (8, v),
-                                   _make_flat(ctx, KV(range(9, 17))), 17)
+    block = lambda keys: _make_flat(ctx, list(keys), list(keys))
+    tree = lambda v: _make_regular(ctx, block(range(8)), (8, v),
+                                   block(range(9, 17)), 17)
     good, bad = tree(8), tree(-1)
     check_tree(ctx, good)
     with pytest.raises(InvariantViolation):

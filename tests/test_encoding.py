@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import struct
 from bisect import bisect_left
 from itertools import accumulate, repeat
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blocktree.counters import counters
-from blocktree.encoding import DeltaCodec, IdentityCodec, ObjectCodec
+from blocktree.encoding import (DeltaCodec, EncodingScheme, IdentityCodec,
+                                ObjectCodec)
 from blocktree.errors import CodecError, CorruptionError
 from blocktree.nodes import Flat
 
@@ -540,7 +542,7 @@ def test_search_agrees_with_decode_and_bisect(kind, keys, probes):
     vw = getattr(codec, "value_width", 8)
     entries = [(k, (k * 7 + 1) if vw else None) for k in keys]
     ctx = bt.make_context(block_size=len(entries), encoding=codec)
-    t = _make_flat(ctx, entries)
+    t = _make_flat(ctx, keys, [v for _, v in entries])
     searched_in_place = kind in ("identity", "identity0", "object")
     for k in probes + keys[:3] + keys[-3:]:
         before = counters.decodes
@@ -668,3 +670,56 @@ def test_object_columns_match_decode():
         assert _unzipped(cols) == _unzipped(codec.decode(payload, len(entries)), 8)
         assert _unzipped(cols) == _unzipped(entries, 8)
         assert codec.encode_columns(*cols) == payload
+
+
+class _ColumnsOnly(EncodingScheme):
+    """A codec with the two required methods alone: the identity codec's
+    bytes at 8-byte keys and values, packed and unpacked by one call."""
+
+    def columns(self, payload, count):
+        flat = struct.unpack(f"<{2 * count}Q", payload)
+        return flat[0::2], flat[1::2]
+
+    def encode_columns(self, keys, values=None):
+        flat = [None] * (2 * len(keys))
+        flat[0::2], flat[1::2] = keys, values
+        return struct.pack(f"<{len(flat)}Q", *flat)
+
+
+@pytest.mark.parametrize("B", [1, 8, 128])
+def test_codec_with_only_the_required_methods_runs_every_operation(B):
+    # columns and encode_columns are all a codec must define: every
+    # operation builds the same trees, byte for byte, as with the identity
+    # codec, which also searches and splices in place
+    import blocktree as bt
+    from blocktree import ordmap
+    from blocktree.inspect import structure_digest
+
+    rng = random.Random(B)
+    keys = range(40 * B + 300)
+    pairs = [(k, rng.randrange(1000)) for k in rng.sample(keys, 20 * B + 150)]
+    more = [(k, rng.randrange(1000)) for k in rng.sample(keys, 6 * B + 40)]
+    lo, hi = sorted(rng.sample(keys, 2))
+    gone = pairs[len(pairs) // 3][0]
+    add = lambda a, b: a + b
+
+    def run(ctx):
+        t, o = ordmap.build(ctx, pairs), ordmap.build(ctx, more)
+        trees = [t, o, ordmap.insert(ctx, t, 40 * B + 301, 7),
+                 ordmap.insert(ctx, t, pairs[0][0], 5, add),
+                 ordmap.remove(ctx, t, gone), ordmap.union(ctx, t, o, add),
+                 ordmap.key_range(ctx, t, lo, hi),
+                 ordmap.filter(ctx, t, lambda e: e[1] % 3 != 0),
+                 ordmap.map_values(ctx, t, lambda v: v * 2 + 1)]
+        left, e, right = bt.split(ctx, t, gone)
+        trees += [left, right]
+        reads = [ordmap.find(ctx, t, k) for k in keys[::7]]
+        reads += [e, ordmap.reduce(ctx, t, add, 0)]
+        out = ([structure_digest(ctx, x) for x in trees],
+               [bt.to_list(ctx, x) for x in trees], reads)
+        for x in trees:
+            bt.release(x)
+        return out
+
+    assert run(bt.make_context(block_size=B, encoding=_ColumnsOnly())) == run(
+        bt.make_context(block_size=B, encoding=IdentityCodec()))

@@ -351,6 +351,34 @@ def test_insert_of_present_edges_shares_the_vertex_tree():
     assert gs.adjacency(h) == {v: sorted(n) for v, n in adj.items()}
 
 
+def test_unchanged_edge_sets_keep_one_owner():
+    # a batch that changes no edge set hands each touched set back as
+    # itself; graphstore releases the owner the union or delete gave it,
+    # so every set's root keeps one owner, in a vertex block and at a
+    # regular node of the vertex tree alike
+    rng = random.Random(11)
+    edges = ([(0, d) for d in range(1, 401, 2)]
+             + [(rng.randrange(1, 3000), rng.randrange(3000))
+                for _ in range(6000)])
+    g = gs.from_edge_list(edges, block_size=64)
+    at_node = g.vertices.key
+    adj = adj_of(edges)
+    sources = [0, at_node] + rng.sample(sorted(v for v in adj if adj[v]), 8)
+    owners = lambda h: [bt.ordmap.find(h.vctx, h.vertices, s).owners
+                        for s in sources]
+    assert gs.degree(g, 0) == 200
+    assert owners(g) == [1] * len(sources)
+    present = [(s, d) for s in sources for d in sorted(adj[s])[:2]]
+    h = gs.insert_edges(g, present)
+    assert h.vertices is g.vertices
+    assert owners(g) == [1] * len(sources)
+    absent = [(s, 3001) for s in sources]
+    h = gs.delete_edges(g, absent)
+    assert h.vertices is g.vertices
+    assert owners(g) == [1] * len(sources)
+    assert gs.adjacency(g) == {v: sorted(n) for v, n in adj.items()}
+
+
 def test_bfs_isolated_and_missing_vertex():
     g = gs.from_edge_list([(3, 4)])
     assert gs.bfs(g, 4) == {4: 0}
