@@ -120,20 +120,21 @@ _RIGHT = lambda a, b: b
 
 
 def _normalize(batch, combine):
-    """Stable-sort a batch by key and fold duplicates through combine."""
-    arr = sorted(batch, key=_entry_key)
-    out = []
-    for k, v in arr:
-        if out and out[-1][0] == k:
-            out[-1] = (k, combine(out[-1][1], v))
+    """The key column and the value column of a batch stably sorted by
+    key, with duplicate keys folded through combine."""
+    keys, values = [], []
+    for k, v in sorted(batch, key=_entry_key):
+        if keys and keys[-1] == k:
+            values[-1] = combine(values[-1], v)
         else:
-            out.append((k, v))
-    return out
+            keys.append(k)
+            values.append(v)
+    return keys, values
 
 
 def build(ctx, pairs, combine=_RIGHT):
     """Tree over an unsorted entry sequence; duplicate keys combined."""
-    return _rebuild(ctx, *_unzip(_normalize(pairs, combine)))
+    return _rebuild(ctx, *_normalize(pairs, combine))
 
 
 def from_sorted(ctx, entries):
@@ -460,7 +461,7 @@ def _bulk(ctx, t, arr, op, combine):
 
 
 def multi_insert(ctx, t, batch, combine=_RIGHT):
-    arr = _normalize(batch, combine)
+    arr = list(zip(*_normalize(batch, combine)))
     check = ctx.codec.check_entry
     for k, v in arr:
         check(k, v)
