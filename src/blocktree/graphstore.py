@@ -3,16 +3,21 @@
 The vertex tree maps vertex id to an edge tree and is augmented with the
 total edge count, so ``edge_count`` is an O(1) root read (``core.aug_of``).
 A batch is sorted and grouped by source with ``itertools.groupby``, and
-each batch update is one bulk merge of that run into the vertex tree:
-``insert_edges`` unions each source's new neighbors into its set
-(``ordmap.multi_insert``), and ``delete_edges`` runs
-``ordmap.multi_delete`` on the set of each source that is a vertex and
-drops the others (``ordmap._bulk`` under the ``_DELETE`` op triple).  A
-set that loses or gains no edge comes back as itself, which the merge
-counts as no change, so a delete batch of absent edges, and an insert
-batch of present ones, returns the input vertex tree; the owner the
-union or delete gave that set back is released (``_settled``), so its
-owner count is what it was.
+each batch update is one bulk merge (``ordmap._bulk``) of the run of
+(source, sorted ids) into the vertex tree, whose combine is the one
+per-source update, ``_edges``: ``insert_edges`` merges each found
+source's ids straight into its set under ``_UNION``, and ``delete_edges``
+deletes them from the set of each source that is a vertex under
+``_DIFFERENCE`` and drops the others (the ``_DELETE`` op triple).  The
+ids reach the set's merge as a run, so no tree of them is built.  A
+source the vertex merge adds is a run-only entry: the second element of
+the insert's op triple is a function, so the merge stores the set
+written from the source's ids (``core._rebuild``), and nothing for a new
+destination without edges.  A set that loses or gains no edge comes back
+as itself, which the merge counts as no change, so a delete batch of
+absent edges, and an insert batch of present ones, builds nothing and
+returns the input vertex tree; the owner ``ordmap._bulk`` gave that set
+back is released, so its owner count is what it was.
 ``from_edge_list`` is ``insert_edges`` into the empty graph.
 
 The readers take key columns: ``neighbors``, ``adjacency``,
@@ -40,7 +45,7 @@ counts (values are opaque to the reclamation protocol).
 """
 
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from operator import add
 
 from . import ordmap
@@ -49,6 +54,7 @@ from .core import _entry_key, _rebuild, aug_of, flatten, keys, make_context
 from .encoding import DeltaCodec
 from .errors import GraphParseError
 from .nodes import release, size
+from .ordmap import _DIFFERENCE, _RIGHT, _UNION
 
 
 def _edge_count_spec():
@@ -78,11 +84,17 @@ def _normalize_batch(pairs):
     return sorted(set((int(s), int(d)) for s, d in pairs))
 
 
-def _settled(old, new):
-    """``new``, an edge-set operation's result on ``old``.  Where it is
-    ``old`` itself (the operation changed nothing), the owner the
-    operation gave it is released: the vertex merge then keeps ``old``
-    where it is and drops the handle it was handed."""
+def _edges(ectx, old, ids, op):
+    """Edge set ``old`` (borrowed; None for none) under op (``_UNION`` or
+    ``_DIFFERENCE``) with the sorted, distinct id list ``ids``: the one
+    per-source update.  Into no set, a union writes the ids' set from its
+    key column.  Otherwise the ids merge into ``old`` through
+    ``ordmap._bulk``; where that hands back ``old`` itself (nothing
+    changed), the owner it gave ``old`` is released: the vertex merge then
+    keeps ``old`` where it is and drops the handle it was handed."""
+    if old is None:
+        return _rebuild(ectx, ids, None) if op[1] else None
+    new = ordmap._bulk(ectx, old, list(zip(ids, repeat(None))), op, _RIGHT)
     if new is old:
         release(new)
     return new
@@ -106,11 +118,15 @@ def from_edge_list(pairs, block_size=64, symmetric=False):
 def insert_edges(g, batch):
     """New snapshot with the batch's edges added; input graph unchanged.
 
-    The vertex run holds each source with its new edges, and only those
-    destinations that are not vertices yet: a vertex-tree block that holds
-    no source and gains no vertex is shared, not re-encoded.  Every
-    endpoint is checked against the edge codec (a nonnegative id that
-    fits its key width) before any tree is built.
+    The vertex run holds each source with its sorted new ids, and each
+    destination that is not a vertex yet with none: a vertex-tree block
+    that holds no source and gains no vertex is shared, not re-encoded.
+    The merge unions a found source's ids into its set (``_edges``), and
+    stores a set written from its ids for a source it adds (the op's
+    second element is that function), so no set of new edges is built
+    for a source that has one.  Every endpoint is checked against the
+    edge codec (a nonnegative id that fits its key width) before any tree
+    is built.
     """
     edges = _normalize_batch(batch)
     if not edges:
@@ -120,27 +136,20 @@ def insert_edges(g, batch):
     check = g.ectx.codec.check_entry
     for v in set(chain.from_iterable(edges)):
         check(v, None)
-    # each new edge set is written from its id column
-    additions = {src: _rebuild(g.ectx, dsts, None)
-                 for src, dsts in _group_by_src(edges)}
+    additions = dict(_group_by_src(edges))
     for _, d in edges:
         if d not in additions and not has_vertex(g, d):
-            additions[d] = None
-    entries = sorted(additions.items())
-
-    # only a destination that is not a vertex yet comes without edges
-    # (None), so a merge always gets a source's new edge tree
-    def merge(old, new):
-        return new if old is None else _settled(
-            old, ordmap.union(g.ectx, old, new))
-
-    vertices = ordmap.multi_insert(g.vctx, g.vertices, entries, combine=merge)
+            additions[d] = []
+    ectx = g.ectx
+    op = (True, lambda ids: _edges(ectx, None, ids, _UNION), True)
+    vertices = ordmap._bulk(g.vctx, g.vertices, sorted(additions.items()), op,
+                            lambda old, ids: _edges(ectx, old, ids, _UNION))
     return Graph(vertices, g.vctx, g.ectx)
 
 
 # What delete_edges keeps of the vertex tree and its run of (source,
 # destinations): every vertex, each found source with its destinations
-# deleted (``ordmap.multi_delete``), and no absent source.
+# deleted (``_edges`` under ``_DIFFERENCE``), and no absent source.
 _DELETE = (True, False, True)
 
 
@@ -149,9 +158,10 @@ def delete_edges(g, batch):
     edges = _normalize_batch(batch)
     if not edges:
         return g
+    ectx = g.ectx
     vertices = ordmap._bulk(g.vctx, g.vertices, _group_by_src(edges), _DELETE,
-                            lambda old, dsts: _settled(
-                                old, ordmap.multi_delete(g.ectx, old, dsts)))
+                            lambda old, ids: _edges(ectx, old, ids,
+                                                    _DIFFERENCE))
     return Graph(vertices, g.vctx, g.ectx)
 
 

@@ -10,46 +10,53 @@ All five bulk operations run one recursion, ``_batch``: it bisects a sorted
 entry run at the tree's root and joins the two recursive results, and an op
 triple (``_UNION``, ``_INTERSECTION``, ``_DIFFERENCE``) says which entries
 to keep: those only in the tree, those only in the run, and keys in both
-(through ``combine``).  ``multi_insert`` is a union with its batch and
-``multi_delete`` a difference.  A set operation reads its smaller operand
-as the run (flattened once) and recurses on the larger; when the smaller
-one is ``t1``, ``_setop`` mirrors the op triple and flips ``combine``, so it
-is still called as ``combine(t1 value, t2 value)``.  The base case is the
+(through ``combine``).  The second element may be a function instead: a
+run-only entry then stores that function of its value, which is how
+``graphstore.insert_edges`` stores a set written from a new source's ids.
+``multi_insert`` is a union with its batch and ``multi_delete`` a
+difference.  A set operation reads its smaller operand as the run
+(flattened once) and recurses on the larger; when the smaller one is
+``t1``, ``_setop`` mirrors the op triple and flips ``combine``, so it is
+still called as ``combine(t1 value, t2 value)``.  The base case is the
 block: where the run reaches a block, ``_merge`` reads it as a key column
-and a value column (``core._columns``, which every codec reads), merges
-the run into them and writes its result from the merged columns: a block
-of B..2B entries straight through the codec's ``encode_columns``, more
-cut at the middle entry as ``core._rebuild`` cuts, fewer zipped into an
-entry run.  A run
-below a quarter of the block gallops (Demaine, López-Ortiz and Munro,
-SODA 2000): each run key is bisected into the key column and the stretch
-before it copied as a slice; a longer run walks the block entry by
-entry.  Every block the run does not reach stays shared, so a batch of k
-keys re-encodes about k blocks.  A node whose run lies wholly on one side
-of its key recurses into that side alone, and shares the other child (or
-drops it, under an op that keeps no tree-only entry) with no ``fork2``;
-only a node whose run splits forks its two branches.  Under an op that
-keeps the tree's own entries (``union``, ``multi_insert``,
-``multi_delete``, ``difference``, ``graphstore.delete_edges``), a block
-whose run adds no entry and changes none of its entries is shared too,
-and so is a regular node whose two results are its own children and whose
-entry is kept unchanged (``_glue``, which ``_filter_tree`` shares).  A key
-the run hits changes nothing where ``combine`` returns the stored value
-object itself.  So a delete batch that misses every key, or every edge of
-its sources, and a ``multi_insert`` of present keys whose ``combine``
-keeps the stored values, build nothing and return their input.  Results
-follow ``core``'s fragment convention: a merge that keeps fewer than B
-entries returns them as an entry run (a plain sorted list) instead of a
-tree, and a regular node glues its two results and its kept entry with
-``core._concat``: two runs are concatenated and encoded once they reach
-B, as one block; a run that meets a tree becomes one block that the join
-absorbs, and a run beside a dropped entry gives up its entry at the seam
-as the join's middle.  Two results that are whole trees (``core._whole``)
-and balance beside a kept entry are linked by one regular node directly
-(``core._make_regular``), the link ``_concat`` would reach through
-``_as_tree``, ``_join`` and ``_node``.  So a sparse intersection encodes
-its result about once instead of joining one undersized fragment per
-block.
+and a value column (``core._columns``, which every codec reads), merges the
+run into them and returns the merged columns.  ``_batch`` writes them as
+``core._run_or_tree`` does: a block of B..2B entries straight through the
+codec's ``encode_columns``, more cut at the middle entry as
+``core._rebuild`` cuts, fewer zipped into an entry run.  Where the block is
+the root (or the tree is empty), ``_bulk`` writes them with ``_rebuild``
+itself, so a whole result below B becomes its block with no entry run
+zipped and split again on the way.  A run below a quarter of the block
+gallops (Demaine, López-Ortiz and Munro, SODA 2000): each run key is
+bisected into the key column and the stretch before it copied as a slice; a
+longer run walks the block entry by entry.  Every block the run does not
+reach stays shared, so a batch of k keys re-encodes about k blocks.  A node
+whose run lies wholly on one side of its key recurses into that side alone,
+and shares the other child (or drops it, under an op that keeps no
+tree-only entry) with no ``fork2``; only a node whose run splits forks its
+two branches.  Under an op that keeps the tree's own entries (``union``,
+``multi_insert``, ``multi_delete``, ``difference``,
+``graphstore.delete_edges``), a block whose run adds no entry and changes
+none of its entries is shared too, and so is a regular node whose two
+results are its own children and whose entry is kept unchanged (``_glue``,
+which ``_filter_tree`` shares).  A key the run hits changes nothing where
+``combine`` returns the stored value object itself.  So a delete batch that
+misses every key, or every edge of its sources, and a ``multi_insert`` of
+present keys whose ``combine`` keeps the stored values, build nothing and
+return their input.  Results follow ``core``'s fragment convention: a merge
+result of fewer than B entries travels up as an entry run (a plain
+sorted list) instead of a tree, and a regular node glues its two results
+and its kept entry with ``core._concat``: two runs are concatenated and
+encoded once they reach B, as one block; a run that meets a tree becomes
+one block that the join absorbs, and a run beside a dropped entry gives up
+its entry at the seam as the join's middle.  Two results that are whole
+trees (``core._whole``) and balance beside a kept entry are linked by one
+regular node directly (``core._make_regular``), the link ``_concat`` would
+reach through ``_as_tree``, ``_join`` and ``_node``; two trees of exactly
+the sizes of the node's children keep its shape and are linked so without a
+balance test (every node of a graph delete, and of a graph insert that adds
+no vertex).  So a sparse intersection encodes its result about once instead
+of joining one undersized fragment per block.
 ``_filter_tree`` follows the same convention and ends in the same
 ``_concat``, and every public operation turns the final result into a
 tree with ``core._as_tree``.  No bulk operation unfolds a block, and
@@ -304,18 +311,27 @@ _GALLOP = 4
 
 
 def _merge(ctx, t, arr, lo, hi, op, combine):
-    """Block t under op with the sorted run arr[lo:hi] as second operand;
-    borrows t.  The one merge: it reads the block as a key column and a
-    value column (``core._columns``), copies stretches of both, and writes
-    the result from the merged columns (``_run_or_tree``).  A run below a
-    quarter of the block gallops: each run key is bisected into the key
-    column, and the stretch before it copied as a slice; a longer one
-    steps through the block entry by entry.  Where the op
-    keeps no run-only entry and no key the run hits changed its entry (it
-    is dropped, or ``combine`` returns the stored value object itself),
-    the block is returned shared."""
+    """Block t, or the empty tree, under op with the sorted run arr[lo:hi]
+    as second operand; borrows t.  The one merge: it reads the block as a
+    key column and a value column (``core._columns``), copies stretches of
+    both, and returns the merged columns ``(keys, values)``, which its
+    caller writes.  A run below a quarter of the block gallops: each run
+    key is bisected into the key column, and the stretch before it copied
+    as a slice; a longer one steps through the block entry by entry.  A
+    run-only entry keeps its value, or stores ``op[1](value)`` where the
+    op's second element is a function.  Where the op keeps no run-only
+    entry and no key the run hits changed its entry (it is dropped, or
+    ``combine`` returns the stored value object itself), the block is
+    returned shared; the empty tree under an op that keeps no run-only
+    entry gives None."""
     only_a, only_b, both = op
+    store = only_b if callable(only_b) else None
     run = arr[lo:hi]
+    if t is None:
+        if not only_b:
+            return None
+        keys, vals = _unzip(run)
+        return keys, vals if store is None else list(map(store, vals))
     gallop = _GALLOP * len(run) < t.count
     keys, vals = _columns(ctx, t)
     if vals is None:
@@ -347,7 +363,7 @@ def _merge(ctx, t, arr, lo, hi, op, combine):
             i += 1
         elif only_b:
             ok.append(k)
-            ov.append(v)
+            ov.append(v if store is None else store(v))
             hit = True
     # a run that adds and changes nothing leaves the block as it is
     if only_a and not hit:
@@ -355,7 +371,7 @@ def _merge(ctx, t, arr, lo, hi, op, combine):
     if only_a:
         ok += keys[i:]
         ov += vals[i:]
-    return _run_or_tree(ctx, ok, ov)
+    return ok, ov
 
 
 def _combined(ctx, k, a, b, combine):
@@ -402,13 +418,17 @@ union_efficient = union
 def _glue(ctx, t, kept, l, e, r):
     """The results l and r of node t's children and its entry e glued by
     ``_concat``; consumes l and r.  Where they are t's own children and t's
-    entry is ``kept`` unchanged, t itself is shared instead, and two whole
-    trees that balance (what ``_concat`` would link) are linked by one
-    regular node directly."""
+    entry is ``kept`` unchanged, t itself is shared instead.  Two trees of
+    exactly the sizes of t's children keep t's shape, and two whole trees
+    that balance (what ``_concat`` would link) are linked by one regular
+    node directly."""
     if kept and l is t.left and r is t.right:
         release(l)
         release(r)
         return retain(t)
+    if (e is not None and type(l) is not list and type(r) is not list
+            and size(l) == size(t.left) and size(r) == size(t.right)):
+        return _make_regular(ctx, l, e, r, t.size)
     B = ctx.config.block_size
     if (e is not None and _whole(B, l) and _whole(B, r)
             and _balanced_pair(ctx.config, size(l) + 1, size(r) + 1)):
@@ -418,16 +438,15 @@ def _glue(ctx, t, kept, l, e, r):
 
 def _batch(ctx, t, arr, lo, hi, op, combine):
     """t under op with the sorted entry run arr[lo:hi] as second operand;
-    borrows t.  A block goes to the merge.  Returns a tree, or an entry
-    run of fewer than B entries, which ``_concat`` joins with its
-    neighbors."""
+    borrows t.  A block, or the empty tree, goes to the merge, whose
+    columns become an entry run below B entries (which ``_concat`` joins
+    with its neighbors) and a tree from B on (``_run_or_tree``)."""
     only1, only2, both = op
     if lo >= hi:
         return retain(t) if only1 else None
-    if t is None:
-        return _run_or_tree(ctx, *_unzip(arr[lo:hi])) if only2 else None
-    if type(t) is Flat:
-        return _merge(ctx, t, arr, lo, hi, op, combine)
+    if t is None or type(t) is Flat:
+        m = _merge(ctx, t, arr, lo, hi, op, combine)
+        return _run_or_tree(ctx, *m) if type(m) is tuple else m
     e = (t.key, t.value)
     pos = bisect_left(arr, e[0], lo, hi, key=_entry_key)
     hit = pos < hi and arr[pos][0] == e[0]
@@ -456,7 +475,13 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
 
 
 def _bulk(ctx, t, arr, op, combine):
-    """_batch over the whole run arr; borrows t and returns a tree."""
+    """_batch over the whole run arr; borrows t and returns a tree.  At a
+    block root, or the empty tree, the merge's columns are written as a
+    tree straight away (``_rebuild``): a whole result below B is not
+    zipped into an entry run first."""
+    if t is None or type(t) is Flat:
+        m = _merge(ctx, t, arr, 0, len(arr), op, combine)
+        return _rebuild(ctx, *m) if type(m) is tuple else m
     return _as_tree(ctx, _batch(ctx, t, arr, 0, len(arr), op, combine))
 
 

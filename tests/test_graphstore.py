@@ -297,8 +297,8 @@ def test_has_vertex(monkeypatch):
 
 def test_delete_of_absent_edges_shares_the_vertex_tree():
     # edges absent from sets of existing sources change nothing: each
-    # set's multi_delete returns the set itself, which the merge counts as
-    # no change, both in a block and at a regular node of the vertex tree
+    # set's delete returns the set itself, which the merge counts as no
+    # change, both in a block and at a regular node of the vertex tree
     from blocktree.counters import counters
     rng = random.Random(3)
     edges = [(rng.randrange(20000), rng.randrange(20000)) for _ in range(20000)]
@@ -325,10 +325,11 @@ def test_delete_of_absent_edges_shares_the_vertex_tree():
 
 
 def test_insert_of_present_edges_shares_the_vertex_tree():
-    # edges already present change nothing: each source's union adds no
-    # edge and returns its set itself, which the vertex merge counts as no
-    # change, in a block and at a regular node.  Only each source's tree
-    # of new edges is built (one block each)
+    # edges already present change nothing: each source's ids merge into
+    # its set, add no edge and hand back the set itself, which the vertex
+    # merge counts as no change, in a block and at a regular node.  No
+    # tree of the new ids is built, so the batch folds and allocates
+    # nothing
     from blocktree.counters import counters
     rng = random.Random(5)
     edges = [(rng.randrange(20000), rng.randrange(20000)) for _ in range(20000)]
@@ -343,12 +344,66 @@ def test_insert_of_present_edges_shares_the_vertex_tree():
     before = counters.snapshot()
     h = gs.insert_edges(g, batch)
     after = counters.snapshot()
-    n_sources = len({s for s, _ in batch})
+    assert len({s for s, _ in batch}) == 8
     assert (after["folds"] - before["folds"],
-            after["allocations"] - before["allocations"]) == (n_sources,
-                                                              n_sources)
+            after["allocations"] - before["allocations"]) == (0, 0)
     assert h.vertices is g.vertices
     assert gs.adjacency(h) == {v: sorted(n) for v, n in adj.items()}
+
+
+def test_new_edges_into_existing_sets_build_no_extra_set():
+    # one new edge into each of k existing multi-entry sets merges its id
+    # straight into the set: the batch folds each set's one block and the
+    # one vertex block, and no set of the new edges is built beside them
+    # (one more block per source, never released, when each source's new
+    # ids became a set of their own first)
+    from blocktree.counters import counters
+    k = 6
+    edges = [(s, d) for s in range(k) for d in range(10, 40, 3)]
+    g = gs.from_edge_list(edges, block_size=64)
+    assert type(g.vertices) is Flat
+    sets = [bt.ordmap.find(g.vctx, g.vertices, s) for s in range(k)]
+    assert all(type(t) is Flat and t.count == 10 for t in sets)
+    batch = [(s, (s + 1) % k) for s in range(k)]
+    before = counters.snapshot()
+    h = gs.insert_edges(g, batch)
+    after = counters.snapshot()
+    assert {key: after[key] - before[key]
+            for key in ("folds", "allocations", "live")} == {
+        "folds": k + 1, "allocations": k + 1, "live": k + 1}
+    assert gs.adjacency(h) == {v: sorted(n) for v, n in
+                               adj_of(edges + batch).items()}
+    assert [t.owners for t in sets] == [1] * k
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("B", [1, 2, 8, 64])
+def test_new_sources_store_sets_written_from_their_ids(B, threads):
+    # a source the vertex merge adds is a run-only entry: the merge stores
+    # the set written from its ids (the op's second element is that
+    # function), and a new destination without edges stores no set.  Into
+    # the empty vertex tree and into a vertex block alike, the graph
+    # matches the adjacency oracle and every tree is valid, inline and
+    # with a worker pool
+    bt.set_threads(threads)
+    rng = random.Random(70 + B)
+    base = [(0, 1)]
+    for g, edges in ((gs.Graph(None, *gs.graph_contexts(B)), []),
+                     (gs.from_edge_list(base, block_size=B), base)):
+        assert g.vertices is None or type(g.vertices) is Flat
+        batch = [(s, d) for s in range(2, 2 + 3 * B + 4)
+                 for d in rng.sample(range(5 * B + 20), rng.randrange(
+                     1, 3 * B + 3))]
+        h = gs.insert_edges(g, batch)
+        adj = adj_of(edges + batch)
+        assert gs.adjacency(h) == {v: sorted(n) for v, n in adj.items()}
+        assert gs.edge_count(h) == sum(map(len, adj.values()))
+        check_tree(h.vctx, h.vertices)
+        for _, et in bt.items(h.vctx, h.vertices):
+            if et is not None:
+                check_tree(h.ectx, et)
+        assert any(bt.tree_size(et) > 2 * B
+                   for _, et in bt.items(h.vctx, h.vertices))
 
 
 def test_unchanged_edge_sets_keep_one_owner():

@@ -959,13 +959,14 @@ def test_one_sided_batches_release_what_they_hold(B):
 
 @pytest.mark.parametrize("B", [1, 8])
 def test_failed_graph_batches_release_what_they_hold(B, monkeypatch):
-    # an edge batch whose per-source union or delete raises after the first
-    # one, or whose vertex or edge block read or column write fails, leaves
-    # the graph intact and releases every vertex-tree node it had made,
-    # inline and with a worker pool.  graphstore leaves edge trees to the
-    # garbage collector, so the test releases the ones each attempt built
-    # (the new sets, and every union and delete result but an input set
-    # handed back unchanged) for an exact count
+    # an edge batch whose per-source update (graphstore._edges: a new
+    # source's set, a union or a delete) raises after the first one, or
+    # whose vertex or edge block read or column write fails, leaves the
+    # graph intact and releases every vertex-tree node it had made, inline
+    # and with a worker pool.  graphstore leaves edge trees to the garbage
+    # collector, so the test releases the ones each attempt built (every
+    # per-source result but an input set handed back unchanged) for an
+    # exact count
     from blocktree import graphstore as gs
     vcodec = _failing_codec(ObjectCodec)
     ecodec = _failing_codec(DeltaCodec, value_width=0)
@@ -979,20 +980,18 @@ def test_failed_graph_batches_release_what_they_hold(B, monkeypatch):
     made, edge_ops = [], itertools.count(1)
     fail_at = [None]
 
-    def recorded(f, counted=True):
-        def run(*args):
-            if counted and next(edge_ops) == fail_at[0]:
-                raise _CallbackFault
-            result = f(*args)
-            # a union or delete that changes nothing hands back its input
-            # set itself, and graphstore releases the owner it gained
-            if result is not args[1]:
-                made.append(result)
-            return result
-        return run
-    monkeypatch.setattr(gs, "_rebuild", recorded(gs._rebuild, False))
-    monkeypatch.setattr(ordmap, "union", recorded(ordmap.union))
-    monkeypatch.setattr(ordmap, "multi_delete", recorded(ordmap.multi_delete))
+    edges = gs._edges
+
+    def recorded(ectx, old, ids, op):
+        if next(edge_ops) == fail_at[0]:
+            raise _CallbackFault
+        result = edges(ectx, old, ids, op)
+        # an update that changes nothing hands back its input set itself,
+        # and graphstore releases the owner it gained
+        if result is not old:
+            made.append(result)
+        return result
+    monkeypatch.setattr(gs, "_edges", recorded)
     present = sorted(set(itertools.chain.from_iterable(
         (s, d) for s, ds in gs.adjacency(g).items() for d in ds[:1])))
     sources = [v for v, ds in gs.adjacency(g).items() if ds]
