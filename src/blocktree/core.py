@@ -19,8 +19,10 @@ column, the all-regular one ``unfold`` returns included.
 
 Blocks are read and written as columns.  A block read that does not
 search in place is ``_columns`` (the codec's ``columns``, counted as one
-decode), and every block is written from a key column and a value column
-by ``_make_flat`` (the codec's ``encode_columns``).  ``_rebuild``,
+decode), or ``_values`` (the codec's ``values``, counted the same) where
+the reader folds or indexes the value column alone, and every block is
+written from a key column and a value column by ``_make_flat`` (the
+codec's ``encode_columns``).  ``_rebuild``,
 ``_make_flat``, ``_run_or_tree`` and ``_entries_aug`` each take those two
 columns (the value column None for a set); a caller that holds an entry
 list converts it once (``_unzip``).  Only ``flatten`` and ``ordmap``'s
@@ -194,6 +196,13 @@ def _columns(ctx, t):
     counted as one decode."""
     counters.decodes += 1
     return ctx.codec.columns(t.payload, t.count)
+
+
+def _values(ctx, t):
+    """The value column of block t, None where the codec stores none,
+    counted as one decode."""
+    counters.decodes += 1
+    return ctx.codec.values(t.payload, t.count)
 
 
 def _decode(ctx, t):
@@ -395,8 +404,9 @@ def _edit(ctx, t, i, j, new=(), entries=None, hi=None, run=False):
 
     if c <= 2 * B:
         return block(0, c)
-    return _make_regular(ctx, block(0, c // 2), at[c // 2],
-                         block(c // 2 + 1, c), c)
+    left = block(0, c // 2)
+    return _make_regular(ctx, left, at[c // 2],
+                         _guard((left,), block, c // 2 + 1, c), c)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ methods are required:
     in entry order, with ``values`` None for a codec that stores no values
     (a byte set).  It checks the payload and raises ``CorruptionError``
     for a damaged one.  Every block read that does not search in place
-    goes through it (``core._columns``, counted as one decode): the bulk
-    merges, ``map_values`` and ``reduce`` of ``ordmap``, ``core.keys``
-    (the graph store's readers), ``sequence``'s ``nth``, ``find_first``
-    and ``reverse``, and the fallbacks of ``core._search`` and
-    ``core._edit``.
+    and reads keys goes through it (``core._columns``, counted as one
+    decode): the bulk merges and ``map_values`` of ``ordmap``,
+    ``core.keys`` (the graph store's readers), ``sequence.reverse``, and
+    the fallbacks of ``core._search`` and ``core._edit``.
 
 ``encode_columns(keys, values)``
     The writer that mirrors ``columns``: the payload of the block whose
@@ -22,7 +21,7 @@ methods are required:
     the library builds is written by it (``core._make_flat``), straight
     from the columns its caller holds.
 
-``inspect.tree_bytes`` prices a byte payload at its length.  Three more
+``inspect.tree_bytes`` prices a byte payload at its length.  Four more
 methods are optional, with defaults on ``EncodingScheme``:
 
 ``check_entry(key, value)``
@@ -34,6 +33,15 @@ methods are optional, with defaults on ``EncodingScheme``:
     bulk merges and ``ordmap.map_values`` call it on a combined or mapped
     value they keep in a regular node, which no writer checks.  The
     default accepts everything.
+
+``values(payload, count)``
+    The value column alone, None for a set: ``columns(payload,
+    count)[1]``, which is the default, with the same checks and the same
+    ``CorruptionError`` on every payload ``columns`` rejects.  The readers
+    of values alone use it (``core._values``, counted as one decode):
+    ``ordmap.reduce`` (and ``seq_reduce``) and ``sequence``'s ``nth`` and
+    ``find_first``.  The identity codec at struct widths and the delta
+    codec on a block of one-byte gaps read it without building the keys.
 
 ``search(payload, count, key)``
     ``(pos, entries)``: the ``bisect_left`` position of ``key`` among the
@@ -220,6 +228,10 @@ class EncodingScheme:
         """(keys, values) of a block, values None where none are stored."""
         raise NotImplementedError
 
+    def values(self, payload, count):
+        """The value column of a block, None where none is stored."""
+        return self.columns(payload, count)[1]
+
     def encode_columns(self, keys, values=None):
         """The payload of the entries (keys[i], values[i]); values None for
         a set."""
@@ -341,6 +353,14 @@ class IdentityCodec(EncodingScheme):
             return keys, None
         return keys, [int.from_bytes(payload[p:p + vw], "little")
                       for p in range(kw, end, self._step)]
+
+    def values(self, payload, count):
+        # the per-entry loop reads through this class's columns, so a
+        # subclass that wraps columns and values sees one call per read
+        if self._view is None:
+            return IdentityCodec.columns(self, payload, count)[1]
+        self._check_length(payload, count)
+        return memoryview(payload).cast(self._view)[1::2] if self.value_width else None
 
     def search(self, payload, count, key):
         if self._view is None:
@@ -465,6 +485,17 @@ class DeltaCodec(EncodingScheme):
             raise CorruptionError("delta payload length mismatch")
         return keys, None
 
+    def values(self, payload, count):
+        kw, vw, code = self.key_width, self.value_width, self._value_code
+        pos = kw + count - 1
+        # every gap one nonzero byte below 0x80 and the length exact: the
+        # checks columns makes, with the values at pos.  Any other block
+        # (and any damaged one) is read by this class's columns
+        if (count and len(payload) == pos + vw * count and (code or not vw)
+                and (gaps := payload[kw:pos]).isascii() and 0 not in gaps):
+            return struct.unpack_from(f"<{count}{code}", payload, pos) if vw else None
+        return DeltaCodec.columns(self, payload, count)[1]
+
 
 class ObjectCodec(EncodingScheme):
     """Stores a block as a key tuple and a value tuple; for payloads that
@@ -484,9 +515,12 @@ class ObjectCodec(EncodingScheme):
             raise CorruptionError("object payload count mismatch")
         return payload
 
-    # search and splice check the payload through this class's columns,
-    # not a subclass's: a subclass that wraps columns sees one call per
-    # block read
+    # values, search and splice check the payload through this class's
+    # columns, not a subclass's: a subclass that wraps columns sees one call
+    # per block read
+
+    def values(self, payload, count):
+        return ObjectCodec.columns(self, payload, count)[1]
 
     def search(self, payload, count, key):
         keys, values = ObjectCodec.columns(self, payload, count)

@@ -118,7 +118,7 @@ from itertools import repeat
 from .core import (_as_tree, _balanced_pair, _columns, _concat, _decode,
                    _edit, _entry_key, _join, _join2, _locate, _make_flat,
                    _make_regular, _rebuild, _run_or_tree, _search, _slice,
-                   _unzip, _whole, flatten)
+                   _unzip, _values, _whole, flatten)
 from .errors import ContractError
 from .nodes import Flat, release, retain, size
 from .parallel import fork2
@@ -568,12 +568,12 @@ def map_values(ctx, t, f):
 
 def reduce(ctx, t, f, identity):
     """Fold of in-order values under an associative f with identity.  A
-    block folds its value column."""
+    block folds its value column (``_values``: no key is decoded)."""
     if t is None:
         return identity
     if type(t) is Flat:
         acc = identity
-        vals = _columns(ctx, t)[1]
+        vals = _values(ctx, t)
         for v in repeat(None, t.count) if vals is None else vals:
             acc = f(acc, v)
         return acc

@@ -13,7 +13,7 @@ shared and only the boundary blocks are decoded.
 """
 
 from .core import (_as_tree, _columns, _make_flat, _make_regular, _rebuild,
-                   _slice, flatten, join2, make_context)
+                   _slice, _values, flatten, join2, make_context)
 from .encoding import ObjectCodec
 from .errors import ContractError
 from .nodes import Flat, size
@@ -50,7 +50,7 @@ def nth(ctx, s, i):
     t = s
     while True:
         if type(t) is Flat:
-            return _columns(ctx, t)[1][i]
+            return _values(ctx, t)[i]
         sl = size(t.left)
         if i < sl:
             t = t.left
@@ -111,7 +111,7 @@ def _find_first(ctx, t, pred):
     if t is None:
         return _ABSENT
     if type(t) is Flat:
-        for v in _columns(ctx, t)[1]:
+        for v in _values(ctx, t):
             if pred(v):
                 return v
         return _ABSENT

@@ -241,6 +241,8 @@ def test_identity_truncated_payload_is_corruption(kw, vw):
             codec.decode(bad, 3)
         with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
             codec.columns(bad, 3)
+        with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
+            codec.values(bad, 3)
         if codec.search(payload, 3, 5) is not None:
             with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
                 codec.search(bad, 3, 5)
@@ -255,6 +257,7 @@ def test_object_count_mismatch_is_corruption():
     assert (pos, [view[i] for i in range(3)]) == (1, entries)
     for count in (2, 4):
         for read in (lambda: codec.decode(payload, count),
+                     lambda: codec.values(payload, count),
                      lambda: codec.search(payload, count, 5)):
             with pytest.raises(CorruptionError, match="^object payload count mismatch$"):
                 read()
@@ -268,6 +271,7 @@ def test_object_damaged_payload_is_corruption():
     for bad in ((keys,), (keys, values, keys), (keys, values[:2])):
         for read in (lambda: codec.decode(bad, 3),
                      lambda: codec.columns(bad, 3),
+                     lambda: codec.values(bad, 3),
                      lambda: codec.search(bad, 3, 5),
                      lambda: codec.splice(bad, 3, 1, 1, [(3, "x")])):
             with pytest.raises(CorruptionError, match="^object payload count mismatch$"):
@@ -410,7 +414,7 @@ def test_delta_decode_error_messages(vw):
         (b"\x00", 0, "nonempty payload for empty block"),
     ]
     for payload, count, msg in cases:
-        for read in (codec.decode, codec.columns):
+        for read in (codec.decode, codec.columns, codec.values):
             with pytest.raises(CorruptionError, match=f"^{re.escape(msg)}$"):
                 read(payload, count)
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
@@ -440,12 +444,13 @@ def test_delta_decode_matches_oracle_on_damaged_payloads(small, gaps, vw, data):
     try:
         want = delta_block_decode(payload, count, 8, vw)
     except ValueError as e:
-        for read in (codec.decode, codec.columns):
+        for read in (codec.decode, codec.columns, codec.values):
             with pytest.raises(CorruptionError, match=f"^{re.escape(str(e))}$"):
                 read(payload, count)
     else:
         assert codec.decode(payload, count) == want
         assert _unzipped(codec.columns(payload, count)) == _unzipped(want, vw)
+        assert _listed(codec.values(payload, count)) == _unzipped(want, vw)[1]
 
 
 @pytest.mark.parametrize("vw", [1, 3, 8])
@@ -618,7 +623,12 @@ def _unzipped(cols, vw=None):
     if vw is not None:
         cols = ([k for k, _ in cols], [v for _, v in cols] if vw else None)
     keys, values = cols
-    return list(keys), None if values is None else list(values)
+    return list(keys), _listed(values)
+
+
+def _listed(column):
+    """A column as a list, or None where none is stored."""
+    return None if column is None else list(column)
 
 
 @pytest.mark.parametrize("vw", [0, 1, 2, 3, 4, 8])
@@ -684,6 +694,39 @@ class _ColumnsOnly(EncodingScheme):
         flat = [None] * (2 * len(keys))
         flat[0::2], flat[1::2] = keys, values
         return struct.pack(f"<{len(flat)}Q", *flat)
+
+
+def _values_cases():
+    """(codec, payload, count) for blocks of every codec: identity at the
+    loop widths and at struct widths, delta at every value width with
+    one-byte and multi-byte gaps, object, and a codec with the default
+    values."""
+    for kw, vw in ((8, 8), (8, 0), (3, 3)):
+        codec = IdentityCodec(kw, vw)
+        for count in (0, 1, 5):
+            yield codec, codec.encode([(k, 3 * k if vw else None)
+                                       for k in range(count)]), count
+    for vw in (0, 3, 8):
+        codec = DeltaCodec(value_width=vw)
+        for gap in (2, 300):
+            for count in (0, 1, 2, 195):
+                yield codec, codec.encode([(7 + gap * i, i % 251 if vw else None)
+                                           for i in range(count)]), count
+    object_codec = ObjectCodec()
+    for entries in ([], [(1, "a")], [(1, "a"), (5, None), (9, [3])]):
+        yield object_codec, object_codec.encode(entries), len(entries)
+    fixed = _ColumnsOnly()
+    for count in (0, 1, 5):
+        yield fixed, fixed.encode([(k, k + 1) for k in range(count)]), count
+
+
+def test_values_match_columns():
+    # values is the value column of columns, None for a set, at every
+    # codec and width (the fast paths and the fallbacks to columns)
+    for codec, payload, count in _values_cases():
+        values = codec.values(payload, count)
+        assert _listed(values) == _listed(codec.columns(payload, count)[1])
+        assert (values is None) == (codec.value_width == 0)
 
 
 @pytest.mark.parametrize("B", [1, 8, 128])

@@ -530,26 +530,54 @@ def test_map_reduce():
     check_tree(ctx, m)
 
 
+def _counting(cls, **kw):
+    """A codec ``cls(**kw)`` that counts its calls of ``columns`` and of
+    ``values``."""
+    class Counting(cls):
+        calls = None
+
+        def columns(self, payload, count):
+            self.calls["columns"] += 1
+            return super().columns(payload, count)
+
+        def values(self, payload, count):
+            self.calls["values"] += 1
+            return super().values(payload, count)
+    return Counting(**kw)
+
+
 @pytest.mark.parametrize("B", [1, 8, 128])
 def test_reduce_reads_each_block_once(B):
-    # a block's value column (identity at struct widths, delta), or its
-    # decoded entries where the codec reads no columns (identity at
-    # 3 bytes, object), is one decode; reduce builds nothing.  A set's
-    # values are None: the fold counts them
-    from blocktree.encoding import IdentityCodec
+    # a block's value column is one decode, one values call and no columns
+    # call, at every codec (identity at 3 bytes reads it through its own
+    # columns, which a subclass that wraps columns does not see); reduce
+    # builds nothing.  A set's values are None: the fold counts them.
+    # Dense keys take the delta codec's one-byte-gap path, sparse keys its
+    # varint loop
     from blocktree.core import Config, Context
-    keys = random.Random(B).sample(range(10 ** 6), 40 * B + 7)
-    for codec, vw in ((IdentityCodec(8, 8), 8), (IdentityCodec(3, 3), 3),
-                      ("delta", 8), ("delta", 0), ("object", 8)):
-        ctx = (Context(Config(block_size=B), codec)
-               if not isinstance(codec, str)
-               else make_context(block_size=B, encoding=codec, value_width=vw))
+    from blocktree.encoding import DeltaCodec, IdentityCodec, ObjectCodec
+    rng = random.Random(B)
+    sparse = rng.sample(range(10 ** 6), 40 * B + 7)
+    dense = rng.sample(range(80 * B + 14), 40 * B + 7)
+    for cls, kw, keys in ((IdentityCodec, dict(key_width=8, value_width=8), sparse),
+                          (IdentityCodec, dict(key_width=3, value_width=3), sparse),
+                          (IdentityCodec, dict(value_width=0), sparse),
+                          (DeltaCodec, dict(value_width=8), sparse),
+                          (DeltaCodec, dict(value_width=8), dense),
+                          (DeltaCodec, dict(value_width=0), dense),
+                          (DeltaCodec, dict(value_width=3), dense),
+                          (ObjectCodec, {}, sparse)):
+        codec = _counting(cls, **kw)
+        vw = codec.value_width
+        ctx = Context(Config(block_size=B), codec)
         t = ordmap.build(ctx, [(k, k % 251 if vw else None) for k in keys])
+        codec.calls = {"columns": 0, "values": 0}
         before = counters.snapshot()
         got = ordmap.reduce(ctx, t, lambda a, b: a + (1 if b is None else b), 0)
         after = counters.snapshot()
         assert got == (sum(k % 251 for k in keys) if vw else len(keys))
         assert after["decodes"] - before["decodes"] == count_blocks(t)
+        assert codec.calls == {"columns": 0, "values": count_blocks(t)}
         assert after["folds"] == before["folds"]
         assert after["allocations"] == before["allocations"]
         bt.release(t)
@@ -684,12 +712,15 @@ class _DecodeFault(Exception):
 
 
 def _failing_codec(cls, **kw):
-    """A codec ``cls(**kw)`` whose block reads and column writes raise on
-    the ``fail_at``-th one.  A block read is a column read (``columns``;
-    a decode zips the columns it reads, so it counts once).  A column
-    write is a block written from its columns (``encode_columns``, the
-    writer behind every block the library builds and behind
-    ``encode``)."""
+    """A codec ``cls(**kw)`` whose block reads and block writes raise on
+    the ``fail_at``-th one.  A block read is a column read (``columns``,
+    or ``values`` for a reader of the value column alone, which reads
+    through the codec class's own ``columns`` where it falls back to them;
+    a decode zips the columns it reads, so it counts once) or an in-place
+    ``search`` that found its payload searchable.  A block write is a
+    block written from its columns (``encode_columns``, the writer behind
+    every block the library builds and behind ``encode``) or an in-place
+    ``splice`` that edited its payload."""
     class Failing(cls):
         fail_at = None
         calls = 0
@@ -705,6 +736,23 @@ def _failing_codec(cls, **kw):
             cols = super().columns(payload, count)
             self._tick()
             return cols
+
+        def values(self, payload, count):
+            values = super().values(payload, count)
+            self._tick()
+            return values
+
+        def search(self, payload, count, key):
+            found = super().search(payload, count, key)
+            if found is not None:
+                self._tick()
+            return found
+
+        def splice(self, payload, count, i, j, entries):
+            spliced = super().splice(payload, count, i, j, entries)
+            if spliced is not None:
+                self._tick(write=True)
+            return spliced
 
         def encode_columns(self, keys, values=None):
             self._tick(write=True)
@@ -722,13 +770,14 @@ def _handles(result):
 
 @pytest.mark.parametrize("B", [1, 2, 8])
 def test_failed_decodes_release_what_they_hold(B):
-    # a block read or column write that fails anywhere in a key_range, a
-    # subseq, a split, a split_last, an expose, an append, a filter, a
-    # map_values, a reduce, a write or a graph read (neighbors, bfs) (the position search, the
-    # walk, the merges, the splits and joins that assemble the pieces, the
-    # branch that fork2 ran first) leaves the inputs intact and releases
-    # every node the operation had made.  The delta codec has no in-place
-    # search, so its position searches decode too
+    # a block read or write that fails anywhere in a key_range, a subseq,
+    # a split, a split_last, an expose of a block, an append, a filter, a
+    # map_values, a reduce, a write or a graph read (neighbors, bfs) (the
+    # position search, the walk, the in-place edits, the merges, the splits
+    # and joins that assemble the pieces, the branch that fork2 ran first)
+    # leaves the inputs intact and releases every node the operation had
+    # made.  The delta codec has no in-place search, so its position
+    # searches decode too
     from blocktree import graphstore as gs
     from blocktree import sequence as sq
     from blocktree.core import Config, Context
@@ -760,7 +809,7 @@ def test_failed_decodes_release_what_they_hold(B):
                           ordmap.key_range(ctx, t, lo, hi)))
         for read in (lambda ctx, t, o: bt.split(ctx, t, 20 * B + 1),
                      lambda ctx, t, o: bt.split_last(ctx, t),
-                     lambda ctx, t, o: bt.expose(ctx, t),
+                     lambda ctx, t, o: bt.expose(ctx, next(_blocks(t))),
                      lambda ctx, t, o: ordmap.filter(
                          ctx, t, lambda e: e[0] % 6 != 2),
                      lambda ctx, t, o: ordmap.map_values(
@@ -788,23 +837,22 @@ def test_failed_decodes_release_what_they_hold(B):
                       lambda a=a, b=b: sq.append(sctx, a, b)))
     cases.append((scodec, sctx, (s,),
                   lambda: sq.seq_reduce(sctx, s, lambda a, b: a + b, 0)))
-    swept = 0
-    for codec, c, xs, op in cases:
+    for case, (codec, c, xs, op) in enumerate(cases):
         digests = [structure_digest(c, x) for x in xs]
         codec.calls = 0
         for result in _handles(op()):
             bt.release(result)
         live = counters.live
+        # every case reads or writes a block, so each sweeps a fault
+        assert codec.calls >= 1, case
         for k in range(1, codec.calls + 1):
             codec.calls, codec.fail_at = 0, k
             with pytest.raises(_DecodeFault):
                 op()
             codec.fail_at = None
-            assert counters.live == live, (k, counters.live - live)
+            assert counters.live == live, (case, k, counters.live - live)
             assert [structure_digest(c, x) for x in xs] == digests
-            swept += 1
-    assert swept >= len(cases)
-    # the merges and maps of both byte codecs failed in their column writes
+    # the merges and maps of both byte codecs failed in their block writes
     assert all(c.failed_writes for c in writers)
     for x in trees + [s, s2]:
         bt.release(x)
