@@ -7,7 +7,9 @@ methods are required:
 ``columns(payload, count)``
     ``(keys, values)``: the block's keys and its values as two sequences
     in entry order, with ``values`` None for a codec that stores no values
-    (a byte set).  It checks the payload and raises ``CorruptionError``
+    (a byte set).  A column may be any indexable sequence: the delta
+    codec's value column is an ``array.array`` at the widths that have an
+    array type code.  It checks the payload and raises ``CorruptionError``
     for a damaged one.  Every block read that does not search in place
     and reads keys goes through it (``core._columns``, counted as one
     decode): the bulk merges and ``map_values`` of ``ordmap``,
@@ -16,8 +18,9 @@ methods are required:
 
 ``encode_columns(keys, values)``
     The writer that mirrors ``columns``: the payload of the block whose
-    entries are ``(keys[i], values[i])``, with ``values`` None for a set.
-    It raises ``CodecError`` for an entry it cannot store.  Every block
+    entries are ``(keys[i], values[i])``, with ``values`` None for a set;
+    a column may be a list, a tuple or an ``array.array``.  It raises
+    ``CodecError`` for an entry it cannot store.  Every block
     the library builds is written by it (``core._make_flat``), straight
     from the columns its caller holds.
 
@@ -29,10 +32,12 @@ methods are optional, with defaults on ``EncodingScheme``:
     ``ordmap.multi_insert`` calls it before its walk starts and
     ``ordmap.insert`` on the entry it stores, where its walk finds the
     key's place, so a bad entry builds nothing; ``graphstore.insert_edges``
-    calls it on every endpoint before it builds an edge tree; and the
-    bulk merges and ``ordmap.map_values`` call it on a combined or mapped
-    value they keep in a regular node, which no writer checks.  The
-    default accepts everything.
+    calls it on every endpoint before it builds an edge tree; the bulk
+    merges call it on every ``combine`` result and every value their op
+    function makes, where they make it (a merged delta value column is an
+    array, which would store ``True`` as 1); and ``ordmap.map_values``
+    calls it on a mapped value it keeps in a regular node, which no
+    writer checks.  The default accepts everything.
 
 ``values(payload, count)``
     The value column alone, None for a set: ``columns(payload,
@@ -41,7 +46,8 @@ methods are optional, with defaults on ``EncodingScheme``:
     of values alone use it (``core._values``, counted as one decode):
     ``ordmap.reduce`` (and ``seq_reduce``) and ``sequence``'s ``nth`` and
     ``find_first``.  The identity codec at struct widths and the delta
-    codec on a block of one-byte gaps read it without building the keys.
+    codec on a block of one-byte gaps (at every value width, through the
+    reader ``columns`` uses) read it without building the keys.
 
 ``search(payload, count, key)``
     ``(pos, entries)``: the ``bisect_left`` position of ``key`` among the
@@ -116,8 +122,17 @@ Two byte-oriented codecs ship with the library:
     sends anything else through the checks that raise.  ``columns`` sums
     ``count - 1`` gap bytes that are all below 0x80 with ``accumulate``,
     and reads any other block with one sequential varint loop; no
-    parallel-decode claim is made.  Values of width 1, 2, 4 or 8 are
-    packed and unpacked by one ``struct`` call.
+    parallel-decode claim is made.  On a little-endian host, values of
+    width 1, 2, 4 or 8 are read as an ``array.array`` of the width's type
+    code, in one copy of the payload's value bytes, by the one value
+    reader that ``columns`` and ``values`` share; ``encode_columns``
+    writes an array of exactly that type code with ``tobytes`` and no
+    further check, since such an array holds only ints that fit the
+    width.  Every other value column (a list, an array of another type
+    code) is type-checked and packed by one ``struct`` call at those
+    widths, and a per-value loop with the same checks writes the rest
+    and the failures.  Other widths, and a big-endian host, read through
+    the same ``struct`` call or the loop.
 
 ``ObjectCodec`` stores a block as two tuples, ``(keys, values)``, for
 entries that are not byte-packable (sequences of arbitrary elements,
@@ -131,6 +146,7 @@ payload by a nominal pointer model (``NOMINAL_ENTRY_BYTES`` per entry).
 
 import struct
 import sys
+from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, sub
@@ -260,8 +276,10 @@ class EncodingScheme:
         return None
 
 
-# struct codes for the widths the identity codec packs in one call
+# struct codes for the widths packed in one call
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# the same codes as array codes, where the host's array item has the width
+_ARRAY_CODES = {w: c for w, c in _STRUCT_CODES.items() if array(c).itemsize == w}
 
 
 class _Entries:
@@ -393,6 +411,10 @@ class DeltaCodec(EncodingScheme):
         super().__init__(key_width, value_width)
         # struct code packing every value in one call, or None for the loop
         self._value_code = _STRUCT_CODES.get(value_width)
+        # array code whose machine values are the wire's, or None: arrays
+        # hold native byte order, the wire's only on a little-endian host
+        self._array_code = (_ARRAY_CODES.get(value_width)
+                            if sys.byteorder == "little" else None)
 
     def check_entry(self, key, value):
         kw, vw = self.key_width, self.value_width
@@ -441,8 +463,11 @@ class DeltaCodec(EncodingScheme):
 
     def _encode_values(self, values):
         code, vw = self._value_code, self.value_width
+        # an array of this codec's own code holds only ints of the width;
         # bool and other int subclasses, and out-of-range integers, go
         # through the checked loop, which raises the CodecError
+        if type(values) is array and values.typecode == self._array_code:
+            return values.tobytes()
         if code is not None and set(map(type, values)) == {int}:
             try:
                 return struct.pack(f"<{len(values)}{code}", *values)
@@ -472,28 +497,36 @@ class DeltaCodec(EncodingScheme):
             keys = list(accumulate(gaps, initial=first))
         else:
             keys, pos = _varint_keys(payload, kw, count, first)
-        if vw:
-            if len(payload) != pos + vw * count:
-                raise CorruptionError("delta payload length mismatch")
-            if self._value_code is not None:
-                values = struct.unpack_from(f"<{count}{self._value_code}", payload, pos)
-            else:
-                values = [int.from_bytes(payload[p:p + vw], "little")
-                          for p in range(pos, pos + vw * count, vw)]
-            return keys, values
-        if len(payload) != pos:
+        if len(payload) != pos + vw * count:
             raise CorruptionError("delta payload length mismatch")
-        return keys, None
+        return keys, self._read_values(payload, pos, count)
+
+    def _read_values(self, payload, pos, count):
+        """The one value reader: the ``count`` values stored from ``pos``
+        (None for a set), as an array of this codec's code where it has
+        one, read in one copy."""
+        vw = self.value_width
+        if not vw:
+            return None
+        end = pos + vw * count
+        if self._array_code is not None:
+            values = array(self._array_code)
+            values.frombytes(memoryview(payload)[pos:end])
+            return values
+        if self._value_code is not None:
+            return struct.unpack_from(f"<{count}{self._value_code}", payload, pos)
+        return [int.from_bytes(payload[p:p + vw], "little")
+                for p in range(pos, end, vw)]
 
     def values(self, payload, count):
-        kw, vw, code = self.key_width, self.value_width, self._value_code
+        kw = self.key_width
         pos = kw + count - 1
         # every gap one nonzero byte below 0x80 and the length exact: the
         # checks columns makes, with the values at pos.  Any other block
         # (and any damaged one) is read by this class's columns
-        if (count and len(payload) == pos + vw * count and (code or not vw)
+        if (count and len(payload) == pos + self.value_width * count
                 and (gaps := payload[kw:pos]).isascii() and 0 not in gaps):
-            return struct.unpack_from(f"<{count}{code}", payload, pos) if vw else None
+            return self._read_values(payload, pos, count)
         return DeltaCodec.columns(self, payload, count)[1]
 
 

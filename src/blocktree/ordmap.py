@@ -97,10 +97,13 @@ walk starts, and ``insert`` checks the entry it stores (``combine``'s result
 on a hit, the incoming entry on a miss) where its walk finds the key's
 place, so an entry the codec rejects builds nothing.
 ``union``, ``intersection`` and ``multi_insert`` check each ``combine``
-result, and ``map_values`` each ``f`` result, where it is stored: a block's
-writer checks the results it writes, and the recursion checks the one it
-keeps in a regular node.  A rejected result raises the same ``CodecError``
-either way and leaves the inputs intact.
+result where it is made, in ``_merge`` and in the recursion alike: a
+merged delta value column is an array, which would store ``True`` as 1
+and which its writer writes unchecked.  ``map_values`` checks each ``f`` result
+where it is stored: a block's writer checks the mapped column it writes
+(a list), and the recursion the value it keeps in a regular node.  A
+rejected result raises the same ``CodecError`` wherever it lands and
+leaves the inputs intact.
 
 Every recursion here borrows the tree it reads and retains only what it
 shares into its result, once its own recursive calls have returned;
@@ -112,6 +115,7 @@ an aggregate, a codec check or a decode that raises leaves the inputs
 intact and no node behind.
 """
 
+from array import array
 from bisect import bisect_left
 from itertools import repeat
 
@@ -319,24 +323,35 @@ def _merge(ctx, t, arr, lo, hi, op, combine):
     key is bisected into the key column, and the stretch before it copied
     as a slice; a longer one steps through the block entry by entry.  A
     run-only entry keeps its value, or stores ``op[1](value)`` where the
-    op's second element is a function.  Where the op keeps no run-only
-    entry and no key the run hits changed its entry (it is dropped, or
-    ``combine`` returns the stored value object itself), the block is
-    returned shared; the empty tree under an op that keeps no run-only
-    entry gives None."""
+    op's second element is a function.  The value column is built in the
+    block's own column type (an array slice for an array), and each
+    ``combine`` and ``op[1]`` result is checked against the codec where
+    it is made: an array would store ``True`` as 1, and raises no
+    ``CodecError`` for a value it cannot hold.  Where the op keeps no
+    run-only entry and no key the run hits changed its entry (it is
+    dropped, or ``combine`` returns the stored value object itself), the
+    block is returned shared; the empty tree under an op that keeps no
+    run-only entry gives None."""
     only_a, only_b, both = op
     store = only_b if callable(only_b) else None
+    check = ctx.codec.check_entry
     run = arr[lo:hi]
     if t is None:
         if not only_b:
             return None
         keys, vals = _unzip(run)
-        return keys, vals if store is None else list(map(store, vals))
+        if store is not None:
+            vals = list(map(store, vals))
+            for k, v in zip(keys, vals):
+                check(k, v)
+        return keys, vals
     gallop = _GALLOP * len(run) < t.count
     keys, vals = _columns(ctx, t)
     if vals is None:
         vals = [None] * t.count
-    ok, ov = [], []
+    # the merged value column has the block's own column type where that
+    # is an array, so kept stretches are copied as array slices
+    ok, ov = [], vals[:0] if type(vals) is array else []
     hit = False
     i, n = 0, t.count
     for k, v in run:
@@ -354,16 +369,23 @@ def _merge(ctx, t, arr, lo, hi, op, combine):
                 i += 1
         if i < n and keys[i] == k:
             if both:
-                x = combine(vals[i], v)
-                hit = hit or x is not vals[i]
+                # read once: an array boxes a fresh int on every read
+                old = vals[i]
+                x = combine(old, v)
+                if x is not old:
+                    check(k, x)
+                    hit = True
                 ok.append(k)
                 ov.append(x)
             else:
                 hit = True
             i += 1
         elif only_b:
+            if store is not None:
+                v = store(v)
+                check(k, v)
             ok.append(k)
-            ov.append(v if store is None else store(v))
+            ov.append(v)
             hit = True
     # a run that adds and changes nothing leaves the block as it is
     if only_a and not hit:

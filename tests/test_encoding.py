@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import struct
+from array import array
 from bisect import bisect_left
 from itertools import accumulate, repeat
 
@@ -649,6 +650,71 @@ def test_delta_columns_match_decode(vw):
             assert (cols[1] is None) == (vw == 0)
             assert _unzipped(cols) == _unzipped(codec.decode(payload, count), vw)
             assert _unzipped(cols) == _unzipped(entries, vw)
+
+
+def _written(write):
+    """What a writer gives: its payload, or the message of its
+    CodecError."""
+    try:
+        return write()
+    except CodecError as e:
+        return f"CodecError: {e}"
+
+
+@pytest.mark.parametrize("vw", [0, 1, 2, 3, 4, 8])
+def test_delta_value_arrays_match_the_struct_and_loop_paths(vw):
+    # at widths 1, 2, 4 and 8 a delta block's value column is an array of
+    # the codec's own code, read in one copy and written by tobytes; every
+    # other column takes the struct or loop path with its checks
+    rng = random.Random(vw)
+    top = 2 ** (8 * vw) - 1
+    struct_code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(vw)
+    codec = DeltaCodec(value_width=vw)
+    # as on a big-endian host, where array items are not the wire's bytes
+    portable = DeltaCodec(value_width=vw)
+    portable._array_code = None
+    for count in (1, 2, 195):
+        for gap in (2, 300):
+            keys = [7 + gap * i for i in range(count)]
+            values = [rng.choice((0, top, rng.randrange(top + 1)))
+                      for _ in keys] if vw else None
+            payload = codec.encode_columns(keys, values)
+            assert payload == delta_block_payload(
+                list(zip(keys, values or repeat(None))), 8, vw)
+            assert portable.encode_columns(keys, values) == payload
+            column = codec.columns(payload, count)[1]
+            if not vw:
+                assert column is None and codec.values(payload, count) is None
+                continue
+            # the struct or loop oracle, read from the value bytes
+            raw = payload[len(payload) - vw * count:]
+            want = [int.from_bytes(raw[p:p + vw], "little")
+                    for p in range(0, len(raw), vw)]
+            if struct_code:
+                assert list(struct.unpack(f"<{count}{struct_code}", raw)) == want
+            assert type(column) is (array if struct_code else list)
+            assert type(portable.columns(payload, count)[1]) is not array
+            for read in (codec, portable):
+                assert list(read.columns(payload, count)[1]) == want
+                assert list(read.values(payload, count)) == want
+                assert read.encode_columns(keys, column) == payload
+                assert read.encode_columns(keys, want) == payload
+    if not vw:
+        return
+    # an array of another code takes the checked path: the list's bytes,
+    # or its CodecError
+    cases = [("q", [-1]), ("d", [1.5]),
+             ("B" if vw == 8 else "q", [0, 1, 255])]
+    if vw < 8:
+        cases.append(("Q", [0, top + 1]))
+    for code, vals in cases:
+        keys = list(range(1, len(vals) + 1))
+        want = _written(lambda: codec.encode_columns(keys, vals))
+        for write in (codec, portable):
+            assert _written(
+                lambda: write.encode_columns(keys, array(code, vals))) == want
+    assert (_written(lambda: codec.encode_columns([1], array("q", [-1])))
+            == f"CodecError: value -1 out of range for {vw} bytes")
 
 
 @pytest.mark.parametrize("kw,vw", IDENTITY_WIDTHS)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 from bisect import bisect_right
 
 import pytest
@@ -1841,30 +1842,48 @@ def test_short_run_into_one_block_decodes_and_folds_it_once(name):
 def test_rejected_results_raise_alike_in_blocks_and_runs(encoding):
     # a combine or f result the codec rejects raises the CodecError that
     # encode raises for it, whether it lands in a block written from the
-    # merged columns, in an entry run or in a regular node
-    ctx = make_context(block_size=8, encoding=encoding)
+    # merged columns, in an entry run or in a regular node.  At value
+    # width 8 a delta block's value column is an array, which would store
+    # True as 1 and raise no CodecError for 1.5 or 2**64: only the type and
+    # width checks made where a result is made catch those.  Width 3 reads
+    # and writes lists
+    for vw in (8, 3):
+        _rejected_results_raise_alike(
+            make_context(block_size=8, encoding=encoding, value_width=vw))
+
+
+def _rejected_results_raise_alike(ctx):
+    vw = ctx.codec.value_width
     baseline = counters.live
-    with pytest.raises(CodecError) as exc:
-        ctx.codec.encode([(1, -1)])
-    want = str(exc.value)
     t = ordmap.build(ctx, KV(range(0, 400, 2)))
-    k = next(_blocks(t)).first_key
+    block = next(_blocks(t))
+    assert isinstance(ctx.codec.columns(block.payload, block.count)[1],
+                      array) == (ctx.codec.name == "delta" and vw == 8)
+    k = block.first_key
     digest = structure_digest(ctx, t)
     one = ordmap.build(ctx, KV([k]))
-    reject = lambda a, b: -1
-    for op in (lambda: ordmap.union(ctx, t, one, reject),           # a block
-               lambda: ordmap.intersection(ctx, t, one, reject),    # a run
-               lambda: ordmap.multi_insert(ctx, t, KV([k]), reject),
-               lambda: ordmap.map_values(
-                   ctx, t, lambda v: -1 if v == k * 10 + 1 else v),
-               lambda: ordmap.map_values(                           # a node
-                   ctx, t, lambda v: -1 if v == t.value else v)):
+    at_root = ordmap.build(ctx, KV([t.key]))
+    live = counters.live
+    for bad in [-1, True, 1.5, 2 ** 64] + ([2 ** 24] if vw == 3 else []):
         with pytest.raises(CodecError) as exc:
-            op()
-        assert str(exc.value) == want
-        assert structure_digest(ctx, t) == digest
-    bt.release(t)
-    bt.release(one)
+            ctx.codec.encode([(1, bad)])
+        want = str(exc.value)
+        reject = lambda a, b: bad
+        for op in (lambda: ordmap.union(ctx, t, one, reject),           # a block
+                   lambda: ordmap.intersection(ctx, t, one, reject),    # a run
+                   lambda: ordmap.union(ctx, t, at_root, reject),       # a node
+                   lambda: ordmap.multi_insert(ctx, t, KV([k]), reject),
+                   lambda: ordmap.map_values(
+                       ctx, t, lambda v: bad if v == k * 10 + 1 else v),
+                   lambda: ordmap.map_values(                           # a node
+                       ctx, t, lambda v: bad if v == t.value else v)):
+            with pytest.raises(CodecError) as exc:
+                op()
+            assert str(exc.value) == want
+            assert structure_digest(ctx, t) == digest
+            assert counters.live == live
+    for x in (t, one, at_root):
+        bt.release(x)
     assert counters.live == baseline
 
 
