@@ -279,7 +279,8 @@ class EncodingScheme:
 # struct codes for the widths packed in one call
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # the same codes as array codes, where the host's array item has the width
-_ARRAY_CODES = {w: c for w, c in _STRUCT_CODES.items() if array(c).itemsize == w}
+_ARRAY_CODES = {w: c for w, c in _STRUCT_CODES.items()
+                if array(c).itemsize == w}
 
 
 class _Entries:

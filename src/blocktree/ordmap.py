@@ -99,10 +99,10 @@ place, so an entry the codec rejects builds nothing.
 ``union``, ``intersection`` and ``multi_insert`` check each ``combine``
 result where it is made, in ``_merge`` and in the recursion alike: a
 merged delta value column is an array, which would store ``True`` as 1
-and which its writer writes unchecked.  ``map_values`` checks each ``f`` result
-where it is stored: a block's writer checks the mapped column it writes
-(a list), and the recursion the value it keeps in a regular node.  A
-rejected result raises the same ``CodecError`` wherever it lands and
+and which its writer writes unchecked.  ``map_values`` checks each ``f``
+result where it is stored: a block's writer checks the mapped column it
+writes (a list), and the recursion the value it keeps in a regular node.
+A rejected result raises the same ``CodecError`` wherever it lands and
 leaves the inputs intact.
 
 Every recursion here borrows the tree it reads and retains only what it
