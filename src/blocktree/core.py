@@ -22,7 +22,10 @@ search in place is ``_columns`` (the codec's ``columns``, counted as one
 decode), or ``_values`` (the codec's ``values``, counted the same) where
 the reader folds or indexes the value column alone, and every block is
 written from a key column and a value column by ``_make_flat`` (the
-codec's ``encode_columns``).  ``_rebuild``,
+codec's ``encode_columns``), except a set block that a short run of keys
+edits in place (``_edit_keys``: the codec's ``edit_keys``, counted as one
+decode and one fold, as the read and the write it replaces) and the
+spliced blocks of ``_edit``.  ``_rebuild``,
 ``_make_flat``, ``_run_or_tree`` and ``_entries_aug`` each take those two
 columns (the value column None for a set); a caller that holds an entry
 list converts it once (``_unzip``).  Only ``flatten`` and ``ordmap``'s
@@ -313,6 +316,24 @@ def _make_flat(ctx, keys, values):
     aug = _entries_aug(ctx, keys, values) if ctx.aug else None
     # a sequence's keys are None, so its bounds are too
     return new_flat(len(keys), payload, keys[0], keys[-1], aug)
+
+
+def _edit_keys(ctx, t, keys, insert):
+    """Set block t with the sorted, distinct ``keys`` inserted (or
+    deleted) in place by the codec's ``edit_keys``, counted as one decode
+    and, where it changed the block, one fold: t itself (retained) where
+    it changed nothing, and None where the codec does not edit in place.
+    Borrows t; the caller keeps the result within one block's count."""
+    edited = ctx.codec.edit_keys(t.payload, t.count, t.first_key,
+                                 t.last_key, keys, insert)
+    if edited is None:
+        return None
+    counters.decodes += 1
+    payload, count, first, last = edited
+    if payload is t.payload:
+        return retain(t)
+    counters.folds += 1
+    return new_flat(count, payload, first, last, None)
 
 
 def _make_regular(ctx, l, e, r, s):

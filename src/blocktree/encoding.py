@@ -22,9 +22,10 @@ methods are required:
     a column may be a list, a tuple or an ``array.array``.  It raises
     ``CodecError`` for an entry it cannot store.  Every block
     the library builds is written by it (``core._make_flat``), straight
-    from the columns its caller holds.
+    from the columns its caller holds, except the set blocks that
+    ``edit_keys`` edits in place and the payloads ``splice`` cuts.
 
-``inspect.tree_bytes`` prices a byte payload at its length.  Four more
+``inspect.tree_bytes`` prices a byte payload at its length.  Five more
 methods are optional, with defaults on ``EncodingScheme``:
 
 ``check_entry(key, value)``
@@ -72,6 +73,21 @@ methods are optional, with defaults on ``EncodingScheme``:
     its length against the edited count before any block is built on it
     (``ObjectCodec.splice`` checks its payload anyway, since it must
     unpack the pair to splice it).  The default returns ``None``.
+
+``edit_keys(payload, count, first, last, keys, insert)``
+    ``(payload, count, first, last)`` of the set block (a codec that
+    stores no values) whose bounds are ``first`` and ``last``, with the
+    sorted, distinct ``keys`` inserted into it (``insert``) or deleted
+    from it: equal to ``encode_columns`` of the edited key column, with
+    the payload object itself where that changes nothing, and
+    ``(b"", 0, None, None)`` for a block left empty; or ``None`` when the
+    codec does not edit its blocks in place.  It raises ``CorruptionError``
+    for a damaged payload and ``CodecError`` for a key it cannot store,
+    as ``columns`` and ``encode_columns`` would, before it builds
+    anything.  ``ordmap._merge`` uses it (``core._edit_keys``, counted as
+    one decode, and one fold where it changes the block) where a run of a
+    few keys meets a block; ``core._edit_keys`` reads the new block's
+    bounds from its result.  The default returns ``None``.
 
 ``encode(entries)`` and ``decode(payload, count)`` are conveniences that
 every codec inherits and no shipped codec overrides: ``encode`` splits an entry list
@@ -132,7 +148,31 @@ Two byte-oriented codecs ship with the library:
     code) is type-checked and packed by one ``struct`` call at those
     widths, and a per-value loop with the same checks writes the rest
     and the failures.  Other widths, and a big-endian host, read through
-    the same ``struct`` call or the loop.
+    the same ``struct`` call or the loop.  A one-entry block, whose key is
+    an int in range, is its key's bytes and its value column, with no gap
+    to write or check.
+
+    ``edit_keys`` edits a set's gap varints in place.  Before it reads
+    them, it checks the gap section at C speed: it holds exactly ``count -
+    1`` terminator bytes (``bytes.translate`` maps each byte to its high
+    bit, and the zeros are counted), its last byte is a terminator, it
+    holds no zero byte (a zero gap ends in one) and no eleven continuing
+    bytes in a row (a varint ``columns`` rejects as too long); and every
+    new key is an int the block can store.  A block that fails a check is
+    read by this class's ``columns`` and written by its
+    ``encode_columns``, which raise what they raise for it, so a damaged
+    payload raises before any block is built on it.  Otherwise a key
+    inserted outside the block's bounds is written at its end with no
+    scan: as its first key and one varint before the old gaps, or as one
+    varint after them.  A key inside is found by reading the varints from
+    the nearer end (forward from the first key, or backward from the last:
+    each varint starts after a terminator), only as far as the key; an
+    insert writes the gap before it and the gap after it in place of the
+    one gap they split, and a delete writes their sum in place of the two
+    gaps.  The rest of the payload is copied as byte slices, and the
+    bounds come from ``first`` and ``last`` (delta blocks cache them); a
+    forward read that runs past the payload's end (bounds it does not
+    reach) raises ``CorruptionError``.
 
 ``ObjectCodec`` stores a block as two tuples, ``(keys, values)``, for
 entries that are not byte-packable (sequences of arbitrary elements,
@@ -210,6 +250,71 @@ def _varint_keys(payload, pos, count, first):
     return keys, pos
 
 
+def _varint(gap):
+    """The varint of one gap, a positive int."""
+    if gap < 0x80:
+        return bytes((gap,))
+    out = bytearray()
+    while gap >= 0x80:
+        out.append((gap & 0x7F) | 0x80)
+        gap >>= 7
+    out.append(gap)
+    return out
+
+
+def _scan(gaps, pos, key, k):
+    """``(start, end, prev, nxt)``: the varint ``gaps[start:end]`` of a gap
+    section, the gap from the key ``prev``, below ``k``, to ``nxt``, the
+    first key at or above ``k``; found by reading the varints forward from
+    ``pos``, where the gap from ``key`` starts.  The section has passed
+    ``DeltaCodec.edit_keys``'s checks, so each varint is terminated."""
+    while True:
+        start = pos
+        gap = gaps[pos]
+        pos += 1
+        if gap >= 0x80:
+            gap &= 0x7F
+            shift = 7
+            while True:
+                b = gaps[pos]
+                pos += 1
+                gap |= (b & 0x7F) << shift
+                if b < 0x80:
+                    break
+                shift += 7
+        nxt = key + gap
+        if nxt >= k:
+            return start, pos, key, nxt
+        key = nxt
+
+
+def _scan_back(gaps, key, k):
+    """``_scan``'s result, found by reading the varints of a gap section
+    backward from its end, where the last key is ``key``.  Each varint
+    starts after a terminator byte; the first one's is the section's last
+    byte, which ``gaps[-1]`` reads."""
+    j = len(gaps) - 1
+    while True:
+        end = j + 1
+        gap = gaps[j]
+        j -= 1
+        b = gaps[j]
+        while b >= 0x80:
+            gap = gap << 7 | b & 0x7F
+            j -= 1
+            b = gaps[j]
+        prev = key - gap
+        if prev < k:
+            return j + 1, end, prev, key
+        key = prev
+
+
+# byte -> 1 where its high bit is set (a varint byte that continues), else 0
+_CONTINUES = bytes(b >> 7 for b in range(256))
+# eleven continuing bytes in a row: a varint that columns rejects as too long
+_OVERLONG = b"\x01" * 11
+
+
 _first = itemgetter(0)
 _second = itemgetter(1)
 
@@ -223,7 +328,7 @@ def _check_uint(x, width, what):
 
 class EncodingScheme:
     """Codec interface; subclasses implement the two required methods and
-    may override the three optional ones (see the module docstring)."""
+    may override the optional ones (see the module docstring)."""
 
     name = "abstract"
     # True when the codec cannot read its first/last key in O(1) from the
@@ -273,6 +378,12 @@ class EncodingScheme:
     def splice(self, payload, count, i, j, entries):
         """The payload with entries [i, j) replaced, or None: not editable
         in place."""
+        return None
+
+    def edit_keys(self, payload, count, first, last, keys, insert):
+        """(payload, count, first, last) of the set block with the sorted,
+        distinct keys inserted (or deleted), or None: not edited in
+        place."""
         return None
 
 
@@ -434,6 +545,13 @@ class DeltaCodec(EncodingScheme):
         if not keys:
             return b""
         first, last = keys[0], keys[-1]
+        kw = self.key_width
+        if (len(keys) == 1 and type(first) is int and first >= 0
+                and not first >> 8 * kw):
+            # one entry: no gap to write, and its key checked in place
+            out = first.to_bytes(kw, "little")
+            return (out + self._encode_values(values) if self.value_width
+                    else out)
         gaps = None
         # Only a block whose mean gap is below 128 can have every gap one
         # byte; its keys are checked and its gaps written by C-level calls
@@ -451,7 +569,6 @@ class DeltaCodec(EncodingScheme):
                 gaps = None
         if gaps is None:
             gaps = _gap_varints(keys)
-        kw = self.key_width
         _check_uint(first, kw, "first key")
         # the keys are increasing ints: the last one's width covers them
         if last >> 8 * kw:
@@ -529,6 +646,86 @@ class DeltaCodec(EncodingScheme):
                 and (gaps := payload[kw:pos]).isascii() and 0 not in gaps):
             return self._read_values(payload, pos, count)
         return DeltaCodec.columns(self, payload, count)[1]
+
+    def edit_keys(self, payload, count, first, last, keys, insert):
+        if self.value_width:
+            return None
+        kw = self.key_width
+        gaps = payload[kw:]
+        flags = gaps.translate(_CONTINUES)
+        # count - 1 terminated varints that end the payload, none zero and
+        # none too long, and the new keys ints the block can store; any
+        # other block is read and written whole, which raises for it
+        if (len(payload) < kw or flags.count(0) != count - 1
+                or flags[-1:] == b"\x01" or 0 in gaps or _OVERLONG in flags
+                or insert and (set(map(type, keys)) != {int}
+                               or keys[0] < 0 or keys[-1] >> 8 * kw)):
+            return self._edit_columns(payload, count, first, last, keys,
+                                      insert)
+        n = count
+        pos, key = 0, first     # the gap at gaps[pos] leads from key
+        try:
+            for k in keys:
+                if k > last or k < first:
+                    if insert and k > last:
+                        gaps += _varint(k - last)
+                        last, n = k, n + 1
+                    elif insert:
+                        gaps = _varint(first - k) + gaps
+                        pos, key, first, n = 0, k, k, n + 1
+                    continue
+                if k == first or k == last:
+                    if insert:
+                        continue
+                    if n == 1:
+                        return b"", 0, None, None
+                    if k == first:
+                        _, e, _, first = _scan(gaps, 0, k, k + 1)
+                        gaps = gaps[e:]
+                        pos, key, n = 0, first, n - 1
+                        continue
+                # the gap that reaches k, read from the nearer end
+                s, e, a, b = (_scan(gaps, pos, key, k) if k - key <= last - k
+                              else _scan_back(gaps, last, k))
+                if insert:
+                    pos, key = e, b
+                    if b != k:
+                        g = _varint(k - a)
+                        gaps = gaps[:s] + g + _varint(b - k) + gaps[e:]
+                        pos, key, n = s + len(g), k, n + 1
+                    continue
+                pos, key = s, a
+                if b == k:
+                    if e == len(gaps):
+                        gaps, last = gaps[:s], a
+                    else:
+                        # two gaps become one
+                        _, e, _, c = _scan(gaps, e, b, b + 1)
+                        gaps = gaps[:s] + _varint(c - a) + gaps[e:]
+                    n -= 1
+        except IndexError:
+            raise CorruptionError("delta payload ends before the block's "
+                                  "last key") from None
+        if n == count:
+            return payload, count, first, last
+        return first.to_bytes(kw, "little") + gaps, n, first, last
+
+    def _edit_columns(self, payload, count, first, last, keys, insert):
+        """edit_keys through the block's key column: the checked read and
+        write of a block that fails edit_keys's checks."""
+        have = DeltaCodec.columns(self, payload, count)[0]
+        if insert:
+            for k in keys:
+                self.check_entry(k, None)
+            new = sorted(set(have).union(keys))
+        else:
+            drop = set(keys)
+            new = [k for k in have if k not in drop]
+        if len(new) == count:
+            return payload, count, first, last
+        if not new:
+            return b"", 0, None, None
+        return DeltaCodec.encode_columns(self, new), len(new), new[0], new[-1]
 
 
 class ObjectCodec(EncodingScheme):

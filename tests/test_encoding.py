@@ -391,14 +391,15 @@ def test_delta_wire_format_matches_varint_oracle(case, vw):
     assert all(type(e) is tuple for e in decoded)
 
 
-@pytest.mark.parametrize("vw", [0, 3, 8])
-def test_delta_decode_error_messages(vw):
-    codec = DeltaCodec(value_width=vw)
+def _damaged_delta_payloads(codec):
+    """(payload, count, message): damaged payloads of ``codec``'s blocks,
+    each with the CorruptionError message ``columns`` raises for it."""
+    vw = codec.value_width
     v = 6 if vw else None
     short = codec.encode([(1, v), (5, v), (9, v)])       # one-byte gaps
     long = codec.encode([(1, v), (5, v), (300, v)])      # a two-byte gap
     cut_last = "delta payload length mismatch" if vw else "truncated varint"
-    cases = [
+    return [
         (short[:8] + b"\x00" + short[9:], 3, "zero gap in delta block"),
         (short[:9] + b"\x00" + short[10:], 3, "zero gap in delta block"),
         (long[:9] + b"\x80\x00" + long[11:], 3, "zero gap in delta block"),
@@ -414,7 +415,12 @@ def test_delta_decode_error_messages(vw):
         (long + b"\x00", 3, "delta payload length mismatch"),
         (b"\x00", 0, "nonempty payload for empty block"),
     ]
-    for payload, count, msg in cases:
+
+
+@pytest.mark.parametrize("vw", [0, 3, 8])
+def test_delta_decode_error_messages(vw):
+    codec = DeltaCodec(value_width=vw)
+    for payload, count, msg in _damaged_delta_payloads(codec):
         for read in (codec.decode, codec.columns, codec.values):
             with pytest.raises(CorruptionError, match=f"^{re.escape(msg)}$"):
                 read(payload, count)
@@ -452,6 +458,156 @@ def test_delta_decode_matches_oracle_on_damaged_payloads(small, gaps, vw, data):
         assert codec.decode(payload, count) == want
         assert _unzipped(codec.columns(payload, count)) == _unzipped(want, vw)
         assert _listed(codec.values(payload, count)) == _unzipped(want, vw)[1]
+
+
+def _edited_keys(keys, ks, insert):
+    """The key column of a set block with ``ks`` inserted or deleted."""
+    return sorted(set(keys) | set(ks)) if insert else [k for k in keys
+                                                       if k not in ks]
+
+
+def _edit_reference(codec, keys, ks, insert):
+    """What ``edit_keys`` must return for the block of ``keys``: the
+    payload, count and bounds of the edited key column, written whole."""
+    new = _edited_keys(keys, ks, insert)
+    if not new:
+        return b"", 0, None, None
+    return codec.encode_columns(new), len(new), new[0], new[-1]
+
+
+# gaps whose varints take one, two and three bytes
+_GAPS = st.one_of(st.integers(1, 127), st.integers(128, 2 ** 14 - 1),
+                  st.integers(2 ** 14, 2 ** 21 - 1))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([4, 8]), st.integers(0, 2 ** 21),
+       st.lists(_GAPS, max_size=40), st.booleans(), st.data())
+def test_delta_edit_keys_matches_columns_edit_encode(kw, first, gaps, insert,
+                                                     data):
+    # inserting or deleting 1 to 4 keys in place gives the payload, count
+    # and bounds of reading the key column, editing it and writing it whole
+    codec = DeltaCodec(key_width=kw, value_width=0)
+    keys = list(accumulate(gaps, initial=first))
+    payload = codec.encode_columns(keys)
+    # present keys (first, middle, last) and absent ones: below the first,
+    # beside every key, between neighbors, and above the last
+    pool = set(keys) | {k + 1 for k in keys} | {keys[-1] + 2 ** 15}
+    pool |= {k - 1 for k in keys if k} | {(a + b) // 2 for a, b in
+                                          zip(keys, keys[1:])}
+    ks = sorted(data.draw(st.sets(st.sampled_from(sorted(pool)),
+                                  min_size=1, max_size=4)))
+    got = codec.edit_keys(payload, len(keys), keys[0], keys[-1], ks, insert)
+    assert got == _edit_reference(codec, keys, ks, insert)
+    if got[1] == len(keys):
+        # nothing changed: the block's own payload comes back
+        assert got[0] is payload
+
+
+@pytest.mark.parametrize("keys,ks", [([5], [5]), ([5, 9], [5, 9]),
+                                     ([5, 300], [5, 300]),
+                                     ([5, 300, 70000], [5, 300])])
+def test_delta_edit_keys_deletes_to_empty_and_back(keys, ks):
+    codec = DeltaCodec(value_width=0)
+    payload = codec.encode_columns(keys)
+    got = codec.edit_keys(payload, len(keys), keys[0], keys[-1], ks, False)
+    assert got == _edit_reference(codec, keys, ks, False)
+    if got[1]:
+        back = codec.edit_keys(*got, ks, True)
+        assert back == (payload, len(keys), keys[0], keys[-1])
+
+
+def test_delta_edit_keys_only_edits_sets():
+    # a block that stores values is not edited in place, and neither is
+    # one of a codec without the method
+    for codec, values in ((DeltaCodec(value_width=8), [2, 3]),
+                          (IdentityCodec(value_width=0), None),
+                          (ObjectCodec(), None)):
+        payload = codec.encode_columns([1, 5], values)
+        assert codec.edit_keys(payload, 2, 1, 5, [3], True) is None
+
+
+def _damaged_set_payloads():
+    """_damaged_delta_payloads of a set codec, and damage beyond the part
+    of a longer block that an edit near its start reads: a truncated, an
+    extended, a zero and an over-long last varint."""
+    codec = DeltaCodec(value_width=0)
+    keys = list(range(100, 100 + 300 * 12, 300))      # two-byte gaps
+    ok = codec.encode_columns(keys)
+    n = len(keys)
+    return [*_damaged_delta_payloads(codec),
+            (ok[:-1], n, "truncated varint"),
+            (ok + b"\x05", n, "delta payload length mismatch"),
+            (ok[:-2] + b"\x80\x00", n, "zero gap in delta block"),
+            (ok[:-2] + b"\x80" * 11 + b"\x01", n,
+             "malformed varint (too many continuation bytes)")]
+
+
+def test_delta_edit_keys_error_messages():
+    # a damaged payload raises the CorruptionError columns raises for it,
+    # however little of it the edit would read: an insert below the first
+    # key or above the last, a delete of the first key or of one inside
+    codec = DeltaCodec(value_width=0)
+    for payload, count, msg in _damaged_set_payloads():
+        for ks, insert in (([0], True), ([1], False), ([3], True),
+                           ([10 ** 6], True), ([10 ** 6], False)):
+            with pytest.raises(CorruptionError, match=f"^{re.escape(msg)}$"):
+                codec.edit_keys(payload, count, 1, 9, ks, insert)
+
+
+@settings(max_examples=300)
+@given(st.booleans(), st.lists(st.integers(1, 2 ** 20), max_size=40),
+       st.booleans(), st.data())
+def test_delta_edit_keys_matches_oracle_on_damaged_payloads(small, gaps,
+                                                            insert, data):
+    # a damaged payload that the oracle rejects raises its message, and one
+    # it reads is edited as its keys are
+    if small:
+        gaps = [g % 127 + 1 for g in gaps]
+    codec = DeltaCodec(value_width=0)
+    keys = list(accumulate(gaps, initial=7))
+    payload = bytearray(codec.encode_columns(keys))
+    for _ in range(data.draw(st.integers(1, 2))):
+        what = data.draw(st.sampled_from(["set", "cut", "extend"]))
+        if what == "set" and payload:
+            payload[data.draw(st.integers(0, len(payload) - 1))] = data.draw(
+                st.sampled_from([0, 1, 0x7F, 0x80, 0xFF]))
+        elif what == "cut":
+            del payload[data.draw(st.integers(0, len(payload))):]
+        else:
+            payload += data.draw(st.binary(min_size=1, max_size=3))
+    payload = bytes(payload)
+    count = max(1, len(keys) + data.draw(st.integers(-2, 2)))
+    ks = sorted(data.draw(st.sets(st.integers(0, keys[-1] + 300),
+                                  min_size=1, max_size=2)))
+    try:
+        have = [k for k, _ in delta_block_decode(payload, count, 8, 0)]
+    except ValueError as e:
+        with pytest.raises(CorruptionError, match=f"^{re.escape(str(e))}$"):
+            codec.edit_keys(payload, count, 7, keys[-1], ks, insert)
+    else:
+        got = codec.edit_keys(payload, count, have[0], have[-1], ks, insert)
+        want = _edit_reference(codec, have, ks, insert)
+        assert got[1:] == want[1:]
+        # a payload the oracle reads but no writer writes (a varint with
+        # needless zero groups) is edited from its keys, and kept as it is
+        # where nothing changes
+        assert got[0] == (payload if want[1] == count else want[0])
+
+
+def test_delta_edit_keys_rejects_keys_it_cannot_store():
+    codec = DeltaCodec(value_width=0)
+    payload = codec.encode_columns([1, 5, 300])
+    for ks, msg in (([-1], "delta codec requires nonnegative keys"),
+                    ([2 ** 64], "key 18446744073709551616 out of range "
+                                "for 8 bytes"),
+                    ([True], "delta codec requires integer keys"),
+                    ([2.5], "delta codec requires integer keys")):
+        with pytest.raises(CodecError, match=f"^{re.escape(msg)}$"):
+            codec.edit_keys(payload, 3, 1, 300, ks, True)
+    # an int subclass is stored as its value
+    assert codec.edit_keys(payload, 3, 1, 300, [_Int(7)], True) == \
+        _edit_reference(codec, [1, 5, 300], [7], True)
 
 
 @pytest.mark.parametrize("vw", [1, 3, 8])

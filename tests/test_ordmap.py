@@ -720,12 +720,14 @@ def _failing_codec(cls, **kw):
     a decode zips the columns it reads, so it counts once) or an in-place
     ``search`` that found its payload searchable.  A block write is a
     block written from its columns (``encode_columns``, the writer behind
-    every block the library builds and behind ``encode``) or an in-place
-    ``splice`` that edited its payload."""
+    every block the library builds and behind ``encode``), an in-place
+    ``splice`` that edited its payload, or an in-place ``edit_keys`` that
+    edited a set block."""
     class Failing(cls):
         fail_at = None
         calls = 0
         failed_writes = 0
+        edits = 0
 
         def _tick(self, write=False):
             self.calls += 1
@@ -754,6 +756,14 @@ def _failing_codec(cls, **kw):
             if spliced is not None:
                 self._tick(write=True)
             return spliced
+
+        def edit_keys(self, payload, count, first, last, keys, insert):
+            edited = super().edit_keys(payload, count, first, last, keys,
+                                       insert)
+            if edited is not None:
+                self.edits += 1
+                self._tick(write=True)
+            return edited
 
         def encode_columns(self, keys, values=None):
             self._tick(write=True)
@@ -1086,7 +1096,134 @@ def test_failed_graph_batches_release_what_they_hold(B, monkeypatch):
                     settle()
     bt.set_threads(1)
     assert vcodec.failed_writes and ecodec.failed_writes
+    # the sweep failed the edge sets' in-place edits too
+    assert ecodec.edits
     bt.release(g.vertices)
+
+
+class _WrappedDelta(DeltaCodec):
+    """A delta codec whose block reads and writes wrap the class's own and
+    log their names, as a tracer's subclass of a context's codec does."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.log = []
+
+    def columns(self, payload, count):
+        self.log.append("columns")
+        return super().columns(payload, count)
+
+    def encode_columns(self, keys, values=None):
+        self.log.append("encode_columns")
+        return super().encode_columns(keys, values)
+
+    def edit_keys(self, payload, count, first, last, keys, insert):
+        self.log.append("edit_keys")
+        return super().edit_keys(payload, count, first, last, keys, insert)
+
+
+def _set_updates(ctx, t):
+    """One- and two-id updates of delta set t, each meeting one block: an
+    insert of an absent id, of two, of a present one, deletes of a present
+    and of an absent id, and a union with a one-id set."""
+    block = max(_blocks(t), key=lambda b: b.count)
+    ks = ctx.codec.columns(block.payload, block.count)[0]
+    mid, top = ks[len(ks) // 2], bt.core.last_key(ctx, t)
+    one = ordmap.build(ctx, [(mid + 1, None)])
+    return [lambda: ordmap.multi_insert(ctx, t, [(mid + 1, None)]),
+            lambda: ordmap.multi_insert(ctx, t, [(mid + 1, None),
+                                                 (mid + 2, None)]),
+            lambda: ordmap.multi_insert(ctx, t, [(mid, None)]),
+            lambda: ordmap.multi_insert(ctx, t, [(top + 5, None)]),
+            lambda: ordmap.multi_delete(ctx, t, [mid]),
+            lambda: ordmap.multi_delete(ctx, t, [mid + 1]),
+            lambda: ordmap.union(ctx, t, one)], one
+
+
+@pytest.mark.parametrize("n", [40, 2000])
+def test_set_block_edit_counts_as_the_column_merge(n, monkeypatch):
+    # an update that meets one block of a delta set (the whole set, or one
+    # block under regular nodes) counts one decode, and one fold where it
+    # changes the block, whether the block is edited in place or read and
+    # written as columns; the results agree, and a subclass that wraps the
+    # codec's methods takes the same path with the same counts
+    runs, edits = {}, ordmap._EDIT
+    for cls, edit in ((DeltaCodec, edits), (_WrappedDelta, edits),
+                      (_WrappedDelta, 0)):
+        monkeypatch.setattr(ordmap, "_EDIT", edit)
+        ctx = make_context(block_size=64, encoding=cls(value_width=0))
+        t = ordmap.build(ctx, [(k, None) for k in range(0, 300 * n, 300)])
+        updates, one = _set_updates(ctx, t)
+        seen = []
+        for update in updates:
+            log = getattr(ctx.codec, "log", [])
+            log.clear()
+            d0, f0, a0 = counters.decodes, counters.folds, counters.allocations
+            r = update()
+            counts = (counters.decodes - d0, counters.folds - f0,
+                      counters.allocations - a0)
+            if cls is _WrappedDelta:
+                # edited in place: no block written from columns
+                assert log.count("edit_keys") == (edit > 0), log
+                assert ("encode_columns" in log) == (not edit
+                                                     and counts[1] > 0), log
+            seen.append((*counts, bt.to_list(ctx, r), r is t))
+            check_tree(ctx, r)
+            bt.release(r)
+        runs[cls, edit] = seen
+        bt.release(one)
+        bt.release(t)
+    edited = runs[DeltaCodec, edits]
+    assert edited == runs[_WrappedDelta, edits] == runs[_WrappedDelta, 0]
+    # one decode each (and one of the one-id set a union reads as its run),
+    # and one fold for each update that changes the set
+    assert [(d, f) for d, f, *_ in edited] == [(1, 1), (1, 1), (1, 0), (1, 1),
+                                              (1, 1), (1, 0), (2, 1)]
+
+
+def test_delta_set_union_calls_combine_on_every_hit(monkeypatch):
+    # a union or multi_insert with its own combine calls it on every key it
+    # hits, as the column merge does, and one that raises leaves the inputs
+    # intact and no node behind; a run that carries values is merged as
+    # columns too, so a present key stores its new value as it does there
+    results = []
+    for edit in (ordmap._EDIT, 0):   # evaluated once, before the patch
+        monkeypatch.setattr(ordmap, "_EDIT", edit)
+        ctx = make_context(block_size=8, encoding=DeltaCodec(value_width=0))
+        t = ordmap.build(ctx, [(k, None) for k in range(0, 600, 3)])
+        small = ordmap.build(ctx, [(3, None), (4, None)])
+        calls = []
+
+        def combine(a, b):
+            calls.append((a, b))
+            return b
+        got = []
+        for op in (lambda f: ordmap.union(ctx, t, small, f),
+                   lambda f: ordmap.multi_insert(ctx, t, [(300, None),
+                                                          (301, None)], f),
+                   lambda f: ordmap.multi_insert(ctx, t, [(300, 5)])):
+            calls.clear()
+            f0 = counters.folds
+            r = op(combine)
+            got.append((list(calls), counters.folds - f0, bt.to_list(ctx, r)))
+            bt.release(r)
+        results.append(got)
+        assert [c for c, *_ in got[:2]] == [[(None, None)], [(None, None)]]
+
+        def boom(a, b):
+            raise _CallbackFault
+        digests = structure_digest(ctx, t), structure_digest(ctx, small)
+        live = counters.live
+        for op in (lambda: ordmap.union(ctx, t, small, boom),
+                   lambda: ordmap.multi_insert(ctx, t, [(300, None)], boom)):
+            with pytest.raises(_CallbackFault):
+                op()
+            assert counters.live == live
+            assert (structure_digest(ctx, t),
+                    structure_digest(ctx, small)) == digests
+        bt.release(small)
+        bt.release(t)
+    assert results[0] == results[1]
 
 
 def test_point_queries_random_vs_model():
