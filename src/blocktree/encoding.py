@@ -81,9 +81,9 @@ methods are optional, with defaults on ``EncodingScheme``:
     from it: equal to ``encode_columns`` of the edited key column, with
     the payload object itself where that changes nothing, and
     ``(b"", 0, None, None)`` for a block left empty; or ``None`` when the
-    codec does not edit its blocks in place.  It raises ``CorruptionError``
+    codec does not edit the block in place.  It raises ``CorruptionError``
     for a damaged payload and ``CodecError`` for a key it cannot store,
-    as ``columns`` and ``encode_columns`` would, before it builds
+    as ``columns`` and ``check_entry`` would, before it builds
     anything.  ``ordmap._merge`` uses it (``core._edit_keys``, counted as
     one decode, and one fold where it changes the block) where a run of a
     few keys meets a block; ``core._edit_keys`` reads the new block's
@@ -158,10 +158,12 @@ Two byte-oriented codecs ship with the library:
     bit, and the zeros are counted), its last byte is a terminator, it
     holds no zero byte (a zero gap ends in one) and no eleven continuing
     bytes in a row (a varint ``columns`` rejects as too long); and every
-    new key is an int the block can store.  A block that fails a check is
-    read by this class's ``columns`` and written by its
-    ``encode_columns``, which raise what they raise for it, so a damaged
-    payload raises before any block is built on it.  Otherwise a key
+    new key is an int the block can store.  For a block that fails a
+    check, this class's ``columns`` raises what it raises for it, and
+    ``check_entry`` what it raises for a key, so a damaged payload raises
+    before any block is built on it; one that passes both all the same
+    (varints with needless zero groups, which no writer writes, or keys of
+    an int subclass) is not edited in place.  Otherwise a key
     inserted outside the block's bounds is written at its end with no
     scan: as its first key and one varint before the old gaps, or as one
     varint after them.  A key inside is found by reading the varints from
@@ -170,9 +172,7 @@ Two byte-oriented codecs ship with the library:
     insert writes the gap before it and the gap after it in place of the
     one gap they split, and a delete writes their sum in place of the two
     gaps.  The rest of the payload is copied as byte slices, and the
-    bounds come from ``first`` and ``last`` (delta blocks cache them); a
-    forward read that runs past the payload's end (bounds it does not
-    reach) raises ``CorruptionError``.
+    bounds come from ``first`` and ``last`` (delta blocks cache them).
 
 ``ObjectCodec`` stores a block as two tuples, ``(keys, values)``, for
 entries that are not byte-packable (sequences of arbitrary elements,
@@ -267,7 +267,8 @@ def _scan(gaps, pos, key, k):
     section, the gap from the key ``prev``, below ``k``, to ``nxt``, the
     first key at or above ``k``; found by reading the varints forward from
     ``pos``, where the gap from ``key`` starts.  The section has passed
-    ``DeltaCodec.edit_keys``'s checks, so each varint is terminated."""
+    ``DeltaCodec.edit_keys``'s checks, so each varint is terminated, and
+    ``k`` is at most the block's last key."""
     while True:
         start = pos
         gap = gaps[pos]
@@ -654,78 +655,63 @@ class DeltaCodec(EncodingScheme):
         gaps = payload[kw:]
         flags = gaps.translate(_CONTINUES)
         # count - 1 terminated varints that end the payload, none zero and
-        # none too long, and the new keys ints the block can store; any
-        # other block is read and written whole, which raises for it
+        # none too long, and the new keys ints the block can store
         if (len(payload) < kw or flags.count(0) != count - 1
                 or flags[-1:] == b"\x01" or 0 in gaps or _OVERLONG in flags
                 or insert and (set(map(type, keys)) != {int}
                                or keys[0] < 0 or keys[-1] >> 8 * kw)):
-            return self._edit_columns(payload, count, first, last, keys,
-                                      insert)
+            # a damaged payload raises what the block's read raises, and a
+            # key it cannot store what check_entry raises; a block that
+            # passes both (keys of an int subclass, or varints with needless
+            # zero groups, which no writer writes) is left to the caller
+            DeltaCodec.columns(self, payload, count)
+            if insert:
+                for k in keys:
+                    self.check_entry(k, None)
+            return None
         n = count
         pos, key = 0, first     # the gap at gaps[pos] leads from key
-        try:
-            for k in keys:
-                if k > last or k < first:
-                    if insert and k > last:
-                        gaps += _varint(k - last)
-                        last, n = k, n + 1
-                    elif insert:
-                        gaps = _varint(first - k) + gaps
-                        pos, key, first, n = 0, k, k, n + 1
-                    continue
-                if k == first or k == last:
-                    if insert:
-                        continue
-                    if n == 1:
-                        return b"", 0, None, None
-                    if k == first:
-                        _, e, _, first = _scan(gaps, 0, k, k + 1)
-                        gaps = gaps[e:]
-                        pos, key, n = 0, first, n - 1
-                        continue
-                # the gap that reaches k, read from the nearer end
-                s, e, a, b = (_scan(gaps, pos, key, k) if k - key <= last - k
-                              else _scan_back(gaps, last, k))
+        for k in keys:
+            if k > last or k < first:
+                if insert and k > last:
+                    gaps += _varint(k - last)
+                    last, n = k, n + 1
+                elif insert:
+                    gaps = _varint(first - k) + gaps
+                    pos, key, first, n = 0, k, k, n + 1
+                continue
+            if k == first or k == last:
                 if insert:
-                    pos, key = e, b
-                    if b != k:
-                        g = _varint(k - a)
-                        gaps = gaps[:s] + g + _varint(b - k) + gaps[e:]
-                        pos, key, n = s + len(g), k, n + 1
                     continue
-                pos, key = s, a
-                if b == k:
-                    if e == len(gaps):
-                        gaps, last = gaps[:s], a
-                    else:
-                        # two gaps become one
-                        _, e, _, c = _scan(gaps, e, b, b + 1)
-                        gaps = gaps[:s] + _varint(c - a) + gaps[e:]
-                    n -= 1
-        except IndexError:
-            raise CorruptionError("delta payload ends before the block's "
-                                  "last key") from None
+                if n == 1:
+                    return b"", 0, None, None
+                if k == first:
+                    _, e, _, first = _scan(gaps, 0, k, k + 1)
+                    gaps = gaps[e:]
+                    pos, key, n = 0, first, n - 1
+                    continue
+            # the gap that reaches k, read from the nearer end
+            s, e, a, b = (_scan(gaps, pos, key, k) if k - key <= last - k
+                          else _scan_back(gaps, last, k))
+            if insert:
+                pos, key = e, b
+                if b != k:
+                    g = _varint(k - a)
+                    gaps = gaps[:s] + g + _varint(b - k) + gaps[e:]
+                    pos, key, n = s + len(g), k, n + 1
+                continue
+            pos, key = s, a
+            if b == k:
+                if e == len(gaps):
+                    gaps, last = gaps[:s], a
+                else:
+                    # two gaps become one
+                    _, e, _, c = _scan(gaps, e, b, b + 1)
+                    gaps = gaps[:s] + _varint(c - a) + gaps[e:]
+                n -= 1
         if n == count:
             return payload, count, first, last
         return first.to_bytes(kw, "little") + gaps, n, first, last
-
-    def _edit_columns(self, payload, count, first, last, keys, insert):
-        """edit_keys through the block's key column: the checked read and
-        write of a block that fails edit_keys's checks."""
-        have = DeltaCodec.columns(self, payload, count)[0]
-        if insert:
-            for k in keys:
-                self.check_entry(k, None)
-            new = sorted(set(have).union(keys))
-        else:
-            drop = set(keys)
-            new = [k for k in have if k not in drop]
-        if len(new) == count:
-            return payload, count, first, last
-        if not new:
-            return b"", 0, None, None
-        return DeltaCodec.encode_columns(self, new), len(new), new[0], new[-1]
 
 
 class ObjectCodec(EncodingScheme):

@@ -9,7 +9,11 @@ per-source update, ``_edges``: ``insert_edges`` merges each found
 source's ids straight into its set under ``_UNION``, and ``delete_edges``
 deletes them from the set of each source that is a vertex under
 ``_DIFFERENCE`` and drops the others (the ``_DELETE`` op triple).  The
-ids reach the set's merge as a run, so no tree of them is built.  A
+ids reach the set's merge as a run, so no tree of them is built, and a
+block of the set that the run meets with at most four ids (a source gains
+or loses about one id per batch) is edited in place: the edge codec's
+``edit_keys`` rewrites only the gap varints around each id
+(``ordmap._merge``), and the block is not decoded and written whole.  A
 source the vertex merge adds is a run-only entry: the second element of
 the insert's op triple is a function, so the merge stores the set
 written from the source's ids (``core._rebuild``), and nothing for a new

@@ -1181,6 +1181,51 @@ def test_set_block_edit_counts_as_the_column_merge(n, monkeypatch):
                                               (1, 1), (1, 0), (2, 1)]
 
 
+@pytest.mark.parametrize("B", [1, 2, 4, 8])
+def test_small_runs_into_delta_set_blocks_match_the_column_merge(
+        B, monkeypatch):
+    # runs of 1 to 4 keys inserted into and deleted from a delta set's
+    # blocks, edited in place where the result is one block of B..2B
+    # entries (1..2B at the root), fill blocks to 2B and beyond and empty
+    # them to B and below: each result is the tree the column merge builds,
+    # byte for byte, at the same decode, fold and allocation counts, with
+    # the model's keys, and its input is left as it was
+    rng = random.Random(B)
+    ctx = make_context(block_size=B, encoding=_WrappedDelta(value_width=0))
+    model = set(range(0, 40 * B, 3))
+    live, edits = counters.live, ordmap._EDIT
+    t = ordmap.build(ctx, [(k, None) for k in model])
+    for _ in range(300):
+        lo = rng.randrange(40 * B)
+        ks = rng.sample(range(lo, lo + 8), rng.randint(1, 4))
+        insert = rng.random() < 0.5
+        before = structure_digest(ctx, t)
+        seen = []
+        for edit in (edits, 0):
+            monkeypatch.setattr(ordmap, "_EDIT", edit)
+            c0 = counters.decodes, counters.folds, counters.allocations
+            r = (ordmap.multi_insert(ctx, t, [(k, None) for k in ks])
+                 if insert else ordmap.multi_delete(ctx, t, ks))
+            seen.append((counters.decodes - c0[0], counters.folds - c0[1],
+                         counters.allocations - c0[2],
+                         structure_digest(ctx, r)))
+            if edit:
+                result = r
+            else:
+                bt.release(r)
+        assert seen[0] == seen[1]
+        model = model | set(ks) if insert else model - set(ks)
+        assert structure_digest(ctx, t) == before
+        check_tree(ctx, result)
+        assert bt.core.keys(ctx, result) == sorted(model)
+        bt.release(t)
+        t = result
+    # some runs were edited in place, and some met blocks they could not be
+    assert {"edit_keys", "encode_columns"} <= set(ctx.codec.log)
+    bt.release(t)
+    assert counters.live == live
+
+
 def test_delta_set_union_calls_combine_on_every_hit(monkeypatch):
     # a union or multi_insert with its own combine calls it on every key it
     # hits, as the column merge does, and one that raises leaves the inputs
