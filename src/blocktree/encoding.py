@@ -81,10 +81,11 @@ methods are optional, with defaults on ``EncodingScheme``:
     from it: equal to ``encode_columns`` of the edited key column, with
     the payload object itself where that changes nothing, and
     ``(b"", 0, None, None)`` for a block left empty; or ``None`` when the
-    codec does not edit the block in place.  It raises ``CorruptionError``
-    for a damaged payload and ``CodecError`` for a key it cannot store,
-    as ``columns`` and ``check_entry`` would, before it builds
-    anything.  ``ordmap._merge`` uses it (``core._edit_keys``, counted as
+    codec does not edit the block in place.  It builds nothing on a
+    payload that fails its checks or for a key it cannot store: it returns
+    ``None`` there, and the caller's column read raises the
+    ``CorruptionError`` and its writer the ``CodecError``.
+    ``ordmap._merge`` uses it (``core._edit_keys``, counted as
     one decode, and one fold where it changes the block) where a run of a
     few keys meets a block; ``core._edit_keys`` reads the new block's
     bounds from its result.  The default returns ``None``.
@@ -158,21 +159,21 @@ Two byte-oriented codecs ship with the library:
     bit, and the zeros are counted), its last byte is a terminator, it
     holds no zero byte (a zero gap ends in one) and no eleven continuing
     bytes in a row (a varint ``columns`` rejects as too long); and every
-    new key is an int the block can store.  For a block that fails a
-    check, this class's ``columns`` raises what it raises for it, and
-    ``check_entry`` what it raises for a key, so a damaged payload raises
-    before any block is built on it; one that passes both all the same
-    (varints with needless zero groups, which no writer writes, or keys of
-    an int subclass) is not edited in place.  Otherwise a key
-    inserted outside the block's bounds is written at its end with no
-    scan: as its first key and one varint before the old gaps, or as one
-    varint after them.  A key inside is found by reading the varints from
-    the nearer end (forward from the first key, or backward from the last:
-    each varint starts after a terminator), only as far as the key; an
-    insert writes the gap before it and the gap after it in place of the
-    one gap they split, and a delete writes their sum in place of the two
-    gaps.  The rest of the payload is copied as byte slices, and the
-    bounds come from ``first`` and ``last`` (delta blocks cache them).
+    new key is an int the block can store.  A block or a key that fails a
+    check is not edited in place (``None``): the merge's column read
+    raises for a damaged payload and its writer for a bad key, and reads
+    and writes the rest (varints with needless zero groups, which no
+    writer writes, or keys of an int subclass).  Otherwise a key inserted
+    outside the block's bounds is written at its end with no scan: as its
+    first key and one varint before the old gaps, or as one varint after
+    them.  A key inside is found by reading the varints forward from the
+    first key, only as far as the key; an insert writes the gap before it
+    and the gap after it in place of the one gap they split, and a delete
+    writes their sum in place of the two gaps.  Every key the edit writes
+    is one of the payload's or an inserted int, never a deleted key that
+    only equals one (``2.0``).  The rest of the payload is copied as byte
+    slices, and the bounds come from ``first`` and ``last`` (delta blocks
+    cache them).
 
 ``ObjectCodec`` stores a block as two tuples, ``(keys, values)``, for
 entries that are not byte-packable (sequences of arbitrary elements,
@@ -287,27 +288,6 @@ def _scan(gaps, pos, key, k):
         if nxt >= k:
             return start, pos, key, nxt
         key = nxt
-
-
-def _scan_back(gaps, key, k):
-    """``_scan``'s result, found by reading the varints of a gap section
-    backward from its end, where the last key is ``key``.  Each varint
-    starts after a terminator byte; the first one's is the section's last
-    byte, which ``gaps[-1]`` reads."""
-    j = len(gaps) - 1
-    while True:
-        end = j + 1
-        gap = gaps[j]
-        j -= 1
-        b = gaps[j]
-        while b >= 0x80:
-            gap = gap << 7 | b & 0x7F
-            j -= 1
-            b = gaps[j]
-        prev = key - gap
-        if prev < k:
-            return j + 1, end, prev, key
-        key = prev
 
 
 # byte -> 1 where its high bit is set (a varint byte that continues), else 0
@@ -660,19 +640,13 @@ class DeltaCodec(EncodingScheme):
                 or flags[-1:] == b"\x01" or 0 in gaps or _OVERLONG in flags
                 or insert and (set(map(type, keys)) != {int}
                                or keys[0] < 0 or keys[-1] >> 8 * kw)):
-            # a damaged payload raises what the block's read raises, and a
-            # key it cannot store what check_entry raises; a block that
-            # passes both (keys of an int subclass, or varints with needless
-            # zero groups, which no writer writes) is left to the caller
-            DeltaCodec.columns(self, payload, count)
-            if insert:
-                for k in keys:
-                    self.check_entry(k, None)
+            # left to the caller's column read, which raises for a damaged
+            # payload, and its writer, which raises for a bad key
             return None
         n = count
         pos, key = 0, first     # the gap at gaps[pos] leads from key
         for k in keys:
-            if k > last or k < first:
+            if not first <= k <= last:
                 if insert and k > last:
                     gaps += _varint(k - last)
                     last, n = k, n + 1
@@ -686,13 +660,14 @@ class DeltaCodec(EncodingScheme):
                 if n == 1:
                     return b"", 0, None, None
                 if k == first:
-                    _, e, _, first = _scan(gaps, 0, k, k + 1)
+                    # the keys built come from the payload's ints, never
+                    # from k, which may only equal one (2.0 == 2)
+                    _, e, _, first = _scan(gaps, 0, first, first + 1)
                     gaps = gaps[e:]
                     pos, key, n = 0, first, n - 1
                     continue
-            # the gap that reaches k, read from the nearer end
-            s, e, a, b = (_scan(gaps, pos, key, k) if k - key <= last - k
-                          else _scan_back(gaps, last, k))
+            # the gap that reaches k
+            s, e, a, b = _scan(gaps, pos, key, k)
             if insert:
                 pos, key = e, b
                 if b != k:

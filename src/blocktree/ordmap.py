@@ -43,7 +43,7 @@ where nothing changes.  That counts one decode, and one fold where the
 block changes, as the merge does; a codec without the method, a delta codec
 that stores values, a user ``combine`` (which the merge calls on every hit)
 and any other count take the merge.  The threshold is measured: on the edge
-blocks of an R-MAT graph, up to 4 ids edit in 0.25-0.73 times the merge's
+blocks of an R-MAT graph, up to 4 ids edit in 0.29-0.74 times the merge's
 time.  Every block the run does not reach stays shared, so a batch of k
 keys re-encodes about k blocks.  A node
 whose run lies wholly on one side of its key recurses into that side alone,
@@ -331,8 +331,8 @@ _GALLOP = 4
 # A run of at most this many keys is inserted into (or deleted from) a set
 # block by the codec's in-place edit (``edit_keys``), where it has one: on
 # the edge blocks of a 2x10^5-edge R-MAT graph at B=64, a run of 1 to 4
-# ids edits a block in 0.25-0.73 times the merge's time, and one of 8 in
-# 0.59-1.09 times.
+# ids edits a block in 0.29-0.74 times the merge's time, and one of 8 in
+# 0.59-0.98 times.
 _EDIT = 4
 
 

@@ -528,31 +528,73 @@ def test_delta_edit_keys_only_edits_sets():
 
 
 def _damaged_set_payloads():
-    """_damaged_delta_payloads of a set codec, and damage beyond the part
-    of a longer block that an edit near its start reads: a truncated, an
-    extended, a zero and an over-long last varint."""
+    """(keys, payload, count, message): _damaged_delta_payloads of a set
+    codec, with the keys of the block each damages, and damage beyond the
+    part of a longer block that an edit near its start reads: a truncated,
+    an extended, a zero and an over-long last varint."""
     codec = DeltaCodec(value_width=0)
     keys = list(range(100, 100 + 300 * 12, 300))      # two-byte gaps
     ok = codec.encode_columns(keys)
     n = len(keys)
-    return [*_damaged_delta_payloads(codec),
-            (ok[:-1], n, "truncated varint"),
-            (ok + b"\x05", n, "delta payload length mismatch"),
-            (ok[:-2] + b"\x80\x00", n, "zero gap in delta block"),
-            (ok[:-2] + b"\x80" * 11 + b"\x01", n,
+    return [*(([1, 5, 9], *case) for case in _damaged_delta_payloads(codec)),
+            (keys, ok[:-1], n, "truncated varint"),
+            (keys, ok + b"\x05", n, "delta payload length mismatch"),
+            (keys, ok[:-2] + b"\x80\x00", n, "zero gap in delta block"),
+            (keys, ok[:-2] + b"\x80" * 11 + b"\x01", n,
              "malformed varint (too many continuation bytes)")]
 
 
-def test_delta_edit_keys_error_messages():
-    # a damaged payload raises the CorruptionError columns raises for it,
-    # however little of it the edit would read: an insert below the first
-    # key or above the last, a delete of the first key or of one inside
+def test_delta_edit_keys_declines_damaged_payloads():
+    # a damaged payload is not edited, however little of it the edit would
+    # read: an insert below the first key or above the last, a delete of
+    # the first key or of one inside
     codec = DeltaCodec(value_width=0)
-    for payload, count, msg in _damaged_set_payloads():
+    for keys, payload, count, _ in _damaged_set_payloads():
         for ks, insert in (([0], True), ([1], False), ([3], True),
                            ([10 ** 6], True), ([10 ** 6], False)):
+            assert codec.edit_keys(payload, count, keys[0], keys[-1], ks,
+                                   insert) is None
+
+
+def test_small_merges_into_damaged_delta_set_blocks_raise():
+    # a run of a few keys that meets a damaged set block, the kind edited
+    # in place, raises the CorruptionError columns raises for it, with its
+    # inputs intact and no node left live: multi_insert, multi_delete and
+    # union of a map, and insert and delete batches of a graph
+    import blocktree as bt
+    from blocktree import graphstore as gs, ordmap
+    from blocktree.inspect import structure_digest
+    ctx = bt.make_context(block_size=64, encoding=DeltaCodec(value_width=0))
+    for keys, payload, count, msg in _damaged_set_payloads():
+        t = ordmap.build(ctx, [(k, None) for k in keys])
+        one = ordmap.build(ctx, [(keys[0] + 1, None)])
+        g = gs.from_edge_list([(0, k) for k in keys])
+        sets = [t, bt.ordmap.find(g.vctx, g.vertices, 0)]
+        assert all(type(s) is Flat for s in sets)
+        digests = [structure_digest(ctx, s) for s in sets]
+        good = [(s.payload, s.count) for s in sets]
+        for s in sets:
+            s.payload, s.count = payload, count
+        live = counters.live
+        top = keys[-1] + 10 ** 6
+        for op in (lambda: ordmap.multi_insert(ctx, t, [(0, None)]),
+                   lambda: ordmap.multi_insert(ctx, t, [(keys[0] + 1, None)]),
+                   lambda: ordmap.multi_insert(ctx, t, [(top, None)]),
+                   lambda: ordmap.multi_delete(ctx, t, [keys[0]]),
+                   lambda: ordmap.multi_delete(ctx, t, [keys[1]]),
+                   lambda: ordmap.multi_delete(ctx, t, [keys[-1]]),
+                   lambda: ordmap.union(ctx, t, one),
+                   lambda: gs.insert_edges(g, [(0, keys[0] + 1)]),
+                   lambda: gs.insert_edges(g, [(0, top)]),
+                   lambda: gs.delete_edges(g, [(0, keys[1])])):
             with pytest.raises(CorruptionError, match=f"^{re.escape(msg)}$"):
-                codec.edit_keys(payload, count, 1, 9, ks, insert)
+                op()
+            assert counters.live == live
+        for s, (p, n) in zip(sets, good):
+            s.payload, s.count = p, n
+        assert [structure_digest(ctx, s) for s in sets] == digests
+        for x in (t, one, g.vertices):
+            bt.release(x)
 
 
 @settings(max_examples=300)
@@ -560,8 +602,8 @@ def test_delta_edit_keys_error_messages():
        st.booleans(), st.data())
 def test_delta_edit_keys_matches_oracle_on_damaged_payloads(small, gaps,
                                                             insert, data):
-    # a damaged payload that the oracle rejects raises its message, and one
-    # it reads is edited as its keys are
+    # a damaged payload that the oracle rejects is not edited, and one it
+    # reads is edited as its keys are
     if small:
         gaps = [g % 127 + 1 for g in gaps]
     codec = DeltaCodec(value_width=0)
@@ -582,9 +624,9 @@ def test_delta_edit_keys_matches_oracle_on_damaged_payloads(small, gaps,
                                   min_size=1, max_size=2)))
     try:
         have = [k for k, _ in delta_block_decode(payload, count, 8, 0)]
-    except ValueError as e:
-        with pytest.raises(CorruptionError, match=f"^{re.escape(str(e))}$"):
-            codec.edit_keys(payload, count, 7, keys[-1], ks, insert)
+    except ValueError:
+        # left to the column read, which raises the oracle's message
+        assert codec.edit_keys(payload, count, 7, keys[-1], ks, insert) is None
     else:
         got = codec.edit_keys(payload, count, have[0], have[-1], ks, insert)
         # a payload the oracle reads but no writer writes (a varint with
@@ -595,18 +637,58 @@ def test_delta_edit_keys_matches_oracle_on_damaged_payloads(small, gaps,
             assert got == _edit_reference(codec, have, ks, insert)
 
 
-def test_delta_edit_keys_rejects_keys_it_cannot_store():
+def test_delta_edit_keys_leaves_keys_it_cannot_store_to_the_merge():
+    # an insert of a key no block can store is not edited in place, and
+    # the map's insert raises the codec's CodecError for it, building
+    # nothing; an int subclass is left to the column merge too, which
+    # stores its value
+    import blocktree as bt
+    from blocktree import ordmap
     codec = DeltaCodec(value_width=0)
     payload = codec.encode_columns([1, 5, 300])
+    ctx = bt.make_context(block_size=8, encoding=codec)
+    t = ordmap.build(ctx, [(1, None), (5, None), (300, None)])
     for ks, msg in (([-1], "delta codec requires nonnegative keys"),
                     ([2 ** 64], "key 18446744073709551616 out of range "
                                 "for 8 bytes"),
                     ([True], "delta codec requires integer keys"),
                     ([2.5], "delta codec requires integer keys")):
+        assert codec.edit_keys(payload, 3, 1, 300, ks, True) is None
+        a0, live = counters.allocations, counters.live
         with pytest.raises(CodecError, match=f"^{re.escape(msg)}$"):
-            codec.edit_keys(payload, 3, 1, 300, ks, True)
-    # an int subclass is left to the column merge, which stores its value
+            ordmap.multi_insert(ctx, t, [(k, None) for k in ks])
+        assert (counters.allocations, counters.live) == (a0, live)
     assert codec.edit_keys(payload, 3, 1, 300, [_Int(7)], True) is None
+    r = ordmap.multi_insert(ctx, t, [(_Int(7), None)])
+    assert bt.core.keys(ctx, r) == [1, 5, 7, 300]
+    for x in (r, t):
+        bt.release(x)
+
+
+@pytest.mark.parametrize("kind", [float, "decimal", "fraction", "numpy"])
+def test_delta_edit_keys_deletes_keys_equal_to_its_own(kind):
+    # a delete key that only equals a stored key (2.0 == 2) deletes it,
+    # first, inside or last, and every key of the edited block is one of
+    # the payload's ints
+    from decimal import Decimal
+    from fractions import Fraction
+    if kind == "numpy":
+        kind = pytest.importorskip("numpy").int64
+    kind = {"decimal": Decimal, "fraction": Fraction}.get(kind, kind)
+    codec = DeltaCodec(value_width=0)
+    keys = [2, 9, 300, 70000, 70001]
+    payload = codec.encode_columns(keys)
+    for ks in ([2], [9], [70001], [2, 300], [300, 70001], [2, 70001]):
+        got = codec.edit_keys(payload, len(keys), 2, 70001,
+                              [kind(k) for k in ks], False)
+        assert got == _edit_reference(codec, keys, ks, False)
+        assert type(got[2]) is int and type(got[3]) is int
+        assert codec.columns(got[0], got[1])[0] == _edited_keys(keys, ks,
+                                                                 False)
+    # a key that equals none, or compares with none (NaN), deletes nothing
+    for ks in ([float("nan")], [2.5, 9.5]):
+        assert codec.edit_keys(payload, len(keys), 2, 70001, ks,
+                               False) == (payload, len(keys), 2, 70001)
 
 
 @pytest.mark.parametrize("vw", [1, 3, 8])
