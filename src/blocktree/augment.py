@@ -13,6 +13,24 @@ its value column alone.  It must equal
 ``reduce(combine, map(lift, entries), identity)`` for every run of
 entries, and ``core._entries_aug`` then calls it instead of ``lift`` per
 entry.  The graph store's edge count is ``sum(map(size, values))``.
+
+A spec may also give ``inverse(a, b)``, ``a`` combined with the inverse
+of ``b``.  It is given only where ``combine`` and ``inverse`` form a
+commutative group over the aggregates, with ``identity`` as its unit:
+``combine`` commutes, and ``inverse(combine(a, b), b) == a`` for all
+``a`` and ``b`` (an integer sum with ``operator.sub`` does; ``max`` has
+no inverse).  A bulk merge then updates a block's aggregate by
+difference instead of folding every entry of the block again
+(``ordmap._merge``): where the op keeps the block's other entries
+(``union``, ``multi_insert``, ``multi_delete``, ``difference`` and the
+graph batches) and the result is written as one block, the new aggregate
+is ``inverse(combine(old, fold(came)), fold(gone))``.  ``gone`` holds
+the entries the merge replaced or dropped, ``came`` those it added or
+changed, and ``fold`` is the spec's block fold (``core._entries_aug``:
+``fold_values`` where given).  A result cut into several blocks, or left
+as an entry run below the block size, and every block of a spec without
+an inverse, is folded whole.  The graph store's edge count sets
+``inverse=operator.sub``.
 """
 
 from dataclasses import dataclass
@@ -32,6 +50,11 @@ class AugSpec:
     # optional: iterable of a block's values -> its aug, equal to
     # reduce(combine, map(lift, entries), identity); None folds lift
     fold_values: object = None
+    # optional: (a, b) -> a combined with the inverse of b.  Only for a
+    # combine that forms a commutative group with it (identity the unit,
+    # inverse(combine(a, b), b) == a); bulk merges then update a block's
+    # aggregate by difference.  None refolds every block written
+    inverse: object = None
 
 
 def aug_val(ctx, t):

@@ -298,7 +298,11 @@ def last_key(ctx, t):
 def _entries_aug(ctx, keys, values):
     """The aggregate of the entries of a key column and a value column
     (None for a set).  A spec's column fold (``AugSpec.fold_values``)
-    reads the values alone."""
+    reads the values alone.  The fold of a whole block, of the part of a
+    boundary block ``aug_range`` reads, and, under a spec with an
+    inverse, of the entries a merge replaced, dropped, added or changed
+    (``ordmap._merge``, which updates the block's aggregate by their
+    difference)."""
     spec = ctx.aug
     if values is None:
         values = repeat(None, len(keys))
@@ -308,12 +312,17 @@ def _entries_aug(ctx, keys, values):
     return spec.fold_values(values)
 
 
-def _make_flat(ctx, keys, values):
+def _make_flat(ctx, keys, values, aug=None):
     """Block over a sorted key column and its value column (None for a
-    set), written by the codec's ``encode_columns``."""
+    set), written by the codec's ``encode_columns``.  Its aggregate is
+    ``aug`` where the caller has it: ``ordmap._merge`` updates a block's
+    aggregate by difference under a spec with an inverse, and hands it
+    here through ``_rebuild`` where the result is one block.  None folds
+    the entries (``_entries_aug``) on an augmented context."""
     counters.folds += 1
     payload = ctx.codec.encode_columns(keys, values)
-    aug = _entries_aug(ctx, keys, values) if ctx.aug else None
+    if aug is None and ctx.aug:
+        aug = _entries_aug(ctx, keys, values)
     # a sequence's keys are None, so its bounds are too
     return new_flat(len(keys), payload, keys[0], keys[-1], aug)
 
@@ -355,13 +364,15 @@ def _make_regular(ctx, l, e, r, s):
     return new_regular(e[0], e[1], l, r, s, aug)
 
 
-def _rebuild(ctx, keys, values, lo=0, hi=None, cap=None):
+def _rebuild(ctx, keys, values, lo=0, hi=None, cap=None, aug=None):
     """Owned tree over the entries [lo, hi) of a sorted key column and its
     value column (None for a set): one block up to ``cap`` entries
     (default 2B), else blocks of B..2B under balanced regular nodes, split
     at the middle entry.  ``unfold`` passes ``cap=0`` for a tree of
     regular nodes only.  Blocks are written from the columns
-    (``_make_flat``)."""
+    (``_make_flat``); ``aug``, the aggregate of the entries where the
+    caller has it, is the block's where they make one block, and a tree
+    of several blocks folds each."""
     if hi is None:
         hi = len(keys)
     if cap is None:
@@ -371,7 +382,7 @@ def _rebuild(ctx, keys, values, lo=0, hi=None, cap=None):
         return None
     if n <= cap:
         return _make_flat(ctx, keys[lo:hi],
-                          None if values is None else values[lo:hi])
+                          None if values is None else values[lo:hi], aug)
     mid = lo + n // 2
     l, r = fork2(ctx, n,
                  lambda: _rebuild(ctx, keys, values, lo, mid, cap),
@@ -645,13 +656,14 @@ def _join2(ctx, l, r):
 # fragments: entry runs and the glue that links them
 
 
-def _run_or_tree(ctx, keys, values):
+def _run_or_tree(ctx, keys, values, aug=None):
     """A base case's result from a key column and its value column (None
     for a set): their entries zipped into an entry run while there are
-    fewer than B of them; else their tree (``_rebuild``)."""
+    fewer than B of them; else their tree (``_rebuild``, which takes the
+    entries' aggregate ``aug`` where the caller has it)."""
     if len(keys) < ctx.config.block_size:
         return list(zip(keys, repeat(None) if values is None else values))
-    return _rebuild(ctx, keys, values)
+    return _rebuild(ctx, keys, values, aug=aug)
 
 
 def _is_run(x):

@@ -26,7 +26,13 @@ codec's ``encode_columns``, more cut at the middle entry as
 ``core._rebuild`` cuts, fewer zipped into an entry run.  Where the block is
 the root (or the tree is empty), ``_bulk`` writes them with ``_rebuild``
 itself, so a whole result below B becomes its block with no entry run
-zipped and split again on the way.  A run below a quarter of the block
+zipped and split again on the way.  Under an aggregate spec with an
+inverse (``AugSpec.inverse``: the graph store's edge count), an op that
+keeps the block's other entries has ``_merge`` hand its writer the
+block's aggregate updated by difference, its old one combined with the
+fold of the entries the merge added or changed and inverted by that of
+the entries it replaced or dropped, where that result is one block; the
+writer folds every other block whole.  A run below a quarter of the block
 gallops (Demaine, López-Ortiz and Munro, SODA 2000): each run key is
 bisected into the key column and the stretch before it copied as a slice; a
 longer run walks the block entry by entry.  A run of at most ``_EDIT`` (4)
@@ -135,9 +141,9 @@ from bisect import bisect_left
 from itertools import repeat
 
 from .core import (_as_tree, _balanced_pair, _columns, _concat, _decode,
-                   _edit, _edit_keys, _entry_key, _join, _join2, _locate,
-                   _make_flat, _make_regular, _rebuild, _run_or_tree, _search,
-                   _slice, _unzip, _values, _whole, flatten)
+                   _edit, _edit_keys, _entries_aug, _entry_key, _join, _join2,
+                   _locate, _make_flat, _make_regular, _rebuild, _run_or_tree,
+                   _search, _slice, _unzip, _values, _whole, flatten)
 from .errors import ContractError
 from .nodes import Flat, release, retain, size
 from .parallel import fork2
@@ -340,12 +346,20 @@ def _merge(ctx, t, arr, lo, hi, op, combine, least):
     """Block t, or the empty tree, under op with the sorted run arr[lo:hi]
     as second operand; borrows t.  The one merge: it reads the block as a
     key column and a value column (``core._columns``), copies stretches of
-    both, and returns the merged columns ``(keys, values)``, which its
-    caller writes.  A run below a quarter of the block gallops: each run
-    key is bisected into the key column, and the stretch before it copied
-    as a slice; a longer one steps through the block entry by entry.  A
-    run-only entry keeps its value, or stores ``op[1](value)`` where the
-    op's second element is a function.  The value column is built in the
+    both, and returns the merged columns and their aggregate, ``(keys,
+    values, aug)``, which its caller writes.  A run below a quarter of the
+    block gallops: each run key is bisected into the key column, and the
+    stretch before it copied as a slice; a longer one steps through the
+    block entry by entry.  ``aug`` is None, which the writer folds,
+    except under a spec with an inverse (``AugSpec.inverse``) on an op
+    that keeps the block's other entries (``only_a``): there the merge
+    collects the entries it replaces or drops (``gone``) and those it
+    adds or changes (``came``), and where the result is one block of
+    ``least`` to 2B entries, ``aug`` is ``inverse(combine(t.aug,
+    fold(came)), fold(gone))``, each side folded as a block is
+    (``core._entries_aug``: the spec's ``fold_values`` where it has
+    one).  A run-only entry keeps its value, or stores ``op[1](value)``
+    where the op's second element is a function.  The value column is built in the
     block's own column type (an array slice for an array), and each
     ``combine`` and ``op[1]`` result is checked against the codec where
     it is made: an array would store ``True`` as 1, and raises no
@@ -370,7 +384,7 @@ def _merge(ctx, t, arr, lo, hi, op, combine, least):
             vals = list(map(store, vals))
             for k, v in zip(keys, vals):
                 check(k, v)
-        return keys, vals
+        return keys, vals, None
     n, r = t.count, len(run)
     # a short run of keys alone, inserted or deleted, whose result is one
     # block of least..2B entries whatever it hits
@@ -383,6 +397,13 @@ def _merge(ctx, t, arr, lo, hi, op, combine, least):
         if edited is not None:
             return edited
     gallop = _GALLOP * len(run) < t.count
+    # the columns of the entries the merge replaces or drops (gone) and
+    # of those it adds or changes (came), where the block's aggregate is
+    # updated by their difference
+    spec = ctx.aug
+    diff = only_a and spec is not None and spec.inverse is not None
+    if diff:
+        gone_k, gone_v, came_k, came_v = [], [], [], []
     keys, vals = _columns(ctx, t)
     if vals is None:
         vals = [None] * t.count
@@ -412,10 +433,18 @@ def _merge(ctx, t, arr, lo, hi, op, combine, least):
                 if x is not old:
                     check(k, x)
                     hit = True
+                    if diff:
+                        gone_k.append(k)
+                        gone_v.append(old)
+                        came_k.append(k)
+                        came_v.append(x)
                 ok.append(k)
                 ov.append(x)
             else:
                 hit = True
+                if diff:
+                    gone_k.append(k)
+                    gone_v.append(vals[i])
             i += 1
         elif only_b:
             if store is not None:
@@ -424,13 +453,23 @@ def _merge(ctx, t, arr, lo, hi, op, combine, least):
             ok.append(k)
             ov.append(v)
             hit = True
+            if diff:
+                came_k.append(k)
+                came_v.append(v)
     # a run that adds and changes nothing leaves the block as it is
     if only_a and not hit:
         return retain(t)
     if only_a:
         ok += keys[i:]
         ov += vals[i:]
-    return ok, ov
+    aug = None
+    if diff and least <= len(ok) <= 2 * ctx.config.block_size:
+        aug = t.aug
+        if came_k:
+            aug = spec.combine(aug, _entries_aug(ctx, came_k, came_v))
+        if gone_k:
+            aug = spec.inverse(aug, _entries_aug(ctx, gone_k, gone_v))
+    return ok, ov, aug
 
 
 def _combined(ctx, k, a, b, combine):
@@ -540,7 +579,10 @@ def _bulk(ctx, t, arr, op, combine):
     zipped into an entry run first."""
     if t is None or type(t) is Flat:
         m = _merge(ctx, t, arr, 0, len(arr), op, combine, 1)
-        return _rebuild(ctx, *m) if type(m) is tuple else m
+        if type(m) is not tuple:
+            return m
+        keys, vals, aug = m
+        return _rebuild(ctx, keys, vals, aug=aug)
     return _as_tree(ctx, _batch(ctx, t, arr, 0, len(arr), op, combine))
 
 

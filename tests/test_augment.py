@@ -1,20 +1,26 @@
+import dataclasses
 import random
+from operator import add, sub
 
 import pytest
 from hypothesis import given, strategies as st
 
 import blocktree as bt
-from blocktree import ordmap
+from blocktree import graphstore, ordmap
 from blocktree.augment import AugSpec, aug_filter, aug_range, aug_val
 from blocktree.core import make_context
 from blocktree.counters import counters
 from blocktree.errors import ContractError
-from blocktree.inspect import check_tree
+from blocktree.inspect import check_tree, structure_digest
+from blocktree.nodes import Flat
 
 from oracles import brute_aug
 
 SUM_KEYS = AugSpec(identity=0, lift=lambda e: e[0], combine=lambda a, b: a + b)
 MAX_VAL = AugSpec(identity=-1, lift=lambda e: e[1], combine=max)
+# a commutative group: bulk merges update its block aggregates by difference
+SUM_VALUES = AugSpec(identity=0, lift=lambda e: e[1], combine=add,
+                     inverse=sub)
 
 
 def sum_ctx(B=8):
@@ -29,6 +35,109 @@ def test_augspec_monoid_laws_for_shipped_specs(triple):
     assert SUM_KEYS.combine(SUM_KEYS.identity, a) == a
     assert SUM_KEYS.combine(a, SUM_KEYS.identity) == a
     assert max(max(a, b), c) == max(a, max(b, c))
+    # a spec with an inverse is a commutative group
+    for spec in (graphstore._edge_count_spec(), SUM_VALUES):
+        assert spec.inverse(spec.combine(a, b), b) == a
+        assert spec.combine(a, b) == spec.combine(b, a)
+        assert spec.combine(spec.combine(a, b), c) == \
+            spec.combine(a, spec.combine(b, c))
+        assert spec.combine(spec.identity, a) == a
+        assert spec.inverse(a, a) == spec.identity
+    # a spec without one folds each block it writes once, from its value
+    # column: one fold_values call per block written (counters.folds; an
+    # augmented context neither splices nor edits a block in place), each
+    # over a whole block of B entries or more.  With the inverse, no block
+    # is folded whole: each block the batch meets stays one block, so
+    # fold_values reads only the entries the merge changed, at most the
+    # three values it stores and the one it replaces
+    keys = range(0, 48, 2)
+    for inverse in (None, sub):
+        folded = []
+
+        def fold(values):
+            values = list(values)
+            folded.append(len(values))
+            return sum(values)
+        spec = dataclasses.replace(SUM_VALUES, fold_values=fold,
+                                   inverse=inverse)
+        ctx = make_context(block_size=4, encoding="object", aug=spec)
+        t = ordmap.build(ctx, [(k, k) for k in keys])
+        folds, folded[:] = counters.folds, []
+        r = ordmap.multi_insert(ctx, t, [(2, a), (7, b), (31, c)])
+        if inverse is None:
+            assert len(folded) == counters.folds - folds >= 2
+            assert min(folded) >= 4
+        else:
+            assert folded and sum(folded) <= 4
+        assert aug_val(ctx, r) == sum(keys) - 2 + a + b + c
+        check_tree(ctx, r)
+        bt.release(r)
+        bt.release(t)
+
+
+def _augs(t):
+    """The aggregate of every node of t, in order."""
+    if t is None:
+        return []
+    if type(t) is Flat:
+        return [t.aug]
+    return _augs(t.left) + [t.aug] + _augs(t.right)
+
+
+@pytest.mark.parametrize("B", [1, 2, 8, 64])
+def test_merges_under_an_inverse_match_the_refold(B):
+    # bulk merges under a spec with an inverse update each block's
+    # aggregate by difference where the result is one block; the trees
+    # they build equal, node for node and aggregate for aggregate, those
+    # built under the same spec without the inverse, which folds every
+    # block it writes.  The combine sometimes returns its first value
+    # object, which changes nothing where that is the stored one
+    rng = random.Random(70 + B)
+    inverses = []
+
+    def inverse(a, b):
+        inverses.append(b)
+        return a - b
+    ictx = make_context(block_size=B, encoding="identity",
+                        aug=dataclasses.replace(SUM_VALUES, inverse=inverse))
+    pctx = make_context(block_size=B, encoding="identity",
+                        aug=dataclasses.replace(SUM_VALUES, inverse=None))
+    keep = lambda a, b: a if (a + b) % 3 == 0 else a + b
+    n = 40 * B + 50
+    pairs = lambda m: [(rng.randrange(n), rng.randrange(10 ** 6))
+                       for _ in range(m)]
+    base = pairs(n // 2)
+    ti, tp = ordmap.build(ictx, base), ordmap.build(pctx, base)
+    for step in range(12):
+        batch = pairs(rng.randrange(1, 3 * B + 8))
+        keys = [k for k, _ in batch]
+        results = []
+        for ctx, t in ((ictx, ti), (pctx, tp)):
+            other = ordmap.build(ctx, batch)
+            results.append([
+                ordmap.multi_insert(ctx, t, batch, keep),
+                ordmap.multi_delete(ctx, t, keys),
+                ordmap.union(ctx, t, other, keep),
+                ordmap.union(ctx, other, t, keep),
+                ordmap.intersection(ctx, t, other, keep),
+                ordmap.difference(ctx, t, other),
+                ordmap.difference(ctx, other, t)])
+            bt.release(other)
+        for ri, rp in zip(*results):
+            assert structure_digest(ictx, ri) == structure_digest(pctx, rp)
+            assert _augs(ri) == _augs(rp)
+            check_tree(ictx, ri)
+        # the next step merges into the inserted or the deleted tree
+        pick = rng.randrange(2)
+        for t, rs in ((ti, results[0]), (tp, results[1])):
+            bt.release(t)
+            for j, r in enumerate(rs):
+                if j != pick:
+                    bt.release(r)
+        ti, tp = results[0][pick], results[1][pick]
+    assert inverses
+    bt.release(ti)
+    bt.release(tp)
 
 
 def test_aug_val_examples():

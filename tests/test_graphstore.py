@@ -116,47 +116,52 @@ def _augs(t):
 @pytest.mark.parametrize("B", [1, 2, 8, 64])
 def test_column_fold_equals_the_lift_fold(B):
     # the edge-count spec folds a vertex block's value column
-    # (AugSpec.fold_values).  It gives what folding lift over the entries
-    # gives: check_tree recomputes every block aggregate through lift, and
-    # a graph over the same spec without the column fold carries the same
-    # aggregate at every node.  Destinations that are no source are
-    # zero-degree vertices, whose value is None
+    # (AugSpec.fold_values), and a merge that keeps one block updates its
+    # count by difference (AugSpec.inverse).  Both give what folding lift
+    # over the entries gives: check_tree recomputes every block aggregate
+    # through lift, and graphs over the same spec without the inverse,
+    # without the column fold, and without both carry the same aggregate
+    # at every node.  Destinations that are no source are zero-degree
+    # vertices, whose value is None
     import dataclasses
     from blocktree.augment import aug_range
     rng = random.Random(40 + B)
     n = 30 * B + 40
     edges = rand_edges(rng, 12 * B + 60, n)
     g = gs.from_edge_list(edges, block_size=B)
-    assert g.vctx.aug.fold_values is not None
-    plain = dataclasses.replace(g.vctx, aug=dataclasses.replace(
-        g.vctx.aug, fold_values=None))
-    h = gs.insert_edges(gs.Graph(None, plain, g.ectx), edges)
+    spec = g.vctx.aug
+    assert spec.fold_values is not None and spec.inverse is not None
+    graphs = [g] + [
+        gs.insert_edges(gs.Graph(None, dataclasses.replace(
+            g.vctx, aug=dataclasses.replace(spec, **fields)), g.ectx), edges)
+        for fields in ({"inverse": None}, {"fold_values": None},
+                       {"inverse": None, "fold_values": None})]
     model = adj_of(edges)
     for _ in range(12):
         batch = [(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randrange(1, 4 * B + 8))]
         if rng.random() < 0.5:
-            g, h = gs.insert_edges(g, batch), gs.insert_edges(h, batch)
+            graphs = [gs.insert_edges(x, batch) for x in graphs]
             for u, v in batch:
                 model.setdefault(u, set()).add(v)
                 model.setdefault(v, set())
         else:
             batch += rng.sample(sorted((u, v) for u in model
                                        for v in model[u]), 3 * B)
-            g, h = gs.delete_edges(g, batch), gs.delete_edges(h, batch)
+            graphs = [gs.delete_edges(x, batch) for x in graphs]
             for u, v in batch:
                 if u in model:
                     model[u].discard(v)
         assert any(not vs for vs in model.values())
-        for x in (g, h):
+        ranges = [(lo, lo + rng.randrange(n // 2))
+                  for lo in (rng.randrange(n) for _ in range(12))]
+        for x in graphs:
             check_tree(x.vctx, x.vertices)
             assert gs.edge_count(x) == sum(map(len, model.values()))
-            for _ in range(6):
-                lo = rng.randrange(n)
-                hi = lo + rng.randrange(n // 2)
+            for lo, hi in ranges:
                 assert aug_range(x.vctx, x.vertices, lo, hi) == sum(
                     len(vs) for v, vs in model.items() if lo <= v <= hi)
-        assert _augs(g.vertices) == _augs(h.vertices)
+            assert _augs(x.vertices) == _augs(graphs[0].vertices)
 
 
 def _vertex_blocks(t):
@@ -278,7 +283,8 @@ def test_graph_readers_match_adjacency_oracle(B):
 def test_has_vertex(monkeypatch):
     # sources and destinations are vertices, and stay vertices once all
     # their edges are deleted; insert_edges asks has_vertex about each
-    # destination that is not a source of its batch
+    # destination that is not a source of its batch, once however often
+    # the batch repeats it
     g = gs.from_edge_list([(1, 2), (2, 3), (4, 1), (5, 6)], block_size=2)
     assert [v for v in range(8) if gs.has_vertex(g, v)] == [1, 2, 3, 4, 5, 6]
     h = gs.delete_edges(g, [(5, 6), (4, 1)])
@@ -293,6 +299,11 @@ def test_has_vertex(monkeypatch):
                                                           7, 8, 9]
     assert gs.adjacency(k) == {1: [2, 3], 2: [3], 3: [], 4: [], 5: [], 6: [],
                                7: [8], 8: [], 9: [9]}
+    asked.clear()
+    m = gs.insert_edges(k, [(9, 2), (7, 2), (7, 3), (1, 2), (4, 10), (5, 10)])
+    assert asked == [2, 3, 10]
+    assert gs.adjacency(m) == {**gs.adjacency(k), 4: [10], 5: [10], 7: [2, 3, 8],
+                               9: [2, 9], 10: []}
 
 
 def test_delete_of_absent_edges_shares_the_vertex_tree():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from array import array
@@ -903,7 +904,8 @@ def test_failed_callbacks_release_what_they_hold(B):
     # a callback that raises on its k-th call (a filter predicate, a
     # map_values f, the combine of a set operation or a multi_insert, an
     # augmented context's lift, also where node or split folds an unfolded
-    # block passed in) leaves the inputs intact and releases every node the
+    # block passed in, and the inverse a multi_insert updates its blocks'
+    # aggregates with) leaves the inputs intact and releases every node the
     # operation had made, inline and with a worker pool running one branch
     # of each fork; once the inputs are released, no node is left live.
     # reduce's branch results are user values: its error propagates as it
@@ -921,22 +923,31 @@ def test_failed_callbacks_release_what_they_hold(B):
     actx = make_context(block_size=B, encoding="identity", aug=AugSpec(
         identity=0, lift=lambda e: lift[0](e), combine=lambda a, b: a + b))
     ta, tb = ordmap.build(actx, pairs), ordmap.build(actx, few)
+    # a sum of values, whose merges update block aggregates by difference
+    # through the inverse, swapped like the lift
+    sub = lambda a, b: a - b
+    inverse = [sub]
+    ictx = make_context(block_size=B, encoding="identity", aug=AugSpec(
+        identity=0, lift=lambda e: e[1], combine=lambda a, b: a + b,
+        inverse=lambda a, b: inverse[0](a, b)))
+    ti = ordmap.build(ictx, pairs)
     block = ordmap.build(actx, KV([2 * n + 2, 2 * n + 4]))
     unfolded = bt.unfold(actx, block)
     bt.release(block)
     inputs = [(ctx, t), (ctx, other), (actx, ta), (actx, tb),
-              (actx, unfolded)]
+              (actx, unfolded), (ictx, ti)]
     digests = [structure_digest(c, x) for c, x in inputs]
     live = counters.live
 
-    def lifting(op):
+    def swapping(slot, default, op):
         def run(f):
-            lift[0] = f
+            slot[0] = f
             try:
                 return op()
             finally:
-                lift[0] = key_of
+                slot[0] = default
         return run
+    lifting = lambda op: swapping(lift, key_of, op)
 
     add = lambda a, b: a + b
     cases = [(lambda f: ordmap.filter(ctx, t, f), lambda e: e[0] % 6 != 2),
@@ -954,6 +965,9 @@ def test_failed_callbacks_release_what_they_hold(B):
         lambda: bt.split(actx, ta, n + 3),
         lambda: bt.node(actx, ta, (2 * n + 1, 1), unfolded),
         lambda: bt.split(actx, unfolded, 2 * n + 3))]
+    cases.append((swapping(inverse, sub,
+                           lambda: ordmap.multi_insert(ictx, ti, few)), sub))
+    assert _calls(*cases[-1])
     for threads in (1, 2):
         bt.set_threads(threads)
         for i, (op, callback) in enumerate(cases):
@@ -1093,6 +1107,26 @@ def test_failed_graph_batches_release_what_they_hold(B, monkeypatch):
                     with pytest.raises(_DecodeFault):
                         op()
                     codec.fail_at = None
+                    settle()
+    # the vertex blocks' edge counts, updated by difference: an inverse,
+    # or a column fold, that raises on its k-th call
+    spec = vctx.aug
+    for field in ("inverse", "fold_values"):
+        def op_with(op, f):
+            ctx = Context(vctx.config, vcodec,
+                          aug=dataclasses.replace(spec, **{field: f}))
+            return lambda: op(gs.Graph(g.vertices, ctx, ectx), batch)
+        for threads in (1, 2):
+            bt.set_threads(threads)
+            for op in (gs.insert_edges, gs.delete_edges):
+                result = op_with(op, lambda *a: calls.append(a) or
+                                 getattr(spec, field)(*a))
+                calls = []
+                settle(result())
+                assert calls
+                for k in range(1, len(calls) + 1):
+                    with pytest.raises(_CallbackFault):
+                        op_with(op, _failing(getattr(spec, field), k))()
                     settle()
     bt.set_threads(1)
     assert vcodec.failed_writes and ecodec.failed_writes
