@@ -22,8 +22,9 @@ commutative group over the aggregates, with ``identity`` as its unit:
 no inverse).  A bulk merge then updates a block's aggregate by
 difference instead of folding every entry of the block again
 (``ordmap._merge``): where the op keeps the block's other entries
-(``union``, ``multi_insert``, ``multi_delete``, ``difference`` and the
-graph batches) and the result is written as one block, the new aggregate
+(``union``, ``multi_insert``, ``multi_delete``, the graph batches, and a
+``difference`` whose first operand is the larger) and the result is
+written as one block, the new aggregate
 is ``inverse(combine(old, fold(came)), fold(gone))``.  ``gone`` holds
 the entries the merge replaced or dropped, ``came`` those it added or
 changed, and ``fold`` is the spec's block fold (``core._entries_aug``:

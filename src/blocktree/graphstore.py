@@ -152,7 +152,8 @@ def insert_edges(g, batch):
         check(v, None)
     additions = dict(_group_by_src(edges))
     # each distinct destination that is no source of the batch is looked
-    # up once (a seed-1 R-MAT batch of 10,000 edges repeats a fifth of them)
+    # up once: R-MAT batches repeat their destinations, so a lookup per
+    # edge repeats about one walk in five (seed 1, 10,000-edge batches)
     for d in sorted(ids.difference(additions)):
         if not has_vertex(g, d):
             additions[d] = []
