@@ -1112,21 +1112,24 @@ def test_failed_graph_batches_release_what_they_hold(B, monkeypatch):
     # or a column fold, that raises on its k-th call
     spec = vctx.aug
     for field in ("inverse", "fold_values"):
-        def op_with(op, f):
-            ctx = Context(vctx.config, vcodec,
-                          aug=dataclasses.replace(spec, **{field: f}))
-            return lambda: op(gs.Graph(g.vertices, ctx, ectx), batch)
+        f = getattr(spec, field)
         for threads in (1, 2):
             bt.set_threads(threads)
             for op in (gs.insert_edges, gs.delete_edges):
-                result = op_with(op, lambda *a: calls.append(a) or
-                                 getattr(spec, field)(*a))
-                calls = []
-                settle(result())
-                assert calls
-                for k in range(1, len(calls) + 1):
+                def run(h):
+                    ctx = Context(vctx.config, vcodec,
+                                  aug=dataclasses.replace(spec, **{field: h}))
+                    return op(gs.Graph(g.vertices, ctx, ectx), batch)
+                seen = []
+
+                def counted(*args):
+                    seen.append(args)
+                    return f(*args)
+                settle(run(counted))
+                assert seen
+                for k in range(1, len(seen) + 1):
                     with pytest.raises(_CallbackFault):
-                        op_with(op, _failing(getattr(spec, field), k))()
+                        run(_failing(f, k))
                     settle()
     bt.set_threads(1)
     assert vcodec.failed_writes and ecodec.failed_writes
