@@ -69,7 +69,7 @@ def aug_range(ctx, t, lo, hi):
     """Aggregate over entries with lo <= key <= hi.
 
     Fully covered subtrees contribute their cached value; at most the two
-    boundary blocks are read, searched in place where the codec can (the
+    boundary blocks are read, in place where the codec can (the
     identity and object codecs decode nothing).
     """
     spec = ctx.aug
@@ -82,7 +82,7 @@ def aug_range(ctx, t, lo, hi):
 
 def _block_part(ctx, t, lo, hi):
     """Aggregate over the entries of block t with lo <= key <= hi (a None
-    bound is open), searched in place where the codec can.  The slice of
+    bound is open), read in place where the codec can.  The slice of
     its columns is folded as a block's are (``core._entries_aug``)."""
     start, at = _search(ctx, t, t.first_key if lo is None else lo)
     keys, values = at.keys, at.values

@@ -17,10 +17,13 @@ block's key column alone (``_columns``),
 and ``_rebuild`` builds every tree from a sorted key column and its value
 column, the all-regular one ``unfold`` returns included.
 
-Blocks are read and written as columns.  A block read that does not
-search in place is ``_columns`` (the codec's ``columns``, counted as one
-decode), or ``_values`` (the codec's ``values``, counted the same) where
-the reader folds or indexes the value column alone, and every block is
+Blocks are read and written as columns.  A block is read in place by
+``_view`` where the codec has a view (``EncodingScheme.view``: identity
+and object), which decodes nothing, and point reads bisect its key column
+(``_search``).  Any other block read is ``_columns`` (the codec's
+``columns``, counted as one decode), or ``_values`` (the view's value
+column, or else the codec's ``values``, counted the same) where the
+reader folds or indexes the value column alone, and every block is
 written from a key column and a value column by ``_make_flat`` (the
 codec's ``encode_columns``), except a set block that a short run of keys
 edits in place (``_edit_keys``: the codec's ``edit_keys``, counted as one
@@ -95,13 +98,14 @@ new block's payload is the old one spliced, its bounds are read in place,
 and a result over ``2B`` entries is cut into two payload slices at its
 middle entry, as ``_rebuild`` would cut it.  So an in-block insert,
 overwrite or remove on those codecs decodes nothing and builds one block,
-and an overflow decodes nothing and builds two.  Elsewhere (the delta
-codec, sequences, augmented contexts, and a boundary cut left as an entry
-run below ``B``) the block's columns are sliced around the new entries
-and the result is written from them, once: the columns are read in
-place where the codec searches in place (``_view``), so a boundary run
-cut from an identity or object block decodes nothing, and read once
-(``_columns``) elsewhere.
+and an overflow decodes nothing and builds two; a sequence's cuts,
+appends and merges splice the same way, since its blocks are object
+blocks with keys None.  Elsewhere (the delta codec, augmented contexts,
+and a boundary cut left as an entry run below ``B``) the block's columns
+are sliced around the new entries and the result is written from them,
+once: the columns are read by ``_view``, so a boundary run cut from an
+identity or object block decodes nothing, and a delta block is read once
+(``_columns``).
 
 No path but the public ``unfold`` expands a block into regular nodes; the
 public ``expose`` cuts a block into two blocks like ``_open`` does.  An
@@ -203,9 +207,11 @@ def _columns(ctx, t):
 
 def _values(ctx, t):
     """The value column of block t, None where the codec stores none,
-    counted as one decode."""
+    counted as one decode: read in place where the codec has a view, else
+    the codec's ``values``."""
     counters.decodes += 1
-    return ctx.codec.values(t.payload, t.count)
+    at = ctx.codec.view(t.payload, t.count)
+    return ctx.codec.values(t.payload, t.count) if at is None else at.values
 
 
 def _decode(ctx, t):
@@ -215,18 +221,19 @@ def _decode(ctx, t):
     return ctx.codec.decode(t.payload, t.count)
 
 
+def _view(ctx, t):
+    """The entries of block t as an ``_Entries`` view of its columns: read
+    in place where the codec has a view (``EncodingScheme.view``), so the
+    block decodes nothing, else its columns (``_columns``), read once for
+    every read that follows."""
+    return ctx.codec.view(t.payload, t.count) or _Entries(*_columns(ctx, t))
+
+
 def _search(ctx, t, k):
     """(pos, entries) for key k in block t: pos is bisect_left of k among
-    the block's keys, entries an ``_Entries`` view of its columns.
-
-    Codecs that search their payload in place decode nothing; the others
-    pay one counted column read and a bisect of its key column.
-    """
-    found = ctx.codec.search(t.payload, t.count, k)
-    if found is not None:
-        return found
-    keys, values = _columns(ctx, t)
-    return bisect_left(keys, k), _Entries(keys, values)
+    the block's keys, entries its ``_view``."""
+    at = _view(ctx, t)
+    return bisect_left(at.keys, k), at
 
 
 def flatten(ctx, t, out=None):
@@ -391,32 +398,24 @@ def _rebuild(ctx, keys, values, lo=0, hi=None, cap=None, aug=None):
     return _make_regular(ctx, l, e, r, n)
 
 
-def _view(ctx, t):
-    """The entries of block t as an ``_Entries`` view of its columns: read
-    in place where the codec searches (on an ordered context), else its
-    columns, read once for every edit that follows."""
-    if ctx.ordered:
-        return _search(ctx, t, t.first_key)[1]
-    return _Entries(*_columns(ctx, t))
-
-
 def _edit(ctx, t, i, j, new=(), entries=None, hi=None, run=False):
     """Entries [0, hi) of block t (default: all of them) with [i, j)
     replaced by the entry list ``new``, built as ``_rebuild`` builds
     them, or as ``_run_or_tree`` with ``run``; borrows t.  ``entries`` is
-    t's search result or ``_view``, if its caller has one.  The one block
-    edit: where the codec splices, t's payload is spliced, and a result
-    over 2B entries is cut into two payload slices at its middle entry,
-    read from the spliced payload in place.  On a sequence or an
-    augmented context, where the codec cannot splice, and for a run below
-    B, t's columns (``_view``: read in place where the codec searches)
-    are sliced around ``new`` and the result written from them."""
+    t's ``_view``, if its caller has one.  The one block edit: where the
+    codec splices, t's payload is spliced, and a result over 2B entries is
+    cut into two payload slices at its middle entry, read from the
+    spliced payload in place (the codec's ``view``).  On an augmented
+    context, where the codec cannot splice, and for a run below B, t's
+    columns (``_view``) are sliced around ``new`` and the result written
+    from them.  Maps and sequences edit alike: a sequence's block is a
+    block with keys None."""
     codec, n, B = ctx.codec, t.count, ctx.config.block_size
     c = (n if hi is None else hi) - j + i + len(new)
     if not c:
         return None
     p = None
-    if ctx.ordered and not ctx.aug and (c >= B or not run):
+    if not ctx.aug and (c >= B or not run):
         p = codec.splice(t.payload, n, i, j, new)
     if p is None:
         at = entries or _view(ctx, t)
@@ -426,7 +425,7 @@ def _edit(ctx, t, i, j, new=(), entries=None, hi=None, run=False):
             values = [*values[:i], *map(_entry_value, new), *values[j:hi]]
         return (_run_or_tree if run else _rebuild)(ctx, keys, values)
     full = n - j + i + len(new)
-    at = codec.search(p, full, t.first_key)[1]
+    at = codec.view(p, full)
 
     def block(a, b):    # entries [a, b) of the result, over its payload
         counters.folds += 1

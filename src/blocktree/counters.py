@@ -10,7 +10,7 @@ the benchmark harness:
                only the public ``unfold`` makes them
   folds        flat-node constructions
   decodes      full block payload decodes, column reads included (a codec
-               search in place is not one)
+               ``view`` in place is not one)
   reused       always 0: node shells are never recycled, every node is a
                fresh allocation.  Kept so that counter snapshots keep their
                keys for the readers that compare them (the benchmark

@@ -10,11 +10,11 @@ methods are required:
     (a byte set).  A column may be any indexable sequence: the delta
     codec's value column is an ``array.array`` at the widths that have an
     array type code.  It checks the payload and raises ``CorruptionError``
-    for a damaged one.  Every block read that does not search in place
+    for a damaged one.  Every block read that is not a ``view`` in place
     and reads keys goes through it (``core._columns``, counted as one
     decode): the bulk merges and ``map_values`` of ``ordmap``,
     ``core.keys`` (the graph store's readers), ``sequence.reverse``, and
-    the fallbacks of ``core._search`` and ``core._edit``.
+    the fallback of ``core._view``.
 
 ``encode_columns(keys, values)``
     The writer that mirrors ``columns``: the payload of the block whose
@@ -40,25 +40,29 @@ methods are optional, with defaults on ``EncodingScheme``:
     calls it on a mapped value it keeps in a regular node, which no
     writer checks.  The default accepts everything.
 
+``view(payload, count)``
+    An ``_Entries`` over the block's two columns read in place (entry
+    ``i`` is read from them), with the checks of ``columns`` and the same
+    ``CorruptionError`` on every payload it rejects; or ``None`` when the
+    codec cannot read its payload in place.  Every block read that wants
+    its entries by index goes through ``core._view``, which falls back to
+    the (counted) ``columns`` on ``None``: point reads bisect its key
+    column (``core._search``; a reader that wants the first key above a
+    key steps past an equal one itself), block edits slice its columns,
+    and ``core._values`` takes its value column.  The identity codec at
+    struct widths and the object codec read in place, so a point read
+    decodes nothing.  The default returns ``None``.
+
 ``values(payload, count)``
     The value column alone, None for a set: ``columns(payload,
     count)[1]``, which is the default, with the same checks and the same
     ``CorruptionError`` on every payload ``columns`` rejects.  The readers
-    of values alone use it (``core._values``, counted as one decode):
-    ``ordmap.reduce`` (and ``seq_reduce``) and ``sequence``'s ``nth`` and
-    ``find_first``.  The identity codec at struct widths and the delta
-    codec on a block of one-byte gaps (at every value width, through the
-    reader ``columns`` uses) read it without building the keys.
-
-``search(payload, count, key)``
-    ``(pos, entries)``: the ``bisect_left`` position of ``key`` among the
-    block's keys, and ``entries``, an ``_Entries`` view that reads entry
-    ``i`` from the block's two columns in place; or ``None`` when the
-    codec cannot search its payload in place.  Point reads use it through
-    ``core._search``, which falls back to the (counted) ``columns`` and a
-    bisect of the key column on ``None``; a reader that wants the first
-    key above ``key`` steps past an equal one itself.  The default
-    returns ``None``.
+    of values alone use it where the codec has no ``view``
+    (``core._values``, counted as one decode): ``ordmap.reduce`` (and
+    ``seq_reduce``) and ``sequence``'s ``nth`` and ``find_first``.  The
+    delta codec reads it without building the keys on a block of
+    one-byte gaps (at every value width, through the reader ``columns``
+    uses).
 
 ``splice(payload, count, i, j, entries)``
     The payload of the block with its entries ``[i, j)`` replaced by the
@@ -68,9 +72,9 @@ methods are optional, with defaults on ``EncodingScheme``:
     use it through ``core._edit``, which falls back to slicing the
     block's columns and writing them with ``encode_columns`` on ``None``.
     It need not check the payload's length: a codec that splices also
-    searches in place, and ``core._edit`` reads the new block's bounds
-    and middle entry by ``search`` on the spliced payload, which checks
-    its length against the edited count before any block is built on it
+    reads in place, and ``core._edit`` reads the new block's bounds and
+    middle entry by ``view`` on the spliced payload, which checks its
+    length against the edited count before any block is built on it
     (``ObjectCodec.splice`` checks its payload anyway, since it must
     unpack the pair to splice it).  The default returns ``None``.
 
@@ -109,14 +113,15 @@ Two byte-oriented codecs ship with the library:
     entry.  Size is ``count * (key_width + value_width)``.  When both widths
     are one struct size (1, 2, 4 or 8 bytes; ``value_width`` equal to
     ``key_width`` or 0), a block is packed and unpacked by one ``struct``
-    call, and ``search`` bisects the keys inside the payload, so a point
-    read decodes no block, ``splice`` cuts the payload at ``i * step`` and
-    ``j * step`` and packs only the new entries, read straight from their
-    tuples (a one-entry splice pays no split into columns), and
-    ``columns`` slices the one unpacked tuple into keys and values.
-    ``encode_columns`` interleaves its two columns; it and ``splice``
-    pack through one writer.  Other widths use per-entry loops that write
-    and read the same bytes, and neither search nor splice in place.
+    call; on a little-endian host ``view`` reads both columns as strided
+    ``memoryview`` casts of the payload, so a point read decodes no block,
+    ``splice`` cuts the payload at ``i * step`` and ``j * step`` and packs
+    only the new entries, read straight from their tuples (a one-entry
+    splice pays no split into columns), and ``columns`` slices the one
+    unpacked tuple into keys and values.  ``encode_columns`` interleaves
+    its two columns; it and ``splice`` pack through one writer.  Other
+    widths use per-entry loops that write and read the same bytes, and
+    neither read nor splice in place.
 
 ``DeltaCodec``
     For nonnegative integer keys, strictly increasing within a block::
@@ -178,9 +183,9 @@ Two byte-oriented codecs ship with the library:
 ``ObjectCodec`` stores a block as two tuples, ``(keys, values)``, for
 entries that are not byte-packable (sequences of arbitrary elements,
 nested tree handles).  ``columns`` is the payload itself, once it has
-checked that the payload is a pair of ``count``-long columns; ``search``
-bisects the key tuple in place, and ``splice`` splices both tuples, each
-after the same check, so a damaged payload raises ``CorruptionError``
+checked that the payload is a pair of ``count``-long columns; ``view``
+is those two tuples, and ``splice`` splices both tuples, each after the
+same check, so a damaged payload raises ``CorruptionError``
 before anything is built from it.  ``inspect.tree_bytes`` prices its
 payload by a nominal pointer model (``NOMINAL_ENTRY_BYTES`` per entry).
 """
@@ -188,7 +193,6 @@ payload by a nominal pointer model (``NOMINAL_ENTRY_BYTES`` per entry).
 import struct
 import sys
 from array import array
-from bisect import bisect_left
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, sub
 
@@ -352,8 +356,9 @@ class EncodingScheme:
     def check_entry(self, key, value):
         """Raise CodecError if no block could hold (key, value)."""
 
-    def search(self, payload, count, key):
-        """(position, indexable entries), or None: not searchable in place."""
+    def view(self, payload, count):
+        """An ``_Entries`` view of the block's columns read in place, or
+        None: not read in place."""
         return None
 
     def splice(self, payload, count, i, j, entries):
@@ -402,9 +407,9 @@ class IdentityCodec(EncodingScheme):
             code = None
         # one struct code for every field, or None for the per-entry loop
         self._code = code
-        # memoryview casts read native byte order: the payload is searched
-        # in place only where that order is the wire format's
-        self._view = code if sys.byteorder == "little" else None
+        # memoryview casts read native byte order: the payload is read in
+        # place only where that order is the wire format's
+        self._cast = code if sys.byteorder == "little" else None
 
     def check_entry(self, key, value):
         _check_uint(key, self.key_width, "key")
@@ -465,26 +470,18 @@ class IdentityCodec(EncodingScheme):
         return keys, [int.from_bytes(payload[p:p + vw], "little")
                       for p in range(kw, end, self._step)]
 
-    def values(self, payload, count):
-        # the per-entry loop reads through this class's columns, so a
-        # subclass that wraps columns and values sees one call per read
-        if self._view is None:
-            return IdentityCodec.columns(self, payload, count)[1]
-        self._check_length(payload, count)
-        return memoryview(payload).cast(self._view)[1::2] if self.value_width else None
-
-    def search(self, payload, count, key):
-        if self._view is None:
+    def view(self, payload, count):
+        if self._cast is None:
             return None
         self._check_length(payload, count)
-        keys, values = memoryview(payload).cast(self._view), None
+        keys, values = memoryview(payload).cast(self._cast), None
         if self.value_width:
             keys, values = keys[0::2], keys[1::2]
-        return bisect_left(keys, key), _Entries(keys, values)
+        return _Entries(keys, values)
 
     def splice(self, payload, count, i, j, entries):
-        # a payload that is not searched in place is not spliced either
-        if self._view is None:
+        # a payload that is not read in place is not spliced either
+        if self._cast is None:
             return None
         step, new = self._step, b""
         if entries:
@@ -707,16 +704,12 @@ class ObjectCodec(EncodingScheme):
             raise CorruptionError("object payload count mismatch")
         return payload
 
-    # values, search and splice check the payload through this class's
-    # columns, not a subclass's: a subclass that wraps columns sees one call
-    # per block read
+    # view and splice check the payload through this class's columns, not
+    # a subclass's: a subclass that wraps columns sees one call per block
+    # read
 
-    def values(self, payload, count):
-        return ObjectCodec.columns(self, payload, count)[1]
-
-    def search(self, payload, count, key):
-        keys, values = ObjectCodec.columns(self, payload, count)
-        return bisect_left(keys, key), _Entries(keys, values)
+    def view(self, payload, count):
+        return _Entries(*ObjectCodec.columns(self, payload, count))
 
     def splice(self, payload, count, i, j, entries):
         keys, values = ObjectCodec.columns(self, payload, count)

@@ -23,29 +23,29 @@ and a value column (``core._columns``, which every codec reads), merges the
 run into them and returns the merged columns.  ``_batch`` writes them as
 ``core._run_or_tree`` does: a block of B..2B entries straight through the
 codec's ``encode_columns``, more cut at the middle entry as
-``core._rebuild`` cuts, fewer zipped into an entry run.  Where the block is
-the root (or the tree is empty), ``_bulk`` writes them with ``_rebuild``
-itself, so a whole result below B becomes its block with no entry run
-zipped and split again on the way.  Under an aggregate spec with an
-inverse (``AugSpec.inverse``: the graph store's edge count), an op that
-keeps the block's other entries has ``_merge`` hand its writer the
-block's aggregate updated by difference, its old one combined with the
-fold of the entries the merge added or changed and inverted by that of
-the entries it replaced or dropped, where that result is one block; the
-writer folds every other block whole.  A run below a quarter of the block
-gallops (Demaine, López-Ortiz and Munro, SODA 2000): each run key is
-bisected into the key column and the stretch before it copied as a slice; a
-longer run walks the block entry by entry.  A run of at most ``_EDIT`` (4)
+``core._rebuild`` cuts, fewer zipped into an entry run.  ``_bulk``, behind
+every public bulk operation, is ``_batch`` over the whole run finished by
+``core._as_tree``, which writes a result below B as its one block.  Under
+an aggregate spec with an inverse (``AugSpec.inverse``: the graph store's
+edge count), an op that keeps the block's other entries has ``_merge``
+hand its writer the block's aggregate updated by difference, its old one
+combined with the fold of the entries the merge added or changed and
+inverted by that of the entries it replaced or dropped, where that result
+is one block of B..2B entries; the writer folds every other block whole.
+A run below a quarter of the block gallops (Demaine, López-Ortiz and
+Munro, SODA 2000): each run key is bisected into the key column and the
+stretch before it copied as a slice; a longer run walks the block entry by
+entry.  A run of at most ``_EDIT`` (4)
 keys is not merged as columns where it meets a block of a set it only
 inserts into or deletes from: under ``_UNION`` with the default ``combine``
 and a run that carries no values, or under ``_DIFFERENCE`` (a graph batch's
 per-source update, and a ``multi_insert``, ``multi_delete``, ``union`` or
 ``difference`` with a few keys), on a context with no aggregate, where the
 result is one block whatever the run hits (at most 2B entries, and at least
-B under ``_batch``, 1 at a ``_bulk`` root).  There ``_merge`` hands the
-keys to the codec's ``edit_keys`` (``core._edit_keys``): the delta codec
-edits a set block's gap varints in place, and hands back the block itself
-where nothing changes.  That counts one decode, and one fold where the
+B, or 1 where the block is below B and so the whole tree).  There
+``_merge`` hands the keys to the codec's ``edit_keys``
+(``core._edit_keys``): the delta codec edits a set block's gap varints in
+place, and hands back the block itself where nothing changes.  That counts one decode, and one fold where the
 block changes, as the merge does; a codec without the method, a delta codec
 that stores values, a user ``combine`` (which the merge calls on every hit)
 and any other count take the merge.  The threshold is measured: on the edge
@@ -342,7 +342,7 @@ _GALLOP = 4
 _EDIT = 4
 
 
-def _merge(ctx, t, arr, lo, hi, op, combine, least):
+def _merge(ctx, t, arr, lo, hi, op, combine):
     """Block t, or the empty tree, under op with the sorted run arr[lo:hi]
     as second operand; borrows t.  The one merge: it reads the block as a
     key column and a value column (``core._columns``), copies stretches of
@@ -354,8 +354,8 @@ def _merge(ctx, t, arr, lo, hi, op, combine, least):
     except under a spec with an inverse (``AugSpec.inverse``) on an op
     that keeps the block's other entries (``only_a``): there the merge
     collects the entries it replaces or drops (``gone``) and those it
-    adds or changes (``came``), and where the result is one block of
-    ``least`` to 2B entries, ``aug`` is ``inverse(combine(t.aug,
+    adds or changes (``came``), and where the result is one block of B
+    to 2B entries, ``aug`` is ``inverse(combine(t.aug,
     fold(came)), fold(gone))``, each side folded as a block is
     (``core._entries_aug``: the spec's ``fold_values`` where it has
     one).  A run-only entry keeps its value, or stores ``op[1](value)``
@@ -369,9 +369,10 @@ def _merge(ctx, t, arr, lo, hi, op, combine, least):
     block is returned shared; the empty tree under an op that keeps no
     run-only entry gives None.  A run of at most ``_EDIT`` keys that only
     inserts or deletes keys, on a context with no aggregate, is handed to
-    the codec's ``edit_keys`` where the result is one block of ``least``
-    (B under ``_batch``, 1 at a root) to 2B entries whatever the run hits;
-    where the codec edits the block in place, that block is returned."""
+    the codec's ``edit_keys`` where the result is one block of B (1 for
+    a block below B, which is a whole tree) to 2B entries whatever the
+    run hits; where the codec edits the block in place, that block is
+    returned."""
     only_a, only_b, both = op
     store = only_b if callable(only_b) else None
     check = ctx.codec.check_entry
@@ -385,14 +386,15 @@ def _merge(ctx, t, arr, lo, hi, op, combine, least):
             for k, v in zip(keys, vals):
                 check(k, v)
         return keys, vals, None
-    n, r = t.count, len(run)
+    n, r, B = t.count, len(run), ctx.config.block_size
     # a short run of keys alone, inserted or deleted, whose result is one
-    # block of least..2B entries whatever it hits
+    # block of least..2B entries whatever it hits: a block below B is a
+    # whole tree, which may shrink to one entry
+    least = B if n >= B else 1
     if (r <= _EDIT and not ctx.aug
             and (op is _DIFFERENCE or op is _UNION and combine is _RIGHT
                  and all(e[1] is None for e in run))
-            and (least <= n and n + r <= 2 * ctx.config.block_size
-                 if only_b else least <= n - r)):
+            and (n + r <= 2 * B if only_b else least <= n - r)):
         edited = _edit_keys(ctx, t, list(map(_entry_key, run)), only_b)
         if edited is not None:
             return edited
@@ -463,7 +465,7 @@ def _merge(ctx, t, arr, lo, hi, op, combine, least):
         ok += keys[i:]
         ov += vals[i:]
     aug = None
-    if diff and least <= len(ok) <= 2 * ctx.config.block_size:
+    if diff and B <= len(ok) <= 2 * B:
         aug = t.aug
         if came_k:
             aug = spec.combine(aug, _entries_aug(ctx, came_k, came_v))
@@ -543,7 +545,7 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
     if lo >= hi:
         return retain(t) if only1 else None
     if t is None or type(t) is Flat:
-        m = _merge(ctx, t, arr, lo, hi, op, combine, ctx.config.block_size)
+        m = _merge(ctx, t, arr, lo, hi, op, combine)
         return _run_or_tree(ctx, *m) if type(m) is tuple else m
     e = (t.key, t.value)
     pos = bisect_left(arr, e[0], lo, hi, key=_entry_key)
@@ -573,16 +575,7 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
 
 
 def _bulk(ctx, t, arr, op, combine):
-    """_batch over the whole run arr; borrows t and returns a tree.  At a
-    block root, or the empty tree, the merge's columns are written as a
-    tree straight away (``_rebuild``): a whole result below B is not
-    zipped into an entry run first."""
-    if t is None or type(t) is Flat:
-        m = _merge(ctx, t, arr, 0, len(arr), op, combine, 1)
-        if type(m) is not tuple:
-            return m
-        keys, vals, aug = m
-        return _rebuild(ctx, keys, vals, aug=aug)
+    """_batch over the whole run arr; borrows t and returns a tree."""
     return _as_tree(ctx, _batch(ctx, t, arr, 0, len(arr), op, combine))
 
 

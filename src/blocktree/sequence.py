@@ -9,7 +9,13 @@ invariants are the same as for maps; positions are implicit in each node's
 stored sizes.
 ``take``, ``drop`` and ``subseq`` are the read-only walk by position that
 ordered maps use for ``key_range`` (``core._slice``): covered subtrees are
-shared and only the boundary blocks are decoded.
+shared and only the boundary blocks are cut.  Blocks are edited as a
+map's are (``core._edit``): the object codec splices its two tuples, so a
+boundary piece of B elements or more, and an ``append``'s left side less
+its last element (``append`` is the core's ``join2``), are payload
+slices, and a piece below B is read in place (``core._view``); none is
+decoded.  On an augmented context every edited block is written from its
+columns and folded.
 """
 
 from .core import (_as_tree, _columns, _make_flat, _make_regular, _rebuild,

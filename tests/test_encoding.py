@@ -244,22 +244,22 @@ def test_identity_truncated_payload_is_corruption(kw, vw):
             codec.columns(bad, 3)
         with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
             codec.values(bad, 3)
-        if codec.search(payload, 3, 5) is not None:
+        if codec.view(payload, 3) is not None:
             with pytest.raises(CorruptionError, match="^identity payload length mismatch$"):
-                codec.search(bad, 3, 5)
+                codec.view(bad, 3)
 
 
 def test_object_count_mismatch_is_corruption():
-    # search checks the count as decode does
+    # view checks the count as decode does
     codec = ObjectCodec()
     entries = [(1, "a"), (5, "b"), (9, "c")]
     payload = codec.encode(entries)
-    pos, view = codec.search(payload, 3, 5)
-    assert (pos, [view[i] for i in range(3)]) == (1, entries)
+    view = codec.view(payload, 3)
+    assert [view[i] for i in range(3)] == entries
     for count in (2, 4):
         for read in (lambda: codec.decode(payload, count),
                      lambda: codec.values(payload, count),
-                     lambda: codec.search(payload, count, 5)):
+                     lambda: codec.view(payload, count)):
             with pytest.raises(CorruptionError, match="^object payload count mismatch$"):
                 read()
 
@@ -273,7 +273,7 @@ def test_object_damaged_payload_is_corruption():
         for read in (lambda: codec.decode(bad, 3),
                      lambda: codec.columns(bad, 3),
                      lambda: codec.values(bad, 3),
-                     lambda: codec.search(bad, 3, 5),
+                     lambda: codec.view(bad, 3),
                      lambda: codec.splice(bad, 3, 1, 1, [(3, "x")])):
             with pytest.raises(CorruptionError, match="^object payload count mismatch$"):
                 read()
@@ -797,6 +797,26 @@ def test_search_agrees_with_decode_and_bisect(kind, keys, probes):
     bt.release(t)
 
 
+@settings(max_examples=200)
+@given(st.sampled_from([IdentityCodec, DeltaCodec, ObjectCodec]),
+       st.sampled_from([1, 2, 3, 4, 8]), st.booleans(), st.data())
+def test_view_reads_what_columns_reads(cls, kw, with_values, data):
+    # a codec's view, where it has one, reads every entry that columns
+    # reads, at every key width, for sets and for values of the key's width
+    vw = kw if with_values else 0
+    codec = cls(kw, vw)
+    top = 2 ** (8 * kw) - 1
+    keys = sorted(data.draw(st.sets(st.integers(0, top), max_size=70)))
+    values = ([data.draw(st.integers(0, top)) for _ in keys] if vw
+              else None)
+    payload, count = codec.encode_columns(keys, values), len(keys)
+    view = codec.view(payload, count)
+    if view is not None:
+        cols = codec.columns(payload, count)
+        want = list(zip(cols[0], repeat(None) if cols[1] is None else cols[1]))
+        assert [view[i] for i in range(count)] == want
+
+
 def test_decode_counter_increments_via_tree_reads():
     import blocktree as bt
     from blocktree import ordmap
@@ -1036,7 +1056,7 @@ def test_values_match_columns():
 def test_codec_with_only_the_required_methods_runs_every_operation(B):
     # columns and encode_columns are all a codec must define: every
     # operation builds the same trees, byte for byte, as with the identity
-    # codec, which also searches and splices in place
+    # codec, which also reads and splices in place
     import blocktree as bt
     from blocktree import ordmap
     from blocktree.inspect import structure_digest

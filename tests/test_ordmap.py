@@ -533,26 +533,41 @@ def test_map_reduce():
 
 
 def _counting(cls, **kw):
-    """A codec ``cls(**kw)`` that counts its calls of ``columns`` and of
-    ``values``."""
+    """A codec ``cls(**kw)`` that counts the calls the library makes of
+    its ``columns``, of its ``values`` and of its ``view`` where that
+    reads the block in place; a call the codec makes of its own methods
+    is not counted."""
     class Counting(cls):
         calls = None
+        inside = False
+
+        def _count(self, name, read, *args):
+            if self.inside:
+                return read(*args)
+            self.inside = True
+            try:
+                got = read(*args)
+            finally:
+                self.inside = False
+            if name != "view" or got is not None:
+                self.calls[name] += 1
+            return got
 
         def columns(self, payload, count):
-            self.calls["columns"] += 1
-            return super().columns(payload, count)
+            return self._count("columns", super().columns, payload, count)
 
         def values(self, payload, count):
-            self.calls["values"] += 1
-            return super().values(payload, count)
+            return self._count("values", super().values, payload, count)
+
+        def view(self, payload, count):
+            return self._count("view", super().view, payload, count)
     return Counting(**kw)
 
 
 @pytest.mark.parametrize("B", [1, 8, 128])
 def test_reduce_reads_each_block_once(B):
-    # a block's value column is one decode, one values call and no columns
-    # call, at every codec (identity at 3 bytes reads it through its own
-    # columns, which a subclass that wraps columns does not see); reduce
+    # a block's value column is one decode and one view (a read in place)
+    # or one values call, and no columns call, at every codec; reduce
     # builds nothing.  A set's values are None: the fold counts them.
     # Dense keys take the delta codec's one-byte-gap path, sparse keys its
     # varint loop
@@ -573,13 +588,17 @@ def test_reduce_reads_each_block_once(B):
         vw = codec.value_width
         ctx = Context(Config(block_size=B), codec)
         t = ordmap.build(ctx, [(k, k % 251 if vw else None) for k in keys])
-        codec.calls = {"columns": 0, "values": 0}
+        first = next(_blocks(t))
+        read = ("values" if cls.view(codec, first.payload, first.count) is None
+                else "view")
+        codec.calls = {"columns": 0, "values": 0, "view": 0}
         before = counters.snapshot()
         got = ordmap.reduce(ctx, t, lambda a, b: a + (1 if b is None else b), 0)
         after = counters.snapshot()
         assert got == (sum(k % 251 for k in keys) if vw else len(keys))
         assert after["decodes"] - before["decodes"] == count_blocks(t)
-        assert codec.calls == {"columns": 0, "values": count_blocks(t)}
+        assert codec.calls == {"columns": 0, "values": 0, "view": 0,
+                               read: count_blocks(t)}
         assert after["folds"] == before["folds"]
         assert after["allocations"] == before["allocations"]
         bt.release(t)
@@ -716,10 +735,10 @@ class _DecodeFault(Exception):
 def _failing_codec(cls, **kw):
     """A codec ``cls(**kw)`` whose block reads and block writes raise on
     the ``fail_at``-th one.  A block read is a column read (``columns``,
-    or ``values`` for a reader of the value column alone, which reads
-    through the codec class's own ``columns`` where it falls back to them;
-    a decode zips the columns it reads, so it counts once) or an in-place
-    ``search`` that found its payload searchable.  A block write is a
+    or ``values`` for a reader of the value column alone where the codec
+    has no view; a decode zips the columns it reads, so it counts once) or
+    an in-place ``view`` that found its payload readable in place.  A
+    block write is a
     block written from its columns (``encode_columns``, the writer behind
     every block the library builds and behind ``encode``), an in-place
     ``splice`` that edited its payload, or an in-place ``edit_keys`` that
@@ -746,11 +765,11 @@ def _failing_codec(cls, **kw):
             self._tick()
             return values
 
-        def search(self, payload, count, key):
-            found = super().search(payload, count, key)
-            if found is not None:
+        def view(self, payload, count):
+            view = super().view(payload, count)
+            if view is not None:
                 self._tick()
-            return found
+            return view
 
         def splice(self, payload, count, i, j, entries):
             spliced = super().splice(payload, count, i, j, entries)

@@ -5,8 +5,10 @@ import pytest
 import blocktree as bt
 from blocktree import sequence as sq
 from blocktree.counters import counters
+from blocktree.encoding import ObjectCodec
 from blocktree.errors import ContractError
 from blocktree.inspect import check_tree
+from blocktree.nodes import Flat, size
 
 
 def test_seq_context_rejects_byte_codecs():
@@ -118,6 +120,83 @@ def test_append_take_drop_identity():
         back = sq.append(ctx, sq.take(ctx, s, i), sq.drop(ctx, s, i))
         assert sq.to_elements(ctx, back) == xs
         check_tree(ctx, back)
+
+
+def _block_spans(t, at=0, out=None):
+    """(start, count) of each block of t, in order."""
+    out = [] if out is None else out
+    if type(t) is Flat:
+        out.append((at, t.count))
+    elif t is not None:
+        _block_spans(t.left, at, out)
+        _block_spans(t.right, at + size(t.left) + 1, out)
+    return out
+
+
+class _SplicesCounted(ObjectCodec):
+    """The object codec, counting its splice calls."""
+    splices = 0
+
+    def splice(self, payload, count, i, j, entries):
+        self.splices += 1
+        return super().splice(payload, count, i, j, entries)
+
+
+@pytest.mark.parametrize("B", [1, 8, 128])
+def test_sequence_cuts_and_appends_splice_their_blocks(B):
+    # an object-codec sequence splices its blocks as an ordered map does:
+    # a take, drop or subseq whose boundary pieces keep at least B
+    # elements, and an append whose left side's last block keeps at least
+    # B once its last element is taken off, decode no block.  Under an
+    # aggregate the blocks are written from their columns, and every
+    # aggregate matches a fresh build of the same elements
+    from blocktree.augment import AugSpec
+    from blocktree.core import Config, Context, aug_of
+    from blocktree.inspect import structure_digest
+    spec = AugSpec(identity=0, lift=lambda e: e[1], combine=lambda a, b: a + b)
+    for aug in (None, spec):
+        codec = _SplicesCounted()
+        ctx = Context(Config(block_size=B), codec, aug=aug, ordered=False)
+        xs = list(range(40 * B + 7))
+        ys = [-y for y in range(5 * B + 3)]
+        s, s2 = sq.seq_build(ctx, xs), sq.seq_build(ctx, ys)
+        digests = structure_digest(ctx, s), structure_digest(ctx, s2)
+        spans = _block_spans(s)
+        cases = []
+        for start, count in spans:
+            if count > B:
+                cases += [("take", start + B), ("drop", start + count - B)]
+        for start, count in spans[::3]:
+            for end, last in spans[1::4]:
+                if end > start and count > B and last > B:
+                    cases.append(("subseq", start + count - B, end + B))
+        for a, b, want in ((s, s2, xs + ys), (s2, s, ys + xs), (s, s, xs + xs)):
+            if _block_spans(a)[-1][1] > B:
+                cases.append(("append", a, b, want))
+        assert len(cases) > 10
+        for name, *args in cases:
+            before = counters.decodes
+            if name == "append":
+                a, b, want = args
+                got = sq.append(ctx, a, b)
+            else:
+                got = getattr(sq, name)(ctx, s, *args)
+                want = {"take": lambda i: xs[:i], "drop": lambda i: xs[i:],
+                        "subseq": lambda i, j: xs[i:j]}[name](*args)
+            if aug is None:
+                assert counters.decodes == before, (name, args)
+            else:
+                fresh = sq.seq_build(ctx, want)
+                assert aug_of(ctx, got) == aug_of(ctx, fresh)
+                bt.release(fresh)
+            assert sq.to_elements(ctx, got) == want
+            check_tree(ctx, got)
+            bt.release(got)
+        assert (structure_digest(ctx, s), structure_digest(ctx, s2)) == digests
+        # the augmented context never splices
+        assert (codec.splices > 0) == (aug is None)
+        bt.release(s)
+        bt.release(s2)
 
 
 def test_reverse_involution():

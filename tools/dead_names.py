@@ -1,12 +1,16 @@
-"""List dead private helpers: module-level ``_private`` functions that no
-code under the given paths uses outside their own body.
+"""List dead names: module-level ``_private`` functions that no code under
+the given paths uses outside their own body, and module-level imports
+that their module never reads.
 
 Usage: python tools/dead_names.py [PATH ...]   (default: src)
 
-Each PATH is a file or a directory searched for ``*.py``.  A use is a name
-or an attribute read anywhere else in those files, or an import under
-another name.  Prints one ``path:line: name`` row per dead helper and exits
-1 if there is any, else prints nothing and exits 0.
+Each PATH is a file or a directory searched for ``*.py``.  A use of a
+helper is a name or an attribute read anywhere else in those files, or an
+import under another name.  An import is read where its module names it
+anywhere outside the import; ``__init__.py`` files and imports under
+another name (``import x as y``: re-exports) are not checked.  Prints one
+``path:line: name`` row per dead name and exits 1 if there is any, else
+prints nothing and exits 0.
 """
 
 import ast
@@ -43,12 +47,32 @@ def dead_names(files):
             if total[name] == own]
 
 
+def unread_imports(files):
+    """(path, line, name) of every module-level import, not under another
+    name, that its module never reads; ``__init__.py`` files are
+    skipped."""
+    unread = []
+    for f in files:
+        if Path(f).name == "__init__.py":
+            continue
+        tree = ast.parse(Path(f).read_bytes())
+        reads = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # "import a.b" binds a
+                    name = alias.name.partition(".")[0]
+                    if not alias.asname and name != "*" and name not in reads:
+                        unread.append((str(f), node.lineno, name))
+    return unread
+
+
 def main(argv):
     files = []
     for arg in argv or ["src"]:
         p = Path(arg)
         files += sorted(p.rglob("*.py")) if p.is_dir() else [p]
-    dead = dead_names(files)
+    dead = sorted(dead_names(files) + unread_imports(files))
     for f, line, name in dead:
         print(f"{f}:{line}: {name}")
     return 1 if dead else 0
