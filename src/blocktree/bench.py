@@ -172,10 +172,11 @@ def sweep_blocksize(op, n, block_sizes, encoding="identity", m=None, seed=1,
     return rows
 
 
-def graph_bench(path, batch_sizes, seed=1, trials=3, block_size=64):
-    """Batch-update throughput rows for the graph at ``path``."""
+def graph_bench(path, batch_sizes, seed=1, trials=3):
+    """Batch-update throughput rows for the graph at ``path``, built at
+    the graph store's default block size."""
     pairs = graphstore.load_edge_list(path)
-    g = graphstore.from_edge_list(pairs, block_size=block_size)
+    g = graphstore.from_edge_list(pairs)
     vids = graphstore.vertex_ids(g)
     if batch_sizes and not vids:
         raise ValueError(f"{path}: no edges to sample a batch from")

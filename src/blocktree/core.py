@@ -31,9 +31,10 @@ decode and one fold, as the read and the write it replaces) and the
 spliced blocks of ``_edit``.  ``_rebuild``,
 ``_make_flat``, ``_run_or_tree`` and ``_entries_aug`` each take those two
 columns (the value column None for a set); a caller that holds an entry
-list converts it once (``_unzip``).  Only ``flatten`` and ``ordmap``'s
-filter, whose predicate takes entries, read a block as entries
-(``_decode``: the codec's ``decode``, which zips its columns).
+list converts it once (``_unzip``).  So ``_columns``, ``_view`` and
+``_values`` are the only block reads: ``flatten`` zips the two columns
+into entries, and ``ordmap``'s filter, whose predicate takes entries,
+reads its block through ``flatten``.
 
 Ownership: a walk *borrows* the tree it reads.  ``_slice`` and
 ``_pop_last`` (and, in ``ordmap``, every recursion over a caller's tree)
@@ -214,13 +215,6 @@ def _values(ctx, t):
     return ctx.codec.values(t.payload, t.count) if at is None else at.values
 
 
-def _decode(ctx, t):
-    """The entries of block t (the codec's ``decode``, which zips its
-    columns), counted as one decode."""
-    counters.decodes += 1
-    return ctx.codec.decode(t.payload, t.count)
-
-
 def _view(ctx, t):
     """The entries of block t as an ``_Entries`` view of its columns: read
     in place where the codec has a view (``EncodingScheme.view``), so the
@@ -237,13 +231,15 @@ def _search(ctx, t, k):
 
 
 def flatten(ctx, t, out=None):
-    """In-order entries of ``t`` as a list (read-only)."""
+    """In-order entries of ``t`` as a list (read-only): each block's two
+    columns (``_columns``) zipped."""
     if out is None:
         out = []
     if t is None:
         return out
     if type(t) is Flat:
-        out.extend(_decode(ctx, t))
+        keys, values = _columns(ctx, t)
+        out.extend(zip(keys, repeat(None) if values is None else values))
         return out
     flatten(ctx, t.left, out)
     out.append((t.key, t.value))
@@ -323,9 +319,9 @@ def _make_flat(ctx, keys, values, aug=None):
     """Block over a sorted key column and its value column (None for a
     set), written by the codec's ``encode_columns``.  Its aggregate is
     ``aug`` where the caller has it: ``ordmap._merge`` updates a block's
-    aggregate by difference under a spec with an inverse, and hands it
-    here through ``_rebuild`` where the result is one block.  None folds
-    the entries (``_entries_aug``) on an augmented context."""
+    aggregate by difference under a spec with an inverse, and writes its
+    result here where it is one block.  None folds the entries
+    (``_entries_aug``) on an augmented context."""
     counters.folds += 1
     payload = ctx.codec.encode_columns(keys, values)
     if aug is None and ctx.aug:
@@ -371,15 +367,13 @@ def _make_regular(ctx, l, e, r, s):
     return new_regular(e[0], e[1], l, r, s, aug)
 
 
-def _rebuild(ctx, keys, values, lo=0, hi=None, cap=None, aug=None):
+def _rebuild(ctx, keys, values, lo=0, hi=None, cap=None):
     """Owned tree over the entries [lo, hi) of a sorted key column and its
     value column (None for a set): one block up to ``cap`` entries
     (default 2B), else blocks of B..2B under balanced regular nodes, split
     at the middle entry.  ``unfold`` passes ``cap=0`` for a tree of
     regular nodes only.  Blocks are written from the columns
-    (``_make_flat``); ``aug``, the aggregate of the entries where the
-    caller has it, is the block's where they make one block, and a tree
-    of several blocks folds each."""
+    (``_make_flat``), each folding its own aggregate."""
     if hi is None:
         hi = len(keys)
     if cap is None:
@@ -389,7 +383,7 @@ def _rebuild(ctx, keys, values, lo=0, hi=None, cap=None, aug=None):
         return None
     if n <= cap:
         return _make_flat(ctx, keys[lo:hi],
-                          None if values is None else values[lo:hi], aug)
+                          None if values is None else values[lo:hi])
     mid = lo + n // 2
     l, r = fork2(ctx, n,
                  lambda: _rebuild(ctx, keys, values, lo, mid, cap),
@@ -655,14 +649,13 @@ def _join2(ctx, l, r):
 # fragments: entry runs and the glue that links them
 
 
-def _run_or_tree(ctx, keys, values, aug=None):
+def _run_or_tree(ctx, keys, values):
     """A base case's result from a key column and its value column (None
     for a set): their entries zipped into an entry run while there are
-    fewer than B of them; else their tree (``_rebuild``, which takes the
-    entries' aggregate ``aug`` where the caller has it)."""
+    fewer than B of them; else their tree (``_rebuild``)."""
     if len(keys) < ctx.config.block_size:
         return list(zip(keys, repeat(None) if values is None else values))
-    return _rebuild(ctx, keys, values, aug=aug)
+    return _rebuild(ctx, keys, values)
 
 
 def _is_run(x):

@@ -9,8 +9,11 @@ the benchmark harness:
   unfolds      conversions of a flat node into expanded regular-node form;
                only the public ``unfold`` makes them
   folds        flat-node constructions
-  decodes      full block payload decodes, column reads included (a codec
-               ``view`` in place is not one)
+  decodes      block reads by ``core._columns``, ``core._values`` and
+               ``core._edit_keys``, one per block: a value column read in
+               place through a codec ``view`` (``_values``) counts too,
+               but a point read or a block edit through a ``view`` does
+               not
   reused       always 0: node shells are never recycled, every node is a
                fresh allocation.  Kept so that counter snapshots keep their
                keys for the readers that compare them (the benchmark

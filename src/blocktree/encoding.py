@@ -13,8 +13,9 @@ methods are required:
     for a damaged one.  Every block read that is not a ``view`` in place
     and reads keys goes through it (``core._columns``, counted as one
     decode): the bulk merges and ``map_values`` of ``ordmap``,
-    ``core.keys`` (the graph store's readers), ``sequence.reverse``, and
-    the fallback of ``core._view``.
+    ``core.flatten`` (behind ``to_list``, the run of a set operation and
+    ``ordmap.filter``), ``core.keys`` (the graph store's readers),
+    ``sequence.reverse``, and the fallback of ``core._view``.
 
 ``encode_columns(keys, values)``
     The writer that mirrors ``columns``: the payload of the block whose
@@ -95,11 +96,11 @@ methods are optional, with defaults on ``EncodingScheme``:
     bounds from its result.  The default returns ``None``.
 
 ``encode(entries)`` and ``decode(payload, count)`` are conveniences that
-every codec inherits and no shipped codec overrides: ``encode`` splits an entry list
-into its columns and calls ``encode_columns``, and ``decode`` zips what
-``columns`` returns.  ``core.flatten`` (behind ``to_list``),
-``ordmap.filter`` (whose predicate takes entries), ``inspect.check_tree``
-and callers that hold entry lists use them.
+every codec inherits and no shipped codec overrides: ``encode`` splits an
+entry list into its columns and calls ``encode_columns``, and ``decode``
+zips what ``columns`` returns.  ``inspect.check_tree`` and callers that
+hold entry lists use them; the library itself reads a block only through
+``columns``, ``values`` and ``view``.
 
 Codecs are stateless and safe to share between threads.  A codec is
 built with a ``key_width`` of at least 1 and a ``value_width`` of at least

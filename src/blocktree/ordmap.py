@@ -20,18 +20,19 @@ difference.  A set operation reads its smaller operand as the run
 still called as ``combine(t1 value, t2 value)``.  The base case is the
 block: where the run reaches a block, ``_merge`` reads it as a key column
 and a value column (``core._columns``, which every codec reads), merges the
-run into them and returns the merged columns.  ``_batch`` writes them as
-``core._run_or_tree`` does: a block of B..2B entries straight through the
-codec's ``encode_columns``, more cut at the middle entry as
+run into them and returns the fragment ``_batch`` returns, written as
+``core._run_or_tree`` writes it: a block of B..2B entries straight through
+the codec's ``encode_columns``, more cut at the middle entry as
 ``core._rebuild`` cuts, fewer zipped into an entry run.  ``_bulk``, behind
 every public bulk operation, is ``_batch`` over the whole run finished by
 ``core._as_tree``, which writes a result below B as its one block.  Under
 an aggregate spec with an inverse (``AugSpec.inverse``: the graph store's
 edge count), an op that keeps the block's other entries has ``_merge``
-hand its writer the block's aggregate updated by difference, its old one
-combined with the fold of the entries the merge added or changed and
-inverted by that of the entries it replaced or dropped, where that result
-is one block of B..2B entries; the writer folds every other block whole.
+write a result of one block of B..2B entries with the block's aggregate
+updated by difference, its old one combined with the fold of the entries
+the merge added or changed and inverted by that of the entries it
+replaced or dropped (``core._make_flat``); every other block folds its
+entries whole.
 A run below a quarter of the block gallops (Demaine, López-Ortiz and
 Munro, SODA 2000): each run key is bisected into the key column and the
 stretch before it copied as a slice; a longer run walks the block entry by
@@ -140,8 +141,8 @@ from array import array
 from bisect import bisect_left
 from itertools import repeat
 
-from .core import (_as_tree, _balanced_pair, _columns, _concat, _decode,
-                   _edit, _edit_keys, _entries_aug, _entry_key, _join, _join2,
+from .core import (_as_tree, _balanced_pair, _columns, _concat, _edit,
+                   _edit_keys, _entries_aug, _entry_key, _join, _join2,
                    _locate, _make_flat, _make_regular, _rebuild, _run_or_tree,
                    _search, _slice, _unzip, _values, _whole, flatten)
 from .errors import ContractError
@@ -344,35 +345,35 @@ _EDIT = 4
 
 def _merge(ctx, t, arr, lo, hi, op, combine):
     """Block t, or the empty tree, under op with the sorted run arr[lo:hi]
-    as second operand; borrows t.  The one merge: it reads the block as a
-    key column and a value column (``core._columns``), copies stretches of
-    both, and returns the merged columns and their aggregate, ``(keys,
-    values, aug)``, which its caller writes.  A run below a quarter of the
-    block gallops: each run key is bisected into the key column, and the
-    stretch before it copied as a slice; a longer one steps through the
-    block entry by entry.  ``aug`` is None, which the writer folds,
-    except under a spec with an inverse (``AugSpec.inverse``) on an op
-    that keeps the block's other entries (``only_a``): there the merge
-    collects the entries it replaces or drops (``gone``) and those it
-    adds or changes (``came``), and where the result is one block of B
-    to 2B entries, ``aug`` is ``inverse(combine(t.aug,
-    fold(came)), fold(gone))``, each side folded as a block is
-    (``core._entries_aug``: the spec's ``fold_values`` where it has
-    one).  A run-only entry keeps its value, or stores ``op[1](value)``
-    where the op's second element is a function.  The value column is built in the
-    block's own column type (an array slice for an array), and each
-    ``combine`` and ``op[1]`` result is checked against the codec where
-    it is made: an array would store ``True`` as 1, and raises no
-    ``CodecError`` for a value it cannot hold.  Where the op keeps no
-    run-only entry and no key the run hits changed its entry (it is
-    dropped, or ``combine`` returns the stored value object itself), the
-    block is returned shared; the empty tree under an op that keeps no
-    run-only entry gives None.  A run of at most ``_EDIT`` keys that only
-    inserts or deletes keys, on a context with no aggregate, is handed to
-    the codec's ``edit_keys`` where the result is one block of B (1 for
-    a block below B, which is a whole tree) to 2B entries whatever the
-    run hits; where the codec edits the block in place, that block is
-    returned."""
+    as second operand, as ``_batch`` returns it; borrows t.  The one
+    merge: it reads the block as a key column and a value column
+    (``core._columns``), copies stretches of both, and writes the merged
+    columns as ``core._run_or_tree`` does: an entry run below B entries,
+    else their tree.  A run below a quarter of the block gallops: each run
+    key is bisected into the key column, and the stretch before it copied
+    as a slice; a longer one steps through the block entry by entry.
+    Under a spec with an inverse (``AugSpec.inverse``), on an op that
+    keeps the block's other entries (``only_a``), the merge collects the
+    entries it replaces or drops (``gone``) and those it adds or changes
+    (``came``), and a result of one block of B to 2B entries is written
+    with the aggregate ``inverse(combine(t.aug, fold(came)), fold(gone))``
+    (``core._make_flat``), each side folded as a block is
+    (``core._entries_aug``: the spec's ``fold_values`` where it has one);
+    every other block folds its entries whole.  A run-only entry keeps its
+    value, or stores ``op[1](value)`` where the op's second element is a
+    function.  The value column is built in the block's own column type
+    (an array slice for an array), and each ``combine`` and ``op[1]``
+    result is checked against the codec where it is made: an array would
+    store ``True`` as 1, and raises no ``CodecError`` for a value it
+    cannot hold.  Where the op keeps no run-only entry and no key the run
+    hits changed its entry (it is dropped, or ``combine`` returns the
+    stored value object itself), the block is returned shared; the empty
+    tree under an op that keeps no run-only entry gives None.  A run of
+    at most ``_EDIT`` keys that only inserts or deletes keys, on a
+    context with no aggregate, is handed to the codec's ``edit_keys``
+    where the result is one block of B (1 for a block below B, which is
+    a whole tree) to 2B entries whatever the run hits; where the codec
+    edits the block in place, that block is returned."""
     only_a, only_b, both = op
     store = only_b if callable(only_b) else None
     check = ctx.codec.check_entry
@@ -385,7 +386,7 @@ def _merge(ctx, t, arr, lo, hi, op, combine):
             vals = list(map(store, vals))
             for k, v in zip(keys, vals):
                 check(k, v)
-        return keys, vals, None
+        return _run_or_tree(ctx, keys, vals)
     n, r, B = t.count, len(run), ctx.config.block_size
     # a short run of keys alone, inserted or deleted, whose result is one
     # block of least..2B entries whatever it hits: a block below B is a
@@ -464,22 +465,14 @@ def _merge(ctx, t, arr, lo, hi, op, combine):
     if only_a:
         ok += keys[i:]
         ov += vals[i:]
-    aug = None
-    if diff and B <= len(ok) <= 2 * B:
-        aug = t.aug
-        if came_k:
-            aug = spec.combine(aug, _entries_aug(ctx, came_k, came_v))
-        if gone_k:
-            aug = spec.inverse(aug, _entries_aug(ctx, gone_k, gone_v))
-    return ok, ov, aug
-
-
-def _combined(ctx, k, a, b, combine):
-    """The entry (k, combine(a, b)), checked against the codec: it is stored
-    in a regular node, which no encode checks."""
-    e = (k, combine(a, b))
-    ctx.codec.check_entry(*e)
-    return e
+    if not (diff and B <= len(ok) <= 2 * B):
+        return _run_or_tree(ctx, ok, ov)
+    aug = t.aug
+    if came_k:
+        aug = spec.combine(aug, _entries_aug(ctx, came_k, came_v))
+    if gone_k:
+        aug = spec.inverse(aug, _entries_aug(ctx, gone_k, gone_v))
+    return _make_flat(ctx, ok, ov, aug)
 
 
 def _setop(ctx, t1, t2, op, combine):
@@ -538,15 +531,15 @@ def _glue(ctx, t, kept, l, e, r):
 
 def _batch(ctx, t, arr, lo, hi, op, combine):
     """t under op with the sorted entry run arr[lo:hi] as second operand;
-    borrows t.  A block, or the empty tree, goes to the merge, whose
-    columns become an entry run below B entries (which ``_concat`` joins
-    with its neighbors) and a tree from B on (``_run_or_tree``)."""
+    borrows t.  Returns None, t or a subtree of it shared, a block, an
+    entry run below B entries (which ``_concat`` joins with its
+    neighbors) or a tree.  A block, or the empty tree, is the merge's
+    (``_merge``)."""
     only1, only2, both = op
     if lo >= hi:
         return retain(t) if only1 else None
     if t is None or type(t) is Flat:
-        m = _merge(ctx, t, arr, lo, hi, op, combine)
-        return _run_or_tree(ctx, *m) if type(m) is tuple else m
+        return _merge(ctx, t, arr, lo, hi, op, combine)
     e = (t.key, t.value)
     pos = bisect_left(arr, e[0], lo, hi, key=_entry_key)
     hit = pos < hi and arr[pos][0] == e[0]
@@ -554,7 +547,9 @@ def _batch(ctx, t, arr, lo, hi, op, combine):
     # value object itself changes nothing
     kept = only1
     if hit:
-        e = _combined(ctx, e[0], e[1], arr[pos][1], combine) if both else None
+        # stored in a regular node, which no encode checks
+        e = (_stored(ctx, [(e[0], arr[pos][1])], e, combine)[0] if both
+             else None)
         kept = e is not None and e[1] is t.value
     elif not only1:
         e = None
@@ -613,7 +608,7 @@ def _filter_tree(ctx, t, keep, prune=None):
         return None
     if type(t) is Flat:
         # the predicate takes entries, so the block is read as entries
-        kept = [e for e in _decode(ctx, t) if keep(e)]
+        kept = [e for e in flatten(ctx, t) if keep(e)]
         if len(kept) == t.count:
             return retain(t)
         if len(kept) < ctx.config.block_size:

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 import blocktree as bt
 from blocktree import graphstore, ordmap
 from blocktree.augment import AugSpec, aug_filter, aug_range, aug_val
-from blocktree.core import make_context
+from blocktree.core import Config, Context, make_context
 from blocktree.counters import counters
+from blocktree.encoding import DeltaCodec, IdentityCodec
 from blocktree.errors import ContractError
 from blocktree.inspect import check_tree, structure_digest
 from blocktree.nodes import Flat
@@ -140,6 +141,50 @@ def test_merges_under_an_inverse_match_the_refold(B):
     bt.release(tp)
 
 
+@pytest.mark.parametrize("B", [1, 2, 8, 64])
+def test_augmented_sets_fold_their_keys(B):
+    # a set stores no value column, so every block it writes folds its
+    # entries (keys, None) through lift, with no fold_values, by bulk and
+    # point updates alike, with and without an inverse
+    rng = random.Random(90 + B)
+    n = 30 * B + 40
+    for codec in (DeltaCodec(value_width=0), IdentityCodec(value_width=0)):
+        for inverse in (None, sub):
+            ctx = Context(Config(block_size=B), codec, aug=dataclasses.replace(
+                SUM_KEYS, inverse=inverse))
+            model = set(rng.sample(range(n), n // 3))
+            t = ordmap.build(ctx, [(k, None) for k in model])
+            for step in range(16):
+                op = step % 4
+                if op == 0:
+                    keys = rng.sample(range(n), rng.randrange(1, 3 * B + 4))
+                    r = ordmap.multi_insert(ctx, t, [(k, None) for k in keys])
+                    model.update(keys)
+                elif op == 1:
+                    keys = rng.sample(range(n), rng.randrange(1, 3 * B + 4))
+                    r = ordmap.multi_delete(ctx, t, keys)
+                    model.difference_update(keys)
+                elif op == 2:
+                    k = rng.randrange(n)
+                    r = ordmap.insert(ctx, t, k, None)
+                    model.add(k)
+                else:
+                    k = rng.choice(sorted(model)) if model else 0
+                    r = ordmap.remove(ctx, t, k)
+                    model.discard(k)
+                bt.release(t)
+                t = r
+                assert [k for k, _ in bt.to_list(ctx, t)] == sorted(model)
+                assert aug_val(ctx, t) == sum(model)
+                for _ in range(4):
+                    lo = rng.randrange(n)
+                    hi = lo + rng.randrange(n // 2)
+                    assert aug_range(ctx, t, lo, hi) == sum(
+                        k for k in model if lo <= k <= hi)
+                check_tree(ctx, t)
+            bt.release(t)
+
+
 def test_aug_val_examples():
     ctx = sum_ctx(3)
     assert aug_val(ctx, None) == 0
@@ -148,9 +193,20 @@ def test_aug_val_examples():
 
 
 def test_aug_val_requires_augmented_context():
+    # aug_val, aug_range and aug_filter each raise before they read or
+    # build anything
     ctx = make_context(block_size=3, encoding="identity")
     with pytest.raises(ContractError):
         aug_val(ctx, None)
+    t = ordmap.build(ctx, [(k, k) for k in range(20)])
+    live, owners, digest = counters.live, t.owners, structure_digest(ctx, t)
+    for call in (lambda: aug_range(ctx, t, 2, 9),
+                 lambda: aug_filter(ctx, t, lambda a: True)):
+        with pytest.raises(ContractError, match="no augmentation"):
+            call()
+        assert counters.live == live and t.owners == owners
+        assert structure_digest(ctx, t) == digest
+    bt.release(t)
 
 
 def test_aug_val_random_vs_brute_force():

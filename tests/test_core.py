@@ -6,9 +6,10 @@ import pytest
 import blocktree as bt
 from blocktree import ordmap
 from blocktree import sequence as sq
-from blocktree.core import (Config, _balanced_pair, _make_flat, _make_regular,
-                            make_context)
+from blocktree.core import (Config, Context, _balanced_pair, _make_flat,
+                            _make_regular, first_key, last_key, make_context)
 from blocktree.counters import counters
+from blocktree.encoding import ObjectCodec
 from blocktree.errors import ContractError, InvariantViolation
 from blocktree.inspect import (check_tree, count_blocks, count_nodes,
                                structure_digest, tree_depth)
@@ -623,6 +624,23 @@ def test_split_last_random_invariants():
         check_tree(ctx, rest)
 
 
+def test_split_last_of_an_unfolded_block():
+    # an unfolded block is the one tree whose right spine ends in a regular
+    # node with no right child; its rest is folded back into one block
+    for enc in ("identity", "delta", "object"):
+        for B in (1, 2, 3, 8):
+            ctx = make_context(block_size=B, encoding=enc)
+            for n in range(1, 2 * B + 1):
+                t = build(ctx, range(n))
+                u = bt.unfold(ctx, t)
+                rest, e = bt.split_last(ctx, u)
+                assert e == (n - 1, n - 1)
+                assert keys_of(ctx, rest) == list(range(n - 1))
+                check_tree(ctx, rest)
+                for x in (t, u, rest):
+                    bt.release(x)
+
+
 def test_join2():
     ctx = make_context(block_size=3, encoding="identity")
     t = build(ctx, [5, 6])
@@ -745,6 +763,73 @@ def test_checker_rejects_corrupt_size():
     with pytest.raises(InvariantViolation):
         check_tree(ctx, t)
     t.size -= 1
+
+
+class _UncheckedCodec(ObjectCodec):
+    """An object codec whose column read trusts the block's count."""
+
+    def columns(self, payload, count):
+        return payload
+
+
+def _first_block(t):
+    while type(t) is not Flat:
+        t = t.left
+    return t
+
+
+def test_checker_rejects_each_corrupt_field():
+    # one field of a valid tree corrupted, rejected, and restored; check_tree
+    # consumes nothing, so the tree is as it was
+    from blocktree.augment import AugSpec
+
+    def rejects(ctx, t, node, field, bad, msg):
+        live, digest = counters.live, structure_digest(ctx, t)
+        good = getattr(node, field)
+        setattr(node, field, bad)
+        with pytest.raises(InvariantViolation, match=msg):
+            check_tree(ctx, t)
+        setattr(node, field, good)
+        check_tree(ctx, t)
+        assert counters.live == live
+        assert structure_digest(ctx, t) == digest
+
+    ctx = make_context(block_size=4, encoding="identity")
+    one = build(ctx, range(6))                  # a whole tree of one block
+    rejects(ctx, one, one, "count", 0, "empty block")
+    t = build(ctx, range(60))
+    b = _first_block(t)
+    rejects(ctx, t, b, "count", 3, "outside")
+    rejects(ctx, t, b, "first_key", -1, "bounds are stale")
+    rejects(ctx, t, t, "key", last_key(ctx, t.left), "left subtree")
+    rejects(ctx, t, t, "key", first_key(ctx, t.right), "right subtree")
+    loose = Context(Config(block_size=4), _UncheckedCodec())
+    lt = ordmap.build(loose, KV(range(20)))
+    lb = _first_block(lt)
+    rejects(loose, lt, lb, "count", lb.count - 1, "does not match")
+    keys, values = lb.payload
+    rejects(loose, lt, lb, "payload", (keys[::-1], values),
+            "not strictly increasing")
+    sctx = make_context(block_size=4, encoding="identity",
+                        aug=AugSpec(identity=0, lift=lambda e: e[0],
+                                    combine=lambda a, b: a + b))
+    st = build(sctx, range(60))
+    sb = _first_block(st)
+    rejects(sctx, st, sb, "aug", sb.aug + 1, "block aggregate is stale")
+    # a balanced root over a whole block and a regular tree of 191
+    # entries: no single field breaks balance without breaking a size
+    heavy = _make_regular(ctx, build(ctx, range(8)), (8, 8),
+                          build(ctx, range(9, 200)), 200)
+    with pytest.raises(InvariantViolation, match="weight balance"):
+        check_tree(ctx, heavy)
+    # an unfolded block of 3 at B=2: a whole tree with regular leaves
+    ctx2 = make_context(block_size=2, encoding="identity")
+    block = build(ctx2, range(3))
+    u = bt.unfold(ctx2, block)
+    with pytest.raises(InvariantViolation, match="regular leaf"):
+        check_tree(ctx2, u)
+    for x in (one, t, lt, st, heavy, block, u):
+        bt.release(x)
 
 
 def test_public_links_reject_key_disorder():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from blocktree.counters import counters
 from blocktree.encoding import (DeltaCodec, EncodingScheme, IdentityCodec,
-                                ObjectCodec)
+                                ObjectCodec, make_codec)
 from blocktree.errors import CodecError, CorruptionError
 from blocktree.nodes import Flat
 
@@ -293,6 +293,17 @@ def test_codec_widths_checked_at_construction(cls):
         assert (codec.key_width, codec.value_width) == (kw, vw)
         entries = [(k, (k + 1) % 256 if vw else None) for k in (0, 3, 255)]
         assert codec.decode(codec.encode(entries), 3) == entries
+
+
+def test_make_codec_resolves_names_and_rejects_others():
+    assert type(make_codec("identity", 4)) is IdentityCodec
+    assert make_codec("identity", 4).value_width == 4
+    assert type(make_codec("delta")) is DeltaCodec
+    assert type(make_codec(None)) is ObjectCodec
+    codec = DeltaCodec()
+    assert make_codec(codec) is codec
+    with pytest.raises(ValueError, match="^unknown encoding 'nope'$"):
+        make_codec("nope")
 
 
 def test_delta_check_entry_bounds():

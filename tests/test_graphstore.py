@@ -590,3 +590,9 @@ def test_load_edge_list(tmp_path):
     three.write_text("0 1 2\n")
     with pytest.raises(GraphParseError):
         gs.load_edge_list(str(three))
+
+    word = tmp_path / "word.txt"
+    word.write_text("0 1\n1 x\n")
+    with pytest.raises(GraphParseError, match="non-integer vertex id") as ei:
+        gs.load_edge_list(str(word))
+    assert ei.value.lineno == 2

@@ -611,9 +611,17 @@ def test_range_rank_next_previous():
     assert ordmap.rank(ctx, t, 5) == 2
     assert ordmap.next_entry(ctx, t, 4) == (6, 61)
     assert ordmap.previous_entry(ctx, t, 2) is None
-    r = ordmap.key_range(ctx, ordmap.build(ctx, KV(range(20))), 5, 11)
+    t20 = ordmap.build(ctx, KV(range(20)))
+    r = ordmap.key_range(ctx, t20, 5, 11)
     assert [k for k, _ in bt.to_list(ctx, r)] == list(range(5, 12))
     check_tree(ctx, r)
+    # reversed bounds raise before the walk: nothing is built or consumed
+    live, owners = counters.live, t20.owners
+    digest = structure_digest(ctx, t20)
+    with pytest.raises(ContractError, match="lo <= hi"):
+        ordmap.key_range(ctx, t20, 9, 8)
+    assert counters.live == live and t20.owners == owners
+    assert structure_digest(ctx, t20) == digest
     # bounds on a key, between keys, beyond both ends, lo == hi, and the
     # empty map, over a tree of several blocks
     assert ordmap.key_range(ctx, None, 4, 4) is None

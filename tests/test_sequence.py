@@ -7,7 +7,7 @@ from blocktree import sequence as sq
 from blocktree.counters import counters
 from blocktree.encoding import ObjectCodec
 from blocktree.errors import ContractError
-from blocktree.inspect import check_tree
+from blocktree.inspect import check_tree, structure_digest
 from blocktree.nodes import Flat, size
 
 
@@ -58,10 +58,18 @@ def test_nth_take_subseq():
     assert sq.nth(ctx, sq.seq_build(ctx, ["x"]), 0) == "x"
     s = sq.seq_build(ctx, ["a", "b", "c", "d"])
     assert sq.to_elements(ctx, sq.take(ctx, s, 2)) == ["a", "b"]
-    with pytest.raises(IndexError):
-        sq.nth(ctx, s, 4)
-    with pytest.raises(IndexError):
-        sq.take(ctx, s, 5)
+    # every position is checked before any walk: nothing is built, and
+    # the input keeps its owners and its content
+    live, owners, digest = counters.live, s.owners, structure_digest(ctx, s)
+    for call in (lambda: sq.nth(ctx, s, 4), lambda: sq.take(ctx, s, 5),
+                 lambda: sq.drop(ctx, s, 5), lambda: sq.drop(ctx, s, -1),
+                 lambda: sq.subseq(ctx, s, 3, 2),
+                 lambda: sq.subseq(ctx, s, -1, 2),
+                 lambda: sq.subseq(ctx, s, 2, 5)):
+        with pytest.raises(IndexError):
+            call()
+        assert counters.live == live and s.owners == owners
+        assert structure_digest(ctx, s) == digest
 
 
 def test_subseq_equals_take_drop_random():
