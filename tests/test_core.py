@@ -816,8 +816,8 @@ def test_checker_rejects_each_corrupt_field():
     st = build(sctx, range(60))
     sb = _first_block(st)
     rejects(sctx, st, sb, "aug", sb.aug + 1, "block aggregate is stale")
-    # a balanced root over a whole block and a regular tree of 191
-    # entries: no single field breaks balance without breaking a size
+    # a root linked by hand over a block of 8 and a tree of 191 entries:
+    # no single field breaks balance without breaking a size
     heavy = _make_regular(ctx, build(ctx, range(8)), (8, 8),
                           build(ctx, range(9, 200)), 200)
     with pytest.raises(InvariantViolation, match="weight balance"):
