@@ -80,15 +80,20 @@ the other side's entries are spliced into it (the larger block, where
 both are), so only that other side is decoded.  So a block that
 overflows into two is linked beside its sibling block, not flattened with
 it, and one that underflows below ``B`` is merged into its sibling block
-with one decode.  ``_join`` tests the balance of its pair once and hands a
-balanced pair, which every level of a point update's path copy is,
-straight to ``_node``.  A point update therefore builds just the one block
-it changes and allocates one regular node per level: its untouched
-sibling block is shared, not rebuilt.  The bulk walks' path copies skip
-even that: where both results of a node are whole trees (``_whole``) that
-balance, ``ordmap._glue`` links them with ``_make_regular`` directly, the
-node ``_node`` would make; every other pair, a caller's unfolded block
-among them, still goes through ``_concat`` and ``_as_tree``.
+with one decode.  ``_join`` reads the sizes of its pair and tests their
+balance inline, and links a balanced pair of at least ``4B`` entries
+itself, the node ``_node`` makes of it (``new_regular``, or
+``_make_regular`` where the node folds an aggregate); every other balanced
+pair goes to ``_node``, and an unbalanced one to a rotation.  Every level
+of a point update's path copy is a balanced pair, of at least ``4B``
+entries above its lowest levels, so a point update builds just the one
+block it changes and allocates one regular node per level, most in one
+call: its untouched sibling block is shared, not rebuilt.
+The bulk walks' path copies link the same way: where both results of a
+node are whole trees (``_whole``) that balance, ``ordmap._glue`` links
+them with ``_make_regular`` directly; every other pair, a caller's
+unfolded block among them, still goes through ``_concat`` and
+``_as_tree``.
 
 Blocks are edited in place.  ``_edit`` is the one block edit: a point
 update's block, the cut of a boundary block by ``_slice``, the two halves
@@ -97,16 +102,23 @@ update's block, the cut of a boundary block by ``_slice``, the two halves
 the codec splices (``EncodingScheme.splice``: identity and object), the
 new block's payload is the old one spliced, its bounds are read in place,
 and a result over ``2B`` entries is cut into two payload slices at its
-middle entry, as ``_rebuild`` would cut it.  So an in-block insert,
-overwrite or remove on those codecs decodes nothing and builds one block,
-and an overflow decodes nothing and builds two; a sequence's cuts,
-appends and merges splice the same way, since its blocks are object
-blocks with keys None.  Elsewhere (the delta codec, augmented contexts,
-and a boundary cut left as an entry run below ``B``) the block's columns
-are sliced around the new entries and the result is written from them,
-once: the columns are read by ``_view``, so a boundary run cut from an
-identity or object block decodes nothing, and a delta block is read once
-(``_columns``).
+middle entry, as ``_rebuild`` would cut it; a result that keeps the
+whole spliced payload and stays one block is that payload, its bounds
+read from the view's key column.  So an in-block insert, overwrite or
+remove on those codecs decodes nothing and builds one block, and an
+overflow decodes nothing and builds two; a sequence's cuts, appends and
+merges splice the same way, since its blocks are object blocks with keys
+None.  Elsewhere (the delta codec, augmented contexts, and a boundary cut
+left as an entry run below ``B``) the block's columns are sliced around
+the new entries and the result is written from them, once: the columns
+are read by ``_view``, so a boundary run cut from an identity or object
+block decodes nothing, and a delta block is read once (``_columns``).
+Under an aggregate spec with an inverse (``AugSpec.inverse``), an edit
+that keeps the rest of the block and stays one block updates the block's
+aggregate by difference, as ``ordmap._merge`` does: the old one combined
+with the fold of the new entries and inverted by the fold of those they
+replace.  So a point insert or remove lifts its own entry, not its whole
+block.
 
 No path but the public ``unfold`` expands a block into regular nodes; the
 public ``expose`` cuts a block into two blocks like ``_open`` does.  An
@@ -399,10 +411,13 @@ def _edit(ctx, t, i, j, new=(), entries=None, hi=None, run=False):
     t's ``_view``, if its caller has one.  The one block edit: where the
     codec splices, t's payload is spliced, and a result over 2B entries is
     cut into two payload slices at its middle entry, read from the
-    spliced payload in place (the codec's ``view``).  On an augmented
+    spliced payload in place (the codec's ``view``), and one of at most 2B
+    over the whole spliced payload is that payload.  On an augmented
     context, where the codec cannot splice, and for a run below B, t's
     columns (``_view``) are sliced around ``new`` and the result written
-    from them.  Maps and sequences edit alike: a sequence's block is a
+    from them; under a spec with an inverse, a result of at most 2B
+    entries that keeps the rest of t is written with t's aggregate updated
+    by difference.  Maps and sequences edit alike: a sequence's block is a
     block with keys None."""
     codec, n, B = ctx.codec, t.count, ctx.config.block_size
     c = (n if hi is None else hi) - j + i + len(new)
@@ -414,18 +429,38 @@ def _edit(ctx, t, i, j, new=(), entries=None, hi=None, run=False):
     if p is None:
         at = entries or _view(ctx, t)
         keys, values = at.keys, at.values
+        spec, aug = ctx.aug, None
+        if (spec and spec.inverse is not None and not run and hi is None
+                and c <= 2 * B):
+            # one block whose aggregate is updated by difference, as
+            # ordmap._merge updates it: the old one combined with the fold
+            # of the new entries and inverted by that of the replaced ones
+            aug = t.aug
+            if new:
+                nk, nv = _unzip(new)
+                aug = spec.combine(aug, _entries_aug(
+                    ctx, nk, None if values is None else nv))
+            if i < j:
+                aug = spec.inverse(aug, _entries_aug(
+                    ctx, keys[i:j], None if values is None else values[i:j]))
         keys = [*keys[:i], *map(_entry_key, new), *keys[j:hi]]
         if values is not None:
             values = [*values[:i], *map(_entry_value, new), *values[j:hi]]
+        if aug is not None:
+            return _make_flat(ctx, keys, values, aug)
         return (_run_or_tree if run else _rebuild)(ctx, keys, values)
     full = n - j + i + len(new)
+    # the view of the spliced payload is also its length check
     at = codec.view(p, full)
-
-    def block(a, b):    # entries [a, b) of the result, over its payload
+    if c == full and c <= 2 * B:
+        # one block over the whole spliced payload
         counters.folds += 1
-        q = p if b - a == full else codec.splice(
-            codec.splice(p, full, b, full, ()), b, 0, a, ())
-        return new_flat(b - a, q, at[a][0], at[b - 1][0], None)
+        return new_flat(c, p, at.keys[0], at.keys[c - 1], None)
+
+    def block(a, b):    # entries [a, b) of the result, a cut of its payload
+        counters.folds += 1
+        q = codec.splice(codec.splice(p, full, b, full, ()), b, 0, a, ())
+        return new_flat(b - a, q, at.keys[a], at.keys[b - 1], None)
 
     if c <= 2 * B:
         return block(0, c)
@@ -524,11 +559,22 @@ def _balanced_pair(cfg, wl, wr):
 
 
 def _join(ctx, l, e, r):
-    # a balanced pair (every level of a path copy) goes straight to _node
-    wl, wr = size(l) + 1, size(r) + 1
-    if _balanced_pair(ctx.config, wl, wr):
-        return _node(ctx, l, e, r, wl + wr - 2)
-    return (_join_right if wl > wr else _join_left)(ctx, l, e, r)
+    # a point update's path copy links a balanced pair of at least 4B
+    # entries at every level above its lowest, the pair _node links as it
+    # is: the sizes, the balance test (_balanced_pair's) and that link are
+    # inline, and only smaller pairs pay the call to _node
+    nl = 0 if l is None else l.count if type(l) is Flat else l.size
+    nr = 0 if r is None else r.count if type(r) is Flat else r.size
+    cfg = ctx.config
+    w = nl + nr + 2
+    if cfg.alpha * w <= nl + 1 <= (1.0 - cfg.alpha) * w:
+        n = nl + nr
+        if n < 4 * cfg.block_size:
+            return _node(ctx, l, e, r, n)
+        if ctx.aug:
+            return _make_regular(ctx, l, e, r, n + 1)
+        return new_regular(e[0], e[1], l, r, n + 1, None)
+    return (_join_right if nl > nr else _join_left)(ctx, l, e, r)
 
 
 def _join_right(ctx, tl, k, tr):
@@ -765,8 +811,9 @@ def join(ctx, l, e, r):
     return _join(ctx, l, e, _guard((l,), fold, ctx, r))
 
 
-# node is join: a balanced pair is linked in O(1) (``_join`` hands it
-# straight to ``_node``), and any other pair is rebalanced
+# node is join: a balanced pair is linked in O(1) (``_join`` links it, or
+# hands it to ``_node`` below 4B entries), and any other pair is
+# rebalanced
 node = join
 
 

@@ -15,6 +15,12 @@ Ownership protocol (used by the core algebra; see core.py):
 * ``release`` drops an owner and, at zero, reclaims the node and releases
   its children.
 
+``new_regular`` and ``new_flat`` are the only allocations.  Each counts one
+allocation and one live node (``counters``), makes the node with
+``object.__new__`` and fills its slots, inline: a point update's path copy
+makes one regular node per level, and a shared helper there would cost a
+call per node.
+
 Owner updates are plain integer bumps while the library runs single-threaded
 and take a lock once a worker pool is active (see parallel.py).  Entry values
 are opaque to this accounting; payloads that themselves hold tree handles
@@ -64,14 +70,10 @@ def weight(t):
     return size(t) + 1
 
 
-def _fresh(cls):
+def new_regular(key, value, left, right, subtree_size, aug):
     counters.allocations += 1
     counters.live += 1
-    return cls.__new__(cls)
-
-
-def new_regular(key, value, left, right, subtree_size, aug):
-    node = _fresh(Regular)
+    node = object.__new__(Regular)
     node.key = key
     node.value = value
     node.left = left
@@ -83,7 +85,9 @@ def new_regular(key, value, left, right, subtree_size, aug):
 
 
 def new_flat(count, payload, first_key, last_key, aug):
-    node = _fresh(Flat)
+    counters.allocations += 1
+    counters.live += 1
+    node = object.__new__(Flat)
     node.count = count
     node.payload = payload
     node.first_key = first_key

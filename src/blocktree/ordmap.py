@@ -98,7 +98,13 @@ A point operation is one walk from the root to a block.  ``get_entry``
 regular node holding the key, and searches no block whose bounds exclude
 it.  ``insert`` and ``remove`` are one ``_update`` walk each, a path copy
 on the way back up; an ``insert`` with its own ``combine`` runs it where
-the walk finds the key.  A remove that finds nothing copies nothing and
+the walk finds the key.  The walk edits one block (``core._edit``: where
+the codec splices, a result that stays one block is the spliced payload
+itself, and under an aggregate spec with an inverse the block's aggregate
+is updated by difference), and each level links its copied child beside
+the shared sibling through ``core._join``, which links a balanced pair of
+at least 4B entries itself, one node in one call, and hands a smaller one
+to ``core._node``.  A remove that finds nothing copies nothing and
 returns its input itself, and searches no block whose bounds exclude the
 key either.
 

@@ -142,6 +142,111 @@ def test_merges_under_an_inverse_match_the_refold(B):
 
 
 @pytest.mark.parametrize("B", [1, 2, 8, 64])
+def test_point_updates_under_an_inverse_match_the_refold(B):
+    # a point insert or remove whose block stays one block updates that
+    # block's aggregate by difference under a spec with an inverse; the
+    # trees equal, node for node and aggregate for aggregate, those built
+    # under the same spec without the inverse
+    rng = random.Random(110 + B)
+    inverses = []
+
+    def inverse(a, b):
+        inverses.append(b)
+        return a - b
+    ictx = make_context(block_size=B, encoding="identity",
+                        aug=dataclasses.replace(SUM_VALUES, inverse=inverse))
+    pctx = make_context(block_size=B, encoding="identity",
+                        aug=dataclasses.replace(SUM_VALUES, inverse=None))
+    keep = lambda a, b: a if (a + b) % 3 == 0 else a + b
+    n = 20 * B + 30
+    base = [(rng.randrange(n), rng.randrange(10 ** 6)) for _ in range(n // 2)]
+    ti, tp = ordmap.build(ictx, base), ordmap.build(pctx, base)
+    for step in range(60 + 4 * B):
+        k, v = rng.randrange(n), rng.randrange(10 ** 6)
+        remove = step % 2
+        results = [ordmap.remove(ctx, t, k) if remove
+                   else ordmap.insert(ctx, t, k, v, keep)
+                   for ctx, t in ((ictx, ti), (pctx, tp))]
+        assert structure_digest(ictx, results[0]) == \
+            structure_digest(pctx, results[1])
+        assert _augs(results[0]) == _augs(results[1])
+        check_tree(ictx, results[0])
+        bt.release(ti)
+        bt.release(tp)
+        ti, tp = results
+    assert inverses
+    bt.release(ti)
+    bt.release(tp)
+
+
+def test_point_updates_under_an_inverse_lift_the_path_only():
+    # under an inverse, an in-block insert lifts its new entry and a
+    # remove its dropped one, once each, and each lifts the entry of every
+    # regular node on its path: not the whole block (163 and 161 lift
+    # calls at B=128 when the block was folded whole)
+    lifts = []
+    spec = dataclasses.replace(
+        SUM_VALUES, lift=lambda e: lifts.append(1) or e[1])
+    ctx = make_context(block_size=128, encoding="identity", aug=spec)
+    t = ordmap.build(ctx, [(k, k) for k in range(0, 2 * 10 ** 4, 2)])
+    rng = random.Random(5)
+    worst = 0
+    for k in rng.sample(range(2 * 10 ** 4), 200):
+        lifts[:] = []
+        r = (ordmap.remove(ctx, t, k) if k % 2 == 0
+             else ordmap.insert(ctx, t, k, k))
+        worst = max(worst, len(lifts))
+        assert aug_val(ctx, r) == sum(k for k, _ in bt.to_list(ctx, r))
+        bt.release(r)
+    check_tree(ctx, t)
+    bt.release(t)
+    assert worst <= 7
+
+
+@pytest.mark.parametrize("encoding", ["identity", "delta", "object"])
+def test_point_updates_under_an_inverse_are_exception_safe(encoding):
+    # a lift, combine or inverse that raises at any of its calls leaves
+    # the input as it was and no node live
+    calls = [0, None]
+
+    def counted(f):
+        def g(*args):
+            calls[0] += 1
+            if calls[0] == calls[1]:
+                raise RuntimeError("callback failed")
+            return f(*args)
+        return g
+    B = 4
+    for name in ("lift", "combine", "inverse"):
+        spec = dataclasses.replace(
+            SUM_VALUES, **{name: counted(getattr(SUM_VALUES, name))})
+        ctx = make_context(block_size=B, encoding=encoding, aug=spec)
+        t = ordmap.build(ctx, [(k, k) for k in range(0, 24 * B, 2)])
+        digest, live = structure_digest(ctx, t), counters.live
+        for k in (0, 1, 2 * B, 2 * B + 1, 24 * B - 2, 24 * B + 1):
+            update = ((lambda: ordmap.remove(ctx, t, k)) if k % 2 == 0
+                      else (lambda: ordmap.insert(ctx, t, k, k)))
+            fail = 1
+            while True:
+                calls[:] = [0, fail]
+                try:
+                    r = update()
+                except RuntimeError:
+                    assert structure_digest(ctx, t) == digest
+                    assert counters.live == live
+                    fail += 1
+                    continue
+                calls[1] = None
+                break
+            # the update called the callback, and it failed at each call
+            assert fail > 1 or name == "inverse" and k % 2 == 1
+            check_tree(ctx, r)
+            bt.release(r)
+            assert counters.live == live
+        bt.release(t)
+
+
+@pytest.mark.parametrize("B", [1, 2, 8, 64])
 def test_augmented_sets_fold_their_keys(B):
     # a set stores no value column, so every block it writes folds its
     # entries (keys, None) through lift, with no fold_values, by bulk and

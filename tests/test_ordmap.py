@@ -1578,48 +1578,98 @@ def test_point_update_path_copy_rebuilds_nothing(monkeypatch):
     # an insert or a present-key remove that stays inside its block copies
     # the regular nodes on its search path and re-encodes that one block:
     # every other node is shared, and no join flattens a pair of children
-    # back into entries (core._entries, the rebuild of _node)
+    # back into entries (core._entries, the rebuild of _node).  So on
+    # every codec, and a tree that shares its nodes with a live snapshot is
+    # copied the same way and leaves the snapshot as it was
     from blocktree import core
     rebuilds = []
     entries = core._entries
     monkeypatch.setattr(core, "_entries",
                         lambda *a: rebuilds.append(1) or entries(*a))
     B = 128
-    ctx = make_context(block_size=B, encoding="identity")
-    t = ordmap.build(ctx, KV(range(0, 2 * 10 ** 5, 2)))
+    for encoding, shared in (("identity", False), ("delta", False),
+                             ("object", False), ("identity", True)):
+        ctx = make_context(block_size=B, encoding=encoding)
+        t = ordmap.build(ctx, KV(range(0, 2 * 10 ** 5, 2)))
+        snapshot = ordmap.remove(ctx, t, 10 ** 5) if shared else None
+        digest = structure_digest(ctx, snapshot)
 
-    def path(k):
-        """(regular nodes on the search path of k, the block it ends in),
-        or None where k is a regular node's key"""
-        n, x = 0, t
-        while type(x) is not Flat:
-            if k == x.key:
-                return None
-            n, x = n + 1, (x.left if k < x.key else x.right)
-        return n, x
+        def path(k):
+            """(regular nodes on the search path of k, the block it ends
+            in), or None where k is a regular node's key"""
+            n, x = 0, t
+            while type(x) is not Flat:
+                if k == x.key:
+                    return None
+                n, x = n + 1, (x.left if k < x.key else x.right)
+            return n, x
 
-    rng = random.Random(17)
-    done = {"insert": 0, "remove": 0}
-    for k in rng.sample(range(2 * 10 ** 5), 60):
-        if path(k) is None:
-            continue
-        depth, block = path(k)
-        if k % 2 == 0 and block.count > B:          # present: in its block
-            kind, update = "remove", lambda: ordmap.remove(ctx, t, k)
-        elif k % 2 == 1 and block.count < 2 * B:    # new: the block has room
-            kind, update = "insert", lambda: ordmap.insert(ctx, t, k, 0)
-        else:
-            continue
-        a0, live = counters.allocations, counters.live
-        t2 = update()
-        assert counters.allocations - a0 == depth + 1, (kind, k)
-        assert counters.live - live == depth + 1, (kind, k)
-        assert rebuilds == [], (kind, k)
-        check_tree(ctx, t2)
-        bt.release(t2)
-        done[kind] += 1
-    bt.release(t)
-    assert min(done.values()) >= 10, done
+        rng = random.Random(17)
+        done = {"insert": 0, "remove": 0}
+        for k in rng.sample(range(2 * 10 ** 5), 60):
+            if path(k) is None:
+                continue
+            depth, block = path(k)
+            if k % 2 == 0 and block.count > B:        # present: in its block
+                kind, update = "remove", lambda: ordmap.remove(ctx, t, k)
+            elif k % 2 == 1 and block.count < 2 * B:  # new: the block has room
+                kind, update = "insert", lambda: ordmap.insert(ctx, t, k, 0)
+            else:
+                continue
+            a0, live = counters.allocations, counters.live
+            t2 = update()
+            assert counters.allocations - a0 == depth + 1, (encoding, kind, k)
+            assert counters.live - live == depth + 1, (encoding, kind, k)
+            assert rebuilds == [], (encoding, kind, k)
+            check_tree(ctx, t2)
+            bt.release(t2)
+            done[kind] += 1
+        bt.release(t)
+        assert structure_digest(ctx, snapshot) == digest
+        bt.release(snapshot)
+        assert min(done.values()) >= 10, (encoding, done)
+
+
+@pytest.mark.parametrize("B", [1, 2, 4, 8])
+def test_point_updates_across_the_direct_link_threshold(B):
+    # _join links a balanced pair of at least 4B entries itself and hands
+    # every smaller pair to _node: trees of 4B-2 to 4B+2 entries, built in
+    # one step and by single inserts, take an insert between every two
+    # keys and a remove of every key, on every codec, with and without an
+    # aggregate
+    spec = AugSpec(identity=0, lift=lambda e: e[1],
+                   combine=lambda a, b: a + b, inverse=lambda a, b: a - b)
+    live = counters.live
+    for encoding in ("identity", "delta", "object"):
+        for aug in (None, spec):
+            ctx = make_context(block_size=B, encoding=encoding, aug=aug)
+            for n in range(4 * B - 2, 4 * B + 3):
+                model = {2 * k + 2: k for k in range(n)}
+                trees = [ordmap.build(ctx, model.items())]
+                t = None
+                for k in random.Random(n).sample(sorted(model), n):
+                    r = ordmap.insert(ctx, t, k, model[k])
+                    bt.release(t)
+                    t = r
+                trees.append(t)
+                for t in trees:
+                    for k in range(1, 2 * n + 3):
+                        want = dict(model)
+                        if k % 2:
+                            want[k] = k
+                            r = ordmap.insert(ctx, t, k, k)
+                        else:
+                            want.pop(k, None)
+                            r = ordmap.remove(ctx, t, k)
+                        check_tree(ctx, r)
+                        assert bt.to_list(ctx, r) == sorted(want.items())
+                        if aug is not None:
+                            assert r is None and not want or \
+                                r.aug == sum(want.values())
+                        bt.release(r)
+                    assert bt.to_list(ctx, t) == sorted(model.items())
+                    bt.release(t)
+    assert counters.live == live
 
 
 def test_point_update_overflow_links_beside_its_sibling(monkeypatch):
