@@ -30,8 +30,12 @@ the entries the merge replaced or dropped, ``came`` those it added or
 changed, and ``fold`` is the spec's block fold (``core._entries_aug``:
 ``fold_values`` where given).  A result cut into several blocks, or left
 as an entry run below the block size, and every block of a spec without
-an inverse, is folded whole.  The graph store's edge count sets
-``inverse=operator.sub``.
+an inverse, is folded whole.  A block edit that keeps the rest of its
+block and stays one block of at most twice the block size (``core._edit``:
+a point ``insert`` or ``remove``, and the merge of an underflowed block
+into its sibling) updates the aggregate the same way, as
+``inverse(combine(old, fold(new)), fold(replaced))``.  The graph store's
+edge count sets ``inverse=operator.sub``.
 """
 
 from dataclasses import dataclass
@@ -53,8 +57,9 @@ class AugSpec:
     fold_values: object = None
     # optional: (a, b) -> a combined with the inverse of b.  Only for a
     # combine that forms a commutative group with it (identity the unit,
-    # inverse(combine(a, b), b) == a); bulk merges then update a block's
-    # aggregate by difference.  None refolds every block written
+    # inverse(combine(a, b), b) == a); bulk merges and block edits then
+    # update a block's aggregate by difference.  None refolds every block
+    # written
     inverse: object = None
 
 

@@ -453,7 +453,6 @@ def _edit(ctx, t, i, j, new=(), entries=None, hi=None, run=False):
     # the view of the spliced payload is also its length check
     at = codec.view(p, full)
     if c == full and c <= 2 * B:
-        # one block over the whole spliced payload
         counters.folds += 1
         return new_flat(c, p, at.keys[0], at.keys[c - 1], None)
 

@@ -74,7 +74,7 @@ one block that the join absorbs, and a run beside a dropped entry gives up
 its entry at the seam as the join's middle.  Two results that are whole
 trees (``core._whole``) and balance beside a kept entry are linked by one
 regular node directly (``core._make_regular``), the link ``_concat`` would
-reach through ``_as_tree``, ``_join`` and ``_node``; two trees of exactly
+reach through ``_as_tree`` and ``_join``; two trees of exactly
 the sizes of the node's children keep its shape and are linked so without a
 balance test (every node of a graph delete, and of a graph insert that adds
 no vertex).  So a sparse intersection encodes its result about once instead
